@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet race bench benchserve bench-batch bench-incremental metrics-smoke faultsim crashsim shardsim federationsim repro examples libdoc clean
+.PHONY: all build test vet race loc bench benchserve bench-batch bench-incremental metrics-smoke faultsim crashsim shardsim federationsim repro examples libdoc clean
 
 all: build vet test
 
@@ -18,11 +18,20 @@ test:
 race:
 	$(GO) test -race ./...
 
+# Non-test Go lines per package, largest first, then the total.
+loc:
+	@$(GO) list -f '{{.ImportPath}}{{range .GoFiles}} {{$$.Dir}}/{{.}}{{end}}' ./... | \
+	while read -r pkg files; do \
+		[ -z "$$files" ] || printf '%7d %s\n' "$$(cat $$files | wc -l)" "$$pkg"; \
+	done | sort -k1,1nr | awk '{ print; n += $$1 } END { printf "%7d total\n", n }'
+
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# The X20 serving-throughput report: 16 concurrent clients against the
-# InfoPad sheet with the read caches on and off (see EXPERIMENTS.md).
+# The serving-throughput report: 16 concurrent in-process clients
+# against the cached InfoPad sheet, plus the recovery, shard and
+# federation phases (see EXPERIMENTS.md).  The uncached X20 baseline
+# lives in internal/web's BenchmarkServeSheetUncached*.
 benchserve:
 	$(GO) run ./cmd/loadgen -clients 16 -requests 1000 -o BENCH_SERVE.json
 

@@ -1,9 +1,7 @@
 // Command loadgen measures the sheet serving hot path: N concurrent
 // clients replaying mixed GET / conditional-GET / Play traffic against
-// an in-process PowerPlay site, with the read-path caches on and off.
-// It prints a phase table and writes the numbers to a JSON report
-// (BENCH_SERVE.json in CI), whose headline is the cached/uncached
-// throughput ratio on repeated sheet GETs.
+// an in-process PowerPlay site.  It prints a phase table and writes the
+// numbers to a JSON report (BENCH_SERVE.json).
 //
 // Usage:
 //
@@ -57,18 +55,16 @@ type phaseReport struct {
 }
 
 type report struct {
-	Design        string          `json:"design"`
-	Clients       int             `json:"clients"`
-	PerClient     int             `json:"requests_per_client"`
-	GOMAXPROCS    int             `json:"gomaxprocs"`
-	NumCPU        int             `json:"num_cpu"`
-	GoVersion     string          `json:"go_version"`
-	Phases        []phaseReport   `json:"phases"`
-	SpeedupGet    float64         `json:"speedup_cached_get"`
-	SpeedupRevali float64         `json:"speedup_conditional_get"`
-	Recovery      *recoveryReport   `json:"recovery,omitempty"`
-	Shard         *shardReport      `json:"shard,omitempty"`
-	Federation    *federationReport `json:"federation,omitempty"`
+	Design     string            `json:"design"`
+	Clients    int               `json:"clients"`
+	PerClient  int               `json:"requests_per_client"`
+	GOMAXPROCS int               `json:"gomaxprocs"`
+	NumCPU     int               `json:"num_cpu"`
+	GoVersion  string            `json:"go_version"`
+	Phases     []phaseReport     `json:"phases"`
+	Recovery   *recoveryReport   `json:"recovery,omitempty"`
+	Shard      *shardReport      `json:"shard,omitempty"`
+	Federation *federationReport `json:"federation,omitempty"`
 }
 
 // recoveryReport is the crash-recovery phase: a durable site takes a
@@ -93,8 +89,6 @@ func main() {
 	out := flag.String("o", "", "write the JSON report to this file")
 	flag.Parse()
 
-	baseline := newSite(web.Config{DisableReadCache: true})
-	defer baseline.ts.Close()
 	cached := newSite(web.Config{})
 	defer cached.ts.Close()
 
@@ -107,7 +101,7 @@ func main() {
 		GoVersion:  runtime.Version(),
 	}
 	run := func(name string, s site, kind trafficKind) phaseReport {
-		// Both in-process sites share one process-global metrics
+		// Every in-process site shares one process-global metrics
 		// registry, so a scrape around the phase isolates its traffic:
 		// phases run sequentially and the deltas belong to this one.
 		before := scrapeMetrics(s.ts.URL)
@@ -127,9 +121,8 @@ func main() {
 		runtime.GOMAXPROCS(old)
 		return p
 	}
-	base := run("uncached-get", baseline, plainGET)
-	hot := run("cached-get", cached, plainGET)
-	reval := run("cached-conditional-get", cached, conditionalGET)
+	run("cached-get", cached, plainGET)
+	run("cached-conditional-get", cached, conditionalGET)
 	run("cached-mixed-play", cached, mixedPlay)
 	// Edit-Play: every request rebinds one supply and hits Play — the
 	// interactive loop the incremental engine serves — pinned to one
@@ -153,11 +146,6 @@ func main() {
 	rep.Federation = &fed
 	fmt.Printf("%-22s local p50 %5.0f µs   publisher-dead p50 %5.0f µs   ratio %.2f   round-trips %d\n",
 		"federation", fed.LocalP50Us, fed.MirroredDeadP50Us, fed.LatencyRatioP50, fed.RemoteRoundTrips)
-
-	rep.SpeedupGet = hot.RPS / base.RPS
-	rep.SpeedupRevali = reval.RPS / base.RPS
-	fmt.Printf("\nspeedup (cached GET vs uncached):        %.1fx\n", rep.SpeedupGet)
-	fmt.Printf("speedup (conditional GET vs uncached):   %.1fx\n", rep.SpeedupRevali)
 
 	if *out != "" {
 		blob, err := json.MarshalIndent(rep, "", "  ")

@@ -50,9 +50,7 @@ func main() {
 	seed := flag.Bool("seed", false, "preload the paper's example designs for user 'demo'")
 	durability := flag.String("durability", "interval", "journal fsync policy: always, interval or never")
 	sweepTimeout := flag.Duration("sweep-timeout", 0, "per-request exploration sweep budget (0 = 30s default)")
-	sweepChunk := flag.Int("sweep-chunk", 0, "sweep points per columnar batch (0 = engine default, 1 = scalar only)")
 	cacheLimit := flag.Int("cache-limit", 0, "entries per read-path cache (0 = 256 default)")
-	incremental := flag.Bool("incremental", true, "recompute only the dirty cone on Play (false = full evaluation every time)")
 	profiling := flag.Bool("pprof", false, "expose net/http/pprof endpoints under /debug/pprof/")
 	logJSON := flag.Bool("log-json", false, "emit structured logs as JSON (default: human-readable text)")
 	logLevel := flag.String("log-level", "info", "minimum log level: debug, info, warn or error")
@@ -120,10 +118,9 @@ func main() {
 	reg := library.Standard()
 	srv, err := web.NewServer(web.Config{
 		SiteName: *siteName, DataDir: *data, Password: *password,
-		SweepTimeout: *sweepTimeout, SweepChunk: *sweepChunk, CacheEntries: *cacheLimit,
-		DisableIncremental: !*incremental, Durability: *durability,
-		SyncInterval: *syncInterval,
-		ShardID:      *shardID, ShardCount: *shardCount,
+		SweepTimeout: *sweepTimeout, CacheEntries: *cacheLimit,
+		Durability: *durability, SyncInterval: *syncInterval,
+		ShardID: *shardID, ShardCount: *shardCount,
 	}, reg)
 	if err != nil {
 		fatal("server setup failed", "err", err)
@@ -188,14 +185,14 @@ func main() {
 		slog.Info("mounted remote library", "models", n, "url", url, "prefix", prefix)
 	}
 	if *seed {
-		if !srv.Owns("demo") {
-			// On a sharded backend the demo user lands on exactly one
-			// shard; the others seed nothing.
-			slog.Info("skipping seed: user 'demo' belongs to another shard")
-		} else if err := seedDesigns(srv); err != nil {
+		installed, err := seedDesigns(srv)
+		switch {
+		case err != nil:
 			fatal("seeding designs failed", "err", err)
-		} else {
+		case installed:
 			slog.Info("seeded the paper's designs", "user", "demo")
+		default:
+			slog.Info("registered the InfoPad macro; user 'demo' belongs to another shard")
 		}
 	}
 	handler := srv.Handler()
@@ -353,29 +350,34 @@ func withPprof(app http.Handler) http.Handler {
 	return mux
 }
 
-// seedDesigns installs the paper's three example sheets for a demo user.
-func seedDesigns(srv *web.Server) error {
+// seedDesigns builds the paper's three example sheets and installs them
+// for user demo when this backend owns that user.  Building InfoPad
+// registers its luminance macro into the site's registry, and that
+// happens on every backend: any user on any shard may import an InfoPad
+// copy, which prices through the macro.
+func seedDesigns(srv *web.Server) (installed bool, err error) {
 	reg := srv.Registry()
-	var designs []*sheet.Design
 	d1, err := vqsim.Luminance1(reg)
 	if err != nil {
-		return err
+		return false, err
 	}
 	d2, err := vqsim.Luminance2(reg)
 	if err != nil {
-		return err
+		return false, err
 	}
 	d3, err := infopad.Build(reg)
 	if err != nil {
-		return err
+		return false, err
 	}
-	designs = append(designs, d1, d2, d3)
-	for _, d := range designs {
+	if !srv.Owns("demo") {
+		return false, nil
+	}
+	for _, d := range []*sheet.Design{d1, d2, d3} {
 		if err := srv.InstallDesign("demo", d); err != nil {
-			return err
+			return false, err
 		}
 	}
-	return nil
+	return true, nil
 }
 
 type multiFlag []string

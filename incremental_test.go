@@ -160,11 +160,10 @@ func TestIncrementalPlaySmoke(t *testing.T) {
 	}
 
 	// Baseline: the same one-binding edit workload through the
-	// non-incremental path — d.Evaluate, which is exactly what every
-	// Play costs with -incremental=false.  An edited sheet's
-	// fingerprint always misses the plan cache, so this pays the
-	// recompile a real editor's full Play pays; the editless warm
-	// figure below is logged for reference only.
+	// non-incremental path — d.Evaluate, a full recompute per Play.
+	// An edited sheet's fingerprint always misses the plan cache, so
+	// this pays the recompile a real editor's full Play pays; the
+	// editless warm figure below is logged for reference only.
 	const reps = 60
 	vals := [2]float64{5.0, 5.05}
 	start := time.Now()

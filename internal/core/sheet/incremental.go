@@ -30,10 +30,8 @@ package sheet
 //     and falls back to the tree interpreter, which re-derives the
 //     canonical error message — exactly as Design.Evaluate does.
 //
-// Full recompute stays available as the pinned fallback: callers that
-// distrust the diffing (or want the old cost model) simply keep using
-// Design.Evaluate, which is what the web layer's -incremental=false
-// flag selects.
+// Full recompute stays available: callers that distrust the diffing
+// (or want the old cost model) simply keep using Design.Evaluate.
 
 import (
 	"runtime"

@@ -2,12 +2,8 @@ package web
 
 // The versioned JSON API surface.
 //
-// Every remote-protocol endpoint lives under /api/v1/...; the original
-// bare /api/... paths remain as thin aliases that answer identically
-// but advertise their replacement with a Deprecation header, so an old
-// consumer keeps working while telling its operator where to move.
-// Error responses on the versioned surface (and, since they share the
-// handlers, on the aliases) use one uniform JSON envelope:
+// Every remote-protocol endpoint lives under /api/v1/..., and error
+// responses use one uniform JSON envelope:
 //
 //	{"error": {"code": "...", "message": "...", "request_id": "..."}}
 //
@@ -18,7 +14,6 @@ package web
 
 import (
 	"net/http"
-	"strings"
 	"time"
 
 	"powerplay/internal/obs"
@@ -57,11 +52,10 @@ func apiFail(w http.ResponseWriter, r *http.Request, status int, code, msg strin
 	}})
 }
 
-// apiRoutes registers the JSON API: the versioned /api/v1 surface, the
-// deprecated bare aliases, and the unauthenticated probes (/metrics and
-// the health endpoint).  handle is Server.Handler's instrumented
-// registrar, so every route lands in the per-route metrics under its
-// literal pattern.
+// apiRoutes registers the JSON API: the versioned /api/v1 surface and
+// the unauthenticated probes (/metrics and the health endpoint).
+// handle is Server.Handler's instrumented registrar, so every route
+// lands in the per-route metrics under its literal pattern.
 func (s *Server) apiRoutes(handle func(pattern string, h http.HandlerFunc)) {
 	// The versioned surface.
 	handle("GET /api/v1/models", s.apiAuth(s.apiModels))
@@ -84,29 +78,6 @@ func (s *Server) apiRoutes(handle func(pattern string, h http.HandlerFunc)) {
 	// password-restricted sites.  Neither exposes design data.
 	handle("GET /api/v1/healthz", s.apiHealthz)
 	handle("GET /metrics", obs.Handler().ServeHTTP)
-	// Deprecated aliases for the original unversioned paths.
-	handle("GET /api/models", deprecated(s.apiAuth(s.apiModels)))
-	handle("GET /api/models/{name...}", deprecated(s.apiAuth(s.apiModelInfo)))
-	handle("POST /api/eval", deprecated(s.apiAuth(s.apiEval)))
-	handle("GET /api/equations", deprecated(s.apiAuth(s.apiEquations)))
-}
-
-// aliasSunset is the announced removal date of the unversioned /api/...
-// aliases, advertised on every alias response (RFC 8594).
-const aliasSunset = "Mon, 01 Jun 2026 00:00:00 GMT"
-
-// deprecated wraps a legacy /api/... alias: same handler, same answer,
-// plus the RFC 9745 Deprecation header, the RFC 8594 Sunset date, and
-// a successor-version link pointing at the /api/v1 path the caller
-// should move to.
-func deprecated(h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		successor := "/api/v1" + strings.TrimPrefix(r.URL.Path, "/api")
-		w.Header().Set("Deprecation", "true")
-		w.Header().Set("Sunset", aliasSunset)
-		w.Header().Set("Link", "<"+successor+`>; rel="successor-version"`)
-		h(w, r)
-	}
 }
 
 // healthRemote summarizes one mounted publisher for the health page.

@@ -38,8 +38,9 @@ func doAPI(t *testing.T, method, url, body string, hdr map[string]string) (*http
 }
 
 // TestV1RoutesAndLegacyAliases: every versioned endpoint answers under
-// /api/v1, the bare /api alias answers byte-identically, and only the
-// alias carries the Deprecation header and its successor link.
+// /api/v1, and the bare /api alias it replaced — removed after its
+// announced Sunset (Mon, 01 Jun 2026) — gets the mux's plain 404, the
+// same answer as any other unknown path.
 func TestV1RoutesAndLegacyAliases(t *testing.T) {
 	_, ts, _ := site(t, Config{})
 	evalBody := `{"model":"` + library.SRAM + `","params":{"words":4096,"bits":6,"vdd":1.5,"f":2e6}}`
@@ -55,37 +56,35 @@ func TestV1RoutesAndLegacyAliases(t *testing.T) {
 		{"eval", "POST", "/api/v1/eval", "/api/eval", evalBody},
 		{"equations", "GET", "/api/v1/equations", "/api/equations", ""},
 	}
+	_, unknownBody := doAPI(t, "GET", ts.URL+"/api/no-such-path", "", nil)
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			v1Resp, v1Body := doAPI(t, tc.method, ts.URL+tc.v1, tc.body, nil)
+			v1Resp, _ := doAPI(t, tc.method, ts.URL+tc.v1, tc.body, nil)
 			oldResp, oldBody := doAPI(t, tc.method, ts.URL+tc.legacy, tc.body, nil)
 			if v1Resp.StatusCode != http.StatusOK {
 				t.Fatalf("%s: %d", tc.v1, v1Resp.StatusCode)
 			}
-			if oldResp.StatusCode != v1Resp.StatusCode {
-				t.Errorf("alias status %d != v1 status %d", oldResp.StatusCode, v1Resp.StatusCode)
-			}
-			if string(v1Body) != string(oldBody) {
-				t.Errorf("alias body differs from v1 body")
-			}
 			if got := v1Resp.Header.Get("Deprecation"); got != "" {
 				t.Errorf("v1 route marked deprecated: %q", got)
 			}
-			if got := oldResp.Header.Get("Deprecation"); got != "true" {
-				t.Errorf("alias Deprecation = %q, want \"true\"", got)
+			if oldResp.StatusCode != http.StatusNotFound {
+				t.Errorf("removed alias %s = %d, want 404", tc.legacy, oldResp.StatusCode)
 			}
-			wantLink := "<" + tc.v1 + `>; rel="successor-version"`
-			if got := oldResp.Header.Get("Link"); got != wantLink {
-				t.Errorf("alias Link = %q, want %q", got, wantLink)
+			if string(oldBody) != string(unknownBody) {
+				t.Errorf("removed alias body %q, want the unknown-path body %q", oldBody, unknownBody)
+			}
+			for _, h := range []string{"Deprecation", "Sunset", "Link"} {
+				if got := oldResp.Header.Get(h); got != "" {
+					t.Errorf("removed alias still sends %s: %q", h, got)
+				}
 			}
 		})
 	}
 }
 
 // TestErrorEnvelope: every API error path answers with the uniform
-// {"error":{code,message,request_id}} envelope, on the versioned routes
-// and the legacy aliases alike, with the request_id matching the
-// X-Request-ID response header.
+// {"error":{code,message,request_id}} envelope, with the request_id
+// matching the X-Request-ID response header.
 func TestErrorEnvelope(t *testing.T) {
 	_, ts, _ := site(t, Config{})
 	cases := []struct {
@@ -97,12 +96,10 @@ func TestErrorEnvelope(t *testing.T) {
 		wantCode   string
 	}{
 		{"unknown-model-info", "GET", "/api/v1/models/ghost", "", 404, "not_found"},
-		{"unknown-model-info-legacy", "GET", "/api/models/ghost", "", 404, "not_found"},
 		{"bad-json", "POST", "/api/v1/eval", "not json", 400, "bad_request"},
 		{"unknown-model-eval", "POST", "/api/v1/eval", `{"model":"ghost"}`, 422, "invalid_params"},
 		{"bad-params", "POST", "/api/v1/eval",
 			`{"model":"` + library.SRAM + `","params":{"words":-5}}`, 422, "invalid_params"},
-		{"bad-json-legacy", "POST", "/api/eval", "not json", 400, "bad_request"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

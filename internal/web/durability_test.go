@@ -7,12 +7,9 @@ import (
 	"net/http/cookiejar"
 	"net/http/httptest"
 	"net/url"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
-	"powerplay/internal/core/sheet"
 	"powerplay/internal/library"
 	"powerplay/internal/store"
 )
@@ -192,60 +189,6 @@ func TestUserModelSurvivesCrash(t *testing.T) {
 	postBody, _ := fetchWithETag(t, c2, ts2.URL+"/design/d")
 	if postBody != preBody {
 		t.Error("design pricing through user model diverged across crash")
-	}
-}
-
-// TestLegacyStateMigration: a data directory written by the
-// pre-journal flat-file layout imports into the store on first boot
-// and survives a second (store-native) restart.
-func TestLegacyStateMigration(t *testing.T) {
-	dir := t.TempDir()
-	d := sheet.NewDesign("vintage", library.Standard())
-	d.Root.SetGlobalValue("vdd", 1.5, "1.5")
-	d.Root.MustAddChild("bank", library.SRAM)
-	blob, err := d.MarshalJSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	udir := filepath.Join(dir, "users", "old")
-	if err := os.MkdirAll(filepath.Join(udir, "designs"), 0o755); err != nil {
-		t.Fatal(err)
-	}
-	writeFile := func(path string, b []byte) {
-		t.Helper()
-		if err := os.WriteFile(path, b, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	writeFile(filepath.Join(udir, "defaults.json"), []byte(`{"ucb.sram":{"words":512}}`))
-	writeFile(filepath.Join(udir, "designs", "vintage.json"), blob)
-	writeFile(filepath.Join(dir, "models.json"),
-		[]byte(`[{"name":"user.legacy","csw":"2p","class":"computation"}]`))
-
-	s1, ts1, c := durableSite(t, dir, Config{})
-	if _, ok := s1.Registry().Lookup("user.legacy"); !ok {
-		t.Fatal("legacy site model not migrated")
-	}
-	loginAs(t, ts1, c, "old", "")
-	if code, body := fetch(t, c, ts1.URL+"/design/vintage"); code != 200 || !strings.Contains(body, "bank") {
-		t.Fatalf("legacy design not migrated: %d", code)
-	}
-	_, body := fetch(t, c, ts1.URL+"/cell/"+library.SRAM)
-	if !strings.Contains(body, `value="512"`) {
-		t.Error("legacy defaults not migrated")
-	}
-	ts1.Close() // crash: migrated state must now live in the store
-
-	s2, ts2, c2 := durableSite(t, dir, Config{})
-	if s2.LastRecovery().SnapshotsLoaded == 0 {
-		t.Error("migration should have snapshotted into the store")
-	}
-	if _, ok := s2.Registry().Lookup("user.legacy"); !ok {
-		t.Error("migrated model lost on second boot")
-	}
-	loginAs(t, ts2, c2, "old", "")
-	if code, _ := fetch(t, c2, ts2.URL+"/design/vintage"); code != 200 {
-		t.Errorf("migrated design lost on second boot: %d", code)
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"powerplay/internal/circuit"
 	"powerplay/internal/core/model"
 	"powerplay/internal/faultnet"
 	"powerplay/internal/library"
@@ -202,7 +203,7 @@ func TestSyncSurvivesPublisherFlap(t *testing.T) {
 	// The first sync already initialized the lazy breaker; replace it
 	// with test pacing so post-recovery convergence is not gated on the
 	// production 10 s cooldown.
-	rc.breaker = &Breaker{Threshold: 3, Cooldown: 20 * time.Millisecond}
+	rc.breaker = &circuit.Breaker{Threshold: 3, Cooldown: 20 * time.Millisecond}
 
 	// The publisher starts flapping: alternating 5xx and RST.
 	proxy.SetDefault(faultnet.Fault{Mode: faultnet.Status, Code: 503})

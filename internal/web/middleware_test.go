@@ -47,7 +47,7 @@ func TestRecoverMiddleware(t *testing.T) {
 		t.Fatal(err)
 	}
 	ts := newTestServer(t, s)
-	resp, err := http.Post(ts.URL+"/api/eval", "application/json",
+	resp, err := http.Post(ts.URL+"/api/v1/eval", "application/json",
 		strings.NewReader(`{"model":"test.boom"}`))
 	if err != nil {
 		t.Fatal(err)
@@ -57,7 +57,7 @@ func TestRecoverMiddleware(t *testing.T) {
 		t.Fatalf("panicking eval = %d, want 500", resp.StatusCode)
 	}
 	// The panic killed one request, not the site.
-	resp, err = http.Get(ts.URL + "/api/models")
+	resp, err = http.Get(ts.URL + "/api/v1/models")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func TestRecoverMiddleware(t *testing.T) {
 func TestBodyLimitMiddleware(t *testing.T) {
 	_, ts, _ := site(t, Config{MaxBodyBytes: 256})
 	big := `{"model":"` + strings.Repeat("x", 4096) + `"}`
-	resp, err := http.Post(ts.URL+"/api/eval", "application/json", strings.NewReader(big))
+	resp, err := http.Post(ts.URL+"/api/v1/eval", "application/json", strings.NewReader(big))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func TestBodyLimitMiddleware(t *testing.T) {
 		t.Fatalf("oversized body = %d, want 400", resp.StatusCode)
 	}
 	small := `{"model":"` + library.SRAM + `","params":{"words":1024,"bits":8,"vdd":1.5,"f":1e6}}`
-	resp, err = http.Post(ts.URL+"/api/eval", "application/json", strings.NewReader(small))
+	resp, err = http.Post(ts.URL+"/api/v1/eval", "application/json", strings.NewReader(small))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -56,8 +56,7 @@ type readEntry struct {
 	regGen uint64
 	res    *sheet.Result
 	err    error
-	delta  sheet.PlayDelta // what the evaluation actually recomputed
-	page   *renderedPage   // nil until the first GET renders it; guarded by cacheMu
+	page   *renderedPage // nil until the first GET renders it; guarded by cacheMu
 }
 
 // live reports whether the entry still describes d's current state.
@@ -86,13 +85,8 @@ func sheetETag(d *sheet.Design, gen, regGen uint64) string {
 //
 // The miss path runs the design's incremental Play engine, so an edit
 // invalidates the cached result but re-prices only the dirty cone the
-// edit reaches; -incremental=false pins the from-scratch evaluation
-// instead.  Both produce bit-identical results — the cache cannot tell
-// them apart.
+// edit reaches.
 func (s *Server) evalDesign(userName string, d *sheet.Design) (*sheet.Result, error) {
-	if s.cfg.DisableReadCache {
-		return d.Evaluate()
-	}
 	key := userName + "/" + d.Name
 	gen, regGen := d.Generation(), s.registry.Generation()
 	s.cacheMu.Lock()
@@ -103,43 +97,16 @@ func (s *Server) evalDesign(userName string, d *sheet.Design) (*sheet.Result, er
 	}
 	s.cacheMu.Unlock()
 	pageCacheEvents.With("result_miss").Inc()
-	var (
-		res   *sheet.Result
-		delta sheet.PlayDelta
-		err   error
-	)
-	if s.cfg.DisableIncremental {
-		res, err = d.Evaluate()
-		delta = sheet.PlayDelta{Full: true}
-	} else {
-		res, delta, err = d.IncrementalEngine().Play()
-	}
+	res, _, err := d.IncrementalEngine().Play()
 	// regGen was read before evaluating: if a model edit lands mid-
 	// evaluation the entry is stored under the older generation and the
 	// next read misses — conservative, never stale.
 	s.cacheMu.Lock()
-	if s.readCaches.put(key, &readEntry{design: d, gen: gen, regGen: regGen, res: res, err: err, delta: delta}) {
+	if s.readCaches.put(key, &readEntry{design: d, gen: gen, regGen: regGen, res: res, err: err}) {
 		webCacheEvictions.With("read").Inc()
 	}
 	s.cacheMu.Unlock()
 	return res, err
-}
-
-// PlayDelta returns the changed-cell delta set recorded by the most
-// recent memoized evaluation of one user's design — which rows' numbers
-// the last Play actually moved.  This is the feed point the planned
-// live-collaboration SSE channel will consume: push the delta, and
-// other viewers of the sheet patch those cells instead of reloading.
-// ok is false when the design has no cached evaluation (or the read
-// cache is disabled).
-func (s *Server) PlayDelta(userName, designName string) (delta sheet.PlayDelta, ok bool) {
-	s.cacheMu.Lock()
-	defer s.cacheMu.Unlock()
-	e, ok := s.readCaches.get(userName + "/" + designName)
-	if !ok {
-		return sheet.PlayDelta{}, false
-	}
-	return e.delta, true
 }
 
 // renderedSheetFor returns the cached rendered page for one user's

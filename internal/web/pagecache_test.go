@@ -294,20 +294,6 @@ func TestSheetEvaluatedOncePerEdit(t *testing.T) {
 	if got := evals.Load(); got != 2 {
 		t.Fatalf("CSV export re-evaluated (%d)", got)
 	}
-	// The delta recorded for the edit-Play names the recomputed row.
-	delta, ok := s.PlayDelta("u", "d")
-	if !ok {
-		t.Fatal("no PlayDelta recorded")
-	}
-	if delta.Full {
-		t.Error("edit-Play recorded a full recompute")
-	}
-	// The edited cell reaches row x and, through its aggregate, the
-	// root (path ""): exactly the cells an SSE push would patch.
-	want := []string{"x", ""}
-	if len(delta.ChangedRows) != len(want) || delta.ChangedRows[0] != want[0] || delta.ChangedRows[1] != want[1] {
-		t.Errorf("ChangedRows = %q, want %q", delta.ChangedRows, want)
-	}
 }
 
 // TestSheetCacheConcurrentTraffic hammers the read path with mixed

@@ -16,17 +16,14 @@ import (
 	"encoding/json"
 	"fmt"
 	"log/slog"
-	"os"
-	"path/filepath"
 
 	"powerplay/internal/core/sheet"
 	"powerplay/internal/library"
 	"powerplay/internal/store"
 )
 
-// openStore opens the data directory's journal store, recovers the
-// pre-crash state into the account map, and (once) migrates any
-// legacy flat-file state into the store.  Called from NewServer when
+// openStore opens the data directory's journal store and recovers the
+// pre-crash state into the account map.  Called from NewServer when
 // DataDir is set; the server is not yet serving, so no locks needed.
 func (s *Server) openStore() error {
 	policy, err := store.ParsePolicy(s.cfg.Durability)
@@ -82,48 +79,8 @@ func (s *Server) openStore() error {
 			"errors", recovered.Stats.ReplayErrors,
 			"truncated_bytes", recovered.Stats.TruncatedBytes,
 			"dur_ms", recovered.Stats.DurationMs)
-		return nil
 	}
-	return s.migrateLegacyState()
-}
-
-// migrateLegacyState imports the pre-journal flat-file layout
-// (users/<name>/defaults.json + designs/*.json, models.json) into the
-// store, once, when the store itself recovered nothing.  The legacy
-// files are left in place — harmless, and a downgrade path.
-func (s *Server) migrateLegacyState() error {
-	if _, err := os.Stat(filepath.Join(s.cfg.DataDir, "models.json")); err != nil {
-		if entries, derr := os.ReadDir(filepath.Join(s.cfg.DataDir, "users")); derr != nil || !hasLegacyUser(s.cfg.DataDir, entries) {
-			return nil // nothing legacy to migrate
-		}
-	}
-	if err := s.loadState(); err != nil {
-		return fmt.Errorf("web: migrating legacy state: %w", err)
-	}
-	for _, u := range s.users {
-		if err := s.snapshotUser(u); err != nil {
-			return fmt.Errorf("web: migrating legacy user %s: %w", u.Name, err)
-		}
-	}
-	if err := s.snapshotSite(); err != nil {
-		return fmt.Errorf("web: migrating legacy site models: %w", err)
-	}
-	slog.Info("migrated legacy flat-file state into the journal store", "users", len(s.users))
 	return nil
-}
-
-// hasLegacyUser reports whether any users/ entry carries legacy
-// flat-file state (as opposed to store journals).
-func hasLegacyUser(dataDir string, entries []os.DirEntry) bool {
-	for _, e := range entries {
-		if !e.IsDir() {
-			continue
-		}
-		if _, err := os.Stat(filepath.Join(dataDir, "users", e.Name(), "defaults.json")); err == nil {
-			return true
-		}
-	}
-	return false
 }
 
 // mutRecord journals one applied tree edit.  Call it immediately after

@@ -281,20 +281,3 @@ func TestListingPagination(t *testing.T) {
 		t.Errorf("limit=-1 = %s, want 400", resp.Status)
 	}
 }
-
-// TestAliasSunset: every deprecated /api/... alias advertises its
-// removal date and successor; the versioned surface does not.
-func TestAliasSunset(t *testing.T) {
-	_, ts, c := site(t, Config{})
-	resp, _ := getFull(t, c, ts.URL+"/api/models", nil)
-	if got := resp.Header.Get("Sunset"); got != aliasSunset {
-		t.Errorf("alias Sunset = %q, want %q", got, aliasSunset)
-	}
-	if got := resp.Header.Get("Deprecation"); got != "true" {
-		t.Errorf("alias Deprecation = %q", got)
-	}
-	resp, _ = getFull(t, c, ts.URL+"/api/v1/models", nil)
-	if got := resp.Header.Get("Sunset"); got != "" {
-		t.Errorf("versioned surface has Sunset %q", got)
-	}
-}

@@ -12,6 +12,7 @@ import (
 	"sync"
 	"time"
 
+	"powerplay/internal/circuit"
 	"powerplay/internal/core/model"
 	"powerplay/internal/obs"
 	"powerplay/internal/units"
@@ -42,13 +43,13 @@ type Remote struct {
 	// Breaker is the per-site circuit breaker; nil installs a default
 	// one.  Sharing a Breaker across Remotes pointed at the same site
 	// is fine; sharing across different sites is not.
-	Breaker *Breaker
+	Breaker *circuit.Breaker
 	// StaleLimit bounds the last-known-good eval cache (entries);
 	// zero selects a default, negative disables stale degradation.
 	StaleLimit int
 
 	once    sync.Once
-	breaker *Breaker
+	breaker *circuit.Breaker
 	stale   *staleCache
 }
 
@@ -90,7 +91,7 @@ func (rc *Remote) init() {
 	rc.once.Do(func() {
 		rc.breaker = rc.Breaker
 		if rc.breaker == nil {
-			rc.breaker = &Breaker{}
+			rc.breaker = &circuit.Breaker{}
 		}
 		if rc.StaleLimit >= 0 {
 			rc.stale = newStaleCache(rc.StaleLimit)
@@ -264,7 +265,7 @@ func (rc *Remote) Eval(ctx context.Context, name string, params map[string]float
 }
 
 // BreakerState reports the per-site circuit breaker's current state.
-func (rc *Remote) BreakerState() BreakerState {
+func (rc *Remote) BreakerState() circuit.State {
 	rc.init()
 	return rc.breaker.State()
 }

@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"powerplay/internal/circuit"
 	"powerplay/internal/core/model"
 	"powerplay/internal/core/sheet"
 	"powerplay/internal/faultnet"
@@ -126,7 +127,7 @@ func TestRemoteEvalRetryClassification(t *testing.T) {
 		if got := p.Requests(); got != 1 {
 			t.Errorf("requests = %d: app errors must not be retried", got)
 		}
-		if got := rc.BreakerState(); got != BreakerClosed {
+		if got := rc.BreakerState(); got != circuit.Closed {
 			t.Errorf("breaker = %v: an answering site is healthy", got)
 		}
 	})
@@ -143,7 +144,7 @@ func TestBreakerLifecycle(t *testing.T) {
 	rc := &Remote{
 		BaseURL: p.URL(),
 		Retry:   &RetryPolicy{MaxAttempts: 1, MaxEvalAttempts: 1, BaseDelay: time.Millisecond},
-		Breaker: &Breaker{Threshold: 3, Cooldown: cooldown},
+		Breaker: &circuit.Breaker{Threshold: 3, Cooldown: cooldown},
 	}
 	ctx := context.Background()
 
@@ -153,7 +154,7 @@ func TestBreakerLifecycle(t *testing.T) {
 			t.Fatalf("failure %d: %v", i, err)
 		}
 	}
-	if got := rc.BreakerState(); got != BreakerOpen {
+	if got := rc.BreakerState(); got != circuit.Open {
 		t.Fatalf("after 3 failures breaker = %v, want open", got)
 	}
 	if got := p.Requests(); got != 3 {
@@ -162,7 +163,7 @@ func TestBreakerLifecycle(t *testing.T) {
 
 	// Open: fail fast, typed, and no packet leaves the building.
 	_, err := rc.Models(ctx)
-	if !errors.Is(err, ErrCircuitOpen) || !errors.Is(err, ErrRemoteUnavailable) {
+	if !errors.Is(err, circuit.ErrOpen) || !errors.Is(err, ErrRemoteUnavailable) {
 		t.Fatalf("open breaker error not typed: %v", err)
 	}
 	if got := p.Requests(); got != 3 {
@@ -178,10 +179,10 @@ func TestBreakerLifecycle(t *testing.T) {
 	if got := p.Requests(); got != 4 {
 		t.Errorf("requests = %d: half-open admits exactly one probe", got)
 	}
-	if got := rc.BreakerState(); got != BreakerOpen {
+	if got := rc.BreakerState(); got != circuit.Open {
 		t.Errorf("failed probe should re-open, got %v", got)
 	}
-	if _, err := rc.Models(ctx); !errors.Is(err, ErrCircuitOpen) {
+	if _, err := rc.Models(ctx); !errors.Is(err, circuit.ErrOpen) {
 		t.Errorf("re-opened breaker should fail fast: %v", err)
 	}
 	if got := p.Requests(); got != 4 {
@@ -194,7 +195,7 @@ func TestBreakerLifecycle(t *testing.T) {
 	if _, err := rc.Models(ctx); err != nil {
 		t.Fatalf("probe against healed site: %v", err)
 	}
-	if got := rc.BreakerState(); got != BreakerClosed {
+	if got := rc.BreakerState(); got != circuit.Closed {
 		t.Errorf("successful probe should close, got %v", got)
 	}
 	if _, err := rc.Models(ctx); err != nil {
@@ -354,7 +355,7 @@ func TestSheetDegradesToStaleWhenRemoteDies(t *testing.T) {
 	rc := &Remote{
 		BaseURL: p.URL(),
 		Retry:   fastRetry(),
-		Breaker: &Breaker{Threshold: 2, Cooldown: time.Hour},
+		Breaker: &circuit.Breaker{Threshold: 2, Cooldown: time.Hour},
 	}
 	if _, err := Mount(westReg, rc, "east"); err != nil {
 		t.Fatal(err)
@@ -415,7 +416,7 @@ func TestSheetDegradesToStaleWhenRemoteDies(t *testing.T) {
 
 	// By now the consecutive failures have opened the breaker: the
 	// degraded sheet keeps evaluating without touching the network.
-	if got := rc.BreakerState(); got != BreakerOpen {
+	if got := rc.BreakerState(); got != circuit.Open {
 		t.Fatalf("breaker = %v, want open", got)
 	}
 	quiet := p.Requests()

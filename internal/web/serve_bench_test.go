@@ -17,18 +17,17 @@ import (
 // whole HTTP stack — session lookup, the generation-keyed result memo
 // and page cache, conditional requests — measured over the Figure 2
 // luminance sheet.  BenchmarkServeSheetUncached* is the deliberate
-// baseline (Config.DisableReadCache), re-evaluating and re-rendering
-// every GET the way the server worked before the cache existed; the
-// cached/uncached ratio at 16 clients is the acceptance number
-// recorded in BENCH_SERVE.json.
+// baseline (uncachedSheetHandler), re-evaluating and re-rendering every
+// GET the way the server worked before the cache existed; the
+// cached/uncached ratio at 16 clients is X20's acceptance number.
 //
-// CI runs these with -benchtime=50x as a smoke test; cmd/loadgen is
-// the full load generator that produces BENCH_SERVE.json.
+// CI runs these with -benchtime=50x as a smoke test.
 
 // newBenchSite stands up a site with the Figure 2 luminance design
 // under user "bench" and returns the sheet URL plus a logged-in client
-// factory.
-func newBenchSite(b *testing.B, cfg Config) (string, func() *http.Client) {
+// factory.  With uncached set, sheet GETs go to uncachedSheetHandler
+// instead of the site's cached read path.
+func newBenchSite(b *testing.B, cfg Config, uncached bool) (string, func() *http.Client) {
 	b.Helper()
 	s, err := NewServer(cfg, library.Standard())
 	if err != nil {
@@ -41,7 +40,14 @@ func newBenchSite(b *testing.B, cfg Config) (string, func() *http.Client) {
 	if err := s.InstallDesign("bench", d); err != nil {
 		b.Fatal(err)
 	}
-	ts := httptest.NewServer(s.Handler())
+	var h http.Handler = s.Handler()
+	if uncached {
+		mux := http.NewServeMux()
+		mux.Handle("GET /design/{name}", uncachedSheetHandler(s))
+		mux.Handle("/", h)
+		h = mux
+	}
+	ts := httptest.NewServer(h)
 	b.Cleanup(ts.Close)
 	sheetURL := ts.URL + "/design/" + url.PathEscape(d.Name)
 	newClient := func() *http.Client {
@@ -56,6 +62,29 @@ func newBenchSite(b *testing.B, cfg Config) (string, func() *http.Client) {
 		return c
 	}
 	return sheetURL, newClient
+}
+
+// uncachedSheetHandler is the X20 baseline: the sheet GET as served
+// before the read-path caches existed — evaluate and render on every
+// request, under the user's read lock, with no validators — behind the
+// same middleware stack Server.Handler puts around every route.
+func uncachedSheetHandler(s *Server) http.Handler {
+	const pattern = "GET /design/{name}"
+	var h http.Handler = instrument(pattern, s.auth(func(w http.ResponseWriter, r *http.Request, u *User) {
+		d, ok := s.design(u, r.PathValue("name"))
+		if !ok {
+			http.NotFound(w, r)
+			return
+		}
+		u.mu.RLock()
+		res, err := d.Evaluate()
+		page := s.buildSheetPage(d, res, err)
+		u.mu.RUnlock()
+		s.render(w, "sheet", page)
+	}))
+	h = timeoutMiddleware(h, s.requestTimeout())
+	h = limitBodyMiddleware(h, s.maxBodyBytes())
+	return recoverMiddleware(requestIDMiddleware(h))
 }
 
 func benchGet(b *testing.B, c *http.Client, url string) {
@@ -73,7 +102,7 @@ func benchGet(b *testing.B, c *http.Client, url string) {
 // BenchmarkServeSheetCached: repeated GETs of an unchanged sheet, one
 // client — the hot path the tentpole optimizes.
 func BenchmarkServeSheetCached(b *testing.B) {
-	url, newClient := newBenchSite(b, Config{})
+	url, newClient := newBenchSite(b, Config{}, false)
 	c := newClient()
 	benchGet(b, c, url) // warm the cache outside the timing loop
 	b.ReportAllocs()
@@ -86,7 +115,7 @@ func BenchmarkServeSheetCached(b *testing.B) {
 // BenchmarkServeSheetUncached: the same traffic against the
 // evaluate-and-render-per-request baseline.
 func BenchmarkServeSheetUncached(b *testing.B) {
-	url, newClient := newBenchSite(b, Config{DisableReadCache: true})
+	url, newClient := newBenchSite(b, Config{}, true)
 	c := newClient()
 	benchGet(b, c, url)
 	b.ReportAllocs()
@@ -99,7 +128,7 @@ func BenchmarkServeSheetUncached(b *testing.B) {
 // BenchmarkServeSheetConditional: revalidation traffic — every request
 // carries the current validator and is answered 304 with no body.
 func BenchmarkServeSheetConditional(b *testing.B) {
-	u, newClient := newBenchSite(b, Config{})
+	u, newClient := newBenchSite(b, Config{}, false)
 	c := newClient()
 	resp, err := c.Get(u)
 	if err != nil {
@@ -138,7 +167,7 @@ func parallel16(b *testing.B, body func(pb *testing.PB)) {
 // BenchmarkServeSheetCached16: 16 concurrent clients hammering GETs —
 // the acceptance configuration.
 func BenchmarkServeSheetCached16(b *testing.B) {
-	url, newClient := newBenchSite(b, Config{})
+	url, newClient := newBenchSite(b, Config{}, false)
 	c := newClient()
 	benchGet(b, c, url)
 	b.ReportAllocs()
@@ -152,7 +181,7 @@ func BenchmarkServeSheetCached16(b *testing.B) {
 
 // BenchmarkServeSheetUncached16: the 16-client baseline.
 func BenchmarkServeSheetUncached16(b *testing.B) {
-	url, newClient := newBenchSite(b, Config{DisableReadCache: true})
+	url, newClient := newBenchSite(b, Config{}, true)
 	c := newClient()
 	benchGet(b, c, url)
 	b.ReportAllocs()
@@ -167,7 +196,7 @@ func BenchmarkServeSheetUncached16(b *testing.B) {
 // BenchmarkServeMixed16: mostly reads with one Play per 16 requests —
 // the cache keeps paying as long as edits are rarer than views.
 func BenchmarkServeMixed16(b *testing.B) {
-	u, newClient := newBenchSite(b, Config{})
+	u, newClient := newBenchSite(b, Config{}, false)
 	c := newClient()
 	benchGet(b, c, u)
 	var n atomic.Int64

@@ -24,19 +24,14 @@ package web
 import (
 	"crypto/rand"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"net/http"
-	"os"
-	"path/filepath"
-	"strings"
 	"sync"
 	"time"
 
 	"powerplay/internal/core/explore"
 	"powerplay/internal/core/model"
 	"powerplay/internal/core/sheet"
-	"powerplay/internal/library"
 	"powerplay/internal/shard"
 	"powerplay/internal/store"
 )
@@ -56,12 +51,6 @@ type Config struct {
 	// negative selects the 30 s default.  Sites mounting slow remote
 	// models may need more; batch test rigs may want much less.
 	SweepTimeout time.Duration
-	// SweepChunk sets the exploration engine's chunk size — how many
-	// consecutive sweep points a worker prices per columnar batch.
-	// Zero selects the engine's default (explore.DefaultChunkSize);
-	// 1 disables columnar evaluation, pricing every point through the
-	// scalar path (a debugging aid, never a production setting).
-	SweepChunk int
 	// RequestTimeout is the deadline given to every request's context;
 	// zero selects a 2 min default (above any sweep budget), negative
 	// disables the deadline.
@@ -74,17 +63,6 @@ type Config struct {
 	// results/pages), in entries; zero selects the 256 default,
 	// negative selects the minimum of one entry.
 	CacheEntries int
-	// DisableReadCache turns off the sheet read-path memoization
-	// (results, rendered pages, ETags), making every GET re-evaluate
-	// and re-render: the measured baseline for the serve benchmarks,
-	// never something a production site wants.
-	DisableReadCache bool
-	// DisableIncremental makes every sheet evaluation a from-scratch
-	// full recompute instead of going through the incremental Play
-	// engine (sheet.Incremental) — the pinned fallback behind the
-	// -incremental=false flag.  Results are bit-identical either way;
-	// only the cost model changes.
-	DisableIncremental bool
 	// Durability selects the journal fsync policy when DataDir is set:
 	// "always" (fsync per mutation), "interval" (background fsync, the
 	// default), or "never" (leave it to the OS).  See store.ParsePolicy.
@@ -341,9 +319,8 @@ func (s *Server) Handler() http.Handler {
 	handle("GET /models/edit/{name...}", s.auth(s.handleModelEdit))
 	handle("GET /doc/{name...}", s.auth(s.handleDoc))
 	handle("GET /help", s.handleHelp)
-	// Remote model protocol (Figures 6-7): the versioned JSON API,
-	// the deprecated bare aliases, and the unauthenticated probes
-	// (see apiv1.go).
+	// Remote model protocol (Figures 6-7): the versioned JSON API and
+	// the unauthenticated probes (see apiv1.go).
 	s.apiRoutes(handle)
 	// Hardening stack (see middleware.go): recovery outermost so it
 	// also covers the inner middleware, then request IDs (so every
@@ -488,62 +465,4 @@ func validUserName(s string) bool {
 		}
 	}
 	return true
-}
-
-// ----- legacy persistence (read-only, for migration) -----
-
-func (s *Server) userDir(name string) string {
-	return filepath.Join(s.cfg.DataDir, "users", name)
-}
-
-// loadState restores users, designs and site models from the
-// pre-journal flat-file layout.  It survives only as the migration
-// reader (see persist.go); the write path is the journal store.
-func (s *Server) loadState() error {
-	if blob, err := os.ReadFile(filepath.Join(s.cfg.DataDir, "models.json")); err == nil {
-		if _, err := library.LoadEquations(s.registry, blob); err != nil {
-			return fmt.Errorf("web: loading site models: %w", err)
-		}
-	}
-	usersDir := filepath.Join(s.cfg.DataDir, "users")
-	entries, err := os.ReadDir(usersDir)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil
-		}
-		return err
-	}
-	for _, e := range entries {
-		if !e.IsDir() || !validUserName(e.Name()) {
-			continue
-		}
-		u := &User{
-			Name:     e.Name(),
-			Defaults: make(map[string]map[string]float64),
-			Designs:  make(map[string]*sheet.Design),
-		}
-		dir := s.userDir(u.Name)
-		if blob, err := os.ReadFile(filepath.Join(dir, "defaults.json")); err == nil {
-			if err := json.Unmarshal(blob, &u.Defaults); err != nil {
-				return fmt.Errorf("web: user %s defaults: %w", u.Name, err)
-			}
-		}
-		designs, _ := os.ReadDir(filepath.Join(dir, "designs"))
-		for _, de := range designs {
-			if de.IsDir() || !strings.HasSuffix(de.Name(), ".json") {
-				continue
-			}
-			blob, err := os.ReadFile(filepath.Join(dir, "designs", de.Name()))
-			if err != nil {
-				return err
-			}
-			d, err := sheet.ParseDesign(blob, s.registry)
-			if err != nil {
-				return fmt.Errorf("web: user %s design %s: %w", u.Name, de.Name(), err)
-			}
-			u.Designs[strings.TrimSuffix(de.Name(), ".json")] = d
-		}
-		s.users[u.Name] = u
-	}
-	return nil
 }

@@ -124,16 +124,6 @@ func (s *Server) handleDesignSheet(w http.ResponseWriter, r *http.Request, u *Us
 		http.NotFound(w, r)
 		return
 	}
-	if s.cfg.DisableReadCache {
-		// Benchmark baseline: evaluate and render per request, no
-		// validators.
-		u.mu.RLock()
-		res, err := d.Evaluate()
-		page := s.buildSheetPage(d, res, err)
-		u.mu.RUnlock()
-		s.render(w, "sheet", page)
-		return
-	}
 	rp, err := s.renderedSheetFor(u, d)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)

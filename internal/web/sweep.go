@@ -122,7 +122,7 @@ func (s *Server) handleDesignSweep(w http.ResponseWriter, r *http.Request, u *Us
 	ctx, cancel := context.WithTimeout(r.Context(), s.sweepTimeout())
 	defer cancel()
 	start := time.Now()
-	runner := &explore.Runner{Cache: cache, ChunkSize: s.cfg.SweepChunk}
+	runner := &explore.Runner{Cache: cache}
 	pts, err := runner.Sweep(ctx, snap, page.Var, explore.Linspace(from, to, steps))
 	obs.Log(ctx).Debug("sweep finished",
 		"design", d.Name, "var", page.Var, "steps", steps,

@@ -264,7 +264,7 @@ rows track the modules they feed.</li>
 they are documented and shared automatically.</li>
 </ol>
 <p>Remote sites can mount this library over HTTP (see the API at
-<code>/api/models</code>), so a library characterized in Massachusetts
+<code>/api/v1/models</code>), so a library characterized in Massachusetts
 prices designs in California.</p>
 {{template "foot" .}}{{end}}
 `))

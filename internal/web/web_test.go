@@ -116,7 +116,7 @@ func TestPasswordRestriction(t *testing.T) {
 		t.Errorf("with password: %d", code)
 	}
 	// API also guarded.
-	resp, err := http.Get(ts.URL + "/api/models")
+	resp, err := http.Get(ts.URL + "/api/v1/models")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +124,7 @@ func TestPasswordRestriction(t *testing.T) {
 	if resp.StatusCode != http.StatusUnauthorized {
 		t.Errorf("api without key: %d", resp.StatusCode)
 	}
-	req, _ := http.NewRequest("GET", ts.URL+"/api/models", nil)
+	req, _ := http.NewRequest("GET", ts.URL+"/api/v1/models", nil)
 	req.Header.Set("X-PowerPlay-Key", "sekrit")
 	resp, err = http.DefaultClient.Do(req)
 	if err != nil {
@@ -423,7 +423,7 @@ func TestPersistenceAcrossRestart(t *testing.T) {
 
 func TestAPIModelListAndEval(t *testing.T) {
 	_, ts, _ := site(t, Config{})
-	resp, err := http.Get(ts.URL + "/api/models")
+	resp, err := http.Get(ts.URL + "/api/v1/models")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -436,7 +436,7 @@ func TestAPIModelListAndEval(t *testing.T) {
 		t.Errorf("model list too short: %d", len(list))
 	}
 	// Info endpoint.
-	resp, err = http.Get(ts.URL + "/api/models/" + library.SRAM)
+	resp, err = http.Get(ts.URL + "/api/v1/models/" + library.SRAM)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -450,7 +450,7 @@ func TestAPIModelListAndEval(t *testing.T) {
 	}
 	// Eval endpoint: the Figure 2 LUT row.
 	body := strings.NewReader(`{"model":"` + library.SRAM + `","params":{"words":4096,"bits":6,"vdd":1.5,"f":2e6}}`)
-	resp, err = http.Post(ts.URL+"/api/eval", "application/json", body)
+	resp, err = http.Post(ts.URL+"/api/v1/eval", "application/json", body)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -471,7 +471,7 @@ func TestAPIModelListAndEval(t *testing.T) {
 		`{"model":"ghost"}`,
 		`{"model":"` + library.SRAM + `","params":{"words":-5}}`,
 	} {
-		resp, err := http.Post(ts.URL+"/api/eval", "application/json", strings.NewReader(payload))
+		resp, err := http.Post(ts.URL+"/api/v1/eval", "application/json", strings.NewReader(payload))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -481,7 +481,7 @@ func TestAPIModelListAndEval(t *testing.T) {
 		}
 	}
 	// 404 for unknown model info.
-	resp, _ = http.Get(ts.URL + "/api/models/ghost")
+	resp, _ = http.Get(ts.URL + "/api/v1/models/ghost")
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound {
 		t.Errorf("ghost info: %d", resp.StatusCode)
@@ -558,7 +558,7 @@ func TestAPIEquationsExport(t *testing.T) {
 	post(t, c, ts.URL+"/models/new", url.Values{
 		"name": {"user.exported"}, "csw": {"2p"}, "class": {"computation"},
 	})
-	resp, err := http.Get(ts.URL + "/api/equations")
+	resp, err := http.Get(ts.URL + "/api/v1/equations")
 	if err != nil {
 		t.Fatal(err)
 	}

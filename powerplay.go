@@ -40,6 +40,7 @@ import (
 
 	"powerplay/internal/activity"
 	"powerplay/internal/cachesim"
+	"powerplay/internal/circuit"
 	"powerplay/internal/core/explore"
 	"powerplay/internal/core/model"
 	"powerplay/internal/core/sheet"
@@ -101,7 +102,7 @@ type (
 	// RetryPolicy paces a Remote's re-attempts.
 	RetryPolicy = web.RetryPolicy
 	// Breaker is a Remote's per-site circuit breaker.
-	Breaker = web.Breaker
+	Breaker = circuit.Breaker
 )
 
 // ErrRemoteUnavailable is the typed error behind every remote failure
