@@ -100,6 +100,11 @@ func TestErrorEnvelope(t *testing.T) {
 		{"unknown-model-eval", "POST", "/api/v1/eval", `{"model":"ghost"}`, 422, "invalid_params"},
 		{"bad-params", "POST", "/api/v1/eval",
 			`{"model":"` + library.SRAM + `","params":{"words":-5}}`, 422, "invalid_params"},
+		// The -legacy cases once went through the removed /api aliases;
+		// they now cover what such clients still send to /api/v1: the
+		// model the deleted pre-journal migration created, and no body.
+		{"unknown-model-info-legacy", "GET", "/api/v1/models/user.legacy", "", 404, "not_found"},
+		{"bad-json-legacy", "POST", "/api/v1/eval", "", 400, "bad_request"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
