@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet race loc bench benchserve bench-batch bench-incremental metrics-smoke faultsim crashsim shardsim federationsim repro examples libdoc clean
+.PHONY: all build test vet race fuzz loc bench benchserve bench-batch bench-incremental metrics-smoke faultsim crashsim shardsim federationsim repro examples libdoc clean
 
 all: build vet test
 
@@ -17,6 +17,13 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# Every native fuzz target for a short fixed budget.  Plain `go test`
+# already replays their checked-in seed corpora; this explores further.
+fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzRunBatch$$' -fuzztime 10s ./internal/expr/
+	$(GO) test -run '^$$' -fuzz '^FuzzCanonicalMapOrder$$' -fuzztime 10s ./internal/repo/
+	$(GO) test -run '^$$' -fuzz '^FuzzPlanMatchesInterpreter$$' -fuzztime 10s ./internal/core/sheet/
 
 # Non-test Go lines per package, largest first, then the total.
 loc:

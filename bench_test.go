@@ -249,11 +249,7 @@ func BenchmarkSweptConePoint(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	sw, err := plan.NewSweeper()
-	if err != nil {
-		b.Fatal(err)
-	}
-	ev := sw.NewEval()
+	ev := plan.NewSweeper().NewEval()
 	ov := map[string]float64{"vdd": 1.5}
 	// The hoisted totals must match a full evaluation exactly.
 	power, area, delay, err := ev.At(ov)

@@ -83,6 +83,22 @@ func exprErrDesign(t *testing.T) *sheet.Design {
 	return d
 }
 
+// invariantErrDesign fails at every point without reading vdd: row x
+// binds its own supply and a clock that divides by zero, so under a vdd
+// sweep the failing root is sweep-invariant.
+func invariantErrDesign(t *testing.T) *sheet.Design {
+	t.Helper()
+	d := testDesign(t)
+	d.Root.SetGlobalValue("zero", 0, "0")
+	x := d.Root.Find("x")
+	for name, src := range map[string]string{"vdd": "1.5", "f": "1e6/zero"} {
+		if err := x.SetParam(name, src); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return d
+}
+
 // TestChunkedSweepErrorTextMatchesScalar pins the error contract: a
 // failing chunk is re-run point by point, so the chunked engine reports
 // exactly the scalar engine's error — same text, same (lowest-indexed)
@@ -97,6 +113,8 @@ func TestChunkedSweepErrorTextMatchesScalar(t *testing.T) {
 		{"schema", testDesign(t), []float64{1.5, 1.6, 1.7, -1, -2, -3, -4, -5}},
 		// vdd = 2.0 at index 2 divides by zero inside a global.
 		{"expression", exprErrDesign(t), []float64{1.5, 1.75, 2.0, 2.25, 2.0, 2.75}},
+		// Every point fails in the hoisted, sweep-invariant part.
+		{"invariant", invariantErrDesign(t), []float64{1.5, 1.75, 2.0, 2.25}},
 	}
 	for _, c := range cases {
 		pts, want := (&Runner{Workers: 1, ChunkSize: 1}).Sweep(context.Background(), c.design, "vdd", c.values)

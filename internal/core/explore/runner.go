@@ -272,8 +272,8 @@ func (r *Runner) VoltageScale(ctx context.Context, d *sheet.Design, fTarget, lo,
 // the result.  The points are then processed in chunks: each chunk's
 // cache misses are evaluated columnar against the baseline (one
 // sheet.BatchEval pass over the whole chunk), falling back to the
-// per-point replay — and, when hoisting is unavailable, to the full
-// EvaluateAt path, which reproduces the canonical error messages.
+// per-point replay, which returns the canonical error messages — and,
+// when hoisting is unavailable, to the full EvaluateAt path.
 func (r *Runner) run(ctx context.Context, d *sheet.Design, overrides []map[string]float64) ([]Point, error) {
 	n := len(overrides)
 	out := make([]Point, n)
@@ -303,11 +303,11 @@ func (r *Runner) run(ctx context.Context, d *sheet.Design, overrides []map[strin
 
 // hoist builds the sweep-invariant baseline for a uniform override
 // list.  It returns nil — meaning "no fast path, evaluate every point
-// in full" — when there are no points, when the points do not share one
-// override-name set, when the plan does not compile (e.g. a static
-// cycle), or when an invariant step fails; in every such case the
-// per-point fallback reproduces exactly what the design's own
-// EvaluateAt would report.
+// through EvaluateAt" — when there are no points, when the points do
+// not share one override-name set, or when the plan does not compile
+// (e.g. a static cycle).  A failing invariant binding does not block
+// hoisting: the baseline stores it, and a point raises it only if its
+// evaluation reads it, with EvaluateAt's exact error.
 func hoist(d *sheet.Design, overrides []map[string]float64) *sheet.Sweeper {
 	if len(overrides) == 0 {
 		return nil
@@ -335,11 +335,7 @@ func hoist(d *sheet.Design, overrides []map[string]float64) *sheet.Sweeper {
 	// (memoized on the plan, keyed to the registry generation), so
 	// repeated sweeps warm-start from the invariant cone instead of
 	// re-executing it per run.
-	sw, err := plan.SharedSweeper()
-	if err != nil {
-		return nil
-	}
-	return sw
+	return plan.SharedSweeper()
 }
 
 // newEval is the nil-safe per-goroutine evaluation context constructor:
@@ -427,7 +423,8 @@ func (r *Runner) runParallel(parent context.Context, d *sheet.Design, overrides 
 			// hoisted Sweeper is shared — it is immutable — but each
 			// worker gets its own SweepEval and BatchEval (private
 			// slot vectors and columns over the shared baseline); the
-			// clone serves the fallback path.
+			// clone serves the EvaluateAt path when hoisting is
+			// unavailable.
 			snap := d.Clone()
 			ev := newEval(sw)
 			bev := newBatchEval(sw, chunk)
@@ -552,29 +549,26 @@ func (r *Runner) chunkColumnar(ctx context.Context, bev *sheet.BatchEval, overri
 // the lookup happened when the point entered its chunk (or in point),
 // so hit/miss accounting counts each requested point exactly once.
 //
-// When ev is non-nil it is tried first: the hoisted fast path replays
-// only the override-dependent cone of the compiled plan and yields
-// totals identical to a full evaluation.  Any fast-path error falls
-// through to EvaluateAt, which reproduces the canonical message.
+// When ev is non-nil the hoisted path prices the point, replaying only
+// the override-dependent cone of the compiled plan; its totals and
+// errors are EvaluateAt's.  Without it (hoisting unavailable) the point
+// runs through EvaluateAt itself.
 func (r *Runner) evalPoint(ctx context.Context, d *sheet.Design, ev *sheet.SweepEval, overrides map[string]float64, key string) (Point, error) {
 	if err := ctx.Err(); err != nil {
 		return Point{}, fmt.Errorf("explore: sweep interrupted: %w", err)
 	}
-	p, ok := Point{}, false
+	p := Point{Vars: overrides}
+	var err error
 	if ev != nil {
-		if power, area, delay, err := ev.At(overrides); err == nil {
-			p, ok = Point{Vars: overrides, Power: power, Area: area, Delay: delay}, true
+		p.Power, p.Area, p.Delay, err = ev.At(overrides)
+	} else {
+		var res *sheet.Result
+		if res, err = d.EvaluateAt(overrides); err == nil {
+			p.Power, p.Area, p.Delay = float64(res.Power), float64(res.Area), float64(res.Delay)
 		}
 	}
-	if !ok {
-		res, err := d.EvaluateAt(overrides)
-		if err != nil {
-			return Point{}, fmt.Errorf("explore: %s: %w", overridesLabel(overrides), err)
-		}
-		p = Point{
-			Vars:  overrides,
-			Power: float64(res.Power), Area: float64(res.Area), Delay: float64(res.Delay),
-		}
+	if err != nil {
+		return Point{}, fmt.Errorf("explore: %s: %w", overridesLabel(overrides), err)
 	}
 	if r.Cache != nil {
 		r.Cache.store(cacheRecord{key: key, power: p.Power, area: p.Area, delay: p.Delay})

@@ -105,17 +105,16 @@ func (s *Sweeper) NewBatchEval(capacity int) *BatchEval {
 		capacity = 1
 	}
 	p := s.plan
+	// The scalar-path slot vector starts at the baseline, exactly like
+	// a SweepEval's; per-point paths refresh only the variant slots
+	// they read.
 	b := &BatchEval{
 		sw:       s,
 		capacity: capacity,
 		cols:     make([][]float64, p.slotCount),
-		run:      p.newRun(),
+		run:      s.newRun(),
 		ds:       make(map[int]*dsMemo),
 	}
-	// The scalar-path slot vector starts at the baseline, exactly like
-	// a SweepEval's; per-point paths refresh only the variant slots
-	// they read.
-	copy(b.run.slots, s.baseline)
 	// Every slot gets a column: invariant slots broadcast their
 	// baseline value once here, variant slots are rewritten each Run by
 	// the override fill and the variant steps.
@@ -201,13 +200,25 @@ func (b *BatchEval) opCol(mc *rowModelCache, name string) ([]float64, int) {
 // registry generation.  A build failure poisons the BatchEval (Run
 // returns the error) rather than one step: the caller's scalar fallback
 // then reproduces the canonical failure, and a later registry change
-// triggers a rebuild.
+// triggers a rebuild.  Columns carry no errors, so reading a failed
+// invariant slot — from a variant step, or as the root totals —
+// poisons the BatchEval too.
 func (b *BatchEval) build(gen uint64) {
 	b.built, b.gen, b.buildErr = true, gen, nil
 	b.bsteps = b.bsteps[:0]
 	p := b.sw.plan
+	failedRead := func(s int) {
+		if b.buildErr == nil && expr.IsFailed(b.sw.baseline[s]) {
+			b.buildErr = b.sw.errs[s]
+		}
+	}
+	failedRead(p.nodeBase[p.rootIdx])
 	for _, si := range p.variantSteps {
 		st := p.steps[si]
+		st.forEachRead(failedRead)
+		if b.buildErr != nil {
+			return
+		}
 		bs := batchStep{st: st, vddSlot: -1}
 		switch {
 		case st.kind == stepExpr:
@@ -290,7 +301,7 @@ func (b *BatchEval) dsCol(slot, n int) []float64 {
 }
 
 // aggregate folds the children's result columns into a row's, in child
-// order, replicating execStep's per-point accumulation.
+// order, replicating execNode's per-point accumulation.
 func (b *BatchEval) aggregate(st *planStep, n int) {
 	for _, cb := range st.childBases {
 		for o := slotPower; o <= slotArea; o++ {
@@ -376,7 +387,7 @@ func (b *BatchEval) Run(ctx context.Context, points []map[string]float64, pw, ar
 				for _, s := range slots {
 					b.run.slots[s] = b.cols[s][j]
 				}
-				v, err := st.prog.Run(b.run.slots, &b.run.scratch)
+				v, err := st.prog.Run(b.run.slots, b.run.errs, &b.run.scratch)
 				if err != nil {
 					return err
 				}
@@ -421,38 +432,22 @@ func (b *BatchEval) Run(ctx context.Context, points []map[string]float64, pw, ar
 			sheetBatchSteps.With("kernel").Inc()
 
 		case bModelScalar:
-			mc := bs.mc
 			for j := 0; j < n; j++ {
 				if err := ctx.Err(); err != nil {
 					return err
 				}
-				full, populated := b.run.fullMap(st.nodeIdx, mc.size, gen)
-				if !populated {
-					for i := range mc.invEntries {
-						en := &mc.invEntries[i]
-						v := b.invValue(en)
-						if en.check {
-							if err := en.param.Check(v); err != nil {
-								return err
-							}
-						}
-						full[en.name] = v
-					}
+				// The scalar path's validation reads the run's slots:
+				// invariant ones hold the baseline, variant ones get
+				// this point's values.
+				for i := range bs.mc.varEntries {
+					slot := bs.mc.varEntries[i].slot
+					b.run.slots[slot] = b.cols[slot][j]
 				}
-				for i := range mc.varEntries {
-					en := &mc.varEntries[i]
-					v := b.cols[en.slot][j]
-					if en.check {
-						if err := en.param.Check(v); err != nil {
-							return err
-						}
-					}
-					full[en.name] = v
+				full, err := p.validate(st, bs.mc.m, gen, b.run)
+				if err != nil {
+					return err
 				}
-				if !populated {
-					b.run.fullGen[st.nodeIdx] = gen
-				}
-				est, err := mc.m.Evaluate(full)
+				est, err := bs.mc.m.Evaluate(full)
 				if err != nil {
 					return err
 				}

@@ -113,10 +113,7 @@ func newBatchPair(t *testing.T, d *Design, names []string, capacity int) (*Sweep
 	if err != nil {
 		t.Fatal(err)
 	}
-	sw, err := plan.NewSweeper()
-	if err != nil {
-		t.Fatal(err)
-	}
+	sw := plan.NewSweeper()
 	return sw.NewEval(), sw.NewBatchEval(capacity)
 }
 

@@ -10,12 +10,11 @@ import (
 	"powerplay/internal/units"
 )
 
-// planFallbacks counts evaluations that abandoned the compiled plan
-// for the tree interpreter (no plan, or a run-time error re-derived
-// for its canonical message).  A rising rate under steady traffic
-// means the fast path is being paid for and then thrown away.
+// planFallbacks counts evaluations served by the tree interpreter
+// because the design's plan does not compile (a static cycle).  A
+// rising rate means designs keep defeating the compiled pipeline.
 var planFallbacks = obs.NewCounter("powerplay_sheet_plan_fallbacks_total",
-	"Evaluations that fell back from the compiled plan to the interpreter.")
+	"Evaluations served by the interpreter because the design's plan does not compile.")
 
 // Result is the evaluated state of one row: the numbers the spreadsheet
 // displays when Play is pressed.
@@ -87,12 +86,12 @@ func (e *EvalError) Unwrap() error { return e.Err }
 
 // Evaluate computes the whole design — the Play button.
 //
-// Evaluation runs on the design's compiled plan (see plan.go) when one
-// is available, falling back to the tree interpreter whenever the plan
-// cannot be built or errs; both paths produce identical values, and
-// the fallback guarantees the interpreter's canonical error messages.
+// Evaluation runs on the design's compiled plan (see plan.go), which
+// reproduces the tree interpreter's values and error messages exactly;
+// only a design whose plan does not compile (a static cycle) evaluates
+// through the interpreter.
 func (d *Design) Evaluate() (*Result, error) {
-	return d.evaluate(nil)
+	return d.EvaluateAt(nil)
 }
 
 // EvaluateAt computes the design with temporary overrides applied to
@@ -106,18 +105,8 @@ func (d *Design) Evaluate() (*Result, error) {
 // handlers) should evaluate a Clone instead; see Clone and DESIGN.md's
 // "Concurrent exploration" section for the full contract.
 func (d *Design) EvaluateAt(overrides map[string]float64) (*Result, error) {
-	return d.evaluate(overrides)
-}
-
-// evaluate is the shared compiled-first entry point.
-func (d *Design) evaluate(overrides map[string]float64) (*Result, error) {
-	if plan, err := d.PlanFor(overrideNames(overrides)); err == nil {
-		if r, err := plan.Exec(overrides); err == nil {
-			return r, nil
-		}
-	}
-	planFallbacks.Inc()
-	return d.evaluateInterpreted(overrides)
+	r, _, _, _, err := d.evaluate(overrides, true)
+	return r, err
 }
 
 // EvaluateTotals computes just the design's root power, area and delay
@@ -125,28 +114,31 @@ func (d *Design) evaluate(overrides map[string]float64) (*Result, error) {
 // without building the Result tree.  Macro evaluation uses it, which
 // is what makes deeply nested macro hierarchies cheap.
 func (d *Design) EvaluateTotals(overrides map[string]float64) (power, area, delay float64, err error) {
-	if plan, perr := d.PlanFor(overrideNames(overrides)); perr == nil {
-		if pw, a, dl, terr := plan.ExecTotals(overrides); terr == nil {
-			return pw, a, dl, nil
-		}
+	_, power, area, delay, err = d.evaluate(overrides, false)
+	return power, area, delay, err
+}
+
+// evaluate runs the design's plan, or the interpreter when the plan
+// does not compile: the interpreter's one production caller.  The
+// Result tree is built only when keep is set.
+func (d *Design) evaluate(overrides map[string]float64, keep bool) (r *Result, power, area, delay float64, err error) {
+	plan, err := d.PlanFor(overrideNames(overrides))
+	if err == nil {
+		return plan.evalAt(overrides, keep)
 	}
 	planFallbacks.Inc()
-	r, err := d.evaluateInterpreted(overrides)
-	if err != nil {
-		return 0, 0, 0, err
+	if r, err = d.EvaluateInterpreted(overrides); err != nil {
+		return nil, 0, 0, 0, err
 	}
-	return float64(r.Power), float64(r.Area), float64(r.Delay), nil
+	return r, float64(r.Power), float64(r.Area), float64(r.Delay), nil
 }
 
 // EvaluateInterpreted computes the design through the tree interpreter
-// only, bypassing the compiled plan.  It exists for equivalence testing
-// and as the semantic reference: Evaluate/EvaluateAt must agree with it
-// exactly, value for value and error message for error message.
+// only, bypassing the compiled plan.  It is the semantic reference the
+// equivalence tests hold every other path to: Evaluate/EvaluateAt must
+// agree with it exactly, value for value and error message for error
+// message.
 func (d *Design) EvaluateInterpreted(overrides map[string]float64) (*Result, error) {
-	return d.evaluateInterpreted(overrides)
-}
-
-func (d *Design) evaluateInterpreted(overrides map[string]float64) (*Result, error) {
 	ev := &evaluator{
 		design:    d,
 		results:   make(map[*Node]*Result),
@@ -295,11 +287,8 @@ var signactFunc expr.Func = func(args []expr.Value) (float64, error) {
 // Func implements expr.FuncEnv: the inter-model accessors plus the
 // signal-statistics helpers.
 func (env *nodeEnv) Func(name string) (expr.Func, bool) {
-	switch name {
-	case "dbtact":
-		return dbtactFunc, true
-	case "signact":
-		return signactFunc, true
+	if f, ok := (sheetFuncs{}).ResolveFunc(name); ok {
+		return f, true
 	}
 	var metric func(*Result) float64
 	switch name {

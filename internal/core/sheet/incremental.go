@@ -26,28 +26,30 @@ package sheet
 //     proxies, macros over them — never count as clean).
 //   - Any structural change (row or binding added/removed/renamed, a
 //     changed slot layout) fails congruence and forces a full run.
-//   - Any error, at compile or run time, abandons the retained state
-//     and falls back to the tree interpreter, which re-derives the
-//     canonical error message — exactly as Design.Evaluate does.
+//   - Failures are values in the retained slots (see plan.go), so a
+//     clean step that failed last time still holds its exact error,
+//     and a dirty reader raises it just as a full run would.  A Play
+//     whose root fails returns that error and drops the retained state.
+//   - A design whose plan does not compile (a static cycle) evaluates
+//     through the tree interpreter, exactly as Design.Evaluate does.
 //
 // Full recompute stays available: callers that distrust the diffing
 // (or want the old cost model) simply keep using Design.Evaluate.
 
 import (
 	"runtime"
+	"slices"
 	"sync"
-	"sync/atomic"
 
-	"powerplay/internal/expr"
 	"powerplay/internal/obs"
 )
 
 // incrementalPlays counts engine runs by mode: "incremental" (dirty
 // cone only, possibly empty), "full" (no retained state or structural
-// change), "fallback" (compile or run error; interpreter re-derived
-// the result).
+// change), "fallback" (the plan does not compile; the interpreter
+// evaluated the design).
 var incrementalPlays = obs.NewCounterVec("powerplay_sheet_incremental_plays_total",
-	"Incremental Play engine runs, by mode (incremental, full, fallback).", "mode")
+	"Incremental Play engine runs, by mode (incremental, full, fallback: plan does not compile).", "mode")
 
 // dirtySlotBuckets spans one-cell edits (a handful of slots) up to
 // whole-sheet recomputes.
@@ -68,8 +70,8 @@ var wavefrontWidth = obs.NewGauge("powerplay_sheet_wavefront_width",
 // to other viewers of the same sheet.
 type PlayDelta struct {
 	// Full reports a from-scratch evaluation (first Play, structural
-	// change, or error fallback); the whole sheet should be considered
-	// changed.
+	// change, failed Play, or a plan that does not compile); the whole
+	// sheet should be considered changed.
 	Full bool
 	// DirtySteps/TotalSteps count scheduled steps re-executed vs. the
 	// plan's total; DirtySlots/TotalSlots the same for value slots.
@@ -154,7 +156,10 @@ func (e *Incremental) Play() (*Result, PlayDelta, error) {
 
 	plan, err := e.d.PlanFor(nil)
 	if err != nil {
-		return e.fallback()
+		e.invalidate()
+		incrementalPlays.With("fallback").Inc()
+		r, _, _, _, err := e.d.evaluate(nil, true)
+		return r, PlayDelta{Full: true}, err
 	}
 	e.gen = e.d.Generation()
 	if e.plan == nil || e.run == nil || (plan != e.plan && !congruent(e.plan, plan)) {
@@ -163,28 +168,18 @@ func (e *Incremental) Play() (*Result, PlayDelta, error) {
 	return e.playIncremental(plan)
 }
 
-// fallback abandons retained state and re-derives the result through
-// the tree interpreter, reproducing the canonical error message.
-// Caller holds mu.
-func (e *Incremental) fallback() (*Result, PlayDelta, error) {
-	e.invalidate()
-	planFallbacks.Inc()
-	incrementalPlays.With("fallback").Inc()
-	r, err := e.d.evaluateInterpreted(nil)
-	return r, PlayDelta{Full: true}, err
-}
-
 // playFull evaluates every step of the plan (wavefront-scheduled) and
 // retains the run for the next Play.  Caller holds mu.
 func (e *Incremental) playFull(plan *Plan) (*Result, PlayDelta, error) {
 	run := plan.newRun()
+	incrementalPlays.With("full").Inc()
 	if err := plan.execLevels(nil, run, runtime.GOMAXPROCS(0), true); err != nil {
-		return e.fallback()
+		e.invalidate()
+		return nil, PlayDelta{Full: true}, err
 	}
 	e.plan, e.run, e.regGen = plan, run, e.d.Registry.Generation()
 	e.results = plan.buildResults(run)
 	e.res = e.results[plan.rootIdx]
-	incrementalPlays.With("full").Inc()
 	dirtySlots.Observe(float64(plan.slotCount))
 	wavefrontWidth.Set(float64(plan.WavefrontWidth()))
 	return e.res, PlayDelta{
@@ -300,7 +295,8 @@ func (e *Incremental) playIncremental(plan *Plan) (*Result, PlayDelta, error) {
 		return e.res, delta, nil
 	}
 	if err := plan.execLevels(dirty, run, runtime.GOMAXPROCS(0), true); err != nil {
-		return e.fallback()
+		e.invalidate()
+		return nil, PlayDelta{Full: true}, err
 	}
 	e.plan, e.regGen = plan, regGen
 	// Rebuild only the dirty rows' Results (children before parents —
@@ -335,121 +331,23 @@ func congruent(a, b *Plan) bool {
 			return false
 		}
 		if sa.kind == stepExpr {
-			if sa.dst != sb.dst || !equalInts(sa.prog.Slots(), sb.prog.Slots()) {
+			// A retained failure names its binding, so the binding must
+			// be the same one too.
+			if sa.dst != sb.dst || sa.node != sb.node || sa.name != sb.name || sa.param != sb.param ||
+				!slices.Equal(sa.prog.Slots(), sb.prog.Slots()) {
 				return false
 			}
 			continue
 		}
 		if sa.node != sb.node || sa.nodeIdx != sb.nodeIdx || sa.base != sb.base ||
 			sa.modelName != sb.modelName || sa.compose != sb.compose ||
-			!equalStrings(sa.paramNames, sb.paramNames) ||
-			!equalInts(sa.paramSlots, sb.paramSlots) ||
-			!equalStrings(sa.stdNames, sb.stdNames) ||
-			!equalInts(sa.stdSlots, sb.stdSlots) ||
-			!equalInts(sa.childBases, sb.childBases) {
+			!slices.Equal(sa.paramNames, sb.paramNames) ||
+			!slices.Equal(sa.paramSlots, sb.paramSlots) ||
+			!slices.Equal(sa.stdNames, sb.stdNames) ||
+			!slices.Equal(sa.stdSlots, sb.stdSlots) ||
+			!slices.Equal(sa.childBases, sb.childBases) {
 			return false
 		}
 	}
 	return true
-}
-
-func equalInts(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func equalStrings(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// ---------------------------------------------------------------------
-// Wavefront execution
-
-// minParallelLevel is the smallest level worth fanning out; below it
-// goroutine handoff costs more than the steps.
-const minParallelLevel = 4
-
-// execLevels runs the scheduled steps whose include bit is set (nil
-// means all), level by level: steps within one wavefront level read
-// only slots finalized at shallower levels and write disjoint slots
-// (and disjoint per-row entries of run), so a level's steps execute
-// concurrently across up to `workers` goroutines, each with its own
-// expression scratch.  A barrier separates levels.  On error the
-// lowest-indexed failing step wins, execution stops after its level,
-// and the run's state must be considered poisoned — callers fall back
-// to a fresh evaluation, exactly as they do for any plan error.
-func (p *Plan) execLevels(include []bool, run *planRun, workers int, keep bool) error {
-	p.levels()
-	var buf []int
-	for _, bucket := range p.byLevel {
-		buf = buf[:0]
-		for _, si := range bucket {
-			if include == nil || include[si] {
-				buf = append(buf, si)
-			}
-		}
-		if len(buf) == 0 {
-			continue
-		}
-		if workers <= 1 || len(buf) < minParallelLevel {
-			for _, si := range buf {
-				if err := p.execStep(p.steps[si], run.slots, run, keep); err != nil {
-					return err
-				}
-			}
-			continue
-		}
-		n := workers
-		if n > len(buf) {
-			n = len(buf)
-		}
-		var (
-			next     atomic.Int64
-			wg       sync.WaitGroup
-			errMu    sync.Mutex
-			firstErr error
-			firstIdx int
-		)
-		for w := 0; w < n; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				var scratch expr.Scratch
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= len(buf) {
-						return
-					}
-					si := buf[i]
-					if err := p.execStepScratch(p.steps[si], run.slots, run, &scratch, keep); err != nil {
-						errMu.Lock()
-						if firstErr == nil || si < firstIdx {
-							firstErr, firstIdx = err, si
-						}
-						errMu.Unlock()
-					}
-				}
-			}()
-		}
-		wg.Wait()
-		if firstErr != nil {
-			return firstErr
-		}
-	}
-	return nil
 }

@@ -298,7 +298,7 @@ func TestWavefrontParity(t *testing.T) {
 				t.Fatalf("workers=%d: slot %d = %v, serial %v", workers, i, run.slots[i], serial.slots[i])
 			}
 		}
-		sameResult(t, "", plan.buildResult(run, plan.rootIdx), plan.buildResult(serial, plan.rootIdx))
+		sameResult(t, "", plan.buildResults(run)[plan.rootIdx], plan.buildResults(serial)[plan.rootIdx])
 	}
 }
 
@@ -330,29 +330,20 @@ func TestSharedSweeperMemo(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s1, err := plan.SharedSweeper()
-	if err != nil {
-		t.Fatal(err)
-	}
-	s2, err := plan.SharedSweeper()
-	if err != nil {
-		t.Fatal(err)
-	}
+	s1 := plan.SharedSweeper()
+	s2 := plan.SharedSweeper()
 	if s1 != s2 {
 		t.Error("repeated sweeps did not share the hoisted baseline")
 	}
 	// A registry edit retires the memo.
 	m, _ := d.Registry.Lookup("cell")
 	d.Registry.MustRegister(m)
-	s3, err := plan.SharedSweeper()
-	if err != nil {
-		t.Fatal(err)
-	}
+	s3 := plan.SharedSweeper()
 	if s3 == s1 {
 		t.Error("registry edit did not retire the shared baseline")
 	}
 	// Shared and fresh baselines price points identically.
-	e1, e2 := s3.NewEval(), mustSweeper(t, plan).NewEval()
+	e1, e2 := s3.NewEval(), plan.NewSweeper().NewEval()
 	for _, v := range []float64{0.9, 1.5, 3.3} {
 		p1, a1, d1, err1 := e1.At(map[string]float64{"vdd": v})
 		p2, a2, d2, err2 := e2.At(map[string]float64{"vdd": v})
@@ -363,15 +354,6 @@ func TestSharedSweeperMemo(t *testing.T) {
 			t.Errorf("vdd=%v: shared %v/%v/%v vs fresh %v/%v/%v", v, p1, a1, d1, p2, a2, d2)
 		}
 	}
-}
-
-func mustSweeper(t *testing.T, p *Plan) *Sweeper {
-	t.Helper()
-	sw, err := p.NewSweeper()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return sw
 }
 
 func TestSharedSweeperVolatileNeverMemoizes(t *testing.T) {
@@ -387,14 +369,8 @@ func TestSharedSweeperVolatileNeverMemoizes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s1, err := plan.SharedSweeper()
-	if err != nil {
-		t.Fatal(err)
-	}
-	s2, err := plan.SharedSweeper()
-	if err != nil {
-		t.Fatal(err)
-	}
+	s1 := plan.SharedSweeper()
+	s2 := plan.SharedSweeper()
 	if s1 == s2 {
 		t.Error("volatile design shared a hoisted baseline across sweeps")
 	}

@@ -21,23 +21,10 @@ package sheet
 // that was unreachable at compile time, or a new reference that would
 // require reordering steps — makes it bail to (nil, false), and the
 // engine takes the ordinary full-compile path.  Errors inside patched
-// expressions need no special care: any evaluation error falls back to
-// the tree interpreter, which re-derives the canonical message.
+// expressions need no special care: a patched step keeps its binding's
+// owner and name, so it words its failures exactly as the original.
 
-import (
-	"fmt"
-
-	"powerplay/internal/expr"
-)
-
-// planCell records where one compiled binding landed: the patch table
-// the incremental engine diffs and patches through.
-type planCell struct {
-	owner   *Node
-	name    string
-	param   bool // parameter binding (else global)
-	stepIdx int
-}
+import "powerplay/internal/expr"
 
 // patch returns a plan equivalent to compiling the design afresh,
 // provided only cell bindings changed since p was compiled; ok is
@@ -114,38 +101,41 @@ func (p *Plan) patch() (*Plan, bool) {
 	var newSteps []*planStep
 	writer := p.slotWriters()
 	levelsValid := p.stepLevel != nil
-	for _, c := range p.cells {
+	for i, old := range p.steps {
+		if old.kind != stepExpr {
+			continue
+		}
 		var cur *expr.Expr
-		if c.param {
-			cur = c.owner.Param(c.name)
+		if old.param {
+			cur = old.node.Param(old.name)
 		} else {
-			cur = c.owner.Global(c.name)
+			cur = old.node.Global(old.name)
 		}
 		if cur == nil {
 			return nil, false
 		}
-		old := p.steps[c.stepIdx]
 		if cur.ID() == old.exprID {
 			continue
 		}
-		prog, rok := p.recompileCell(c.owner, cur)
+		prog, rok := p.recompileCell(old.node, cur)
 		if !rok {
 			return nil, false
 		}
 		for _, s := range prog.Slots() {
-			if writer[s] >= c.stepIdx {
+			if writer[s] >= i {
 				return nil, false
 			}
 			// The old wavefront schedule stays valid only while every
 			// read resolves at a strictly shallower level.
-			if levelsValid && p.stepLevel[writer[s]] >= p.stepLevel[c.stepIdx] {
+			if levelsValid && p.stepLevel[writer[s]] >= p.stepLevel[i] {
 				levelsValid = false
 			}
 		}
 		if newSteps == nil {
 			newSteps = append([]*planStep(nil), p.steps...)
 		}
-		newSteps[c.stepIdx] = &planStep{kind: stepExpr, prog: prog, dst: old.dst, exprID: cur.ID()}
+		newSteps[i] = &planStep{kind: stepExpr, node: old.node, name: old.name, param: old.param,
+			prog: prog, dst: old.dst, exprID: cur.ID()}
 	}
 	if newSteps == nil {
 		return p, true
@@ -163,7 +153,6 @@ func (p *Plan) patch() (*Plan, bool) {
 		nodeBase:      p.nodeBase,
 		idxOf:         p.idxOf,
 		rootIdx:       p.rootIdx,
-		cells:         p.cells,
 		globalSlot:    p.globalSlot,
 		nodeStep:      p.nodeStep,
 		globalNames:   p.globalNames,
@@ -215,6 +204,7 @@ func (p *Plan) recompileCell(n *Node, e *expr.Expr) (*expr.Program, bool) {
 // the original compile assigned — the same scope-chain and call
 // lowering rules as planResolver, minus the ability to allocate.
 type patchResolver struct {
+	sheetFuncs
 	p    *Plan
 	node *Node
 	ok   bool
@@ -235,50 +225,16 @@ func (r *patchResolver) ResolveVar(name string) (int, bool) {
 	return 0, false
 }
 
-// ResolveFunc implements expr.Resolver with the same host functions the
-// full compile resolves, so results and error messages are identical.
-func (r *patchResolver) ResolveFunc(name string) (expr.Func, bool) {
-	switch name {
-	case "dbtact":
-		return dbtactFunc, true
-	case "signact":
-		return signactFunc, true
-	}
-	return nil, false
-}
-
-// ClaimsCall implements expr.CallResolver for the inter-row accessors.
-func (r *patchResolver) ClaimsCall(name string) bool {
-	switch name {
-	case "power", "area", "delay":
-		return true
-	}
-	return false
-}
-
 // ResolveCall lowers power/area/delay exactly as planResolver does,
 // reading the target row's recorded result block.
 func (r *patchResolver) ResolveCall(name string, args []expr.CallArg) expr.CallLowering {
-	if len(args) != 1 || !args[0].IsStr {
-		return expr.CallLowering{Err: fmt.Errorf("%s() takes one quoted row path", name)}
-	}
-	ref := args[0].Str
-	target := r.p.design.Resolve(r.node, ref)
-	if target == nil {
-		return expr.CallLowering{Err: fmt.Errorf("%s(%q): no such row", name, ref)}
-	}
-	idx, in := r.p.idxOf[target]
-	if !in {
-		// Unreachable after the shape check, but never patch blindly.
-		r.ok = false
-		return expr.CallLowering{Err: fmt.Errorf("%s(%q): no such row", name, ref)}
-	}
-	off := slotPower
-	switch name {
-	case "area":
-		off = slotArea
-	case "delay":
-		off = slotDelay
-	}
-	return expr.CallLowering{Slot: r.p.nodeBase[idx] + off}
+	return rowCall(r.p.design, r.node, name, args, func(target *Node) (int, bool) {
+		idx, in := r.p.idxOf[target]
+		if !in {
+			// Unreachable after the shape check, but never patch blindly.
+			r.ok = false
+			return 0, false
+		}
+		return r.p.nodeBase[idx], true
+	})
 }

@@ -14,16 +14,21 @@ package sheet
 // interpreter's two rules (variable cycles and row cycles) with the
 // same error text.
 //
-// Correctness contract: a Plan execution that succeeds produces values
-// bit-identical to the tree interpreter (the programs replicate the
-// interpreter's operations exactly, and the step graph evaluates a
-// superset of what the interpreter would touch, in a compatible
-// order).  Any failure — at compile time (static cycle, which may be a
-// false positive when the cycle hides behind an untaken branch) or at
-// run time (a model error, a division by zero) — makes the caller fall
-// back to the interpreter, which re-derives the canonical error
-// message.  The compiled path therefore never changes observable
-// results; it only makes the common case fast.
+// Correctness contract: a Plan execution produces values bit-identical
+// to the tree interpreter (the programs replicate the interpreter's
+// operations exactly, and the step graph evaluates a superset of what
+// the interpreter would touch, in a compatible order), and the same
+// error.  Errors are values: a failed step stores the interpreter's
+// error for its binding or row in the slots it writes, and a reader
+// raises it only if it actually reads the slot — in its own evaluation
+// order, wrapped as the interpreter wraps it (see execStep).  With no
+// cycles each binding and row is evaluated once and is pure, so its
+// outcome does not depend on who reads it first; lazily unused
+// failures therefore stay silent exactly as in the interpreter.  The
+// one thing a plan cannot reproduce is a cycle's error, which names
+// whichever binding the interpreter's dynamic walk entered first:
+// designs with a static cycle (possibly a false positive behind an
+// untaken branch) do not compile and evaluate through the interpreter.
 //
 // Sweep-invariant hoisting: the plan statically splits its steps into
 // the cone that depends (transitively) on the override slots and the
@@ -174,7 +179,7 @@ func (d *Design) contentFingerprint() uint64 {
 
 // Plan is a compiled evaluation schedule for one design and one
 // override-name set.  It is immutable after compilation (per-row model
-// caches update atomically) and safe for concurrent Exec calls.
+// caches update atomically) and safe for concurrent evaluation.
 type Plan struct {
 	design        *Design
 	overrideNames []string
@@ -190,11 +195,9 @@ type Plan struct {
 	rootIdx       int
 	pool          sync.Pool // *planRun
 
-	// Patch metadata (see patch.go): where every compiled binding
-	// landed and what the tree looked like at compile time, so a
-	// binding-only edit can be patched into a retained plan without a
-	// whole-sheet recompile.
-	cells       []planCell
+	// Patch metadata (see patch.go): what the tree looked like at
+	// compile time, so a binding-only edit can be patched into a
+	// retained plan without a whole-sheet recompile.
 	globalSlot  map[globalKey]int // slot of every reachable global
 	nodeStep    []int             // per node index: index of its stepNode
 	globalNames [][]string        // per node index: global names at compile
@@ -222,13 +225,16 @@ type Plan struct {
 }
 
 // planStep is one unit of scheduled work: either "run a compiled
-// expression into a slot" or "evaluate and aggregate one row".
+// binding into a slot" or "evaluate and aggregate one row".
 type planStep struct {
 	kind stepKind
+	node *Node // the row, or the node owning the binding
 
 	// stepExpr
-	prog *expr.Program
-	dst  int
+	prog  *expr.Program
+	dst   int
+	name  string // binding name
+	param bool   // row parameter (else global)
 	// exprID is the identity of the source expression the program was
 	// compiled from.  Expressions are immutable and rebinding a cell
 	// swaps the pointer, so comparing IDs across two congruent plans
@@ -236,7 +242,6 @@ type planStep struct {
 	exprID uint64
 
 	// stepNode
-	node       *Node
 	nodeIdx    int
 	base       int // 5 result slots: power, dynamic, static, area, delay
 	modelName  string
@@ -338,7 +343,9 @@ const (
 	nodeSlots
 )
 
-// planRun is pooled (or per-worker) mutable execution state.  ests and
+// planRun is pooled (or per-worker) mutable execution state.  A step
+// that fails writes expr.Failed into its slots and its error into errs
+// at the same indices; readers raise it (see planRun.err).  ests and
 // params hold per-row outputs when the caller keeps results; fulls are
 // reusable per-row validated-parameter maps that never escape a run.
 // A full map's key set is fixed by the row's validation schedule, so
@@ -347,6 +354,7 @@ const (
 // if a re-registered model changed the schema.
 type planRun struct {
 	slots   []float64
+	errs    []error
 	scratch expr.Scratch
 	ests    []*model.Estimate
 	params  []model.Params
@@ -358,11 +366,20 @@ type planRun struct {
 func (p *Plan) newRun() *planRun {
 	return &planRun{
 		slots:   make([]float64, p.slotCount),
+		errs:    make([]error, p.slotCount),
 		ests:    make([]*model.Estimate, len(p.nodes)),
 		params:  make([]model.Params, len(p.nodes)),
 		fulls:   make([]model.Params, len(p.nodes)),
 		fullGen: make([]uint64, len(p.nodes)),
 	}
+}
+
+// err returns the error stored for a slot, or nil when it holds a value.
+func (run *planRun) err(slot int) error {
+	if expr.IsFailed(run.slots[slot]) {
+		return run.errs[slot]
+	}
+	return nil
 }
 
 // fullMap returns the idx'th reusable validated-parameter map and
@@ -396,128 +413,80 @@ func (p *Plan) VariantSteps() int { return len(p.variantSteps) }
 // Slots returns the size of the plan's slot vector.
 func (p *Plan) Slots() int { return p.slotCount }
 
-// Exec evaluates the design at one override point and builds the full
-// Result tree.  It is safe for concurrent use.
-func (p *Plan) Exec(overrides map[string]float64) (*Result, error) {
-	run, _ := p.pool.Get().(*planRun)
-	if run == nil {
-		run = p.newRun()
-	}
-	defer p.pool.Put(run)
-	for i, name := range p.overrideNames {
-		run.slots[p.overrideSlots[i]] = overrides[name]
-	}
-	for _, st := range p.steps {
-		if err := p.execStep(st, run.slots, run, true); err != nil {
-			return nil, err
-		}
-	}
-	return p.buildResult(run, p.rootIdx), nil
-}
-
-// ExecTotals evaluates the design at one override point and returns
-// just the root totals, skipping Result-tree construction: the fast
-// path for callers (macros, sweeps) that only consume the lumped
-// numbers.  It is safe for concurrent use.
-func (p *Plan) ExecTotals(overrides map[string]float64) (power, area, delay float64, err error) {
-	run, _ := p.pool.Get().(*planRun)
-	if run == nil {
-		run = p.newRun()
-	}
-	defer p.pool.Put(run)
-	for i, name := range p.overrideNames {
-		run.slots[p.overrideSlots[i]] = overrides[name]
-	}
-	for _, st := range p.steps {
-		if err := p.execStep(st, run.slots, run, false); err != nil {
-			return 0, 0, 0, err
-		}
-	}
-	base := p.nodeBase[p.rootIdx]
-	return run.slots[base+slotPower], run.slots[base+slotArea], run.slots[base+slotDelay], nil
-}
-
-// execStep runs one step against a slot vector.  When keep is set the
-// per-row estimate and parameter map are retained in run for Result
-// construction; otherwise reusable scratch maps are used and nothing
-// escapes the run.
-func (p *Plan) execStep(st *planStep, slots []float64, run *planRun, keep bool) error {
-	return p.execStepScratch(st, slots, run, &run.scratch, keep)
-}
-
-// execStepScratch is execStep with the expression scratch passed
-// explicitly, so wavefront workers sharing one run can each bring
-// their own (everything else a step writes — its slots, its node's
-// ests/params/fulls entries — is private to that step).
-func (p *Plan) execStepScratch(st *planStep, slots []float64, run *planRun, scratch *expr.Scratch, keep bool) error {
+// execStep runs one step.  A failure is stored, not returned: the
+// step's slots become expr.Failed and carry the error the interpreter
+// would raise for that binding or row, so a reader raises it only if
+// it actually reads the slot.  Wavefront workers sharing one run each
+// bring their own expression scratch (everything else a step writes —
+// its slots, its node's ests/params/fulls entries — is private to it).
+func (p *Plan) execStep(st *planStep, run *planRun, scratch *expr.Scratch, keep bool) {
 	if st.kind == stepExpr {
-		v, err := st.prog.Run(slots, scratch)
+		v, err := st.prog.Run(run.slots, run.errs, scratch)
 		if err != nil {
-			return err
+			run.slots[st.dst], run.errs[st.dst] = expr.Failed, st.cellErr(err)
+			return
 		}
-		slots[st.dst] = v
-		return nil
+		run.slots[st.dst] = v
+		return
 	}
+	if err := p.execNode(st, run, keep); err != nil {
+		for o := 0; o < nodeSlots; o++ {
+			run.slots[st.base+o], run.errs[st.base+o] = expr.Failed, err
+		}
+	}
+}
 
+// cellErr words a binding's failure as the interpreter does: a failed
+// global read passes through unchanged, anything else is attributed to
+// the binding.
+func (st *planStep) cellErr(err error) error {
+	if ee, ok := err.(*EvalError); ok {
+		return ee
+	}
+	what := "variable"
+	if st.param {
+		what = "param"
+	}
+	return &EvalError{Path: st.node.Path(), Msg: fmt.Sprintf("%s %q: %v", what, st.name, err)}
+}
+
+// execNode evaluates and aggregates one row, checking its inputs in the
+// interpreter's order: the model lookup, the parameters in binding
+// order, the inherited vdd/f/tech, the model itself, then the children.
+func (p *Plan) execNode(st *planStep, run *planRun, keep bool) error {
+	slots := run.slots
 	var pw, dyn, static, area, delay float64
 	if st.modelName != "" {
 		reg := p.design.Registry
 		m, ok := reg.Lookup(st.modelName)
 		if !ok {
-			return fmt.Errorf("no model named %q in library", st.modelName)
+			return &EvalError{Path: st.node.Path(), Msg: fmt.Sprintf("no model named %q in library", st.modelName)}
 		}
-		gen := reg.Generation()
-		mc := st.mc.Load()
-		if mc == nil || mc.gen != gen {
-			mc = buildRowModelCache(st, m, gen, p.variantSlot)
-			st.mc.Store(mc)
-		}
-		if mc.invalid != "" {
-			return fmt.Errorf("unknown parameter %q", mc.invalid)
-		}
-		full, populated := run.fullMap(st.nodeIdx, mc.size, gen)
-		if !populated {
-			for i := range mc.invEntries {
-				en := &mc.invEntries[i]
-				v := en.def
-				if en.slot >= 0 {
-					v = slots[en.slot]
-				}
-				if en.check {
-					if err := en.param.Check(v); err != nil {
-						return err
-					}
-				}
-				full[en.name] = v
+		for _, s := range st.paramSlots {
+			if err := run.err(s); err != nil {
+				return err
 			}
 		}
-		for i := range mc.varEntries {
-			en := &mc.varEntries[i]
-			v := slots[en.slot]
-			if en.check {
-				if err := en.param.Check(v); err != nil {
-					return err
-				}
+		for _, s := range st.stdSlots {
+			if err := run.err(s); err != nil {
+				return err
 			}
-			full[en.name] = v
 		}
-		if !populated {
-			run.fullGen[st.nodeIdx] = gen
-		}
-		est, err := m.Evaluate(full)
+		var est *model.Estimate
+		full, err := p.validate(st, m, reg.Generation(), run)
 		if err != nil {
-			return err
+			// Let the interpreter's own call word the failure (schema
+			// order, unknown names last, the model-name prefix).
+			est, err = model.Evaluate(m, st.boundParams(slots))
+		} else if est, err = m.Evaluate(full); err != nil {
+			err = fmt.Errorf("%s: %w", m.Info().Name, err)
+		}
+		if err != nil {
+			return &EvalError{Path: st.node.Path(), Msg: err.Error(), Err: err}
 		}
 		if keep {
-			params := make(model.Params, len(st.paramNames)+3)
-			for i, name := range st.paramNames {
-				params[name] = slots[st.paramSlots[i]]
-			}
-			for i, name := range st.stdNames {
-				params[name] = slots[st.stdSlots[i]]
-			}
 			run.ests[st.nodeIdx] = est
-			run.params[st.nodeIdx] = params
+			run.params[st.nodeIdx] = st.boundParams(slots)
 		}
 		pw = float64(est.Power())
 		dyn = float64(est.DynamicPower())
@@ -526,6 +495,9 @@ func (p *Plan) execStepScratch(st *planStep, slots []float64, run *planRun, scra
 		delay = float64(est.Delay)
 	}
 	for _, cb := range st.childBases {
+		if err := run.err(cb); err != nil {
+			return err
+		}
 		pw += slots[cb+slotPower]
 		dyn += slots[cb+slotDynamic]
 		static += slots[cb+slotStatic]
@@ -544,30 +516,137 @@ func (p *Plan) execStepScratch(st *planStep, slots []float64, run *planRun, scra
 	return nil
 }
 
-// buildResult reconstructs the interpreter's Result tree from the slot
-// vector.
-func (p *Plan) buildResult(run *planRun, idx int) *Result {
-	n := p.nodes[idx]
-	base := p.nodeBase[idx]
-	s := run.slots
-	r := &Result{
-		Node:         n,
-		Power:        units.Watts(s[base+slotPower]),
-		DynamicPower: units.Watts(s[base+slotDynamic]),
-		StaticPower:  units.Watts(s[base+slotStatic]),
-		Area:         units.SquareMeters(s[base+slotArea]),
-		Delay:        units.Seconds(s[base+slotDelay]),
+// validate fills the row's reusable validated-parameter map from its
+// precomputed schedule.  Any error means only "validation fails"; its
+// wording is not canonical.
+func (p *Plan) validate(st *planStep, m model.Model, gen uint64, run *planRun) (model.Params, error) {
+	mc := st.mc.Load()
+	if mc == nil || mc.gen != gen {
+		mc = buildRowModelCache(st, m, gen, p.variantSlot)
+		st.mc.Store(mc)
 	}
-	if n.Model != "" {
-		est := run.ests[idx]
-		r.Estimate = est
-		r.Params = run.params[idx]
-		r.EnergyPerOp = est.EnergyPerOp()
+	if mc.invalid != "" {
+		return nil, fmt.Errorf("unknown parameter %q", mc.invalid)
 	}
-	for _, c := range n.Children {
-		r.Children = append(r.Children, p.buildResult(run, p.idxOf[c]))
+	slots := run.slots
+	full, populated := run.fullMap(st.nodeIdx, mc.size, gen)
+	if !populated {
+		for i := range mc.invEntries {
+			en := &mc.invEntries[i]
+			v := en.def
+			if en.slot >= 0 {
+				v = slots[en.slot]
+			}
+			if en.check {
+				if err := en.param.Check(v); err != nil {
+					return nil, err
+				}
+			}
+			full[en.name] = v
+		}
 	}
-	return r
+	for i := range mc.varEntries {
+		en := &mc.varEntries[i]
+		v := slots[en.slot]
+		if en.check {
+			if err := en.param.Check(v); err != nil {
+				return nil, err
+			}
+		}
+		full[en.name] = v
+	}
+	if !populated {
+		run.fullGen[st.nodeIdx] = gen
+	}
+	return full, nil
+}
+
+// boundParams is the row's parameter map as the interpreter builds it:
+// its own bindings plus the inherited vdd/f/tech.
+func (st *planStep) boundParams(slots []float64) model.Params {
+	params := make(model.Params, len(st.paramNames)+3)
+	for i, name := range st.paramNames {
+		params[name] = slots[st.paramSlots[i]]
+	}
+	for i, name := range st.stdNames {
+		params[name] = slots[st.stdSlots[i]]
+	}
+	return params
+}
+
+// minParallelLevel is the smallest level worth fanning out; below it
+// goroutine handoff costs more than the steps.
+const minParallelLevel = 4
+
+// execLevels is the plan's one executor: it runs the steps whose
+// include bit is set (nil means all) and returns the root row's error,
+// if it failed.  With one worker it walks the schedule in order.  With
+// more, it goes level by level: steps within one wavefront level read
+// only slots finalized at shallower levels and write disjoint slots
+// (and disjoint per-row entries of run), so a level's steps execute
+// concurrently across up to `workers` goroutines, each with its own
+// expression scratch, and a barrier separates levels.  Failures are
+// stored per slot, so the outcome does not depend on the order.
+func (p *Plan) execLevels(include []bool, run *planRun, workers int, keep bool) error {
+	if workers <= 1 {
+		for i, st := range p.steps {
+			if include == nil || include[i] {
+				p.execStep(st, run, &run.scratch, keep)
+			}
+		}
+		return run.err(p.nodeBase[p.rootIdx])
+	}
+	p.levels()
+	var buf []int
+	for _, bucket := range p.byLevel {
+		buf = buf[:0]
+		for _, si := range bucket {
+			if include == nil || include[si] {
+				buf = append(buf, si)
+			}
+		}
+		if len(buf) < minParallelLevel {
+			for _, si := range buf {
+				p.execStep(p.steps[si], run, &run.scratch, keep)
+			}
+			continue
+		}
+		var next atomic.Int64
+		var wg sync.WaitGroup
+		for w := 0; w < min(workers, len(buf)); w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				var scratch expr.Scratch
+				for i := int(next.Add(1)) - 1; i < len(buf); i = int(next.Add(1)) - 1 {
+					p.execStep(p.steps[buf[i]], run, &scratch, keep)
+				}
+			}()
+		}
+		wg.Wait()
+	}
+	return run.err(p.nodeBase[p.rootIdx])
+}
+
+// evalAt runs every step at one override point in a pooled run and
+// returns the root totals, plus the Result tree when keep is set.
+func (p *Plan) evalAt(overrides map[string]float64, keep bool) (r *Result, power, area, delay float64, err error) {
+	run, _ := p.pool.Get().(*planRun)
+	if run == nil {
+		run = p.newRun()
+	}
+	defer p.pool.Put(run)
+	for i, name := range p.overrideNames {
+		run.slots[p.overrideSlots[i]] = overrides[name]
+	}
+	if err := p.execLevels(nil, run, 1, keep); err != nil {
+		return nil, 0, 0, 0, err
+	}
+	if keep {
+		r = p.buildResults(run)[p.rootIdx]
+	}
+	base := p.nodeBase[p.rootIdx]
+	return r, run.slots[base+slotPower], run.slots[base+slotArea], run.slots[base+slotDelay], nil
 }
 
 // buildResultAt builds one node's Result, taking the children's
@@ -616,36 +695,40 @@ func (p *Plan) buildResults(run *planRun) []*Result {
 
 // Sweeper snapshots the sweep-invariant portion of a plan: every step
 // that cannot depend on the override slots is executed once, and the
-// resulting slot vector becomes the baseline each per-point evaluation
-// starts from.  A Sweeper is immutable and safe to share; per-worker
-// mutable state lives in SweepEval.
+// resulting slot vector (failures included) becomes the baseline each
+// per-point evaluation starts from.  A Sweeper is immutable and safe to
+// share; per-worker mutable state lives in SweepEval.
 type Sweeper struct {
 	plan     *Plan
 	baseline []float64
+	errs     []error
 }
 
-// NewSweeper hoists and executes the invariant steps.  An error means
-// some invariant binding or model fails — the sweep caller should fall
-// back to plain EvaluateAt, which reproduces the canonical error.
-func (p *Plan) NewSweeper() (*Sweeper, error) {
+// NewSweeper hoists and executes the invariant steps.  A failing
+// invariant binding is stored in the baseline like any other outcome;
+// a point raises it only if its evaluation reads it.
+func (p *Plan) NewSweeper() *Sweeper {
 	run := p.newRun()
-	for i, st := range p.steps {
-		if p.isVariant[i] {
-			continue
-		}
-		if err := p.execStep(st, run.slots, run, false); err != nil {
-			return nil, err
-		}
+	invariant := make([]bool, len(p.steps))
+	for i, v := range p.isVariant {
+		invariant[i] = !v
 	}
-	return &Sweeper{plan: p, baseline: run.slots}, nil
+	p.execLevels(invariant, run, 1, false)
+	return &Sweeper{plan: p, baseline: run.slots, errs: run.errs}
+}
+
+// newRun returns execution state starting from the baseline.
+func (s *Sweeper) newRun() *planRun {
+	run := s.plan.newRun()
+	copy(run.slots, s.baseline)
+	copy(run.errs, s.errs)
+	return run
 }
 
 // NewEval returns a per-goroutine evaluation context over the sweeper's
 // baseline.  A SweepEval must not be used concurrently.
 func (s *Sweeper) NewEval() *SweepEval {
-	run := s.plan.newRun()
-	copy(run.slots, s.baseline)
-	return &SweepEval{sw: s, run: run}
+	return &SweepEval{sw: s, run: s.newRun()}
 }
 
 // SweepEval evaluates sweep points against a hoisted baseline, running
@@ -656,9 +739,7 @@ type SweepEval struct {
 }
 
 // At evaluates one override point and returns the design's root
-// totals.  Results are identical to EvaluateAt's root Power/Area/Delay;
-// any error means the caller should fall back to EvaluateAt for the
-// canonical message.
+// totals, or its error: both identical to EvaluateAt's.
 func (e *SweepEval) At(ov map[string]float64) (power, area, delay float64, err error) {
 	p := e.sw.plan
 	slots := e.run.slots
@@ -669,10 +750,8 @@ func (e *SweepEval) At(ov map[string]float64) (power, area, delay float64, err e
 		}
 		slots[p.overrideSlots[i]] = v
 	}
-	for _, si := range p.variantSteps {
-		if err := p.execStep(p.steps[si], slots, e.run, false); err != nil {
-			return 0, 0, 0, err
-		}
+	if err := p.execLevels(p.isVariant, e.run, 1, false); err != nil {
+		return 0, 0, 0, err
 	}
 	base := p.nodeBase[p.rootIdx]
 	return slots[base+slotPower], slots[base+slotArea], slots[base+slotDelay], nil
@@ -685,28 +764,25 @@ func (e *SweepEval) At(ov map[string]float64) (power, area, delay float64, err e
 // the content fingerprint, so they cannot leak in here).  Plans whose
 // rows resolve to volatile models never share: their "invariant" steps
 // are not actually invariant across calls, so each sweep hoists fresh,
-// exactly as NewSweeper would.  A memoized error is shared too — a
-// failing invariant binding fails every sweep identically until an
-// edit rebuilds the plan.
-func (p *Plan) SharedSweeper() (*Sweeper, error) {
+// exactly as NewSweeper would.
+func (p *Plan) SharedSweeper() *Sweeper {
 	if p.hasVolatileModel() {
 		return p.NewSweeper()
 	}
 	gen := p.design.Registry.Generation()
 	if m := p.swMemo.Load(); m != nil && m.regGen == gen {
-		return m.sw, m.err
+		return m.sw
 	}
-	sw, err := p.NewSweeper()
-	p.swMemo.Store(&sweeperMemo{regGen: gen, sw: sw, err: err})
-	return sw, err
+	sw := p.NewSweeper()
+	p.swMemo.Store(&sweeperMemo{regGen: gen, sw: sw})
+	return sw
 }
 
-// sweeperMemo caches one hoisted baseline (or its error) keyed to the
-// registry generation it was computed under.
+// sweeperMemo caches one hoisted baseline keyed to the registry
+// generation it was computed under.
 type sweeperMemo struct {
 	regGen uint64
 	sw     *Sweeper
-	err    error
 }
 
 // stepVolatile reports whether a step's row currently resolves to a
@@ -979,8 +1055,7 @@ func (pc *planCompiler) visitGlobal(gi *globalInfo) error {
 	if err := pc.visitDeps(deps); err != nil {
 		return err
 	}
-	pc.plan.steps = append(pc.plan.steps, &planStep{kind: stepExpr, prog: prog, dst: gi.slot, exprID: gi.e.ID()})
-	pc.plan.cells = append(pc.plan.cells, planCell{owner: gi.owner, name: gi.name, stepIdx: len(pc.plan.steps) - 1})
+	pc.plan.steps = append(pc.plan.steps, &planStep{kind: stepExpr, node: gi.owner, name: gi.name, prog: prog, dst: gi.slot, exprID: gi.e.ID()})
 	gi.state = visitDone
 	return nil
 }
@@ -1011,8 +1086,7 @@ func (pc *planCompiler) visitNode(n *Node) error {
 				return err
 			}
 			slot := pc.alloc(1)
-			pc.plan.steps = append(pc.plan.steps, &planStep{kind: stepExpr, prog: prog, dst: slot, exprID: b.Expr.ID()})
-			pc.plan.cells = append(pc.plan.cells, planCell{owner: n, name: b.Name, param: true, stepIdx: len(pc.plan.steps) - 1})
+			pc.plan.steps = append(pc.plan.steps, &planStep{kind: stepExpr, node: n, name: b.Name, param: true, prog: prog, dst: slot, exprID: b.Expr.ID()})
 			st.paramNames = append(st.paramNames, b.Name)
 			st.paramSlots = append(st.paramSlots, slot)
 		}
@@ -1068,48 +1142,11 @@ func (pc *planCompiler) markVariance() {
 	}
 	p.isVariant = make([]bool, len(p.steps))
 	for i, st := range p.steps {
-		variant := false
-		if st.kind == stepExpr {
-			for _, s := range st.prog.Slots() {
-				if variantSlot[s] {
-					variant = true
-					break
-				}
-			}
-			if variant {
-				variantSlot[st.dst] = true
-			}
-		} else {
-			for _, s := range st.paramSlots {
-				if variantSlot[s] {
-					variant = true
-					break
-				}
-			}
-			if !variant {
-				for _, s := range st.stdSlots {
-					if variantSlot[s] {
-						variant = true
-						break
-					}
-				}
-			}
-			if !variant {
-				for _, cb := range st.childBases {
-					if variantSlot[cb] {
-						variant = true
-						break
-					}
-				}
-			}
-			if variant {
-				for o := 0; o < nodeSlots; o++ {
-					variantSlot[st.base+o] = true
-				}
-			}
-		}
-		if variant {
-			p.isVariant[i] = true
+		st.forEachRead(func(s int) {
+			p.isVariant[i] = p.isVariant[i] || variantSlot[s]
+		})
+		if p.isVariant[i] {
+			st.forEachWrite(func(s int) { variantSlot[s] = true })
 			p.variantSteps = append(p.variantSteps, i)
 		}
 	}
@@ -1122,6 +1159,7 @@ func (pc *planCompiler) markVariance() {
 // resolve through the scope chain, and the inter-row accessors lower
 // to slot reads of the target row's result block.
 type planResolver struct {
+	sheetFuncs
 	pc   *planCompiler
 	node *Node
 	deps []planDep
@@ -1142,10 +1180,22 @@ func (r *planResolver) ResolveVar(name string) (int, bool) {
 	return 0, false
 }
 
-// ResolveFunc implements expr.Resolver with the same host functions
-// nodeEnv provides (the same function values, so results and error
-// messages are identical).
-func (r *planResolver) ResolveFunc(name string) (expr.Func, bool) {
+// ResolveCall implements expr.CallResolver, scheduling the target row
+// before the referencing step.
+func (r *planResolver) ResolveCall(name string, args []expr.CallArg) expr.CallLowering {
+	return rowCall(r.pc.d, r.node, name, args, func(target *Node) (int, bool) {
+		r.deps = append(r.deps, planDep{n: target})
+		return r.pc.nodeInfoFor(target).base, true
+	})
+}
+
+// sheetFuncs supplies both plan resolvers' host functions — the same
+// function values nodeEnv hands out, so results and error messages are
+// identical — and claims the inter-row accessors.
+type sheetFuncs struct{}
+
+// ResolveFunc implements expr.Resolver.
+func (sheetFuncs) ResolveFunc(name string) (expr.Func, bool) {
 	switch name {
 	case "dbtact":
 		return dbtactFunc, true
@@ -1156,7 +1206,7 @@ func (r *planResolver) ResolveFunc(name string) (expr.Func, bool) {
 }
 
 // ClaimsCall implements expr.CallResolver for the inter-row accessors.
-func (r *planResolver) ClaimsCall(name string) bool {
+func (sheetFuncs) ClaimsCall(name string) bool {
 	switch name {
 	case "power", "area", "delay":
 		return true
@@ -1164,22 +1214,24 @@ func (r *planResolver) ClaimsCall(name string) bool {
 	return false
 }
 
-// ResolveCall lowers power("row")/area("row")/delay("row") to a read
-// of the target row's result slot.  Malformed or dangling sites lower
-// to lazy errors raised only if evaluated, matching the interpreter;
-// either way an error triggers interpreter fallback, which reproduces
-// the canonical message.
-func (r *planResolver) ResolveCall(name string, args []expr.CallArg) expr.CallLowering {
+// rowCall lowers power("row")/area("row")/delay("row"), written at
+// node from, to a read of the target row's result slot; block maps the
+// target to its result block.  Malformed or dangling sites lower to
+// the errors nodeEnv.Func returns, raised only if evaluated, and a read
+// of a failed row is wrapped exactly as nodeEnv.Func wraps it.
+func rowCall(d *Design, from *Node, name string, args []expr.CallArg, block func(*Node) (int, bool)) expr.CallLowering {
 	if len(args) != 1 || !args[0].IsStr {
 		return expr.CallLowering{Err: fmt.Errorf("%s() takes one quoted row path", name)}
 	}
 	ref := args[0].Str
-	target := r.pc.d.Resolve(r.node, ref)
+	target := d.Resolve(from, ref)
 	if target == nil {
 		return expr.CallLowering{Err: fmt.Errorf("%s(%q): no such row", name, ref)}
 	}
-	ni := r.pc.nodeInfoFor(target)
-	r.deps = append(r.deps, planDep{n: target})
+	base, ok := block(target)
+	if !ok {
+		return expr.CallLowering{Err: fmt.Errorf("%s(%q): no such row", name, ref)}
+	}
 	off := slotPower
 	switch name {
 	case "area":
@@ -1187,5 +1239,6 @@ func (r *planResolver) ResolveCall(name string, args []expr.CallArg) expr.CallLo
 	case "delay":
 		off = slotDelay
 	}
-	return expr.CallLowering{Slot: ni.base + off}
+	wrap := func(err error) error { return fmt.Errorf("%s(%q): %v", name, ref, err) }
+	return expr.CallLowering{Slot: base + off, Wrap: wrap}
 }

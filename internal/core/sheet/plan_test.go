@@ -1,6 +1,7 @@
 package sheet
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
@@ -125,6 +126,9 @@ func TestPlanUnusedBrokenGlobalStaysLazy(t *testing.T) {
 	bothWays(t, d, nil)
 }
 
+// errTypedModel is a model failure callers tell apart with errors.Is.
+var errTypedModel = errors.New("typed model failure")
+
 func TestPlanErrorsMatchInterpreter(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -203,17 +207,93 @@ func TestPlanErrorsMatchInterpreter(t *testing.T) {
 			}
 			return d
 		}},
+		{"unknown model before param error", func(t *testing.T) *Design {
+			d := NewDesign("bad", testRegistry())
+			d.Root.SetGlobalValue("vdd", 1.5, "1.5")
+			d.Root.SetGlobalValue("f", 1e6, "1e6")
+			a := d.Root.MustAddChild("a", "nosuchmodel")
+			if err := a.SetParam("bits", "mystery"); err != nil {
+				t.Fatal(err)
+			}
+			return d
+		}},
+		{"two range violations in schema order", func(t *testing.T) *Design {
+			d := NewDesign("bad", testRegistry())
+			d.Root.SetGlobalValue("vdd", 1.5, "1.5")
+			d.Root.SetGlobalValue("f", 1e6, "1e6")
+			a := d.Root.MustAddChild("a", "cell")
+			if err := a.SetParam("act", "5"); err != nil {
+				t.Fatal(err)
+			}
+			if err := a.SetParam("bits", "4096"); err != nil {
+				t.Fatal(err)
+			}
+			return d
+		}},
+		{"row error through power() from an earlier row", func(t *testing.T) *Design {
+			d := NewDesign("bad", testRegistry())
+			d.Root.SetGlobalValue("vdd", 1.5, "1.5")
+			d.Root.SetGlobalValue("f", 1e6, "1e6")
+			a := d.Root.MustAddChild("a", "loss")
+			if err := a.SetParam("pload", `1 + power("b")`); err != nil {
+				t.Fatal(err)
+			}
+			b := d.Root.MustAddChild("b", "cell")
+			if err := b.SetParam("bits", "4096"); err != nil {
+				t.Fatal(err)
+			}
+			return d
+		}},
+		{"failed global read by a global", func(t *testing.T) *Design {
+			d := NewDesign("bad", testRegistry())
+			d.Root.SetGlobalValue("vdd", 1.5, "1.5")
+			d.Root.SetGlobalValue("f", 1e6, "1e6")
+			d.Root.SetGlobalValue("zero", 0, "0")
+			if err := d.Root.SetGlobal("g", "8/zero"); err != nil {
+				t.Fatal(err)
+			}
+			if err := d.Root.SetGlobal("h", "g*2"); err != nil {
+				t.Fatal(err)
+			}
+			a := d.Root.MustAddChild("a", "cell")
+			if err := a.SetParam("bits", "h"); err != nil {
+				t.Fatal(err)
+			}
+			return d
+		}},
+		{"typed model error", func(t *testing.T) *Design {
+			d := NewDesign("bad", testRegistry())
+			d.Registry.MustRegister(&model.Func{
+				Meta: model.Info{Name: "flaky", Title: "t", Class: model.Computation, Doc: "d", Params: model.WithStd()},
+				Fn: func(model.Params) (*model.Estimate, error) {
+					return nil, fmt.Errorf("remote: %w", errTypedModel)
+				},
+			})
+			d.Root.SetGlobalValue("vdd", 1.5, "1.5")
+			d.Root.SetGlobalValue("f", 1e6, "1e6")
+			d.Root.MustAddChild("a", "flaky")
+			return d
+		}},
 	}
+	// Cases whose cause both paths must keep visible to errors.Is.
+	causes := map[string]error{"typed model error": errTypedModel}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			d := tc.build(t)
+			before := planFallbacks.Value()
 			_, errC := d.Evaluate()
+			if _, perr := d.PlanFor(nil); perr == nil && planFallbacks.Value() != before {
+				t.Fatal("a compiled plan fell back to the interpreter")
+			}
 			_, errI := d.EvaluateInterpreted(nil)
 			if errC == nil || errI == nil {
 				t.Fatalf("expected both paths to fail: compiled=%v interpreted=%v", errC, errI)
 			}
 			if errC.Error() != errI.Error() {
 				t.Fatalf("error text differs:\ncompiled:    %v\ninterpreted: %v", errC, errI)
+			}
+			if is := causes[tc.name]; is != nil && (!errors.Is(errC, is) || !errors.Is(errI, is)) {
+				t.Fatalf("cause lost: compiled %v, interpreted %v", errC, errI)
 			}
 		})
 	}
@@ -333,11 +413,7 @@ func TestSweeperMatchesEvaluateAt(t *testing.T) {
 		t.Fatalf("hoisting found no invariant work: %d of %d steps variant",
 			plan.VariantSteps(), plan.Steps())
 	}
-	sw, err := plan.NewSweeper()
-	if err != nil {
-		t.Fatal(err)
-	}
-	ev := sw.NewEval()
+	ev := plan.NewSweeper().NewEval()
 	for _, vdd := range []float64{0.8, 1.0, 1.5, 2.0, 3.3} {
 		ov := map[string]float64{"vdd": vdd}
 		power, area, delay, err := ev.At(ov)
@@ -367,10 +443,7 @@ func TestPlanConcurrentSharedUse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sw, err := plan.NewSweeper()
-	if err != nil {
-		t.Fatal(err)
-	}
+	sw := plan.NewSweeper()
 	var wg sync.WaitGroup
 	errs := make(chan error, 64)
 	for g := 0; g < 8; g++ {

@@ -43,7 +43,7 @@ func checkBatchMatchesRun(t *testing.T, p *Program, cols [][]float64, width int)
 		for s := range cols {
 			vec[s] = cols[s][i]
 		}
-		v, err := p.Run(vec, &scratch)
+		v, err := p.Run(vec, nil, &scratch)
 		if err != nil {
 			if _, seen := errTexts[err.Error()]; !seen {
 				errTexts[err.Error()] = i

@@ -139,7 +139,7 @@ func TestQuickProgramMatchesEval(t *testing.T) {
 		treeV, treeErr := e.Eval(env)
 		r := newMapResolver(env, nil)
 		p := CompileProgram(e, r)
-		progV, progErr := p.Run(r.vec, nil)
+		progV, progErr := p.Run(r.vec, nil, nil)
 		if (treeErr == nil) != (progErr == nil) {
 			t.Fatalf("%q over %v: tree err %v, program err %v", src, env, treeErr, progErr)
 		}

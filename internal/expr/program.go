@@ -16,9 +16,10 @@ import (
 // direct function values, and constant subtrees are folded.  The
 // program preserves the tree interpreter's semantics exactly — same
 // values (operation for operation, so floats are bit-identical), same
-// short-circuit behaviour, and an error exactly when Eval would error —
-// which is what lets sheet evaluation swap it in transparently and fall
-// back to the interpreter for canonical error messages.
+// short-circuit behaviour, and the same error at the same point — so
+// sheet evaluation swaps it in transparently.  A slot may hold Failed
+// instead of a value; reading it raises the error stored for the slot,
+// which is how a failed binding stays lazy until something reads it.
 
 // Resolver supplies compile-time name resolution for CompileProgram:
 // the static counterpart of Env/FuncEnv.  Variables resolve to slot
@@ -47,13 +48,29 @@ type CallArg struct {
 
 // CallLowering is a CallResolver's verdict on a call site: either the
 // call's value lives in a precomputed slot, or the site is statically
-// wrong and evaluating it must raise Err.
+// wrong and evaluating it must raise Err.  Either error is raised as
+// the interpreter raises a failing host function's: wrapped in an
+// EvalError naming the function.
 type CallLowering struct {
 	// Slot holds the call's value when Err is nil.
 	Slot int
 	// Err, when non-nil, is raised if the call site is evaluated.
 	Err error
+	// Wrap turns the error stored for a Failed Slot into the error the
+	// host function would have returned.
+	Wrap func(error) error
 }
+
+// failedBits is a signalling NaN.  Hardware quiets every NaN it
+// computes, so no arithmetic result carries these bits.
+const failedBits = 0x7ff0_0000_dead_0001
+
+// Failed is the value of a slot whose computation failed.  Its error
+// lives in the failed table passed to Run, at the same index.
+var Failed = math.Float64frombits(failedBits)
+
+// IsFailed reports whether v is the Failed marker (a plain NaN is not).
+func IsFailed(v float64) bool { return math.Float64bits(v) == failedBits }
 
 // CallResolver is an optional Resolver extension that lowers whole call
 // sites to slot reads.  The sheet compiler uses it for the inter-row
@@ -124,6 +141,7 @@ type callSite struct {
 	bfn  func([]float64) (float64, error) // built-in
 	hfn  Func                             // host function
 	tmpl []Value                          // host arg template; string slots prefilled
+	wrap func(error) error                // claimed call: see CallLowering.Wrap
 }
 
 // Program is a compiled expression: a flat instruction slice evaluating
@@ -213,8 +231,10 @@ func (c *progCompiler) emitErr(format string, args ...any) {
 	c.push(1) // keep depth accounting consistent across branches
 }
 
-func (c *progCompiler) slotRead(slot int) {
-	c.add(instr{op: opSlot, a: int32(slot)})
+// slotRead pushes slots[slot].  site is 0 for a variable, else 1 + the
+// index of the claimed call site whose Wrap words a Failed read.
+func (c *progCompiler) slotRead(slot int, site int32) {
+	c.add(instr{op: opSlot, a: int32(slot), b: site})
 	c.push(1)
 	for _, s := range c.p.slots {
 		if s == slot {
@@ -278,7 +298,7 @@ func (c *progCompiler) emit(n Node) {
 		c.emitErr("string %q used as a number", n.Value)
 	case *Var:
 		if slot, ok := c.scope.ResolveVar(n.Name); ok {
-			c.slotRead(slot)
+			c.slotRead(slot, 0)
 			return
 		}
 		c.emitErr("undefined variable %q", n.Name)
@@ -366,9 +386,8 @@ func (c *progCompiler) emitBinary(n *Binary) {
 }
 
 func (c *progCompiler) emitCall(n *Call) {
-	// Claimed call sites lower to slot reads (or static errors), and
-	// their arguments are never evaluated — the plan computes the
-	// target before any referencing program runs.
+	// Claimed call sites lower to slot reads (or static errors): the
+	// plan computes the target before any referencing program runs.
 	if c.calls != nil && c.calls.ClaimsCall(n.Name) {
 		args := make([]CallArg, len(n.Args))
 		for i, a := range n.Args {
@@ -378,12 +397,21 @@ func (c *progCompiler) emitCall(n *Call) {
 		}
 		low := c.calls.ResolveCall(n.Name, args)
 		if low.Err != nil {
-			c.p.errs = append(c.p.errs, low.Err)
-			c.add(instr{op: opErr, a: int32(len(c.p.errs) - 1)})
-			c.push(1)
+			// The interpreter evaluates the numeric arguments before the
+			// host function rejects the call, so their errors come first.
+			numeric := 0
+			for _, a := range n.Args {
+				if _, ok := a.(*Str); !ok {
+					c.emit(a)
+					numeric++
+				}
+			}
+			c.pop(numeric)
+			c.emitErr("%s: %v", n.Name, low.Err)
 			return
 		}
-		c.slotRead(low.Slot)
+		c.p.sites = append(c.p.sites, callSite{name: n.Name, wrap: low.Wrap})
+		c.slotRead(low.Slot, int32(len(c.p.sites)))
 		return
 	}
 	// Host functions next, shadowing built-ins, exactly like FuncEnv.
@@ -430,11 +458,14 @@ func (c *progCompiler) emitCall(n *Call) {
 	c.push(1)
 }
 
-// Run evaluates the program against a slot vector.  The scratch space
-// may be nil (a fresh one is used); passing a per-goroutine Scratch
-// makes repeated runs allocation-free.  Run is safe for concurrent use
-// with distinct Scratch values.
-func (p *Program) Run(slots []float64, s *Scratch) (float64, error) {
+// Run evaluates the program against a slot vector.  Reading a slot that
+// holds Failed raises failed[slot]: unchanged for a variable, wrapped as
+// a failing host function for a claimed call; failed may be nil when no
+// slot holds Failed.  The scratch space may be nil (a fresh one is
+// used); passing a per-goroutine Scratch makes repeated runs
+// allocation-free.  Run is safe for concurrent use with distinct
+// Scratch values.
+func (p *Program) Run(slots []float64, failed []error, s *Scratch) (float64, error) {
 	if s == nil {
 		s = &Scratch{}
 	}
@@ -451,7 +482,11 @@ func (p *Program) Run(slots []float64, s *Scratch) (float64, error) {
 			stack[sp] = in.val
 			sp++
 		case opSlot:
-			stack[sp] = slots[in.a]
+			v := slots[in.a]
+			if IsFailed(v) {
+				return 0, p.failedRead(in, failed)
+			}
+			stack[sp] = v
 			sp++
 		case opNeg:
 			stack[sp-1] = -stack[sp-1]
@@ -565,4 +600,17 @@ func (p *Program) Run(slots []float64, s *Scratch) (float64, error) {
 		}
 	}
 	return stack[sp-1], nil
+}
+
+// failedRead is the error a read of a Failed slot raises.
+func (p *Program) failedRead(in *instr, failed []error) error {
+	err := failed[in.a]
+	if in.b == 0 {
+		return err
+	}
+	site := &p.sites[in.b-1]
+	if site.wrap != nil {
+		err = site.wrap(err)
+	}
+	return &EvalError{Expr: p.src, Msg: fmt.Sprintf("%s: %v", site.name, err)}
 }

@@ -1,7 +1,9 @@
 package expr
 
 import (
+	"errors"
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 )
@@ -59,7 +61,7 @@ func runBoth(t *testing.T, src string, env MapEnv, funcs map[string]Func) (float
 	}
 	r := newMapResolver(env, funcs)
 	p := CompileProgram(e, r)
-	progV, progErr := p.Run(r.vec, nil)
+	progV, progErr := p.Run(r.vec, nil, nil)
 	if (treeErr == nil) != (progErr == nil) {
 		t.Fatalf("%q: tree err %v, program err %v", src, treeErr, progErr)
 	}
@@ -188,20 +190,50 @@ func TestProgramSlotCalls(t *testing.T) {
 	r := &slotCallResolver{mapResolver: mr, metricSlot: len(mr.vec) - 1}
 	e := MustCompile(`metric("radio") * 2 + a`)
 	p := CompileProgram(e, r)
-	v, err := p.Run(mr.vec, nil)
+	v, err := p.Run(mr.vec, nil, nil)
 	if err != nil || v != 123.5*2+3 {
 		t.Fatalf("slot call: got %v, %v", v, err)
 	}
 	// A malformed site errs when reached, and only when reached.
 	e = MustCompile(`a > 100 ? metric(1) : 7`)
 	p = CompileProgram(e, r)
-	if v, err := p.Run(mr.vec, nil); err != nil || v != 7 {
+	if v, err := p.Run(mr.vec, nil, nil); err != nil || v != 7 {
 		t.Fatalf("guarded bad site: got %v, %v", v, err)
 	}
 	e = MustCompile(`metric(1)`)
 	p = CompileProgram(e, r)
-	if _, err := p.Run(mr.vec, nil); err == nil || !strings.Contains(err.Error(), "quoted name") {
+	if _, err := p.Run(mr.vec, nil, nil); err == nil || !strings.Contains(err.Error(), "quoted name") {
 		t.Fatalf("bad site: got %v", err)
+	}
+}
+
+// TestProgramFailedSlots: a slot holding Failed raises its stored error
+// only when read — unchanged for a variable, wrapped like a failing host
+// function for a claimed call — and a plain NaN is just a value.
+func TestProgramFailedSlots(t *testing.T) {
+	mr := newMapResolver(MapEnv{"a": 3, "g": 0}, nil)
+	mr.vec = append(mr.vec, 0)
+	r := &slotCallResolver{mapResolver: mr, metricSlot: len(mr.vec) - 1}
+	failed := make([]error, len(mr.vec))
+	stored := errors.New("stored failure")
+	mr.vec[mr.slots["g"]], failed[mr.slots["g"]] = Failed, stored
+	mr.vec[r.metricSlot], failed[r.metricSlot] = Failed, stored
+	run := func(src string) (float64, error) {
+		return CompileProgram(MustCompile(src), r).Run(mr.vec, failed, nil)
+	}
+	if v, err := run("a > 1 ? a : g"); err != nil || v != 3 {
+		t.Fatalf("untaken failed read: got %v, %v", v, err)
+	}
+	if _, err := run("a + g"); err != stored {
+		t.Fatalf("variable read: got %v, want the stored error itself", err)
+	}
+	want := `expr: metric: stored failure evaluating "1 + metric(\"x\")"`
+	if _, err := run(`1 + metric("x")`); err == nil || err.Error() != want {
+		t.Fatalf("call read: got %v, want %s", err, want)
+	}
+	mr.vec[mr.slots["g"]] = math.NaN()
+	if v, err := run("g"); err != nil || !math.IsNaN(v) || IsFailed(v) {
+		t.Fatalf("plain NaN: got %v, %v", v, err)
 	}
 }
 
@@ -221,11 +253,11 @@ func TestProgramScratchReuse(t *testing.T) {
 	r := newMapResolver(env, nil)
 	p := CompileProgram(MustCompile("min(a, b, 10) + a*b"), r)
 	var s Scratch
-	if _, err := p.Run(r.vec, &s); err != nil {
+	if _, err := p.Run(r.vec, nil, &s); err != nil {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(100, func() {
-		if _, err := p.Run(r.vec, &s); err != nil {
+		if _, err := p.Run(r.vec, nil, &s); err != nil {
 			t.Fatal(err)
 		}
 	})
