@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet race fuzz loc bench benchserve bench-batch bench-incremental metrics-smoke faultsim crashsim shardsim federationsim repro examples libdoc clean
+.PHONY: all build test vet race fuzz loc bench bench-batch bench-incremental metrics-smoke faultsim crashsim shardsim federationsim repro examples libdoc outputs clean
 
 all: build vet test
 
@@ -34,13 +34,6 @@ loc:
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
-
-# The serving-throughput report: 16 concurrent in-process clients
-# against the cached InfoPad sheet, plus the recovery, shard and
-# federation phases (see EXPERIMENTS.md).  The uncached X20 baseline
-# lives in internal/web's BenchmarkServeSheetUncached*.
-benchserve:
-	$(GO) run ./cmd/loadgen -clients 16 -requests 1000 -o BENCH_SERVE.json
 
 # The X21 batch-sweep regression gate: one in-process 10k-point sweep
 # through the scalar and columnar engines, failing if columnar is no

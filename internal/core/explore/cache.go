@@ -25,7 +25,8 @@ var sweepCacheEvents = obs.NewCounterVec("powerplay_sweepcache_points_total",
 // A Cache is only valid for a single design snapshot: the key encodes
 // the overrides, not the sheet's cell contents, so any edit to the
 // design must be answered with a fresh Cache (the web server keys its
-// caches by a hash of the serialized design and drops them on change).
+// caches on the design's identity, its generation and the registry's
+// generation, and drops them when any of the three moves).
 //
 // All methods are safe for concurrent use; one Cache may be shared by
 // every worker of a Runner and across overlapping HTTP requests.

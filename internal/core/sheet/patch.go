@@ -2,11 +2,11 @@ package sheet
 
 // Plan patching: the edit-Play fast path.
 //
-// PlanFor keys its cache on a fingerprint over the whole tree, so any
-// cell edit recompiles the entire plan — correct, but the compile (and
-// the fresh plan's cold row-model caches) costs several times a warm
-// full evaluation, which would leave the incremental engine slower
-// than the thing it is meant to beat.  patch() exploits that a
+// PlanFor keys its cache on the tree's mutation epoch, so any cell edit
+// recompiles the entire plan — correct, but the compile (and the fresh
+// plan's cold row-model caches) costs several times a warm full
+// evaluation, which would leave the incremental engine slower than the
+// thing it is meant to beat.  patch() exploits that a
 // binding-only edit cannot move the slot layout: it verifies the tree
 // still has the shape the plan was compiled from, recompiles just the
 // cells whose expression identity moved against the recorded slot

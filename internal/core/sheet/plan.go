@@ -84,11 +84,12 @@ func overrideNames(ov map[string]float64) []string {
 
 // PlanFor returns the design's compiled evaluation plan for the given
 // override-name set (sorted; nil for plain Evaluate), compiling it on
-// first use and caching it on the Design.  The cache is invalidated by
-// any edit to the tree's structure or bindings, detected through a
-// content fingerprint over expression identities, so callers never
-// observe a stale plan.  Concurrent callers share one cached Plan;
-// Plan execution is itself concurrency-safe.
+// first use and caching it on the Design.  The cache is keyed on the
+// root's identity and mutation epoch: every tree mutator bumps the
+// epoch, so callers never observe a stale plan (recovery's
+// AdoptGeneration runs before a design serves, see its doc).
+// Concurrent callers share one cached Plan; Plan execution is itself
+// concurrency-safe.
 func (d *Design) PlanFor(names []string) (*Plan, error) {
 	if !sort.StringsAreSorted(names) {
 		names = append([]string(nil), names...)
@@ -97,10 +98,10 @@ func (d *Design) PlanFor(names []string) (*Plan, error) {
 	key := strings.Join(names, "\x00")
 	d.planMu.Lock()
 	defer d.planMu.Unlock()
-	fp := d.cachedFingerprint()
-	if d.plans == nil || d.planFP != fp || len(d.plans) > maxCachedPlans {
+	epoch := d.Root.epoch.Load()
+	if d.plans == nil || d.planRoot != d.Root || d.planEpoch != epoch || len(d.plans) > maxCachedPlans {
 		d.plans = make(map[string]*planEntry)
-		d.planFP = fp
+		d.planRoot, d.planEpoch = d.Root, epoch
 	}
 	if e, ok := d.plans[key]; ok {
 		return e.plan, e.err
@@ -113,68 +114,6 @@ func (d *Design) PlanFor(names []string) (*Plan, error) {
 	}
 	d.plans[key] = &planEntry{plan: plan, err: err}
 	return plan, err
-}
-
-// cachedFingerprint returns the design's content fingerprint, reusing
-// the previous hash when the tree's mutation epoch (and root identity)
-// are unchanged since it was computed.  Caller holds planMu.
-func (d *Design) cachedFingerprint() uint64 {
-	e := d.Root.epoch.Load()
-	if d.fpValid && d.fpRoot == d.Root && d.fpEpoch == e {
-		return d.fpVal
-	}
-	d.fpVal = d.contentFingerprint()
-	d.fpRoot, d.fpEpoch, d.fpValid = d.Root, e, true
-	return d.fpVal
-}
-
-// contentFingerprint hashes everything evaluation depends on: the tree
-// shape, row names, models, delay composition and the identity of
-// every bound expression.  Expressions are immutable after compile and
-// rebinding swaps pointers, so expr.Expr.ID captures cell edits.
-func (d *Design) contentFingerprint() uint64 {
-	const prime = 1099511628211
-	h := uint64(14695981039346656037)
-	str := func(s string) {
-		for i := 0; i < len(s); i++ {
-			h ^= uint64(s[i])
-			h *= prime
-		}
-		h ^= 0xff
-		h *= prime
-	}
-	u64 := func(v uint64) {
-		for i := 0; i < 8; i++ {
-			h ^= v & 0xff
-			h *= prime
-			v >>= 8
-		}
-	}
-	var walk func(n *Node)
-	walk = func(n *Node) {
-		str(n.Name)
-		str(n.Model)
-		str(string(n.Delay))
-		for _, b := range n.Params {
-			str(b.Name)
-			u64(b.Expr.ID())
-		}
-		h ^= 0xfe
-		h *= prime
-		for _, b := range n.Globals {
-			str(b.Name)
-			u64(b.Expr.ID())
-		}
-		h ^= 0xfd
-		h *= prime
-		for _, c := range n.Children {
-			walk(c)
-		}
-		h ^= 0xfc
-		h *= prime
-	}
-	walk(d.Root)
-	return h
 }
 
 // Plan is a compiled evaluation schedule for one design and one
@@ -761,7 +700,7 @@ func (e *SweepEval) At(ov map[string]float64) (power, area, delay float64, err e
 // sweeps over this plan share, rebuilding it only when the model
 // registry's generation moves (a re-registered model may change any
 // row's numbers; binding edits already invalidate the whole plan via
-// the content fingerprint, so they cannot leak in here).  Plans whose
+// the mutation epoch, so they cannot leak in here).  Plans whose
 // rows resolve to volatile models never share: their "invariant" steps
 // are not actually invariant across calls, so each sweep hoists fresh,
 // exactly as NewSweeper would.

@@ -73,8 +73,8 @@ type Node struct {
 
 	// epoch counts mutations over the subtree rooted here.  Only the
 	// value on a tree's root is meaningful: every mutator bumps the
-	// root's counter, which lets the evaluation-plan cache skip its
-	// fingerprint walk when nothing changed (see plan.go).
+	// root's counter, which keys the evaluation-plan cache (see
+	// plan.go).
 	epoch atomic.Uint64
 }
 
@@ -102,17 +102,13 @@ type Design struct {
 	// Registry resolves model names.
 	Registry *model.Registry
 
-	// Compiled-plan cache (see plan.go).  Guarded by planMu; planFP is
-	// the content fingerprint the cached plans were compiled against, so
-	// any tree edit invalidates them on the next PlanFor call.  The
-	// fingerprint itself is cached against the root's mutation epoch.
-	planMu  sync.Mutex
-	planFP  uint64
-	plans   map[string]*planEntry
-	fpRoot  *Node
-	fpEpoch uint64
-	fpVal   uint64
-	fpValid bool
+	// Compiled-plan cache (see plan.go).  Guarded by planMu; the plans
+	// were compiled from planRoot at mutation epoch planEpoch, so any
+	// tree edit invalidates them on the next PlanFor call.
+	planMu    sync.Mutex
+	planRoot  *Node
+	planEpoch uint64
+	plans     map[string]*planEntry
 
 	// id lazily holds the design's process-unique identity (see ID).
 	id atomic.Uint64
@@ -128,8 +124,8 @@ type Design struct {
 // which the tree did not change, which makes the counter the
 // invalidation key for anything derived from an evaluation — the web
 // layer's memoized results, rendered pages and sweep point caches all
-// key on it.  It costs one atomic load, unlike a content fingerprint
-// or a serialization hash.
+// key on it, as does the compiled-plan cache.  It costs one atomic
+// load, unlike a serialization hash.
 func (d *Design) Generation() uint64 { return d.Root.epoch.Load() }
 
 // Touch advances the generation without changing the tree: callers
@@ -372,16 +368,6 @@ func (d *Design) Resolve(from *Node, ref string) *Node {
 		}
 	}
 	return d.Root.Find(ref)
-}
-
-// Fingerprint summarizes the design structure for change detection in
-// the web UI: row paths with model names, in tree order.
-func (d *Design) Fingerprint() string {
-	var b strings.Builder
-	d.Root.Walk(func(n *Node) {
-		fmt.Fprintf(&b, "%s=%s;", n.Path(), n.Model)
-	})
-	return b.String()
 }
 
 // SortChildren orders a node's children by name (stable display for

@@ -329,16 +329,6 @@ func TestResolveSiblingFirst(t *testing.T) {
 	}
 }
 
-func TestFingerprint(t *testing.T) {
-	d := NewDesign("demo", testRegistry())
-	d.Root.MustAddChild("a", "cell")
-	f1 := d.Fingerprint()
-	d.Root.MustAddChild("b", "loss")
-	if d.Fingerprint() == f1 {
-		t.Error("fingerprint should change with structure")
-	}
-}
-
 func TestSortChildren(t *testing.T) {
 	d := NewDesign("demo", testRegistry())
 	d.Root.MustAddChild("zeta", "")

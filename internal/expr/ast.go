@@ -141,9 +141,9 @@ func (e *Expr) Source() string { return e.src }
 
 // ID returns a process-unique identity for the expression.  Because an
 // Expr is immutable after Compile and rebinding a cell swaps pointers
-// rather than mutating in place, a hash over binding IDs fingerprints a
-// sheet's expression content — what the evaluation-plan cache uses to
-// detect edits.
+// rather than mutating in place, comparing binding IDs tells which
+// cells were edited — what plan patching and the incremental engine use
+// to find the dirty cells.
 func (e *Expr) ID() uint64 { return e.id }
 
 // Root returns the root of the parse tree.
