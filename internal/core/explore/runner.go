@@ -60,23 +60,25 @@ func noteInterrupted(ctx context.Context, err error, points int) {
 }
 
 // Runner is the parallel exploration engine: it fans design points out
-// across a pool of worker goroutines in fixed-size chunks, each worker
-// evaluating against its own snapshot of the design — columnar when
-// the sheet allows, per point otherwise — and reassembles the results
-// in input order.
+// across a pool of worker goroutines in fixed-size chunks, every
+// worker evaluating the caller's design — columnar when the sheet
+// allows, per point otherwise — and reassembles the results in input
+// order.
 //
 // The zero value is ready to use and is what the package-level Sweep,
 // Sweep2D, MinSupply and VoltageScale delegate to.
 //
 // # Concurrency contract
 //
-// Each worker evaluates a private sheet.Design.Clone of the design, so
-// a running sweep never races with the caller — the caller may even
-// mutate the original design while a sweep is in flight and the sweep
-// still sees a consistent snapshot taken when its worker started.  One
-// Runner may serve any number of concurrent calls; it holds no mutable
-// state of its own beyond the optional Cache, which is internally
-// locked.
+// A call reads the design it is given and nothing else: the workers
+// share its compiled plan and hoisted baseline, each with private slot
+// vectors, and a design whose plan does not compile evaluates through
+// EvaluateAt, which is safe for concurrent readers.  The caller must
+// not mutate the design during a call; code that cannot rule out
+// concurrent edits (the web handlers) sweeps a sheet.Design.Clone.
+// One Runner may serve any number of concurrent calls; it holds no
+// mutable state of its own beyond the optional Cache, which is
+// internally locked.
 //
 // Cancellation: every method takes a context.Context and stops promptly
 // — no later than the next chunk boundary (the next point boundary when
@@ -97,8 +99,8 @@ func noteInterrupted(ctx context.Context, err error, points int) {
 type Runner struct {
 	// Workers caps the number of concurrent evaluation goroutines.
 	// Zero or negative selects runtime.GOMAXPROCS(0).  A sweep never
-	// uses more workers than it has chunks; Workers == 1 evaluates
-	// serially on the caller's design without cloning.
+	// uses more workers than it has chunks; one worker evaluates the
+	// chunks in order.
 	Workers int
 
 	// ChunkSize sets how many consecutive points a worker claims at a
@@ -203,7 +205,7 @@ func (r *Runner) MinSupply(ctx context.Context, d *sheet.Design, fTarget, lo, hi
 	target := 1 / fTarget
 	// Bisection probes share one override-name set, so the invariant
 	// part of the design is hoisted once for the whole search.
-	ev := newEval(hoist(d, []map[string]float64{{"vdd": lo}}))
+	ev := newEval(hoist(d, map[string]float64{"vdd": lo}))
 	meets := func(vdd float64) (bool, error) {
 		p, err := r.point(ctx, d, ev, map[string]float64{"vdd": vdd})
 		if err != nil {
@@ -247,7 +249,7 @@ func (r *Runner) VoltageScale(ctx context.Context, d *sheet.Design, fTarget, lo,
 	if err != nil {
 		return SupplySavings{}, err
 	}
-	ev := newEval(hoist(d, []map[string]float64{{"vdd": nominal}}))
+	ev := newEval(hoist(d, map[string]float64{"vdd": nominal}))
 	pNom, err := r.point(ctx, d, ev, map[string]float64{"vdd": nominal})
 	if err != nil {
 		return SupplySavings{}, err
@@ -280,18 +282,10 @@ func (r *Runner) run(ctx context.Context, d *sheet.Design, overrides []map[strin
 	if n == 0 {
 		return out, nil
 	}
-	sw := hoist(d, overrides)
 	chunk := r.chunkSize(n)
-	nchunks := (n + chunk - 1) / chunk
 	exploreChunkSize.Set(float64(chunk))
 	start := time.Now()
-	var err error
-	if w := r.workers(nchunks); w > 1 {
-		err = r.runParallel(ctx, d, overrides, out, w, sw, chunk)
-	} else {
-		err = r.runSerial(ctx, d, overrides, out, sw, chunk)
-	}
-	if err != nil {
+	if err := r.runChunks(ctx, d, overrides, out, hoist(d, overrides[0]), chunk); err != nil {
 		noteInterrupted(ctx, err, n)
 		return nil, err
 	}
@@ -301,32 +295,19 @@ func (r *Runner) run(ctx context.Context, d *sheet.Design, overrides []map[strin
 	return out, nil
 }
 
-// hoist builds the sweep-invariant baseline for a uniform override
-// list.  It returns nil — meaning "no fast path, evaluate every point
-// through EvaluateAt" — when there are no points, when the points do
-// not share one override-name set, or when the plan does not compile
-// (e.g. a static cycle).  A failing invariant binding does not block
-// hoisting: the baseline stores it, and a point raises it only if its
-// evaluation reads it, with EvaluateAt's exact error.
-func hoist(d *sheet.Design, overrides []map[string]float64) *sheet.Sweeper {
-	if len(overrides) == 0 {
-		return nil
-	}
-	names := make([]string, 0, len(overrides[0]))
-	for n := range overrides[0] {
+// hoist builds the sweep-invariant baseline for a call whose points
+// all override the names ov does (every caller builds such a list).
+// It returns nil — meaning "no fast path, evaluate every point through
+// EvaluateAt" — when the plan does not compile (e.g. a static cycle).
+// A failing invariant binding does not block hoisting: the baseline
+// stores it, and a point raises it only if its evaluation reads it,
+// with EvaluateAt's exact error.
+func hoist(d *sheet.Design, ov map[string]float64) *sheet.Sweeper {
+	names := make([]string, 0, len(ov))
+	for n := range ov {
 		names = append(names, n)
 	}
 	sort.Strings(names)
-	for _, ov := range overrides[1:] {
-		if len(ov) != len(names) {
-			return nil
-		}
-		for _, n := range names {
-			if _, ok := ov[n]; !ok {
-				return nil
-			}
-		}
-	}
 	plan, err := d.PlanFor(names)
 	if err != nil {
 		return nil
@@ -358,27 +339,11 @@ func newBatchEval(sw *sheet.Sweeper, chunk int) *sheet.BatchEval {
 	return sw.NewBatchEval(chunk)
 }
 
-// runSerial processes the chunks in order on the caller's goroutine,
-// evaluating on the caller's design with no clone.
-func (r *Runner) runSerial(ctx context.Context, d *sheet.Design, overrides []map[string]float64, out []Point, sw *sheet.Sweeper, chunk int) error {
-	ev := newEval(sw)
-	bev := newBatchEval(sw, chunk)
-	start := time.Now()
-	defer func() { exploreBusySeconds.Add(time.Since(start).Seconds()) }()
-	for lo := 0; lo < len(overrides); lo += chunk {
-		hi := min(lo+chunk, len(overrides))
-		if _, err := r.runChunk(ctx, d, ev, bev, overrides, out, lo, hi); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// runParallel fans the chunks out over w workers, each evaluating its
-// own clone of d.  Result slots are pre-assigned by index, so no two
+// runChunks fans the chunks out over the worker pool; one worker is
+// the serial case.  Result slots are pre-assigned by index, so no two
 // goroutines ever write the same element and the output order matches
 // the input regardless of scheduling.
-func (r *Runner) runParallel(parent context.Context, d *sheet.Design, overrides []map[string]float64, out []Point, w int, sw *sheet.Sweeper, chunk int) error {
+func (r *Runner) runChunks(parent context.Context, d *sheet.Design, overrides []map[string]float64, out []Point, sw *sheet.Sweeper, chunk int) error {
 	// The internal context stops the chunk feed once any point fails;
 	// workers evaluate the chunk they already hold under the PARENT
 	// context.  That distinction is what makes error reporting
@@ -393,6 +358,7 @@ func (r *Runner) runParallel(parent context.Context, d *sheet.Design, overrides 
 
 	n := len(overrides)
 	nchunks := (n + chunk - 1) / chunk
+	w := r.workers(nchunks)
 	idx := make(chan int)
 	go func() {
 		defer close(idx)
@@ -417,21 +383,16 @@ func (r *Runner) runParallel(parent context.Context, d *sheet.Design, overrides 
 			defer wg.Done()
 			start := time.Now()
 			defer func() { exploreBusySeconds.Add(time.Since(start).Seconds()) }()
-			// One snapshot per worker: cloning is O(rows), evaluation
-			// is O(rows × points/worker), so the clone amortizes away
-			// while guaranteeing race freedom against the caller.  The
-			// hoisted Sweeper is shared — it is immutable — but each
-			// worker gets its own SweepEval and BatchEval (private
-			// slot vectors and columns over the shared baseline); the
-			// clone serves the EvaluateAt path when hoisting is
-			// unavailable.
-			snap := d.Clone()
+			// The hoisted Sweeper is shared — it is immutable — but
+			// each worker gets its own SweepEval and BatchEval
+			// (private slot vectors and columns over the shared
+			// baseline).
 			ev := newEval(sw)
 			bev := newBatchEval(sw, chunk)
 			for c := range idx {
 				lo := c * chunk
 				hi := min(lo+chunk, n)
-				at, err := r.runChunk(parent, snap, ev, bev, overrides, out, lo, hi)
+				at, err := r.runChunk(parent, d, ev, bev, overrides, out, lo, hi)
 				if err != nil {
 					mu.Lock()
 					// Keep the lowest-indexed failure so parallel runs

@@ -6,6 +6,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"powerplay/internal/core/sheet"
 )
 
 // TestRunnerMatchesSerial pins the determinism guarantee: any worker
@@ -64,45 +66,55 @@ func TestRunnerSweep2DMatchesSerial(t *testing.T) {
 }
 
 // TestConcurrentSweepsSharedDesign is the concurrency regression test:
-// several parallel sweeps (and solvers) overlap on ONE design.  Run
-// under -race (make race) this proves the snapshot/clone path keeps
-// EvaluateAt race-free across overlapping explorations.
+// several parallel sweeps (and solvers) overlap on ONE design, which
+// every worker reads directly.  Run under -race (make race) this
+// proves the shared plan and baseline stay race-free across
+// overlapping explorations — and, on cycleDesign, whose plan does not
+// compile, that the EvaluateAt fallback is too.
 func TestConcurrentSweepsSharedDesign(t *testing.T) {
-	d := testDesign(t)
-	runner := &Runner{Workers: 4, Cache: NewCache(0)}
-	var wg sync.WaitGroup
-	errs := make(chan error, 12)
-	for i := 0; i < 4; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			pts, err := runner.Sweep(context.Background(), d, "vdd", Linspace(1.0, 3.3, 8))
-			if err == nil && len(pts) != 8 {
-				err = errors.New("short sweep")
+	for _, c := range []struct {
+		name   string
+		design *sheet.Design
+	}{
+		{"compiled", testDesign(t)},
+		{"interpreter-fallback", cycleDesign(t)},
+	} {
+		d := c.design
+		runner := &Runner{Workers: 4, Cache: NewCache(0)}
+		var wg sync.WaitGroup
+		errs := make(chan error, 12)
+		for i := 0; i < 4; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				pts, err := runner.Sweep(context.Background(), d, "vdd", Linspace(1.0, 3.3, 8))
+				if err == nil && len(pts) != 8 {
+					err = errors.New("short sweep")
+				}
+				errs <- err
+			}()
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				pts, err := runner.Sweep2D(context.Background(), d, "vdd", Linspace(1.0, 3.3, 4), "f", Linspace(1e6, 4e6, 4))
+				if err == nil && len(pts) != 16 {
+					err = errors.New("short 2-D sweep")
+				}
+				errs <- err
+			}()
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				_, err := runner.MinSupply(context.Background(), d, 20e6, 0.9, 3.3)
+				errs <- err
+			}()
+		}
+		wg.Wait()
+		close(errs)
+		for err := range errs {
+			if err != nil {
+				t.Errorf("%s: %v", c.name, err)
 			}
-			errs <- err
-		}()
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			pts, err := runner.Sweep2D(context.Background(), d, "vdd", Linspace(1.0, 3.3, 4), "f", Linspace(1e6, 4e6, 4))
-			if err == nil && len(pts) != 16 {
-				err = errors.New("short 2-D sweep")
-			}
-			errs <- err
-		}()
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			_, err := runner.MinSupply(context.Background(), d, 20e6, 0.9, 3.3)
-			errs <- err
-		}()
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		if err != nil {
-			t.Error(err)
 		}
 	}
 }

@@ -5,13 +5,13 @@ package sheet
 // The interactive loop the paper centers on — edit a cell, hit Play,
 // read the new power column — touches one binding at a time, yet a
 // plain Evaluate re-runs every step of the plan.  The Incremental
-// engine retains the last run's slot vector and diffs the freshly
-// compiled plan against the one that produced it: expressions are
+// engine retains the last run's slot vector and patches the edited
+// cells into the plan that produced it (see patch.go): expressions are
 // immutable and rebinding a cell swaps pointers, so comparing step
-// expression identities across two congruent plans yields exactly the
-// edited cells.  Dirtiness then propagates through the same slot
-// read/write sets the variance analysis uses, and only the dirty cone
-// re-executes over the retained baseline.
+// expression identities across the retained and patched plans yields
+// exactly the edited cells.  Dirtiness then propagates through the
+// same slot read/write sets the variance analysis uses, and only the
+// dirty cone re-executes over the retained baseline.
 //
 // Correctness contract (the same one the compiled and batch paths are
 // held to): an incremental Play returns values bit-identical to a
@@ -24,8 +24,9 @@ package sheet
 //     and their models are pure functions of their parameters for as
 //     long as the registry generation holds (volatile models — remote
 //     proxies, macros over them — never count as clean).
-//   - Any structural change (row or binding added/removed/renamed, a
-//     changed slot layout) fails congruence and forces a full run.
+//   - Any edit patch() cannot prove safe (a row or binding added,
+//     removed or renamed, a reference needing a reordered schedule)
+//     compiles afresh and forces a full run.
 //   - Failures are values in the retained slots (see plan.go), so a
 //     clean step that failed last time still holds its exact error,
 //     and a dirty reader raises it just as a full run would.  A Play
@@ -37,8 +38,6 @@ package sheet
 // (or want the old cost model) simply keep using Design.Evaluate.
 
 import (
-	"runtime"
-	"slices"
 	"sync"
 
 	"powerplay/internal/obs"
@@ -60,11 +59,6 @@ var dirtySlotBuckets = []float64{0, 1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024}
 var dirtySlots = obs.NewHistogram("powerplay_sheet_dirty_slots",
 	"Slots recomputed per incremental Play.", dirtySlotBuckets)
 
-// wavefrontWidth tracks the widest dependency level of the most
-// recently played plan: the parallelism a full recompute can exploit.
-var wavefrontWidth = obs.NewGauge("powerplay_sheet_wavefront_width",
-	"Widest dependency level of the most recently played plan.")
-
 // PlayDelta describes what one incremental Play actually did — the
 // changed-cell delta set a live-collaboration channel (SSE) will push
 // to other viewers of the same sheet.
@@ -82,8 +76,6 @@ type PlayDelta struct {
 	// whose aggregates moved — in schedule order ("" is the root).  Nil
 	// when Full (everything changed) or when no row was touched.
 	ChangedRows []string
-	// WavefrontWidth is the played plan's widest dependency level.
-	WavefrontWidth int
 }
 
 // Incremental is a Design's incremental Play engine: it retains the
@@ -141,8 +133,8 @@ func (e *Incremental) Play() (*Result, PlayDelta, error) {
 	// and warmed row-model cache.  An unchanged design generation means
 	// no tree edit at all, so the retained plan replays as-is (volatile
 	// rows and registry moves still dirty themselves inside
-	// playIncremental).  Anything the patcher cannot prove safe takes
-	// the ordinary full-compile path below.
+	// playIncremental).  Anything the patcher cannot prove safe
+	// compiles afresh and plays full.
 	if e.plan != nil && e.run != nil {
 		gen := e.d.Generation()
 		if gen == e.gen {
@@ -162,18 +154,15 @@ func (e *Incremental) Play() (*Result, PlayDelta, error) {
 		return r, PlayDelta{Full: true}, err
 	}
 	e.gen = e.d.Generation()
-	if e.plan == nil || e.run == nil || (plan != e.plan && !congruent(e.plan, plan)) {
-		return e.playFull(plan)
-	}
-	return e.playIncremental(plan)
+	return e.playFull(plan)
 }
 
-// playFull evaluates every step of the plan (wavefront-scheduled) and
-// retains the run for the next Play.  Caller holds mu.
+// playFull evaluates every step of the plan and retains the run for
+// the next Play.  Caller holds mu.
 func (e *Incremental) playFull(plan *Plan) (*Result, PlayDelta, error) {
 	run := plan.newRun()
 	incrementalPlays.With("full").Inc()
-	if err := plan.execLevels(nil, run, runtime.GOMAXPROCS(0), true); err != nil {
+	if err := plan.exec(nil, run, true); err != nil {
 		e.invalidate()
 		return nil, PlayDelta{Full: true}, err
 	}
@@ -181,20 +170,18 @@ func (e *Incremental) playFull(plan *Plan) (*Result, PlayDelta, error) {
 	e.results = plan.buildResults(run)
 	e.res = e.results[plan.rootIdx]
 	dirtySlots.Observe(float64(plan.slotCount))
-	wavefrontWidth.Set(float64(plan.WavefrontWidth()))
 	return e.res, PlayDelta{
-		Full:           true,
-		DirtySteps:     len(plan.steps),
-		TotalSteps:     len(plan.steps),
-		DirtySlots:     plan.slotCount,
-		TotalSlots:     plan.slotCount,
-		WavefrontWidth: plan.WavefrontWidth(),
+		Full:       true,
+		DirtySteps: len(plan.steps),
+		TotalSteps: len(plan.steps),
+		DirtySlots: plan.slotCount,
+		TotalSlots: plan.slotCount,
 	}, nil
 }
 
-// playIncremental diffs the (congruent) new plan against the retained
-// one, propagates dirtiness, and re-executes only the dirty cone over
-// the retained slot vector.  Caller holds mu.
+// playIncremental diffs plan — the retained plan or its patched copy —
+// against the retained one, propagates dirtiness, and re-executes only
+// the dirty cone over the retained slot vector.  Caller holds mu.
 func (e *Incremental) playIncremental(plan *Plan) (*Result, PlayDelta, error) {
 	run := e.run
 	regGen := e.d.Registry.Generation()
@@ -215,11 +202,10 @@ func (e *Incremental) playIncremental(plan *Plan) (*Result, PlayDelta, error) {
 	clear(slotDirty)
 	regMoved := regGen != e.regGen
 	if plan != e.plan {
+		// patch() shares every step it did not recompile.
 		old := e.plan.steps
 		for i, st := range plan.steps {
-			if st.kind == stepExpr && st != old[i] && st.exprID != old[i].exprID {
-				dirty[i] = true
-			}
+			dirty[i] = st != old[i]
 		}
 	}
 	if regMoved {
@@ -279,22 +265,20 @@ func (e *Incremental) playIncremental(plan *Plan) (*Result, PlayDelta, error) {
 	}
 
 	delta := PlayDelta{
-		DirtySteps:     dirtySteps,
-		TotalSteps:     len(plan.steps),
-		DirtySlots:     dirtySlotCount,
-		TotalSlots:     plan.slotCount,
-		ChangedRows:    changedRows,
-		WavefrontWidth: plan.WavefrontWidth(),
+		DirtySteps:  dirtySteps,
+		TotalSteps:  len(plan.steps),
+		DirtySlots:  dirtySlotCount,
+		TotalSlots:  plan.slotCount,
+		ChangedRows: changedRows,
 	}
 	incrementalPlays.With("incremental").Inc()
 	dirtySlots.Observe(float64(dirtySlotCount))
-	wavefrontWidth.Set(float64(plan.WavefrontWidth()))
 
 	if dirtySteps == 0 {
 		e.plan, e.regGen = plan, regGen
 		return e.res, delta, nil
 	}
-	if err := plan.execLevels(dirty, run, runtime.GOMAXPROCS(0), true); err != nil {
+	if err := plan.exec(dirty, run, true); err != nil {
 		e.invalidate()
 		return nil, PlayDelta{Full: true}, err
 	}
@@ -307,47 +291,4 @@ func (e *Incremental) playIncremental(plan *Plan) (*Result, PlayDelta, error) {
 	}
 	e.res = e.results[plan.rootIdx]
 	return e.res, delta, nil
-}
-
-// congruent reports whether two plans share an identical schedule
-// skeleton — same slot layout, same step shapes, same rows in the same
-// order — differing at most in which expressions the steps compute.
-// Congruence is what lets the new plan adopt the old plan's run: every
-// clean step then provably recomputes the retained value into the
-// retained slot.
-func congruent(a, b *Plan) bool {
-	if a.slotCount != b.slotCount || a.rootIdx != b.rootIdx ||
-		len(a.steps) != len(b.steps) || len(a.nodes) != len(b.nodes) {
-		return false
-	}
-	for i := range a.nodes {
-		if a.nodes[i] != b.nodes[i] || a.nodeBase[i] != b.nodeBase[i] {
-			return false
-		}
-	}
-	for i := range a.steps {
-		sa, sb := a.steps[i], b.steps[i]
-		if sa.kind != sb.kind {
-			return false
-		}
-		if sa.kind == stepExpr {
-			// A retained failure names its binding, so the binding must
-			// be the same one too.
-			if sa.dst != sb.dst || sa.node != sb.node || sa.name != sb.name || sa.param != sb.param ||
-				!slices.Equal(sa.prog.Slots(), sb.prog.Slots()) {
-				return false
-			}
-			continue
-		}
-		if sa.node != sb.node || sa.nodeIdx != sb.nodeIdx || sa.base != sb.base ||
-			sa.modelName != sb.modelName || sa.compose != sb.compose ||
-			!slices.Equal(sa.paramNames, sb.paramNames) ||
-			!slices.Equal(sa.paramSlots, sb.paramSlots) ||
-			!slices.Equal(sa.stdNames, sb.stdNames) ||
-			!slices.Equal(sa.stdSlots, sb.stdSlots) ||
-			!slices.Equal(sa.childBases, sb.childBases) {
-			return false
-		}
-	}
-	return true
 }

@@ -168,6 +168,22 @@ func TestIncrementalStructuralEditGoesFull(t *testing.T) {
 	if _, delta = playBothWays(t, d); !delta.Full {
 		t.Fatalf("row removal should force a full recompute, got %+v", delta)
 	}
+	// A root global nothing reads leaves the compiled layout unchanged,
+	// but patch() cannot prove that, so adding and deleting one plays
+	// full too.
+	d.Root.SetGlobalValue("unread", 7, "7")
+	if _, delta = playBothWays(t, d); !delta.Full {
+		t.Fatalf("adding an unread global should force a full recompute, got %+v", delta)
+	}
+	d.Root.DeleteGlobal("unread")
+	if _, delta = playBothWays(t, d); !delta.Full {
+		t.Fatalf("deleting an unread global should force a full recompute, got %+v", delta)
+	}
+	// ...and the next rebind patches and plays incremental again.
+	d.Root.SetGlobalValue("wb", 12, "12")
+	if _, delta = playBothWays(t, d); delta.Full {
+		t.Fatalf("rebind after a full Play should be incremental, got %+v", delta)
+	}
 }
 
 func TestIncrementalErrorFallbackCanonicalText(t *testing.T) {
@@ -268,59 +284,6 @@ func TestIncrementalRegistryEditDirtiesAllRows(t *testing.T) {
 	}
 	if delta.Full {
 		t.Errorf("registry edit should stay incremental (plan unchanged): %+v", delta)
-	}
-}
-
-// TestWavefrontParity pins the parallel executor against the serial
-// one: same slots, same results, across worker counts, on the richest
-// test design (derived globals, shadowing, chain compose, inter-row
-// power()).
-func TestWavefrontParity(t *testing.T) {
-	d := planTestDesign(t)
-	plan, err := d.PlanFor(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if w := plan.WavefrontWidth(); w < 2 {
-		t.Fatalf("test design too narrow to exercise parallelism (width %d)", w)
-	}
-	serial := plan.newRun()
-	if err := plan.execLevels(nil, serial, 1, true); err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{2, 4, 8} {
-		run := plan.newRun()
-		if err := plan.execLevels(nil, run, workers, true); err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		for i := range serial.slots {
-			if run.slots[i] != serial.slots[i] {
-				t.Fatalf("workers=%d: slot %d = %v, serial %v", workers, i, run.slots[i], serial.slots[i])
-			}
-		}
-		sameResult(t, "", plan.buildResults(run)[plan.rootIdx], plan.buildResults(serial)[plan.rootIdx])
-	}
-}
-
-// TestWavefrontLevelsRespectDependencies checks the schedule invariant
-// the parallel executor relies on: every step's reads resolve at a
-// strictly shallower level than its own.
-func TestWavefrontLevelsRespectDependencies(t *testing.T) {
-	d := planTestDesign(t)
-	plan, err := d.PlanFor(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan.levels()
-	writerLevel := make([]int, plan.slotCount)
-	for i, st := range plan.steps {
-		lv := plan.stepLevel[i]
-		st.forEachRead(func(s int) {
-			if writerLevel[s] >= lv {
-				t.Fatalf("step %d (level %d) reads slot %d written at level %d", i, lv, s, writerLevel[s])
-			}
-		})
-		st.forEachWrite(func(s int) { writerLevel[s] = lv })
 	}
 }
 

@@ -100,7 +100,6 @@ func (p *Plan) patch() (*Plan, bool) {
 	// needs a real recompile to reorder, so it bails.
 	var newSteps []*planStep
 	writer := p.slotWriters()
-	levelsValid := p.stepLevel != nil
 	for i, old := range p.steps {
 		if old.kind != stepExpr {
 			continue
@@ -125,11 +124,6 @@ func (p *Plan) patch() (*Plan, bool) {
 			if writer[s] >= i {
 				return nil, false
 			}
-			// The old wavefront schedule stays valid only while every
-			// read resolves at a strictly shallower level.
-			if levelsValid && p.stepLevel[writer[s]] >= p.stepLevel[i] {
-				levelsValid = false
-			}
 		}
 		if newSteps == nil {
 			newSteps = append([]*planStep(nil), p.steps...)
@@ -140,7 +134,7 @@ func (p *Plan) patch() (*Plan, bool) {
 	if newSteps == nil {
 		return p, true
 	}
-	np := &Plan{
+	return &Plan{
 		design:        p.design,
 		overrideNames: p.overrideNames,
 		overrideSlots: p.overrideSlots,
@@ -161,14 +155,7 @@ func (p *Plan) patch() (*Plan, bool) {
 		volSteps:      p.volSteps,
 		volGen:        p.volGen,
 		volOK:         p.volOK,
-	}
-	if levelsValid {
-		// Patching preserved every level constraint, so the wavefront
-		// schedule carries over instead of being recomputed per edit.
-		np.stepLevel, np.byLevel, np.maxWidth = p.stepLevel, p.byLevel, p.maxWidth
-		np.levelOnce.Do(func() {})
-	}
-	return np, true
+	}, true
 }
 
 // slotWriters maps each slot to the index of the step writing it (-1

@@ -150,13 +150,6 @@ type Plan struct {
 	volGen   uint64
 	volOK    bool
 
-	// Wavefront schedule (see levels): computed lazily, once, from the
-	// same slot dependencies markVariance walks.
-	levelOnce sync.Once
-	stepLevel []int   // per step: 1-based dependency depth
-	byLevel   [][]int // step indices grouped by level, schedule-ordered
-	maxWidth  int     // widest level: the plan's available parallelism
-
 	// swMemo caches the hoisted invariant baseline per registry
 	// generation, so repeated sweeps over one plan skip re-executing
 	// the invariant steps (see SharedSweeper).
@@ -176,8 +169,8 @@ type planStep struct {
 	param bool   // row parameter (else global)
 	// exprID is the identity of the source expression the program was
 	// compiled from.  Expressions are immutable and rebinding a cell
-	// swaps the pointer, so comparing IDs across two congruent plans
-	// detects exactly the edited cells (see incremental.go).
+	// swaps the pointer, so comparing it with the cell's current
+	// expression detects exactly the edited cells (see patch.go).
 	exprID uint64
 
 	// stepNode
@@ -355,12 +348,10 @@ func (p *Plan) Slots() int { return p.slotCount }
 // execStep runs one step.  A failure is stored, not returned: the
 // step's slots become expr.Failed and carry the error the interpreter
 // would raise for that binding or row, so a reader raises it only if
-// it actually reads the slot.  Wavefront workers sharing one run each
-// bring their own expression scratch (everything else a step writes —
-// its slots, its node's ests/params/fulls entries — is private to it).
-func (p *Plan) execStep(st *planStep, run *planRun, scratch *expr.Scratch, keep bool) {
+// it actually reads the slot.
+func (p *Plan) execStep(st *planStep, run *planRun, keep bool) {
 	if st.kind == stepExpr {
-		v, err := st.prog.Run(run.slots, run.errs, scratch)
+		v, err := st.prog.Run(run.slots, run.errs, &run.scratch)
 		if err != nil {
 			run.slots[st.dst], run.errs[st.dst] = expr.Failed, st.cellErr(err)
 			return
@@ -513,56 +504,14 @@ func (st *planStep) boundParams(slots []float64) model.Params {
 	return params
 }
 
-// minParallelLevel is the smallest level worth fanning out; below it
-// goroutine handoff costs more than the steps.
-const minParallelLevel = 4
-
-// execLevels is the plan's one executor: it runs the steps whose
-// include bit is set (nil means all) and returns the root row's error,
-// if it failed.  With one worker it walks the schedule in order.  With
-// more, it goes level by level: steps within one wavefront level read
-// only slots finalized at shallower levels and write disjoint slots
-// (and disjoint per-row entries of run), so a level's steps execute
-// concurrently across up to `workers` goroutines, each with its own
-// expression scratch, and a barrier separates levels.  Failures are
-// stored per slot, so the outcome does not depend on the order.
-func (p *Plan) execLevels(include []bool, run *planRun, workers int, keep bool) error {
-	if workers <= 1 {
-		for i, st := range p.steps {
-			if include == nil || include[i] {
-				p.execStep(st, run, &run.scratch, keep)
-			}
+// exec is the plan's one executor: it walks the schedule in order,
+// running the steps whose include bit is set (nil means all), and
+// returns the root row's error, if it failed.
+func (p *Plan) exec(include []bool, run *planRun, keep bool) error {
+	for i, st := range p.steps {
+		if include == nil || include[i] {
+			p.execStep(st, run, keep)
 		}
-		return run.err(p.nodeBase[p.rootIdx])
-	}
-	p.levels()
-	var buf []int
-	for _, bucket := range p.byLevel {
-		buf = buf[:0]
-		for _, si := range bucket {
-			if include == nil || include[si] {
-				buf = append(buf, si)
-			}
-		}
-		if len(buf) < minParallelLevel {
-			for _, si := range buf {
-				p.execStep(p.steps[si], run, &run.scratch, keep)
-			}
-			continue
-		}
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < min(workers, len(buf)); w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				var scratch expr.Scratch
-				for i := int(next.Add(1)) - 1; i < len(buf); i = int(next.Add(1)) - 1 {
-					p.execStep(p.steps[buf[i]], run, &scratch, keep)
-				}
-			}()
-		}
-		wg.Wait()
 	}
 	return run.err(p.nodeBase[p.rootIdx])
 }
@@ -578,7 +527,7 @@ func (p *Plan) evalAt(overrides map[string]float64, keep bool) (r *Result, power
 	for i, name := range p.overrideNames {
 		run.slots[p.overrideSlots[i]] = overrides[name]
 	}
-	if err := p.execLevels(nil, run, 1, keep); err != nil {
+	if err := p.exec(nil, run, keep); err != nil {
 		return nil, 0, 0, 0, err
 	}
 	if keep {
@@ -652,7 +601,7 @@ func (p *Plan) NewSweeper() *Sweeper {
 	for i, v := range p.isVariant {
 		invariant[i] = !v
 	}
-	p.execLevels(invariant, run, 1, false)
+	p.exec(invariant, run, false)
 	return &Sweeper{plan: p, baseline: run.slots, errs: run.errs}
 }
 
@@ -689,7 +638,7 @@ func (e *SweepEval) At(ov map[string]float64) (power, area, delay float64, err e
 		}
 		slots[p.overrideSlots[i]] = v
 	}
-	if err := p.execLevels(p.isVariant, e.run, 1, false); err != nil {
+	if err := p.exec(p.isVariant, e.run, false); err != nil {
 		return 0, 0, 0, err
 	}
 	base := p.nodeBase[p.rootIdx]
@@ -779,53 +728,6 @@ func (st *planStep) forEachWrite(fn func(slot int)) {
 	for o := 0; o < nodeSlots; o++ {
 		fn(st.base + o)
 	}
-}
-
-// levels lazily computes the wavefront schedule: each step's dependency
-// depth is one more than the deepest step writing a slot it reads, so
-// all steps of one level read only slots finalized at shallower levels
-// and write mutually disjoint slots (the compiler allocates every
-// step's destination uniquely).  Steps of one level may therefore run
-// concurrently; schedule order is preserved within a level, so a serial
-// walk of byLevel visits steps in an order compatible with the original
-// topological order.
-func (p *Plan) levels() {
-	p.levelOnce.Do(func() {
-		slotDepth := make([]int, p.slotCount)
-		p.stepLevel = make([]int, len(p.steps))
-		maxLevel := 0
-		for i, st := range p.steps {
-			level := 1
-			st.forEachRead(func(s int) {
-				if slotDepth[s] >= level {
-					level = slotDepth[s] + 1
-				}
-			})
-			st.forEachWrite(func(s int) {
-				slotDepth[s] = level
-			})
-			p.stepLevel[i] = level
-			if level > maxLevel {
-				maxLevel = level
-			}
-		}
-		p.byLevel = make([][]int, maxLevel)
-		for i, lv := range p.stepLevel {
-			p.byLevel[lv-1] = append(p.byLevel[lv-1], i)
-		}
-		for _, bucket := range p.byLevel {
-			if len(bucket) > p.maxWidth {
-				p.maxWidth = len(bucket)
-			}
-		}
-	})
-}
-
-// WavefrontWidth returns the size of the plan's widest dependency
-// level: the parallelism a multi-core full recompute can exploit.
-func (p *Plan) WavefrontWidth() int {
-	p.levels()
-	return p.maxWidth
 }
 
 // ---------------------------------------------------------------------

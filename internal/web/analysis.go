@@ -40,29 +40,26 @@ func (s *Server) handleDesignAnalysis(w http.ResponseWriter, r *http.Request, u 
 		http.NotFound(w, r)
 		return
 	}
-	// Snapshot under the read lock, evaluate outside it: the analysis
-	// of a large sheet must not hold up (or race with) concurrent
-	// edits.  Evaluation of a single point is not interruptible, so
-	// the request context is honored at the boundaries.
-	u.mu.RLock()
-	snap := d.Clone()
-	var fClock float64
-	if g := snap.Root.Global("f"); g != nil {
-		if v, ok := g.Const(); ok {
-			fClock = v
-		}
-	}
-	u.mu.RUnlock()
 	page := analysisPage{base: s.base(d.Name + " analysis"), Name: d.Name}
-	if err := r.Context().Err(); err != nil {
-		return // client already gone
-	}
-	res, err := snap.Evaluate()
+	// Evaluate through the read-path memo under the read lock, as the
+	// sheet page does, so an analysis after a sheet view or a Play
+	// reuses that evaluation.  The digests read Result.Node paths of
+	// the live tree, so the page is built before the unlock and
+	// rendered after it.
+	u.mu.RLock()
+	res, err := s.evalDesign(u.Name, d)
 	if err != nil {
+		u.mu.RUnlock()
 		page.Error = err.Error()
 		w.WriteHeader(http.StatusUnprocessableEntity)
 		s.render(w, "analysis", page)
 		return
+	}
+	var fClock float64
+	if g := d.Root.Global("f"); g != nil {
+		if v, ok := g.Const(); ok {
+			fClock = v
+		}
 	}
 	page.Total = units.Watts(res.Power).String()
 	for _, row := range sheet.Advice(res) {
@@ -98,5 +95,6 @@ func (s *Server) handleDesignAnalysis(w http.ResponseWriter, r *http.Request, u 
 			}
 		}
 	}
+	u.mu.RUnlock()
 	s.render(w, "analysis", page)
 }

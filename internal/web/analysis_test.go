@@ -62,6 +62,31 @@ func TestAnalysisPage(t *testing.T) {
 	}
 }
 
+// TestAnalysisReusesSheetEvaluation: the analysis page reads the same
+// evaluation memo as the sheet page, so an analysis right after a sheet
+// view is a result hit and compiles no plan.
+func TestAnalysisReusesSheetEvaluation(t *testing.T) {
+	_, base, c := sheetSite(t)
+	if code, _ := fetch(t, c, base+"/design/d"); code != 200 {
+		t.Fatalf("sheet: %d", code)
+	}
+	before, _ := scrape(t, base)
+	if code, _ := fetch(t, c, base+"/design/d/analysis"); code != 200 {
+		t.Fatalf("analysis: %d", code)
+	}
+	after, _ := scrape(t, base)
+	delta := func(name string) float64 { return after[name] - before[name] }
+	if d := delta(`powerplay_pagecache_events_total{event="result_hit"}`); d != 1 {
+		t.Errorf("analysis result hits = %v, want 1", d)
+	}
+	if d := delta(`powerplay_pagecache_events_total{event="result_miss"}`); d != 0 {
+		t.Errorf("analysis result misses = %v, want 0", d)
+	}
+	if d := delta(`powerplay_sheet_plan_compiles_total{result="ok"}`); d != 0 {
+		t.Errorf("analysis compiled %v plans, want 0", d)
+	}
+}
+
 func TestModelEditPage(t *testing.T) {
 	_, ts, c := site(t, Config{})
 	loginAs(t, ts, c, "u", "")

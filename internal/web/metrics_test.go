@@ -100,7 +100,6 @@ func TestMetricsSmoke(t *testing.T) {
 		"powerplay_sheet_plan_fallbacks_total":        "counter",
 		"powerplay_sheet_incremental_plays_total":     "counter",
 		"powerplay_sheet_dirty_slots":                 "histogram",
-		"powerplay_sheet_wavefront_width":             "gauge",
 		"powerplay_expr_program_compiles_total":       "counter",
 		"powerplay_remote_attempts_total":             "counter",
 		"powerplay_remote_retries_total":              "counter",
@@ -138,9 +137,6 @@ func TestMetricsSmoke(t *testing.T) {
 	}
 	if samples["powerplay_sheet_dirty_slots_count"] < 2 {
 		t.Error("dirty-slot histogram missing observations")
-	}
-	if samples["powerplay_sheet_wavefront_width"] < 1 {
-		t.Error("wavefront width gauge not set")
 	}
 
 	// Histogram buckets are cumulative (non-decreasing in le order) and
