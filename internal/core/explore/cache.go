@@ -11,25 +11,26 @@ import (
 )
 
 // sweepCacheEvents counts point-cache traffic across every Cache in
-// the process: the sweep-side half of the serving cache story (the
-// sheet read path has its own counters in internal/web).
+// the process (the sheet read path has its own counters in
+// internal/web).
 var sweepCacheEvents = obs.NewCounterVec("powerplay_sweepcache_points_total",
 	"Sweep point cache lookups and evictions, by event.", "event")
 
 // Cache memoizes evaluated design points for one design, keyed by the
-// override vector.  The web sweep page re-evaluates the whole range on
-// every request; with a Cache attached to the Runner, a repeated or
-// overlapping request re-uses every point already priced at the same
-// operating coordinates instead of re-playing the sheet.
+// override vector.  With a Cache attached to the Runner, a repeated or
+// overlapping call re-uses every point already priced at the same
+// operating coordinates instead of re-playing the sheet.  It is a
+// library tool: the web sweep page attaches none, because its measured
+// traffic almost never repeats a point before the cap evicts it.
 //
 // A Cache is only valid for a single design snapshot: the key encodes
 // the overrides, not the sheet's cell contents, so any edit to the
-// design must be answered with a fresh Cache (the web server keys its
-// caches on the design's identity, its generation and the registry's
-// generation, and drops them when any of the three moves).
+// design or to the model registry must be answered with a fresh Cache
+// (key it on the design's identity, Design.Generation and the
+// registry's Generation, and drop it when any of the three moves).
 //
 // All methods are safe for concurrent use; one Cache may be shared by
-// every worker of a Runner and across overlapping HTTP requests.
+// every worker of a Runner and across overlapping calls.
 type Cache struct {
 	mu      sync.Mutex
 	limit   int
@@ -47,9 +48,9 @@ type cacheRecord struct {
 	power, area, delay float64
 }
 
-// DefaultCacheSize bounds a NewCache(0) cache: generous enough for the
-// web UI's 200-step sweep limit across many distinct ranges, small
-// enough to be irrelevant next to a design's own footprint.
+// DefaultCacheSize bounds a NewCache(0) cache: about twenty 200-step
+// sweeps of distinct ranges, small enough to be irrelevant next to a
+// design's own footprint.
 const DefaultCacheSize = 4096
 
 // NewCache returns an empty cache holding at most limit points (LRU
@@ -130,7 +131,7 @@ func (c *Cache) Len() int {
 }
 
 // Stats reports the lifetime hit and miss counts: the observability
-// hook the web layer (and tests) use to confirm memoization is working.
+// hook callers (and tests) use to confirm memoization is working.
 func (c *Cache) Stats() (hits, misses int64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

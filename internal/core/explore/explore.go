@@ -15,15 +15,17 @@
 // Exploration is embarrassingly parallel across points, and the engine
 // exploits that: the Runner type fans points out over a worker pool
 // (default GOMAXPROCS) that shares one read-only view of the design —
-// its compiled plan and hoisted baseline — with results reassembled in
-// input order and an optional Cache memoizing repeated operating
-// points.  The caller must not mutate the design during a call (the
-// web sweeps a clone).  The package-level Sweep, Sweep2D, MinSupply
-// and VoltageScale are thin wrappers over a zero-value Runner; all of
-// them take a context.Context and stop at the next point boundary once
-// it is canceled.  The full contract — snapshot semantics,
-// cancellation, determinism, and cache validity — is documented on
-// Runner, Cache and in DESIGN.md's "Concurrent exploration" section.
+// its cached compiled plan and hoisted baseline — with results
+// reassembled in input order and an optional Cache memoizing repeated
+// operating points.  The caller must not mutate the design during a
+// call (the web sweep page holds the user's read lock), and in return
+// a sweep of an unchanged design reuses the plan an earlier sweep
+// compiled.  The package-level Sweep, Sweep2D, MinSupply and
+// VoltageScale are thin wrappers over a zero-value Runner; all of them
+// take a context.Context and stop at the next point boundary once it
+// is canceled.  The full contract — the live-design rule, cancellation,
+// determinism, and cache validity — is documented on Runner, Cache and
+// in DESIGN.md's "Concurrent exploration" section.
 package explore
 
 import (

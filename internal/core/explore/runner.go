@@ -36,10 +36,6 @@ var (
 	// sum to powerplay_explore_points_total for chunked sweeps.
 	exploreBatchPoints = obs.NewCounterVec("powerplay_explore_batch_points_total",
 		"Sweep points resolved by the chunked exploration engine, by path.", "path")
-	explorePointsPerSec = obs.NewGauge("powerplay_explore_points_per_second",
-		"Throughput of the most recently completed sweep, in points per wall-clock second.")
-	exploreChunkSize = obs.NewGauge("powerplay_explore_chunk_size",
-		"Effective chunk size of the most recently started sweep.")
 )
 
 // DefaultChunkSize is the sweep chunk size a zero Runner.ChunkSize
@@ -71,11 +67,12 @@ func noteInterrupted(ctx context.Context, err error, points int) {
 // # Concurrency contract
 //
 // A call reads the design it is given and nothing else: the workers
-// share its compiled plan and hoisted baseline, each with private slot
-// vectors, and a design whose plan does not compile evaluates through
-// EvaluateAt, which is safe for concurrent readers.  The caller must
-// not mutate the design during a call; code that cannot rule out
-// concurrent edits (the web handlers) sweeps a sheet.Design.Clone.
+// share its cached compiled plan and hoisted baseline, each with
+// private slot vectors, and a design whose plan does not compile
+// evaluates through EvaluateAt, which is safe for concurrent readers.
+// The caller must not mutate the design during a call: the web sweep
+// page holds the user's read lock, which keeps edits out, so a sweep
+// of an unchanged sheet reuses the plan every earlier sweep compiled.
 // One Runner may serve any number of concurrent calls; it holds no
 // mutable state of its own beyond the optional Cache, which is
 // internally locked.
@@ -113,11 +110,11 @@ type Runner struct {
 
 	// Cache, when non-nil, memoizes evaluated points by override
 	// vector (see Cache for the validity rules).  All workers share
-	// it, so a 2-D sweep that revisits a column and a repeated web
-	// request both hit memoized points.  Each requested point costs
-	// exactly one lookup per sweep — a hit fills the point from the
-	// record, a miss evaluates and stores it without a second lookup —
-	// so Stats counts requests, not internal traffic.
+	// it, so a 2-D sweep that revisits a column and a repeated call
+	// over the same design both hit memoized points.  Each requested
+	// point costs exactly one lookup per sweep — a hit fills the point
+	// from the record, a miss evaluates and stores it without a second
+	// lookup — so Stats counts requests, not internal traffic.
 	Cache *Cache
 }
 
@@ -192,9 +189,8 @@ func (r *Runner) Sweep2D(ctx context.Context, d *sheet.Design, n1 string, v1 []f
 // or if ctx is canceled mid-search.
 //
 // Bisection is inherently sequential, so MinSupply never parallelizes
-// or batches; it still honors ctx at every probe and shares the
-// Runner's Cache, so repeated searches (the web analysis page,
-// ArchScale's per-lane loops) hit memoized operating points.
+// or batches; it still honors ctx at every probe, and a Runner with a
+// Cache answers a repeated search from memoized operating points.
 func (r *Runner) MinSupply(ctx context.Context, d *sheet.Design, fTarget, lo, hi float64) (float64, error) {
 	if !(lo > 0 && hi > lo) {
 		return 0, fmt.Errorf("explore: bad supply range [%g, %g]", lo, hi)
@@ -282,15 +278,9 @@ func (r *Runner) run(ctx context.Context, d *sheet.Design, overrides []map[strin
 	if n == 0 {
 		return out, nil
 	}
-	chunk := r.chunkSize(n)
-	exploreChunkSize.Set(float64(chunk))
-	start := time.Now()
-	if err := r.runChunks(ctx, d, overrides, out, hoist(d, overrides[0]), chunk); err != nil {
+	if err := r.runChunks(ctx, d, overrides, out, hoist(d, overrides[0]), r.chunkSize(n)); err != nil {
 		noteInterrupted(ctx, err, n)
 		return nil, err
-	}
-	if el := time.Since(start).Seconds(); el > 0 {
-		explorePointsPerSec.Set(float64(n) / el)
 	}
 	return out, nil
 }

@@ -1,15 +1,15 @@
 package sheet
 
-// Snapshot semantics for concurrent exploration.
+// Independent copies of a design.
 //
 // EvaluateAt keeps all of its working state (memoized results, variable
 // frames, cycle-detection sets) inside a per-call evaluator, so any
 // number of evaluations may run concurrently over one Design — PROVIDED
-// nothing mutates the design tree while they run.  The sheet itself is
-// an editable spreadsheet, though: the web server rebinds cells and
-// adds rows between requests.  Clone gives exploration code an
-// immutable-by-convention snapshot to evaluate against, decoupling
-// long-running sweeps from subsequent edits to the live sheet.
+// nothing mutates the design tree while they run.  Servers that edit a
+// live sheet enforce that with a lock around their reads, and so share
+// the design's cached plans.  Clone is for code that wants a copy it
+// can edit or evaluate apart from the original: a what-if variant, or
+// a replay that must not warm the original's plan cache.
 
 // Clone returns a deep, independent copy of the design: a snapshot that
 // later edits to d (new rows, rebound cells) cannot affect.
@@ -21,10 +21,10 @@ package sheet
 // Registry is also shared — it is safe for concurrent use, and sharing
 // it keeps remote and user-defined models resolvable from the clone.
 //
-// Clone is the snapshot half of the concurrency contract documented in
-// DESIGN.md ("Concurrent exploration"): evaluating a clone is race-free
-// against any mutation of the original, and concurrent EvaluateAt calls
-// on one clone are race-free against each other.
+// Evaluating a clone is race-free against any mutation of the
+// original, and concurrent EvaluateAt calls on one clone are race-free
+// against each other.  A clone starts with an empty plan cache, so its
+// first evaluation compiles.
 func (d *Design) Clone() *Design {
 	if d == nil {
 		return nil

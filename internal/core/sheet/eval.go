@@ -101,9 +101,9 @@ func (d *Design) Evaluate() (*Result, error) {
 // Concurrency: per-call evaluation state lives in the evaluator (or a
 // pooled plan run), so concurrent EvaluateAt (and Evaluate) calls on
 // one Design are safe as long as no goroutine mutates the design tree
-// while they run.  Code that cannot rule out concurrent edits (the web
-// handlers) should evaluate a Clone instead; see Clone and DESIGN.md's
-// "Concurrent exploration" section for the full contract.
+// while they run.  The web handlers evaluate the live design under a
+// read lock that keeps edits out, so they share its cached plans; see
+// DESIGN.md's "Concurrent exploration" section for the full contract.
 func (d *Design) EvaluateAt(overrides map[string]float64) (*Result, error) {
 	r, _, _, _, err := d.evaluate(overrides, true)
 	return r, err

@@ -111,11 +111,13 @@ type healthShard struct {
 // population, the state of every mounted publisher's breaker, and —
 // on a durable site — the journal store's lag and recovery stats).
 type healthResponse struct {
-	Status            string            `json:"status"`
-	UptimeSeconds     float64           `json:"uptime_seconds"`
-	InflightRequests  int               `json:"inflight_requests"`
-	Models            int               `json:"models"`
-	ReadCacheEntries  int               `json:"read_cache_entries"`
+	Status           string  `json:"status"`
+	UptimeSeconds    float64 `json:"uptime_seconds"`
+	InflightRequests int     `json:"inflight_requests"`
+	Models           int     `json:"models"`
+	ReadCacheEntries int     `json:"read_cache_entries"`
+	// SweepCacheEntries is always 0: sweeps keep no point cache.
+	// The field stays because v1 never drops a field.
 	SweepCacheEntries int               `json:"sweep_cache_entries"`
 	Shard             *healthShard      `json:"shard,omitempty"`
 	Remotes           []healthRemote    `json:"remotes,omitempty"`
@@ -156,16 +158,12 @@ func (s *Server) apiHealthz(w http.ResponseWriter, r *http.Request) {
 	s.cacheMu.Lock()
 	readN := s.readCaches.len()
 	s.cacheMu.Unlock()
-	s.sweepMu.Lock()
-	sweepN := s.sweepCaches.len()
-	s.sweepMu.Unlock()
 	resp := healthResponse{
-		Status:            "ok",
-		UptimeSeconds:     time.Since(s.started).Seconds(),
-		InflightRequests:  int(httpInflight.Value()),
-		Models:            len(names),
-		ReadCacheEntries:  readN,
-		SweepCacheEntries: sweepN,
+		Status:           "ok",
+		UptimeSeconds:    time.Since(s.started).Seconds(),
+		InflightRequests: int(httpInflight.Value()),
+		Models:           len(names),
+		ReadCacheEntries: readN,
 	}
 	if s.cfg.ShardCount > 0 {
 		resp.Shard = &healthShard{

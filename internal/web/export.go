@@ -85,18 +85,16 @@ func (s *Server) handleDesignCSV(w http.ResponseWriter, r *http.Request, u *User
 		http.NotFound(w, r)
 		return
 	}
+	// The records read the live tree (paths, models, bindings), so
+	// they are built under the read lock and written after it.
 	u.mu.RLock()
 	res, err := s.evalDesign(u.Name, d)
-	u.mu.RUnlock()
 	if err != nil {
+		u.mu.RUnlock()
 		http.Error(w, err.Error(), http.StatusUnprocessableEntity)
 		return
 	}
-	w.Header().Set("Content-Type", "text/csv")
-	w.Header().Set("Content-Disposition",
-		fmt.Sprintf("attachment; filename=%q", d.Name+".csv"))
-	cw := csv.NewWriter(w)
-	_ = cw.Write([]string{"path", "model", "parameters", "energy_per_op_J", "power_W", "area_m2", "delay_s"})
+	records := [][]string{{"path", "model", "parameters", "energy_per_op_J", "power_W", "area_m2", "delay_s"}}
 	var walk func(*sheet.Result)
 	walk = func(rr *sheet.Result) {
 		if rr.Node.Parent() != nil || rr.Node.Model != "" {
@@ -104,7 +102,7 @@ func (s *Server) handleDesignCSV(w http.ResponseWriter, r *http.Request, u *User
 			for _, b := range rr.Node.Params {
 				params = append(params, b.Name+"="+b.Expr.Source())
 			}
-			_ = cw.Write([]string{
+			records = append(records, []string{
 				rr.Node.Path(), rr.Node.Model, strings.Join(params, " "),
 				units.Sci(float64(rr.EnergyPerOp), ""),
 				units.Sci(float64(rr.Power), ""),
@@ -117,8 +115,12 @@ func (s *Server) handleDesignCSV(w http.ResponseWriter, r *http.Request, u *User
 		}
 	}
 	walk(res)
-	_ = cw.Write([]string{"TOTAL", "", "",
+	records = append(records, []string{"TOTAL", "", "",
 		"", units.Sci(float64(res.Power), ""),
 		units.Sci(float64(res.Area), ""), units.Sci(float64(res.Delay), "")})
-	cw.Flush()
+	u.mu.RUnlock()
+	w.Header().Set("Content-Type", "text/csv")
+	w.Header().Set("Content-Disposition",
+		fmt.Sprintf("attachment; filename=%q", d.Name+".csv"))
+	_ = csv.NewWriter(w).WriteAll(records)
 }

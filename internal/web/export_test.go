@@ -4,6 +4,7 @@ import (
 	"net/http"
 	"net/url"
 	"strings"
+	"sync"
 	"testing"
 
 	"powerplay/internal/library"
@@ -101,4 +102,45 @@ func TestDesignCSV(t *testing.T) {
 	if resp.StatusCode != http.StatusNotFound {
 		t.Errorf("missing design: %d", resp.StatusCode)
 	}
+}
+
+// TestDesignCSVConcurrentWithEdits overlaps CSV exports with row adds
+// and removes through the real HTTP stack: the records read the live
+// tree's paths and bindings, so they must be built under the user's
+// read lock (run under -race via make race).
+func TestDesignCSVConcurrentWithEdits(t *testing.T) {
+	_, ts, c := sweepSite(t)
+	var wg sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := 0; j < 5; j++ {
+				resp, err := c.Get(ts.URL + "/design/d/csv")
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				resp.Body.Close()
+				if resp.StatusCode != 200 {
+					t.Errorf("concurrent csv: %d", resp.StatusCode)
+				}
+			}
+		}()
+		wg.Add(1)
+		go func(row string) {
+			defer wg.Done()
+			for _, action := range []string{"Add", "Remove", "Add", "Remove"} {
+				resp, err := c.PostForm(ts.URL+"/design/d/rows", url.Values{
+					"action": {action}, "row": {row}, "model": {library.SRAM},
+				})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				resp.Body.Close()
+			}
+		}("tmp" + string(rune('a'+i)))
+	}
+	wg.Wait()
 }

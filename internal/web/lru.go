@@ -3,15 +3,15 @@ package web
 import "container/list"
 
 // lruCache is a small bounded map with least-recently-used eviction:
-// the bookkeeping behind every per-(user, design) cache the server
-// keeps (sweep point caches, memoized sheet results and rendered
-// pages).  Users and designs come and go — uncapped maps for deleted
-// keys are a slow leak on a long-lived site — so each cache holds at
-// most cap entries and silently drops the coldest.
+// the bookkeeping behind the server's per-(user, design) read cache of
+// memoized sheet results and rendered pages.  Users and designs come
+// and go — an uncapped map for deleted keys is a slow leak on a
+// long-lived site — so the cache holds at most cap entries and
+// silently drops the coldest.
 //
-// Not safe for concurrent use; each owner guards its cache with its
-// own mutex (cache bookkeeping must never serialize behind the lock
-// that guards design edits).
+// Not safe for concurrent use; the owner guards it with its own mutex
+// (cache bookkeeping must never serialize behind the lock that guards
+// design edits).
 type lruCache[V any] struct {
 	cap int
 	ll  *list.List // front = most recently used

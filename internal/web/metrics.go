@@ -25,7 +25,7 @@ var (
 		"Sheet read-path cache traffic: evaluation memo (result_*) and rendered page (page_*) hits and misses.",
 		"event")
 	webCacheEvictions = obs.NewCounterVec("powerplay_webcache_evictions_total",
-		"Entries aged out of the server's bounded LRU caches, by cache (read/sweep).",
+		"Entries aged out of the server's bounded LRU caches, by cache (read).",
 		"cache")
 
 	// Remote model protocol client (remote.go, retry.go, breaker.go).

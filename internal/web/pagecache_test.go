@@ -364,7 +364,7 @@ func TestSheetCacheConcurrentTraffic(t *testing.T) {
 	wg.Wait()
 }
 
-// TestReadCacheBounded: the per-(user, design) caches evict LRU at the
+// TestReadCacheBounded: the per-(user, design) read cache evicts LRU at the
 // configured cap instead of growing with every design ever served.
 func TestReadCacheBounded(t *testing.T) {
 	s, err := NewServer(Config{CacheEntries: 3}, library.Standard())
@@ -381,7 +381,6 @@ func TestReadCacheBounded(t *testing.T) {
 		if _, err := s.evalDesign("u", d); err != nil {
 			t.Fatal(err)
 		}
-		s.sweepCacheFor("u", d)
 		u.mu.RUnlock()
 	}
 	s.cacheMu.Lock()
@@ -396,11 +395,6 @@ func TestReadCacheBounded(t *testing.T) {
 		t.Error("LRU dropped the newest entry")
 	}
 	s.cacheMu.Unlock()
-	s.sweepMu.Lock()
-	if n := s.sweepCaches.len(); n != 3 {
-		t.Errorf("sweepCaches holds %d entries, want cap 3", n)
-	}
-	s.sweepMu.Unlock()
 }
 
 // TestLRUCache unit-tests the eviction order, including get-refreshes.

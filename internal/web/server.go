@@ -29,7 +29,6 @@ import (
 	"sync"
 	"time"
 
-	"powerplay/internal/core/explore"
 	"powerplay/internal/core/model"
 	"powerplay/internal/core/sheet"
 	"powerplay/internal/shard"
@@ -58,10 +57,10 @@ type Config struct {
 	// MaxBodyBytes caps any request body; zero selects a 4 MiB
 	// default, negative disables the cap.
 	MaxBodyBytes int64
-	// CacheEntries bounds each of the server's read-path caches (the
-	// per-design sweep point caches and the memoized sheet
-	// results/pages), in entries; zero selects the 256 default,
-	// negative selects the minimum of one entry.
+	// CacheEntries bounds the server's read cache (the memoized sheet
+	// results and pages, one entry per user design), in entries; zero
+	// selects the 256 default, negative selects the minimum of one
+	// entry.
 	CacheEntries int
 	// Durability selects the journal fsync policy when DataDir is set:
 	// "always" (fsync per mutation), "interval" (background fsync, the
@@ -116,13 +115,6 @@ type Server struct {
 	sessions map[string]string // token -> user name
 	users    map[string]*User
 
-	// sweepCaches memoizes exploration points per (user, design)
-	// snapshot, so repeated sweep requests re-use already-priced
-	// operating points.  Guarded by its own mutex: cache bookkeeping
-	// must not serialize behind design edits holding a user lock.
-	sweepMu     sync.Mutex
-	sweepCaches *lruCache[*sweepCacheEntry]
-
 	// readCaches memoizes sheet evaluations and rendered pages per
 	// (user, design) — the serving hot path (see pagecache.go).
 	cacheMu    sync.Mutex
@@ -156,17 +148,6 @@ type Server struct {
 	recoveredSubs []store.SubSpec
 }
 
-// sweepCacheEntry ties a point cache to the design snapshot it was
-// filled from: the design's identity and mutation generation plus the
-// registry generation.  Any sheet edit or library change retires the
-// cache (see explore.Cache's validity rule).
-type sweepCacheEntry struct {
-	design *sheet.Design
-	gen    uint64
-	regGen uint64
-	cache  *explore.Cache
-}
-
 // NewServer builds a site over a model registry (usually
 // library.Standard() plus site-local models).  If cfg.DataDir is set,
 // previously persisted users, designs and user models are loaded.
@@ -178,14 +159,13 @@ func NewServer(cfg Config, reg *model.Registry) (*Server, error) {
 		return nil, fmt.Errorf("web: shard id %d not in 0..%d", cfg.ShardID, cfg.ShardCount-1)
 	}
 	s := &Server{
-		cfg:         cfg,
-		registry:    reg,
-		sessions:    make(map[string]string),
-		users:       make(map[string]*User),
-		sweepCaches: newLRU[*sweepCacheEntry](cfg.cacheEntries()),
-		readCaches:  newLRU[*readEntry](cfg.cacheEntries()),
-		started:     time.Now(),
-		pubs:        newPubIndex(),
+		cfg:        cfg,
+		registry:   reg,
+		sessions:   make(map[string]string),
+		users:      make(map[string]*User),
+		readCaches: newLRU[*readEntry](cfg.cacheEntries()),
+		started:    time.Now(),
+		pubs:       newPubIndex(),
 	}
 	if cfg.ShardCount > 0 {
 		// Built before openStore: recovery filters the on-disk user
@@ -203,7 +183,7 @@ func NewServer(cfg Config, reg *model.Registry) (*Server, error) {
 // Registry exposes the site's model namespace.
 func (s *Server) Registry() *model.Registry { return s.registry }
 
-// cacheEntries resolves the per-cache entry cap (see Config).
+// cacheEntries resolves the read cache's entry cap (see Config).
 func (c Config) cacheEntries() int {
 	switch {
 	case c.CacheEntries > 0:
@@ -214,31 +194,11 @@ func (c Config) cacheEntries() int {
 	return defaultCacheEntries
 }
 
-// defaultCacheEntries bounds each read-path cache when
+// defaultCacheEntries bounds the read cache when
 // Config.CacheEntries is unset: roomy for any realistic number of
 // concurrently active (user, design) pairs, small enough that retired
 // designs and departed users cannot accumulate into a leak.
 const defaultCacheEntries = 256
-
-// sweepCacheFor returns the evaluation cache for one user's design at
-// its current generation, retiring any cache filled from an older
-// snapshot of the sheet or of the model library.  The caller must hold
-// the user's lock (read or write) so the generation cannot move
-// between the read and the sweep's design clone.
-func (s *Server) sweepCacheFor(user string, d *sheet.Design) *explore.Cache {
-	key := user + "/" + d.Name
-	gen, regGen := d.Generation(), s.registry.Generation()
-	s.sweepMu.Lock()
-	defer s.sweepMu.Unlock()
-	e, ok := s.sweepCaches.get(key)
-	if !ok || e.design != d || e.gen != gen || e.regGen != regGen {
-		e = &sweepCacheEntry{design: d, gen: gen, regGen: regGen, cache: explore.NewCache(0)}
-		if s.sweepCaches.put(key, e) {
-			webCacheEvictions.With("sweep").Inc()
-		}
-	}
-	return e.cache
-}
 
 // InstallDesign places a design under a user's account (creating the
 // account if needed) and persists it: how seeded demos and programmatic

@@ -20,13 +20,12 @@ import (
 // pick a variable and a range, get the swept table with the Pareto-
 // optimal rows marked.
 //
-// Evaluation runs through the parallel exploration engine on a clone
-// of the design, so a long sweep never blocks (or races with) sheet
-// edits, and through a per-design point cache, so refreshing the page
-// or narrowing the range re-uses every point already priced.  The
-// request context bounds the run: closing the browser tab cancels the
-// sweep mid-flight, and sweepTimeout caps how long a pathological
-// range may hold a worker pool.
+// Evaluation runs through the exploration engine on the live design
+// under the user's read lock, so a sweep of an unchanged sheet reuses
+// the design's cached plan and hoisted baseline.  The request context
+// bounds the run: closing the browser tab cancels the sweep mid-flight,
+// and sweepTimeout caps how long a pathological range may hold the
+// lock and a worker pool.
 
 // defaultSweepTimeout bounds one sweep request when Config.SweepTimeout
 // is unset.  The UI caps ranges at 200 steps and a step evaluates in
@@ -98,9 +97,9 @@ func (s *Server) handleDesignSweep(w http.ResponseWriter, r *http.Request, u *Us
 		fail(http.StatusBadRequest, "steps must be an integer in [2, 200]")
 		return
 	}
-	// Snapshot under the user's read lock: the sweep itself runs on the
-	// clone, so concurrent sheet edits neither block behind it nor race
-	// it — and other users' traffic never waits at all.
+	// The sweep reads the live tree, so the user's read lock is held
+	// from the variable check to the last point; the points hold no
+	// tree references, so the Pareto pass and the render run unlocked.
 	u.mu.RLock()
 	// The variable must exist somewhere in the sheet (overriding an
 	// unknown name would sweep nothing and silently plot a flat line).
@@ -115,15 +114,11 @@ func (s *Server) handleDesignSweep(w http.ResponseWriter, r *http.Request, u *Us
 		fail(http.StatusBadRequest, fmt.Sprintf("no variable %q in this design", page.Var))
 		return
 	}
-	snap := d.Clone()
-	cache := s.sweepCacheFor(u.Name, d)
-	u.mu.RUnlock()
-
 	ctx, cancel := context.WithTimeout(r.Context(), s.sweepTimeout())
 	defer cancel()
 	start := time.Now()
-	runner := &explore.Runner{Cache: cache}
-	pts, err := runner.Sweep(ctx, snap, page.Var, explore.Linspace(from, to, steps))
+	pts, err := explore.Sweep(ctx, d, page.Var, explore.Linspace(from, to, steps))
+	u.mu.RUnlock()
 	obs.Log(ctx).Debug("sweep finished",
 		"design", d.Name, "var", page.Var, "steps", steps,
 		"dur_ms", time.Since(start).Milliseconds(), "err", err != nil)

@@ -2,15 +2,21 @@ package web
 
 import (
 	"context"
+	"fmt"
+	"html"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"regexp"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"powerplay/internal/core/explore"
 	"powerplay/internal/library"
+	"powerplay/internal/units"
 )
 
 func TestSweepPage(t *testing.T) {
@@ -157,46 +163,68 @@ func TestSweepTimeoutConfigurable(t *testing.T) {
 	}
 }
 
-// TestSweepCacheReuseAndInvalidation: a repeated sweep hits the
-// memoized points; editing the design retires the cache.
-func TestSweepCacheReuseAndInvalidation(t *testing.T) {
+// TestSweepReusesLivePlan: sweeps read the live design, so repeated
+// sweeps of an unchanged sheet share one compiled plan, and a sweep
+// after a Play prices the edited sheet.
+func TestSweepReusesLivePlan(t *testing.T) {
 	s, ts, c := sweepSite(t)
-	url1 := ts.URL + "/design/d/sweep?var=vdd&from=1.0&to=3.3&steps=8"
-	if code, _ := fetch(t, c, url1); code != 200 {
-		t.Fatalf("first sweep: %d", code)
+	const sweepURL = "/design/d/sweep?var=f&from=1e6&to=4e6&steps=4"
+	before, _ := scrape(t, ts.URL)
+	for i := 0; i < 3; i++ {
+		if code, _ := fetch(t, c, ts.URL+sweepURL); code != 200 {
+			t.Fatalf("sweep %d: %d", i, code)
+		}
 	}
-	s.sweepMu.Lock()
-	ent, _ := s.sweepCaches.get("u/d")
-	s.sweepMu.Unlock()
-	cache := ent.cache
-	if cache == nil || cache.Len() != 8 {
-		t.Fatalf("cold sweep should fill the cache: %v", cache)
+	after, _ := scrape(t, ts.URL)
+	const compiles = `powerplay_sheet_plan_compiles_total{result="ok"}`
+	if d := after[compiles] - before[compiles]; d != 1 {
+		t.Errorf("3 sweeps of an unchanged design compiled %v plans, want 1", d)
 	}
-	if code, _ := fetch(t, c, url1); code != 200 {
-		t.Fatalf("second sweep: %d", code)
-	}
-	if hits, _ := cache.Stats(); hits != 8 {
-		t.Errorf("repeat sweep hits = %d, want 8", hits)
-	}
-	// A narrower range re-uses the overlapping endpoints too.
-	if code, _ := fetch(t, c, ts.URL+"/design/d/sweep?var=vdd&from=1.0&to=3.3&steps=2"); code != 200 {
-		t.Fatal("narrow sweep failed")
-	}
-	if hits, _ := cache.Stats(); hits != 10 {
-		t.Errorf("endpoint re-use hits = %d, want 10", hits)
-	}
-	// Editing the design must retire the cache: same range, new points.
+
+	_, old := fetch(t, c, ts.URL+sweepURL)
 	post(t, c, ts.URL+"/design/d/play", url.Values{"glob_vdd": {"1.8"}})
-	if code, _ := fetch(t, c, url1); code != 200 {
-		t.Fatal("post-edit sweep failed")
+	code, body := fetch(t, c, ts.URL+sweepURL)
+	if code != 200 {
+		t.Fatalf("post-edit sweep: %d", code)
 	}
-	s.sweepMu.Lock()
-	fent, _ := s.sweepCaches.get("u/d")
-	s.sweepMu.Unlock()
-	fresh := fent.cache
-	if fresh == cache {
-		t.Error("design edit did not retire the sweep cache")
+	if body == old {
+		t.Error("sweep after a vdd Play still shows the old numbers")
 	}
+	// Every row equals EvaluateAt on the live (edited) design.
+	cells := sweepCells(body)
+	values := explore.Linspace(1e6, 4e6, 4)
+	if len(cells) != 4*len(values) {
+		t.Fatalf("sweep cells = %d, want %d", len(cells), 4*len(values))
+	}
+	u := s.users["u"]
+	d := u.Designs["d"]
+	for i, f := range values {
+		u.mu.RLock()
+		res, err := d.EvaluateAt(map[string]float64{"f": f})
+		u.mu.RUnlock()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := []string{
+			fmt.Sprintf("%.4g", f),
+			units.Watts(res.Power).String(),
+			units.SquareMeters(res.Area).String(),
+			units.Seconds(res.Delay).String(),
+		}
+		if got := cells[4*i : 4*i+4]; !slices.Equal(got, want) {
+			t.Errorf("f=%g: row %q, want %q", f, got, want)
+		}
+	}
+}
+
+// sweepCells returns the unescaped numeric cells of a sweep page's
+// table, row-major.
+func sweepCells(body string) []string {
+	var out []string
+	for _, m := range regexp.MustCompile(`<td class="num">([^<]*)</td>`).FindAllStringSubmatch(body, -1) {
+		out = append(out, html.UnescapeString(m[1]))
+	}
+	return out
 }
 
 // TestSweepConcurrentWithEdits overlaps sweep requests with sheet
