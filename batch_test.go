@@ -17,11 +17,9 @@ import (
 // batchConfigs are the chunked runner shapes checked against the
 // scalar oracle (ChunkSize 1).
 var batchConfigs = []powerplay.ExploreRunner{
-	{Workers: 1},                // default chunk, serial
-	{Workers: 4},                // default chunk, parallel
-	{Workers: 1, ChunkSize: 64}, // several chunks per sweep
-	{Workers: 4, ChunkSize: 64},
-	{Workers: 3, ChunkSize: 17}, // chunk not dividing the sweep
+	{},              // default chunk
+	{ChunkSize: 64}, // several chunks per sweep
+	{ChunkSize: 17}, // chunk not dividing the sweep
 }
 
 func samePoints(t *testing.T, label string, got, want []powerplay.ExplorePoint) {
@@ -56,10 +54,9 @@ func TestBatchSweepEquivalenceOnSeedSheets(t *testing.T) {
 	for name, d := range seedDesigns(t) {
 		t.Run(name, func(t *testing.T) {
 			for _, ax := range axes {
-				scalar := &powerplay.ExploreRunner{Workers: 1, ChunkSize: 1}
+				scalar := &powerplay.ExploreRunner{ChunkSize: 1}
 				want, wantErr := scalar.Sweep(ctx, d, ax.name, ax.values)
 				for _, cfg := range batchConfigs {
-					cfg := cfg
 					got, err := cfg.Sweep(ctx, d, ax.name, ax.values)
 					if (err == nil) != (wantErr == nil) {
 						t.Fatalf("%s %+v: err=%v, scalar err=%v", ax.name, cfg, err, wantErr)
@@ -87,12 +84,11 @@ func TestBatchSweepErrorEquivalenceOnSeedSheets(t *testing.T) {
 	ctx := context.Background()
 	for name, d := range seedDesigns(t) {
 		t.Run(name, func(t *testing.T) {
-			_, want := (&powerplay.ExploreRunner{Workers: 1, ChunkSize: 1}).Sweep(ctx, d, "vdd", values)
+			_, want := (&powerplay.ExploreRunner{ChunkSize: 1}).Sweep(ctx, d, "vdd", values)
 			if want == nil {
 				t.Fatal("scalar sweep over 0.2 V did not fail")
 			}
 			for _, cfg := range batchConfigs {
-				cfg := cfg
 				_, err := cfg.Sweep(ctx, d, "vdd", values)
 				if err == nil {
 					t.Fatalf("%+v: chunked sweep did not fail", cfg)
@@ -106,7 +102,7 @@ func TestBatchSweepErrorEquivalenceOnSeedSheets(t *testing.T) {
 }
 
 // benchmarkSweep10k is X21: the Figure 3 sheet swept across 10,000
-// supply points on one worker, scalar versus columnar. Compare against
+// supply points, scalar versus columnar. Compare against
 // BenchmarkSweepSerial (X18/X19) for the historical 64-point shape.
 func benchmarkSweep10k(b *testing.B, chunk int) {
 	reg := powerplay.StandardLibrary()
@@ -114,7 +110,7 @@ func benchmarkSweep10k(b *testing.B, chunk int) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	runner := &powerplay.ExploreRunner{Workers: 1, ChunkSize: chunk}
+	runner := &powerplay.ExploreRunner{ChunkSize: chunk}
 	values := powerplay.Linspace(1.0, 3.3, 10000)
 	ctx := context.Background()
 	if _, err := runner.Sweep(ctx, d, "vdd", values); err != nil {
@@ -149,7 +145,7 @@ func TestBatchThroughputSmoke(t *testing.T) {
 	values := powerplay.Linspace(1.0, 3.3, 10000)
 	ctx := context.Background()
 	rate := func(chunk int) float64 {
-		runner := &powerplay.ExploreRunner{Workers: 1, ChunkSize: chunk}
+		runner := &powerplay.ExploreRunner{ChunkSize: chunk}
 		if _, err := runner.Sweep(ctx, d, "vdd", values); err != nil { // warm compile caches
 			t.Fatal(err)
 		}

@@ -275,20 +275,18 @@ func BenchmarkSweptConePoint(b *testing.B) {
 	}
 }
 
-// benchmarkSweepWorkers times a 64-point supply sweep of the Figure 3
-// sheet through the exploration engine at a given pool size (X18).
-// Workers == 1 is the serial baseline the parallel rows are compared
-// against in EXPERIMENTS.md.
-func benchmarkSweepWorkers(b *testing.B, workers int) {
+// BenchmarkSweepSerial times a 64-point supply sweep of the Figure 3
+// sheet through the exploration engine (X18).
+func BenchmarkSweepSerial(b *testing.B) {
 	reg := powerplay.StandardLibrary()
 	d, err := powerplay.Luminance2(reg)
 	if err != nil {
 		b.Fatal(err)
 	}
-	runner := &powerplay.ExploreRunner{Workers: workers}
+	runner := &powerplay.ExploreRunner{}
 	values := powerplay.Linspace(1.0, 3.3, 64)
 	ctx := context.Background()
-	// Verify the engine once outside the loop: parallel must equal serial.
+	// Verify the engine once outside the loop.
 	pts, err := runner.Sweep(ctx, d, "vdd", values)
 	if err != nil || len(pts) != 64 {
 		b.Fatalf("sweep shape drifted: %d points, %v", len(pts), err)
@@ -302,19 +300,15 @@ func benchmarkSweepWorkers(b *testing.B, workers int) {
 	}
 }
 
-func BenchmarkSweepSerial(b *testing.B)   { benchmarkSweepWorkers(b, 1) }
-func BenchmarkSweepWorkers4(b *testing.B) { benchmarkSweepWorkers(b, 4) }
-func BenchmarkSweepWorkers8(b *testing.B) { benchmarkSweepWorkers(b, 8) }
-
-// benchmarkSweep2DWorkers times an 8×8 supply/frequency cross product
+// BenchmarkSweep2DSerial times an 8×8 supply/frequency cross product
 // — the web exploration page's heaviest request shape (X18).
-func benchmarkSweep2DWorkers(b *testing.B, workers int) {
+func BenchmarkSweep2DSerial(b *testing.B) {
 	reg := powerplay.StandardLibrary()
 	d, err := powerplay.Luminance2(reg)
 	if err != nil {
 		b.Fatal(err)
 	}
-	runner := &powerplay.ExploreRunner{Workers: workers}
+	runner := &powerplay.ExploreRunner{}
 	v1 := powerplay.Linspace(1.0, 3.3, 8)
 	v2 := powerplay.Linspace(1e6, 8e6, 8)
 	ctx := context.Background()
@@ -326,10 +320,6 @@ func benchmarkSweep2DWorkers(b *testing.B, workers int) {
 		}
 	}
 }
-
-func BenchmarkSweep2DSerial(b *testing.B)   { benchmarkSweep2DWorkers(b, 1) }
-func BenchmarkSweep2DWorkers4(b *testing.B) { benchmarkSweep2DWorkers(b, 4) }
-func BenchmarkSweep2DWorkers8(b *testing.B) { benchmarkSweep2DWorkers(b, 8) }
 
 // BenchmarkSweepCached times the warm-cache path: the same sweep a
 // second web request would issue, every point memoized.

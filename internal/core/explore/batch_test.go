@@ -28,23 +28,21 @@ func sameBits(t *testing.T, label string, got, want []Point) {
 
 // TestChunkedSweepBitIdenticalToScalar is the engine-level equivalence
 // oracle: the columnar path must reproduce the scalar path bit for bit
-// across worker counts and chunk sizes, including the +Inf delay
+// across chunk sizes, including the +Inf delay
 // positions below the delay-scale threshold supply.
 func TestChunkedSweepBitIdenticalToScalar(t *testing.T) {
 	d := testDesign(t)
 	values := Linspace(0.5, 3.3, 257)
-	scalar, err := (&Runner{Workers: 1, ChunkSize: 1}).Sweep(context.Background(), d, "vdd", values)
+	scalar, err := (&Runner{ChunkSize: 1}).Sweep(context.Background(), d, "vdd", values)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, cfg := range []Runner{
-		{Workers: 1},                 // default chunking, serial
-		{Workers: 4},                 // default chunking, parallel
-		{Workers: 1, ChunkSize: 7},   // chunk not dividing the sweep
-		{Workers: 4, ChunkSize: 64},  // several chunks per worker
-		{Workers: 4, ChunkSize: 512}, // chunk larger than the sweep
+		{},               // default chunking
+		{ChunkSize: 7},   // chunk not dividing the sweep
+		{ChunkSize: 64},  // several chunks per sweep
+		{ChunkSize: 512}, // chunk larger than the sweep
 	} {
-		cfg := cfg
 		got, err := cfg.Sweep(context.Background(), d, "vdd", values)
 		if err != nil {
 			t.Fatalf("%+v: %v", cfg, err)
@@ -53,11 +51,11 @@ func TestChunkedSweepBitIdenticalToScalar(t *testing.T) {
 	}
 
 	v1, v2 := Linspace(1.0, 3.3, 9), Linspace(1e6, 8e6, 7)
-	scalar2, err := (&Runner{Workers: 1, ChunkSize: 1}).Sweep2D(context.Background(), d, "vdd", v1, "f", v2)
+	scalar2, err := (&Runner{ChunkSize: 1}).Sweep2D(context.Background(), d, "vdd", v1, "f", v2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got2, err := (&Runner{Workers: 3, ChunkSize: 16}).Sweep2D(context.Background(), d, "vdd", v1, "f", v2)
+	got2, err := (&Runner{ChunkSize: 16}).Sweep2D(context.Background(), d, "vdd", v1, "f", v2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,17 +115,15 @@ func TestChunkedSweepErrorTextMatchesScalar(t *testing.T) {
 		{"invariant", invariantErrDesign(t), []float64{1.5, 1.75, 2.0, 2.25}},
 	}
 	for _, c := range cases {
-		pts, want := (&Runner{Workers: 1, ChunkSize: 1}).Sweep(context.Background(), c.design, "vdd", c.values)
+		pts, want := (&Runner{ChunkSize: 1}).Sweep(context.Background(), c.design, "vdd", c.values)
 		if want == nil || pts != nil {
 			t.Fatalf("%s: scalar sweep did not fail: %v", c.name, pts)
 		}
 		for _, cfg := range []Runner{
-			{Workers: 1},
-			{Workers: 4},
-			{Workers: 4, ChunkSize: 2},
-			{Workers: 2, ChunkSize: 3},
+			{},
+			{ChunkSize: 2},
+			{ChunkSize: 3},
 		} {
-			cfg := cfg
 			_, err := cfg.Sweep(context.Background(), c.design, "vdd", c.values)
 			if err == nil {
 				t.Fatalf("%s %+v: no error", c.name, cfg)
@@ -174,7 +170,7 @@ func TestSweepCacheAccountingOncePerPoint(t *testing.T) {
 		{"scalar-fallback", cycleDesign(t)},
 	} {
 		cache := NewCache(0)
-		r := &Runner{Workers: 1, ChunkSize: 2, Cache: cache}
+		r := &Runner{ChunkSize: 2, Cache: cache}
 		// The same operating point twice within one chunk: two misses,
 		// no phantom hit from the second evaluation-and-store.
 		pts, err := r.Sweep(context.Background(), c.design, "vdd", []float64{2.5, 2.5})
@@ -202,39 +198,15 @@ func TestSweepCacheAccountingOncePerPoint(t *testing.T) {
 func TestChunkedSweepFallbackMatchesScalar(t *testing.T) {
 	d := cycleDesign(t)
 	values := Linspace(1.0, 3.3, 11)
-	want, err := (&Runner{Workers: 1, ChunkSize: 1}).Sweep(context.Background(), d, "vdd", values)
+	want, err := (&Runner{ChunkSize: 1}).Sweep(context.Background(), d, "vdd", values)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := (&Runner{Workers: 4}).Sweep(context.Background(), d, "vdd", values)
+	got, err := Sweep(context.Background(), d, "vdd", values)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sameBits(t, "fallback sweep", got, want)
-}
-
-// TestChunkSizeResolution pins the effective-chunk policy: small sweeps
-// shrink the chunk so the whole worker pool stays busy.
-func TestChunkSizeResolution(t *testing.T) {
-	cases := []struct {
-		workers, chunk, n, want int
-	}{
-		{1, 0, 10000, DefaultChunkSize},
-		{1, 16, 100, 16},
-		{1, -3, 100, DefaultChunkSize},
-		{4, 256, 64, 16},  // shrunk: 4 workers × 16 points
-		{4, 8, 64, 8},     // explicit size below the shrink point wins
-		{8, 0, 4, 1},      // more workers than points
-		{2, 1, 1000, 1},   // batching disabled
-		{3, 256, 100, 34}, // ceil(100/3)
-	}
-	for _, c := range cases {
-		r := &Runner{Workers: c.workers, ChunkSize: c.chunk}
-		if got := r.chunkSize(c.n); got != c.want {
-			t.Errorf("workers=%d chunk=%d n=%d: chunkSize = %d, want %d",
-				c.workers, c.chunk, c.n, got, c.want)
-		}
-	}
 }
 
 // TestChunkedSweepWithRemoteishModel: a design mixing a kernelizable
@@ -261,11 +233,11 @@ func TestChunkedMixedModelSweep(t *testing.T) {
 	d.Root.MustAddChild("a", "odd")
 	d.Root.MustAddChild("b", "odd")
 	values := Linspace(0.8, 3.3, 33)
-	want, err := (&Runner{Workers: 1, ChunkSize: 1}).Sweep(context.Background(), d, "vdd", values)
+	want, err := (&Runner{ChunkSize: 1}).Sweep(context.Background(), d, "vdd", values)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := (&Runner{Workers: 2, ChunkSize: 8}).Sweep(context.Background(), d, "vdd", values)
+	got, err := (&Runner{ChunkSize: 8}).Sweep(context.Background(), d, "vdd", values)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -29,8 +29,8 @@ var sweepCacheEvents = obs.NewCounterVec("powerplay_sweepcache_points_total",
 // (key it on the design's identity, Design.Generation and the
 // registry's Generation, and drop it when any of the three moves).
 //
-// All methods are safe for concurrent use; one Cache may be shared by
-// every worker of a Runner and across overlapping calls.
+// All methods are safe for concurrent use; one Cache may be shared
+// across overlapping calls.
 type Cache struct {
 	mu      sync.Mutex
 	limit   int

@@ -12,17 +12,19 @@
 //
 // # Concurrency
 //
-// Exploration is embarrassingly parallel across points, and the engine
-// exploits that: the Runner type fans points out over a worker pool
-// (default GOMAXPROCS) that shares one read-only view of the design —
-// its cached compiled plan and hoisted baseline — with results
-// reassembled in input order and an optional Cache memoizing repeated
-// operating points.  The caller must not mutate the design during a
-// call (the web sweep page holds the user's read lock), and in return
-// a sweep of an unchanged design reuses the plan an earlier sweep
-// compiled.  The package-level Sweep, Sweep2D, MinSupply and
+// One site serves many designers, so the parallelism worth having is
+// across requests, not inside one: a Runner call prices its points in
+// chunks on the caller's goroutine and starts none of its own.  Every
+// call reads the design directly — its cached compiled plan and
+// hoisted baseline — and an optional Cache memoizes repeated operating
+// points.  Any number of calls may overlap on one design and one
+// Runner; a caller that wants one sweep spread over several cores
+// issues concurrent calls on disjoint value ranges.  The caller must
+// not mutate the design during a call (the web sweep page holds the
+// user's read lock), and in return a sweep of an unchanged design
+// reuses the plan an earlier sweep compiled.  The package-level Sweep, Sweep2D, MinSupply and
 // VoltageScale are thin wrappers over a zero-value Runner; all of them
-// take a context.Context and stop at the next point boundary once it
+// take a context.Context and stop at the next chunk boundary once it
 // is canceled.  The full contract — the live-design rule, cancellation,
 // determinism, and cache validity — is documented on Runner, Cache and
 // in DESIGN.md's "Concurrent exploration" section.
@@ -84,16 +86,16 @@ func Geomspace(lo, hi float64, n int) []float64 {
 }
 
 // Sweep evaluates the design across values of one variable using a
-// zero-value Runner (GOMAXPROCS workers, no cache); results are in
-// input order.  Construct a Runner directly to control worker count or
-// attach a Cache.
+// zero-value Runner (default chunking, no cache); results are in input
+// order.  Construct a Runner directly to set the chunk size or attach
+// a Cache.
 func Sweep(ctx context.Context, d *sheet.Design, name string, values []float64) ([]Point, error) {
 	return (&Runner{}).Sweep(ctx, d, name, values)
 }
 
 // Sweep2D evaluates the cross product of two variables, row-major in
 // the first variable, using a zero-value Runner.  Construct a Runner
-// directly to control worker count or attach a Cache.
+// directly to set the chunk size or attach a Cache.
 func Sweep2D(ctx context.Context, d *sheet.Design, n1 string, v1 []float64, n2 string, v2 []float64) ([]Point, error) {
 	return (&Runner{}).Sweep2D(ctx, d, n1, v1, n2, v2)
 }

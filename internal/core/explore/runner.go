@@ -4,24 +4,22 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"powerplay/internal/core/sheet"
 	"powerplay/internal/obs"
 )
 
-// Engine instrumentation: points priced, chunks processed, worker time
-// burned, sweeps torn down early.  A handful of counter adds per chunk
+// Engine instrumentation: points priced, chunks processed, time spent
+// evaluating, sweeps torn down early.  A handful of counter adds per chunk
 // — noise next to a sheet evaluation.
 var (
 	explorePoints = obs.NewCounter("powerplay_explore_points_total",
 		"Design points evaluated (or recalled from cache) by the exploration engine.")
 	exploreBusySeconds = obs.NewCounter("powerplay_explore_worker_busy_seconds_total",
-		"Cumulative time exploration workers spent evaluating points.")
+		"Cumulative time the exploration engine spent evaluating sweeps.")
 	exploreCancellations = obs.NewCounter("powerplay_explore_cancellations_total",
 		"Explorations abandoned because their context was canceled or timed out.")
 	// exploreChunks tells the columnar story per chunk: "columnar"
@@ -55,27 +53,26 @@ func noteInterrupted(ctx context.Context, err error, points int) {
 	obs.Log(ctx).Debug("explore: sweep interrupted", "points", points, "err", err)
 }
 
-// Runner is the parallel exploration engine: it fans design points out
-// across a pool of worker goroutines in fixed-size chunks, every
-// worker evaluating the caller's design — columnar when the sheet
-// allows, per point otherwise — and reassembles the results in input
-// order.
+// Runner is the exploration engine: it prices design points in
+// fixed-size chunks on the caller's goroutine — columnar when the
+// sheet allows, per point otherwise — and returns them in input order.
 //
 // The zero value is ready to use and is what the package-level Sweep,
 // Sweep2D, MinSupply and VoltageScale delegate to.
 //
 // # Concurrency contract
 //
-// A call reads the design it is given and nothing else: the workers
-// share its cached compiled plan and hoisted baseline, each with
-// private slot vectors, and a design whose plan does not compile
-// evaluates through EvaluateAt, which is safe for concurrent readers.
-// The caller must not mutate the design during a call: the web sweep
-// page holds the user's read lock, which keeps edits out, so a sweep
-// of an unchanged sheet reuses the plan every earlier sweep compiled.
-// One Runner may serve any number of concurrent calls; it holds no
-// mutable state of its own beyond the optional Cache, which is
-// internally locked.
+// A call starts no goroutine.  It reads the design it is given and
+// nothing else: it uses the design's cached compiled plan and hoisted
+// baseline with private slot vectors, and a design whose plan does not
+// compile evaluates through EvaluateAt, which is safe for concurrent
+// readers.  The caller must not mutate the design during a call: the
+// web sweep page holds the user's read lock, which keeps edits out, so
+// a sweep of an unchanged sheet reuses the plan every earlier sweep
+// compiled.  One Runner may serve any number of concurrent calls; it
+// holds no mutable state of its own beyond the optional Cache, which
+// is internally locked.  A caller that wants one sweep spread over
+// several cores issues concurrent calls on disjoint value ranges.
 //
 // Cancellation: every method takes a context.Context and stops promptly
 // — no later than the next chunk boundary (the next point boundary when
@@ -86,74 +83,39 @@ func noteInterrupted(ctx context.Context, err error, points int) {
 // evaluated are discarded; partial sweeps are never returned.
 //
 // Determinism: results are ordered by input position regardless of
-// worker count, scheduling or chunking, and a failing sweep always
-// reports the error of the lowest-indexed failing point with the same
-// text the serial scalar path produces.  The columnar fast path never
-// reports its own errors — a chunk whose batch evaluation fails is
-// re-evaluated point by point, which rediscovers the canonical failure
-// in order — so serial, parallel, batched and unbatched runs are
-// observably identical apart from wall-clock time.
+// chunking, and a failing sweep reports the error of the
+// lowest-indexed failing point with the same text EvaluateAt produces.
+// The columnar fast path never reports its own errors — a chunk whose
+// batch evaluation fails is re-evaluated point by point, which
+// rediscovers the canonical failure in order — so batched and
+// unbatched runs are observably identical apart from wall-clock time.
 type Runner struct {
-	// Workers caps the number of concurrent evaluation goroutines.
-	// Zero or negative selects runtime.GOMAXPROCS(0).  A sweep never
-	// uses more workers than it has chunks; one worker evaluates the
-	// chunks in order.
+	// Deprecated: ignored; every call runs on the caller's goroutine.
 	Workers int
 
-	// ChunkSize sets how many consecutive points a worker claims at a
-	// time — the unit of columnar evaluation and of cancellation.
-	// Zero or negative selects DefaultChunkSize; 1 disables columnar
-	// evaluation entirely (every point runs the scalar path).  Sweeps
-	// small relative to the worker pool use a smaller effective chunk
-	// so every worker stays busy.
+	// ChunkSize sets how many consecutive points are priced together
+	// — the unit of columnar evaluation and of cancellation.  Zero or
+	// negative selects DefaultChunkSize; 1 disables columnar
+	// evaluation entirely (every point runs the scalar path).
 	ChunkSize int
 
 	// Cache, when non-nil, memoizes evaluated points by override
-	// vector (see Cache for the validity rules).  All workers share
-	// it, so a 2-D sweep that revisits a column and a repeated call
-	// over the same design both hit memoized points.  Each requested
-	// point costs exactly one lookup per sweep — a hit fills the point
-	// from the record, a miss evaluates and stores it without a second
-	// lookup — so Stats counts requests, not internal traffic.
+	// vector (see Cache for the validity rules).  Every call shares
+	// it, concurrent ones included, so a repeated call over the same
+	// design hits memoized points.  Each
+	// requested point costs exactly one lookup per sweep — a hit fills
+	// the point from the record, a miss evaluates and stores it
+	// without a second lookup — so Stats counts requests, not internal
+	// traffic.
 	Cache *Cache
 }
 
-// workers resolves the effective pool size for n work items.
-func (r *Runner) workers(n int) int {
-	w := r.Workers
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
+// chunkSize resolves the effective chunk length.
+func (r *Runner) chunkSize() int {
+	if r.ChunkSize <= 0 {
+		return DefaultChunkSize
 	}
-	if w > n {
-		w = n
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
-}
-
-// chunkSize resolves the effective chunk length for an n-point sweep:
-// the configured size, shrunk so a sweep with fewer points than
-// workers×chunk still spreads across the whole pool.
-func (r *Runner) chunkSize(n int) int {
-	c := r.ChunkSize
-	if c <= 0 {
-		c = DefaultChunkSize
-	}
-	w := r.Workers
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	if w > 1 {
-		if per := (n + w - 1) / w; c > per {
-			c = per
-		}
-	}
-	if c < 1 {
-		c = 1
-	}
-	return c
+	return r.ChunkSize
 }
 
 // Sweep evaluates the design across values of one variable, in order.
@@ -188,9 +150,9 @@ func (r *Runner) Sweep2D(ctx context.Context, d *sheet.Design, n1 string, v1 []f
 // error if even hi misses the target, if the design fails to evaluate,
 // or if ctx is canceled mid-search.
 //
-// Bisection is inherently sequential, so MinSupply never parallelizes
-// or batches; it still honors ctx at every probe, and a Runner with a
-// Cache answers a repeated search from memoized operating points.
+// Bisection probes one point at a time, so MinSupply never batches;
+// it honors ctx at every probe, and a Runner with a Cache answers a
+// repeated search from memoized operating points.
 func (r *Runner) MinSupply(ctx context.Context, d *sheet.Design, fTarget, lo, hi float64) (float64, error) {
 	if !(lo > 0 && hi > lo) {
 		return 0, fmt.Errorf("explore: bad supply range [%g, %g]", lo, hi)
@@ -278,7 +240,7 @@ func (r *Runner) run(ctx context.Context, d *sheet.Design, overrides []map[strin
 	if n == 0 {
 		return out, nil
 	}
-	if err := r.runChunks(ctx, d, overrides, out, hoist(d, overrides[0]), r.chunkSize(n)); err != nil {
+	if err := r.runChunks(ctx, d, overrides, out, hoist(d, overrides[0]), r.chunkSize()); err != nil {
 		noteInterrupted(ctx, err, n)
 		return nil, err
 	}
@@ -309,7 +271,7 @@ func hoist(d *sheet.Design, ov map[string]float64) *sheet.Sweeper {
 	return plan.SharedSweeper()
 }
 
-// newEval is the nil-safe per-goroutine evaluation context constructor:
+// newEval is the nil-safe per-call evaluation context constructor:
 // a nil Sweeper (hoisting unavailable) yields a nil SweepEval, which
 // the point evaluators treat as "no fast path".
 func newEval(sw *sheet.Sweeper) *sheet.SweepEval {
@@ -329,82 +291,21 @@ func newBatchEval(sw *sheet.Sweeper, chunk int) *sheet.BatchEval {
 	return sw.NewBatchEval(chunk)
 }
 
-// runChunks fans the chunks out over the worker pool; one worker is
-// the serial case.  Result slots are pre-assigned by index, so no two
-// goroutines ever write the same element and the output order matches
-// the input regardless of scheduling.
-func (r *Runner) runChunks(parent context.Context, d *sheet.Design, overrides []map[string]float64, out []Point, sw *sheet.Sweeper, chunk int) error {
-	// The internal context stops the chunk feed once any point fails;
-	// workers evaluate the chunk they already hold under the PARENT
-	// context.  That distinction is what makes error reporting
-	// deterministic: chunk indices are handed out in order, so when a
-	// point in chunk c fails, every lower chunk is already held by some
-	// worker and gets fully evaluated — and within a chunk the scalar
-	// fallback walks the points in order — so the lowest-indexed
-	// failure is always observed, exactly as a serial run would report
-	// it.
-	ctx, cancel := context.WithCancel(parent)
-	defer cancel()
-
-	n := len(overrides)
-	nchunks := (n + chunk - 1) / chunk
-	w := r.workers(nchunks)
-	idx := make(chan int)
-	go func() {
-		defer close(idx)
-		for c := 0; c < nchunks; c++ {
-			select {
-			case idx <- c:
-			case <-ctx.Done():
-				return
-			}
+// runChunks prices the chunks in order on the caller's goroutine and
+// stops at the first failing point, which is therefore the
+// lowest-indexed one — the error a point-by-point run reports.  The
+// columns are sized to the sweep when it is shorter than a chunk.
+func (r *Runner) runChunks(ctx context.Context, d *sheet.Design, overrides []map[string]float64, out []Point, sw *sheet.Sweeper, chunk int) error {
+	start := time.Now()
+	defer func() { exploreBusySeconds.Add(time.Since(start).Seconds()) }()
+	ev := newEval(sw)
+	bev := newBatchEval(sw, min(chunk, len(overrides)))
+	for lo := 0; lo < len(overrides); lo += chunk {
+		if err := r.runChunk(ctx, d, ev, bev, overrides, out, lo, min(lo+chunk, len(overrides))); err != nil {
+			return err
 		}
-	}()
-
-	var (
-		mu       sync.Mutex
-		firstErr error
-		errIdx   = -1
-	)
-	var wg sync.WaitGroup
-	for i := 0; i < w; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			start := time.Now()
-			defer func() { exploreBusySeconds.Add(time.Since(start).Seconds()) }()
-			// The hoisted Sweeper is shared — it is immutable — but
-			// each worker gets its own SweepEval and BatchEval
-			// (private slot vectors and columns over the shared
-			// baseline).
-			ev := newEval(sw)
-			bev := newBatchEval(sw, chunk)
-			for c := range idx {
-				lo := c * chunk
-				hi := min(lo+chunk, n)
-				at, err := r.runChunk(parent, d, ev, bev, overrides, out, lo, hi)
-				if err != nil {
-					mu.Lock()
-					// Keep the lowest-indexed failure so parallel runs
-					// report the same error a serial run would.
-					if errIdx == -1 || at < errIdx {
-						firstErr, errIdx = err, at
-					}
-					mu.Unlock()
-					cancel()
-					return
-				}
-			}
-		}()
 	}
-	wg.Wait()
-
-	// A cancellation raced with a point failure: the parent's error
-	// wins only when no point actually failed.
-	if err := parent.Err(); err != nil && firstErr == nil {
-		return fmt.Errorf("explore: sweep interrupted: %w", err)
-	}
-	return firstErr
+	return nil
 }
 
 // runChunk prices points [lo, hi) of the sweep.  The chunk makes one
@@ -414,11 +315,10 @@ func (r *Runner) runChunks(parent context.Context, d *sheet.Design, overrides []
 // batch error — whose text and position are not canonical, see the
 // BatchEval contract — re-evaluates the misses in order through the
 // scalar path, which reproduces the error of the lowest-indexed
-// failing point verbatim.  On failure the returned int is that point's
-// global index.
-func (r *Runner) runChunk(ctx context.Context, d *sheet.Design, ev *sheet.SweepEval, bev *sheet.BatchEval, overrides []map[string]float64, out []Point, lo, hi int) (int, error) {
+// failing point verbatim.
+func (r *Runner) runChunk(ctx context.Context, d *sheet.Design, ev *sheet.SweepEval, bev *sheet.BatchEval, overrides []map[string]float64, out []Point, lo, hi int) error {
 	if err := ctx.Err(); err != nil {
-		return lo, fmt.Errorf("explore: sweep interrupted: %w", err)
+		return fmt.Errorf("explore: sweep interrupted: %w", err)
 	}
 	n := hi - lo
 	pending := make([]int, 0, n) // chunk-relative indexes still to price
@@ -443,10 +343,10 @@ func (r *Runner) runChunk(ctx context.Context, d *sheet.Design, ev *sheet.SweepE
 	}
 	if len(pending) == 0 {
 		exploreChunks.With("cached").Inc()
-		return 0, nil
+		return nil
 	}
 	if bev != nil && r.chunkColumnar(ctx, bev, overrides, out, lo, pending, keys) {
-		return 0, nil
+		return nil
 	}
 	exploreChunks.With("scalar").Inc()
 	for _, rel := range pending {
@@ -456,12 +356,12 @@ func (r *Runner) runChunk(ctx context.Context, d *sheet.Design, ev *sheet.SweepE
 		}
 		p, err := r.evalPoint(ctx, d, ev, overrides[lo+rel], key)
 		if err != nil {
-			return lo + rel, err
+			return err
 		}
 		out[lo+rel] = p
 		exploreBatchPoints.With("scalar").Inc()
 	}
-	return 0, nil
+	return nil
 }
 
 // chunkColumnar attempts one columnar evaluation of a chunk's pending

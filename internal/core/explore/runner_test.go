@@ -3,6 +3,7 @@ package explore
 import (
 	"context"
 	"errors"
+	"math"
 	"sync"
 	"testing"
 	"time"
@@ -10,34 +11,42 @@ import (
 	"powerplay/internal/core/sheet"
 )
 
-// TestRunnerMatchesSerial pins the determinism guarantee: any worker
-// count produces exactly the points a serial run does, in the same
-// order.
+// sameAsEvaluateAt demands each swept point equal d.EvaluateAt on its
+// own override vector, bit for bit.
+func sameAsEvaluateAt(t *testing.T, d *sheet.Design, pts []Point) {
+	t.Helper()
+	for i, p := range pts {
+		res, err := d.EvaluateAt(p.Vars)
+		if err != nil {
+			t.Fatalf("point %d %v: %v", i, p.Vars, err)
+		}
+		if math.Float64bits(p.Power) != math.Float64bits(float64(res.Power)) ||
+			math.Float64bits(p.Area) != math.Float64bits(float64(res.Area)) ||
+			math.Float64bits(p.Delay) != math.Float64bits(float64(res.Delay)) {
+			t.Errorf("point %d %v: %+v != EvaluateAt %v/%v/%v", i, p.Vars, p, res.Power, res.Area, res.Delay)
+		}
+	}
+}
+
+// TestRunnerMatchesSerial pins the sweep contract: every point of a
+// zero-Runner sweep is, in input order, exactly what EvaluateAt
+// returns for it.
 func TestRunnerMatchesSerial(t *testing.T) {
 	d := testDesign(t)
 	values := Linspace(1.0, 3.3, 17)
-	serial, err := (&Runner{Workers: 1}).Sweep(context.Background(), d, "vdd", values)
+	got, err := (&Runner{}).Sweep(context.Background(), d, "vdd", values)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{2, 4, 8, 100} {
-		r := &Runner{Workers: workers}
-		got, err := r.Sweep(context.Background(), d, "vdd", values)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if len(got) != len(serial) {
-			t.Fatalf("workers=%d: %d points, want %d", workers, len(got), len(serial))
-		}
-		for i := range got {
-			if got[i].Vars["vdd"] != serial[i].Vars["vdd"] ||
-				!almost(got[i].Power, serial[i].Power) ||
-				!almost(got[i].Delay, serial[i].Delay) ||
-				!almost(got[i].Area, serial[i].Area) {
-				t.Errorf("workers=%d point %d: %+v != %+v", workers, i, got[i], serial[i])
-			}
+	if len(got) != len(values) {
+		t.Fatalf("%d points, want %d", len(got), len(values))
+	}
+	for i, p := range got {
+		if p.Vars["vdd"] != values[i] {
+			t.Errorf("point %d: vdd = %v, want %v", i, p.Vars["vdd"], values[i])
 		}
 	}
+	sameAsEvaluateAt(t, d, got)
 }
 
 // TestRunnerSweep2DMatchesSerial does the same for the 2-D cross
@@ -46,28 +55,24 @@ func TestRunnerSweep2DMatchesSerial(t *testing.T) {
 	d := testDesign(t)
 	v1 := Linspace(1.0, 3.3, 5)
 	v2 := Linspace(1e6, 4e6, 4)
-	serial, err := (&Runner{Workers: 1}).Sweep2D(context.Background(), d, "vdd", v1, "f", v2)
+	got, err := (&Runner{}).Sweep2D(context.Background(), d, "vdd", v1, "f", v2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := (&Runner{Workers: 6}).Sweep2D(context.Background(), d, "vdd", v1, "f", v2)
-	if err != nil {
-		t.Fatal(err)
+	if len(got) != 20 {
+		t.Fatalf("len = %d, want 20", len(got))
 	}
-	if len(got) != 20 || len(serial) != 20 {
-		t.Fatalf("len = %d / %d", len(got), len(serial))
-	}
-	for i := range got {
-		if got[i].Vars["vdd"] != serial[i].Vars["vdd"] || got[i].Vars["f"] != serial[i].Vars["f"] ||
-			!almost(got[i].Power, serial[i].Power) {
-			t.Errorf("point %d: %+v != %+v", i, got[i], serial[i])
+	for i, p := range got {
+		if p.Vars["vdd"] != v1[i/len(v2)] || p.Vars["f"] != v2[i%len(v2)] {
+			t.Errorf("point %d: vars %v, want vdd=%v f=%v", i, p.Vars, v1[i/len(v2)], v2[i%len(v2)])
 		}
 	}
+	sameAsEvaluateAt(t, d, got)
 }
 
 // TestConcurrentSweepsSharedDesign is the concurrency regression test:
-// several parallel sweeps (and solvers) overlap on ONE design, which
-// every worker reads directly.  Run under -race (make race) this
+// several concurrent sweeps (and solvers) overlap on ONE design, which
+// every call reads directly.  Run under -race (make race) this
 // proves the shared plan and baseline stay race-free across
 // overlapping explorations — and, on cycleDesign, whose plan does not
 // compile, that the EvaluateAt fallback is too.
@@ -80,7 +85,7 @@ func TestConcurrentSweepsSharedDesign(t *testing.T) {
 		{"interpreter-fallback", cycleDesign(t)},
 	} {
 		d := c.design
-		runner := &Runner{Workers: 4, Cache: NewCache(0)}
+		runner := &Runner{Cache: NewCache(0)}
 		var wg sync.WaitGroup
 		errs := make(chan error, 12)
 		for i := 0; i < 4; i++ {
@@ -126,16 +131,13 @@ func TestRunnerCancellation(t *testing.T) {
 	d := testDesign(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, workers := range []int{1, 4} {
-		r := &Runner{Workers: workers}
-		if _, err := r.Sweep(ctx, d, "vdd", Linspace(1.0, 3.3, 64)); !errors.Is(err, context.Canceled) {
-			t.Errorf("workers=%d: err = %v, want context.Canceled", workers, err)
-		}
+	if _, err := Sweep(ctx, d, "vdd", Linspace(1.0, 3.3, 64)); !errors.Is(err, context.Canceled) {
+		t.Errorf("err = %v, want context.Canceled", err)
 	}
 	// Deadline classification survives the wrapping too.
 	dctx, dcancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer dcancel()
-	if _, err := (&Runner{Workers: 2}).Sweep2D(dctx, d, "vdd", Linspace(1, 3, 8), "f", Linspace(1e6, 4e6, 8)); !errors.Is(err, context.DeadlineExceeded) {
+	if _, err := Sweep2D(dctx, d, "vdd", Linspace(1, 3, 8), "f", Linspace(1e6, 4e6, 8)); !errors.Is(err, context.DeadlineExceeded) {
 		t.Errorf("err = %v, want context.DeadlineExceeded", err)
 	}
 	if _, err := MinSupply(ctx, d, 20e6, 0.9, 3.3); !errors.Is(err, context.Canceled) {
@@ -147,23 +149,21 @@ func TestRunnerCancellation(t *testing.T) {
 }
 
 // TestRunnerErrorDeterminism: with many failing points, the reported
-// error is the lowest-indexed one regardless of worker count.
+// error is the lowest-indexed one, worded as EvaluateAt words it.
 func TestRunnerErrorDeterminism(t *testing.T) {
 	d := testDesign(t)
 	// Points 0..2 are fine, 3 onward are invalid (negative supply).
 	values := []float64{1.5, 1.6, 1.7, -1, -2, -3, -4, -5}
-	want, err1 := (&Runner{Workers: 1}).Sweep(context.Background(), d, "vdd", values)
-	if err1 == nil || want != nil {
-		t.Fatalf("serial: %v, %v", want, err1)
+	pts, err := Sweep(context.Background(), d, "vdd", values)
+	if err == nil || pts != nil {
+		t.Fatalf("sweep did not fail: %v, %v", pts, err)
 	}
-	for _, workers := range []int{2, 4, 8} {
-		_, err := (&Runner{Workers: workers}).Sweep(context.Background(), d, "vdd", values)
-		if err == nil {
-			t.Fatalf("workers=%d: no error", workers)
-		}
-		if err.Error() != err1.Error() {
-			t.Errorf("workers=%d: error %q, want %q", workers, err, err1)
-		}
+	_, evalErr := d.EvaluateAt(map[string]float64{"vdd": -1})
+	if evalErr == nil {
+		t.Fatal("EvaluateAt(vdd=-1) did not fail")
+	}
+	if want := "explore: vdd=-1: " + evalErr.Error(); err.Error() != want {
+		t.Errorf("error %q, want %q", err, want)
 	}
 }
 
@@ -172,7 +172,7 @@ func TestRunnerErrorDeterminism(t *testing.T) {
 func TestCache(t *testing.T) {
 	d := testDesign(t)
 	cache := NewCache(0)
-	r := &Runner{Workers: 2, Cache: cache}
+	r := &Runner{Cache: cache}
 	values := Linspace(1.0, 3.3, 10)
 	first, err := r.Sweep(context.Background(), d, "vdd", values)
 	if err != nil {
@@ -205,7 +205,7 @@ func TestCache(t *testing.T) {
 	}
 	// LRU eviction keeps the cache bounded.
 	small := NewCache(4)
-	rs := &Runner{Workers: 1, Cache: small}
+	rs := &Runner{Cache: small}
 	if _, err := rs.Sweep(context.Background(), d, "vdd", Linspace(1.0, 3.3, 9)); err != nil {
 		t.Fatal(err)
 	}

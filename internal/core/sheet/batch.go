@@ -79,7 +79,7 @@ type dsMemo struct {
 
 // BatchEval evaluates chunks of sweep points against a hoisted
 // baseline, columnar wherever the plan allows.  It holds per-chunk
-// mutable state and must not be used concurrently; each worker builds
+// mutable state and must not be used concurrently; each sweep builds
 // its own from the shared (immutable) Sweeper.
 type BatchEval struct {
 	sw       *Sweeper

@@ -128,7 +128,7 @@ func TestLazyFailedGlobalStaysOnCompiledPath(t *testing.T) {
 	// oracle at every point.
 	chunks := metricValue(t, columnar)
 	values := explore.Linspace(0.9, 3.3, 200)
-	pts, err := (&explore.Runner{Workers: 1}).Sweep(context.Background(), d, "vdd", values)
+	pts, err := explore.Sweep(context.Background(), d, "vdd", values)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -275,7 +275,7 @@ const (
 	nodeSlots
 )
 
-// planRun is pooled (or per-worker) mutable execution state.  A step
+// planRun is pooled (or per-evaluator) mutable execution state.  A step
 // that fails writes expr.Failed into its slots and its error into errs
 // at the same indices; readers raise it (see planRun.err).  ests and
 // params hold per-row outputs when the caller keeps results; fulls are
@@ -585,7 +585,7 @@ func (p *Plan) buildResults(run *planRun) []*Result {
 // that cannot depend on the override slots is executed once, and the
 // resulting slot vector (failures included) becomes the baseline each
 // per-point evaluation starts from.  A Sweeper is immutable and safe to
-// share; per-worker mutable state lives in SweepEval.
+// share; per-sweep mutable state lives in SweepEval.
 type Sweeper struct {
 	plan     *Plan
 	baseline []float64

@@ -212,16 +212,27 @@ done:
 			if !validUnitTail(rest[len(p):]) {
 				return 0, fmt.Errorf("units: %q has malformed unit %q", s, rest)
 			}
-			return num * 1e6, nil
+			return scaled(s, num, 1e6)
 		}
 	}
 	if mult, ok := prefixValue(rest); ok {
-		return num * mult, nil
+		return scaled(s, num, mult)
 	}
 	if !validUnitTail(rest) {
 		return 0, fmt.Errorf("units: %q has malformed unit %q", s, rest)
 	}
 	return num, nil
+}
+
+// scaled applies an SI multiplier, rejecting a product that overflows
+// with the error ParseFloat gives a literal that does ("1e308T" fails
+// as "1e400" does).
+func scaled(s string, num, mult float64) (float64, error) {
+	v := num * mult
+	if math.IsInf(v, 0) {
+		return 0, fmt.Errorf("units: %q: %v", s, &strconv.NumError{Func: "ParseFloat", Num: s, Err: strconv.ErrRange})
+	}
+	return v, nil
 }
 
 func isExpTail(s string) bool {

@@ -2,6 +2,7 @@ package units
 
 import (
 	"math"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -108,11 +109,35 @@ func TestParse(t *testing.T) {
 }
 
 func TestParseErrors(t *testing.T) {
-	for _, in := range []string{"", "volts", "1.5.2bad...", "--3", "1.5V!!", "e6"} {
+	for _, in := range []string{"", "volts", "1.5.2bad...", "--3", "1.5V!!", "e6",
+		"1e308T", "1e308Meg", "-1e308G"} {
 		if v, err := Parse(in); err == nil {
 			t.Errorf("Parse(%q) = %v, want error", in, v)
 		}
 	}
+}
+
+// FuzzParse: Parse never panics, never returns a non-finite value
+// without an error, and reads back its own result's shortest decimal
+// form exactly.
+func FuzzParse(f *testing.F) {
+	for _, s := range []string{"253fF", "1.5V", "2MHz", "0.25", "2e6", "100u", "3.3 V", "2Meg",
+		"1e308T", "-1e308G", "1e-320f", "-0", "1e+06", "volts", "--3"} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		v, err := Parse(s)
+		if err != nil {
+			return
+		}
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			t.Fatalf("Parse(%q) = %v, nil", s, v)
+		}
+		back := strconv.FormatFloat(v, 'g', -1, 64)
+		if w, err := Parse(back); err != nil || w != v {
+			t.Fatalf("Parse(%q) = %v; re-parsing %q gives %v, %v", s, v, back, w, err)
+		}
+	})
 }
 
 // Property: Format then Parse round-trips within formatting precision.

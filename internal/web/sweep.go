@@ -25,7 +25,7 @@ import (
 // the design's cached plan and hoisted baseline.  The request context
 // bounds the run: closing the browser tab cancels the sweep mid-flight,
 // and sweepTimeout caps how long a pathological range may hold the
-// lock and a worker pool.
+// lock and the request's goroutine.
 
 // defaultSweepTimeout bounds one sweep request when Config.SweepTimeout
 // is unset.  The UI caps ranges at 200 steps and a step evaluates in

@@ -226,10 +226,10 @@ func MeasureSorts(data []int64, table *EnergyTable, cache CacheConfig) ([]SortEn
 type (
 	// ExplorePoint is one evaluated point of a sweep.
 	ExplorePoint = explore.Point
-	// ExploreRunner is the parallel exploration engine: a worker pool
-	// that fans sweep points out over per-worker design snapshots in
-	// chunks, evaluating each chunk columnar when the sheet allows.
-	// See explore.Runner for the full concurrency contract.
+	// ExploreRunner is the exploration engine: it prices sweep points
+	// in chunks on the caller's goroutine, each chunk columnar when
+	// the sheet allows.  See explore.Runner for the full concurrency
+	// contract.
 	ExploreRunner = explore.Runner
 	// ExploreCache memoizes evaluated points by override vector; see
 	// explore.Cache for the validity rules.
@@ -254,16 +254,16 @@ const DefaultChunkSize = explore.DefaultChunkSize
 // design snapshot — drop it when the design is edited.
 func NewExploreCache(limit int) *ExploreCache { return explore.NewCache(limit) }
 
-// Sweep evaluates the design across values of one variable, in
-// parallel across GOMAXPROCS workers with deterministic result order.
-// The context cancels or bounds the run; use an ExploreRunner to
-// control the worker count or attach an ExploreCache.
+// Sweep evaluates the design across values of one variable on the
+// caller's goroutine, with results in input order.  The context
+// cancels or bounds the run; use an ExploreRunner to set the chunk
+// size or attach an ExploreCache.
 func Sweep(ctx context.Context, d *Design, name string, values []float64) ([]ExplorePoint, error) {
 	return explore.Sweep(ctx, d, name, values)
 }
 
 // Sweep2D evaluates the cross product of two variables, row-major in
-// the first, with the same parallelism and cancellation semantics as
+// the first, with the same ordering and cancellation semantics as
 // Sweep.
 func Sweep2D(ctx context.Context, d *Design, n1 string, v1 []float64, n2 string, v2 []float64) ([]ExplorePoint, error) {
 	return explore.Sweep2D(ctx, d, n1, v1, n2, v2)
