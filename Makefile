@@ -25,6 +25,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzCanonicalMapOrder$$' -fuzztime 10s ./internal/repo/
 	$(GO) test -run '^$$' -fuzz '^FuzzPlanMatchesInterpreter$$' -fuzztime 10s ./internal/core/sheet/
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s ./internal/units/
+	$(GO) test -run '^$$' -fuzz '^FuzzAppendFormat$$' -fuzztime 10s ./internal/units/
 
 # Non-test Go lines per package, largest first, then the total.
 loc:

@@ -31,9 +31,10 @@
 package explore
 
 import (
+	"cmp"
 	"context"
 	"math"
-	"sort"
+	"slices"
 
 	"powerplay/internal/core/sheet"
 )
@@ -60,8 +61,17 @@ func Linspace(lo, hi float64, n int) []float64 {
 	}
 	out := make([]float64, n)
 	step := (hi - lo) / float64(n-1)
+	// With finite endpoints, lo + i*step overflows only when hi-lo does
+	// (or, rounding past hi near ±MaxFloat64, at the last point); those
+	// points interpolate instead, so every point stays inside [lo, hi].
+	finite := !math.IsInf(lo, 0) && !math.IsInf(hi, 0)
 	for i := range out {
-		out[i] = lo + float64(i)*step
+		v := lo + float64(i)*step
+		if finite && (math.IsInf(step, 0) || math.IsInf(v, 0)) {
+			t := float64(i) / float64(n-1)
+			v = lo*(1-t) + hi*t
+		}
+		out[i] = v
 	}
 	return out
 }
@@ -100,34 +110,62 @@ func Sweep2D(ctx context.Context, d *sheet.Design, n1 string, v1 []float64, n2 s
 	return (&Runner{}).Sweep2D(ctx, d, n1, v1, n2, v2)
 }
 
-// Pareto returns the power/delay non-dominated subset of points,
-// sorted by increasing power.  A point is dominated when another point
-// is no worse in both power and delay and strictly better in one.
+// Pareto returns the power/delay non-dominated subset of points (see
+// Front), sorted by increasing power, then delay (NaN first); points
+// that tie on both keep their input order.
 func Pareto(points []Point) []Point {
 	var out []Point
-	for i, p := range points {
-		dominated := false
-		for j, q := range points {
-			if i == j {
-				continue
-			}
-			if q.Power <= p.Power && q.Delay <= p.Delay &&
-				(q.Power < p.Power || q.Delay < p.Delay) {
-				dominated = true
-				break
-			}
-		}
-		if !dominated {
-			out = append(out, p)
+	for i, on := range Front(points) {
+		if on {
+			out = append(out, points[i])
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Power != out[j].Power {
-			return out[i].Power < out[j].Power
-		}
-		return out[i].Delay < out[j].Delay
-	})
+	slices.SortStableFunc(out, byPowerDelay)
 	return out
+}
+
+// Front reports which points are power/delay non-dominated.  A point
+// is dominated when another point is no worse in both power and delay
+// and strictly better in one; a point with a NaN total neither
+// dominates nor is dominated, so it is always on the front.  One sort
+// by (power, delay) and one scan: O(n log n).
+func Front(points []Point) []bool {
+	on := make([]bool, len(points))
+	idx := make([]int, 0, len(points))
+	for i, p := range points {
+		if math.IsNaN(p.Power) || math.IsNaN(p.Delay) {
+			on[i] = true
+		} else {
+			idx = append(idx, i)
+		}
+	}
+	slices.SortFunc(idx, func(a, b int) int { return byPowerDelay(points[a], points[b]) })
+	// best is the least delay over all points of strictly lower power.
+	best, seen := 0.0, false
+	for g := 0; g < len(idx); {
+		power, least := points[idx[g]].Power, points[idx[g]].Delay
+		e := g
+		for ; e < len(idx) && points[idx[e]].Power == power; e++ {
+			d := points[idx[e]].Delay
+			// Dominated by an equal-power point of less delay, or by a
+			// lower-power point of no more delay.
+			on[idx[e]] = d == least && !(seen && best <= d)
+		}
+		if !seen || least < best {
+			best, seen = least, true
+		}
+		g = e
+	}
+	return on
+}
+
+// byPowerDelay orders points by power, then delay, in cmp.Compare's
+// order (NaN first).
+func byPowerDelay(p, q Point) int {
+	if c := cmp.Compare(p.Power, q.Power); c != 0 {
+		return c
+	}
+	return cmp.Compare(p.Delay, q.Delay)
 }
 
 // MinSupply finds, by bisection, the lowest supply voltage in

@@ -3,6 +3,7 @@ package explore
 import (
 	"context"
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -56,6 +57,48 @@ func TestLinspace(t *testing.T) {
 	}
 	if got := Linspace(2, 9, 1); len(got) != 1 || got[0] != 2 {
 		t.Errorf("n=1: %v", got)
+	}
+}
+
+// TestLinspaceFiniteEndpoints: finite endpoints give finite, monotone
+// points from exactly lo — also when hi-lo overflows — and ranges that
+// do not overflow keep lo + i*step bit for bit.
+func TestLinspaceFiniteEndpoints(t *testing.T) {
+	if got := Linspace(1e308, -1e308, 5); got[0] != 1e308 || got[2] != 0 || got[4] != -1e308 {
+		t.Errorf("Linspace(1e308, -1e308, 5) = %v", got)
+	}
+	rng := rand.New(rand.NewSource(1))
+	huge := func() float64 { return (2*rng.Float64() - 1) * math.MaxFloat64 }
+	ends := [][2]float64{
+		{-math.MaxFloat64, math.MaxFloat64}, {math.MaxFloat64, -math.MaxFloat64},
+		{1e308, -1e308}, {0, math.MaxFloat64}, {-math.MaxFloat64, 0},
+		{2.7e307, math.MaxFloat64}, {math.Nextafter(math.MaxFloat64, 0), math.MaxFloat64},
+		{1, 3}, {0.1, 0.7}, {5, 5}, {-0.0, 0},
+	}
+	for i := 0; i < 2000; i++ {
+		ends = append(ends, [2]float64{huge(), huge()}, [2]float64{huge() / 4, math.MaxFloat64})
+	}
+	for _, e := range ends {
+		lo, hi := e[0], e[1]
+		for _, n := range []int{2, 3, 7, 200} {
+			got := Linspace(lo, hi, n)
+			step := (hi - lo) / float64(n-1)
+			overflow := math.IsInf(step, 0) || math.IsInf(lo+float64(n-1)*step, 0)
+			if got[0] != lo || (overflow && got[n-1] != hi) {
+				t.Fatalf("Linspace(%g, %g, %d) runs %g..%g", lo, hi, n, got[0], got[n-1])
+			}
+			for i, v := range got {
+				if math.IsNaN(v) || math.IsInf(v, 0) {
+					t.Fatalf("Linspace(%g, %g, %d)[%d] = %g", lo, hi, n, i, v)
+				}
+				if i > 0 && (hi >= lo && v < got[i-1] || hi < lo && v > got[i-1]) {
+					t.Fatalf("Linspace(%g, %g, %d) not monotone at %d: %g after %g", lo, hi, n, i, v, got[i-1])
+				}
+				if !overflow && v != lo+float64(i)*step {
+					t.Fatalf("Linspace(%g, %g, %d)[%d] = %g, want lo + i*step = %g", lo, hi, n, i, v, lo+float64(i)*step)
+				}
+			}
+		}
 	}
 }
 
@@ -126,6 +169,62 @@ func TestPareto(t *testing.T) {
 	}
 	if front[0].Power != 1 || front[1].Power != 2 || front[2].Power != 4 {
 		t.Errorf("front order = %v", front)
+	}
+}
+
+// dominatedOracle is the quadratic definition Front must match: p is
+// dominated when another point is no worse in both power and delay and
+// strictly better in one.
+func dominatedOracle(points []Point, i int) bool {
+	p := points[i]
+	for j, q := range points {
+		if i != j && q.Power <= p.Power && q.Delay <= p.Delay &&
+			(q.Power < p.Power || q.Delay < p.Delay) {
+			return true
+		}
+	}
+	return false
+}
+
+// TestFrontMatchesOracle: the sort-and-scan mask equals the quadratic
+// definition over random point sets drawn from a small value pool, so
+// ties, duplicate points (a from == to sweep) and ±Inf/NaN/±0 totals
+// all occur; Pareto keeps exactly the masked points, sorted.
+func TestFrontMatchesOracle(t *testing.T) {
+	pool := []float64{0, math.Copysign(0, -1), 1, 2, 2, 3, 5, math.Inf(1), math.Inf(-1), math.NaN(), 1e-300, 7}
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 5000; trial++ {
+		pts := make([]Point, rng.Intn(12))
+		for i := range pts {
+			pts[i] = Point{Power: pool[rng.Intn(len(pool))], Delay: pool[rng.Intn(len(pool))]}
+			if i > 0 && rng.Intn(4) == 0 {
+				pts[i] = pts[rng.Intn(i)] // an exact duplicate
+			}
+		}
+		if trial%50 == 0 { // every point the same, as in a from == to sweep
+			for i := range pts {
+				pts[i] = Point{Power: 2, Delay: 3}
+			}
+		}
+		mask := Front(pts)
+		var want []Point
+		for i := range pts {
+			if mask[i] == dominatedOracle(pts, i) {
+				t.Fatalf("points %v: Front[%d] = %v disagrees with the oracle", pts, i, mask[i])
+			}
+			if mask[i] {
+				want = append(want, pts[i])
+			}
+		}
+		got := Pareto(pts)
+		if len(got) != len(want) {
+			t.Fatalf("points %v: Pareto kept %d, mask %d", pts, len(got), len(want))
+		}
+		for i := 1; i < len(got); i++ {
+			if byPowerDelay(got[i-1], got[i]) > 0 {
+				t.Fatalf("points %v: Pareto out of order: %v", pts, got)
+			}
+		}
 	}
 }
 

@@ -88,13 +88,14 @@ func Power(e Joules, f Hertz) Watts {
 	return Watts(float64(e) * float64(f))
 }
 
-// siPrefixes maps engineering exponents (multiples of three) to prefixes.
-var siPrefixes = map[int]string{
-	-18: "a", -15: "f", -12: "p", -9: "n", -6: "u", -3: "m",
-	0: "", 3: "k", 6: "M", 9: "G", 12: "T",
-}
+// engPrefixes and engScales hold, at index eng/3+6, the SI prefix and
+// 10^eng of each engineering exponent eng from -18 to 12.
+var (
+	engPrefixes = [...]string{"a", "f", "p", "n", "u", "m", "", "k", "M", "G", "T"}
+	engScales   = [...]float64{1e-18, 1e-15, 1e-12, 1e-9, 1e-6, 1e-3, 1, 1e3, 1e6, 1e9, 1e12}
+)
 
-// prefixValues is the inverse of siPrefixes, with SPICE-style aliases.
+// prefixValues is the inverse of engPrefixes, with SPICE-style aliases.
 var prefixValues = map[string]float64{
 	"a": 1e-18, "f": 1e-15, "p": 1e-12, "n": 1e-9,
 	"u": 1e-6, "µ": 1e-6, "m": 1e-3,
@@ -107,50 +108,66 @@ var prefixValues = map[string]float64{
 // magnitude falls outside the prefix table fall back to scientific
 // notation.  Zero formats as "0" plus the unit.
 func Format(v float64, unit string) string {
+	return string(AppendFormat(make([]byte, 0, 16), v, unit))
+}
+
+// AppendFormat appends Format(v, unit) to dst and returns the extended
+// buffer.
+func AppendFormat(dst []byte, v float64, unit string) []byte {
 	switch {
 	case v == 0:
-		return "0" + unit
+		return append(append(dst, '0'), unit...)
 	case math.IsNaN(v):
-		return "NaN" + unit
+		return append(append(dst, "NaN"...), unit...)
 	case math.IsInf(v, 1):
-		return "+Inf" + unit
+		return append(append(dst, "+Inf"...), unit...)
 	case math.IsInf(v, -1):
-		return "-Inf" + unit
+		return append(append(dst, "-Inf"...), unit...)
 	}
 	exp := int(math.Floor(math.Log10(math.Abs(v))))
 	// Round the exponent down to a multiple of 3.
 	eng := exp - ((exp%3)+3)%3
-	prefix, ok := siPrefixes[eng]
-	if !ok {
-		return fmt.Sprintf("%.4g%s", v, unit)
+	i := eng/3 + 6
+	if i < 0 || i >= len(engScales) {
+		return appendG(dst, v, unit)
 	}
-	scaled := v / math.Pow(10, float64(eng))
+	start := len(dst)
+	dst = appendG(dst, v/engScales[i], "")
 	// Guard against 999.99... rounding up into the next band.
-	s := strconv.FormatFloat(scaled, 'g', 4, 64)
-	if f, _ := strconv.ParseFloat(s, 64); math.Abs(f) >= 1000 {
-		eng += 3
-		if prefix, ok = siPrefixes[eng]; !ok {
-			return fmt.Sprintf("%.4g%s", v, unit)
+	if f, _ := strconv.ParseFloat(string(dst[start:]), 64); math.Abs(f) >= 1000 {
+		if i++; i == len(engScales) {
+			return appendG(dst[:start], v, unit)
 		}
-		scaled = v / math.Pow(10, float64(eng))
-		s = strconv.FormatFloat(scaled, 'g', 4, 64)
+		dst = appendG(dst[:start], v/engScales[i], "")
 	}
-	return s + prefix + unit
+	return append(append(dst, engPrefixes[i]...), unit...)
 }
 
 // FormatArea renders an area, preferring mm² and µm² which are the
 // natural magnitudes for chip floorplans.
 func FormatArea(m2 float64) string {
+	return string(AppendArea(make([]byte, 0, 16), m2))
+}
+
+// AppendArea appends FormatArea(m2) to dst and returns the extended
+// buffer.
+func AppendArea(dst []byte, m2 float64) []byte {
 	switch {
 	case m2 == 0:
-		return "0um^2"
+		return append(dst, "0um^2"...)
 	case math.Abs(m2) >= 1e-5:
-		return fmt.Sprintf("%.4gcm^2", m2*1e4)
+		return appendG(dst, m2*1e4, "cm^2")
 	case math.Abs(m2) >= 1e-8:
-		return fmt.Sprintf("%.4gmm^2", m2*1e6)
+		return appendG(dst, m2*1e6, "mm^2")
 	default:
-		return fmt.Sprintf("%.4gum^2", m2*1e12)
+		return appendG(dst, m2*1e12, "um^2")
 	}
+}
+
+// appendG appends v with four significant digits (fmt's "%.4g") and
+// then unit.
+func appendG(dst []byte, v float64, unit string) []byte {
+	return append(strconv.AppendFloat(dst, v, 'g', 4, 64), unit...)
 }
 
 // Sci renders a value the way the paper's spreadsheet dumps do

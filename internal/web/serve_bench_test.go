@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"powerplay/internal/infopad"
 	"powerplay/internal/library"
 	"powerplay/internal/vqsim"
 )
@@ -50,18 +51,21 @@ func newBenchSite(b *testing.B, cfg Config, uncached bool) (string, func() *http
 	ts := httptest.NewServer(h)
 	b.Cleanup(ts.Close)
 	sheetURL := ts.URL + "/design/" + url.PathEscape(d.Name)
-	newClient := func() *http.Client {
-		jar, _ := cookiejar.New(nil)
-		c := &http.Client{Jar: jar}
-		resp, err := c.PostForm(ts.URL+"/login", url.Values{"user": {"bench"}})
-		if err != nil {
-			b.Fatal(err)
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		return c
+	return sheetURL, func() *http.Client { return benchLogin(b, ts.URL) }
+}
+
+// benchLogin returns a client logged in to the site at siteURL as user
+// "bench".
+func benchLogin(b *testing.B, siteURL string) *http.Client {
+	jar, _ := cookiejar.New(nil)
+	c := &http.Client{Jar: jar}
+	resp, err := c.PostForm(siteURL+"/login", url.Values{"user": {"bench"}})
+	if err != nil {
+		b.Fatal(err)
 	}
-	return sheetURL, newClient
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	return c
 }
 
 // uncachedSheetHandler is the X20 baseline: the sheet GET as served
@@ -216,4 +220,32 @@ func BenchmarkServeMixed16(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkServeSweep: a logged-in 200-step supply sweep of the InfoPad
+// sheet per op through Server.Handler() — the variable check, the
+// sweep, the Pareto mask and the table render; the in-process view of
+// perfbench's sweep workload.
+func BenchmarkServeSweep(b *testing.B) {
+	s, err := NewServer(Config{}, library.Standard())
+	if err != nil {
+		b.Fatal(err)
+	}
+	d, err := infopad.Build(s.Registry())
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := s.InstallDesign("bench", d); err != nil {
+		b.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	b.Cleanup(ts.Close)
+	c := benchLogin(b, ts.URL)
+	sweepURL := ts.URL + "/design/" + url.PathEscape(d.Name) + "/sweep?var=vdd1&from=1&to=3.3&steps=200"
+	benchGet(b, c, sweepURL) // compile the plan outside the timing loop
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchGet(b, c, sweepURL)
+	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"html/template"
 	"net/http"
 	"strconv"
 	"strings"
@@ -48,15 +49,8 @@ type sweepPage struct {
 	Var      string
 	From, To string
 	Steps    string
-	Rows     []sweepRow
-}
-
-type sweepRow struct {
-	Value  string
-	Power  string
-	Area   string
-	Delay  string
-	Pareto bool
+	// Rows is the swept table's body, pre-escaped by appendSweepRows.
+	Rows template.HTML
 }
 
 func (s *Server) handleDesignSweep(w http.ResponseWriter, r *http.Request, u *User) {
@@ -137,19 +131,57 @@ func (s *Server) handleDesignSweep(w http.ResponseWriter, r *http.Request, u *Us
 		}
 		return
 	}
-	front := explore.Pareto(pts)
-	onFront := make(map[float64]bool, len(front))
-	for _, p := range front {
-		onFront[p.Vars[page.Var]] = true
-	}
-	for _, p := range pts {
-		page.Rows = append(page.Rows, sweepRow{
-			Value:  fmt.Sprintf("%.4g", p.Vars[page.Var]),
-			Power:  units.Watts(p.Power).String(),
-			Area:   units.SquareMeters(p.Area).String(),
-			Delay:  units.Seconds(p.Delay).String(),
-			Pareto: onFront[p.Vars[page.Var]],
-		})
-	}
+	page.Rows = template.HTML(appendSweepRows(make([]byte, 0, 160*len(pts)), pts, page.Var, explore.Front(pts)))
 	s.render(w, "sweep", page)
+}
+
+// appendSweepRows appends one table row per point — the swept value,
+// power, area and delay, and a * on the power/delay front — and returns
+// the extended buffer.  The bytes are exactly what a {{range}} block
+// over the cells writes through html/template (sweep_test.go keeps that
+// block as the oracle), without reflecting over 200 × 5 cells.
+func appendSweepRows(dst []byte, pts []explore.Point, variable string, front []bool) []byte {
+	var cell [32]byte
+	for i, p := range pts {
+		dst = append(dst, "\n<tr><td class=\"num\">"...)
+		dst = appendHTMLText(dst, strconv.AppendFloat(cell[:0], p.Vars[variable], 'g', 4, 64))
+		dst = append(dst, "</td><td class=\"num\">"...)
+		dst = appendHTMLText(dst, units.AppendFormat(cell[:0], p.Power, "W"))
+		dst = append(dst, "</td>\n<td class=\"num\">"...)
+		dst = appendHTMLText(dst, units.AppendArea(cell[:0], p.Area))
+		dst = append(dst, "</td><td class=\"num\">"...)
+		dst = appendHTMLText(dst, units.AppendFormat(cell[:0], p.Delay, "s"))
+		dst = append(dst, "</td>\n<td>"...)
+		if front[i] {
+			dst = append(dst, '*')
+		}
+		dst = append(dst, "</td></tr>\n"...)
+	}
+	return dst
+}
+
+// appendHTMLText appends text escaped as html/template escapes it in
+// element content — including '+' (as in "1.2e+06") and NUL.
+func appendHTMLText(dst, text []byte) []byte {
+	for _, c := range text {
+		switch c {
+		case 0:
+			dst = append(dst, "\uFFFD"...)
+		case '"':
+			dst = append(dst, "&#34;"...)
+		case '&':
+			dst = append(dst, "&amp;"...)
+		case '\'':
+			dst = append(dst, "&#39;"...)
+		case '+':
+			dst = append(dst, "&#43;"...)
+		case '<':
+			dst = append(dst, "&lt;"...)
+		case '>':
+			dst = append(dst, "&gt;"...)
+		default:
+			dst = append(dst, c)
+		}
+	}
+	return dst
 }

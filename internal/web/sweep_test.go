@@ -4,19 +4,25 @@ import (
 	"context"
 	"fmt"
 	"html"
+	"html/template"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
 	"regexp"
 	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"powerplay/internal/core/explore"
+	"powerplay/internal/core/model"
+	"powerplay/internal/core/sheet"
+	"powerplay/internal/infopad"
 	"powerplay/internal/library"
 	"powerplay/internal/units"
+	"powerplay/internal/vqsim"
 )
 
 func TestSweepPage(t *testing.T) {
@@ -261,4 +267,233 @@ func TestSweepConcurrentWithEdits(t *testing.T) {
 		}("1." + string(rune('1'+i)))
 	}
 	wg.Wait()
+}
+
+// oracleSweepSrc is the sweep page as html/template rendered it before
+// appendSweepRows: the same frame, with a {{range}} block over the
+// cells.  TestSweepPageMatchesOracle holds the served page to it.
+const oracleSweepSrc = `{{define "sweep"}}{{template "head" .}}
+{{if .Error}}<p class="err">{{.Error}}</p>{{end}}
+<form method="GET" action="/design/{{.Name}}/sweep">
+Variable <input name="var" value="{{.Var}}" size="8">
+from <input name="from" value="{{.From}}" size="8">
+to <input name="to" value="{{.To}}" size="8">
+steps <input name="steps" value="{{.Steps}}" size="4">
+<input type="submit" value="Sweep">
+</form>
+{{if .Rows}}
+<table>
+<tr><th>{{.Var}}</th><th>Power</th><th>Area</th><th>Delay</th><th>Pareto</th></tr>
+{{range .Rows}}
+<tr><td class="num">{{.Value}}</td><td class="num">{{.Power}}</td>
+<td class="num">{{.Area}}</td><td class="num">{{.Delay}}</td>
+<td>{{if .Pareto}}*{{end}}</td></tr>
+{{end}}
+</table>
+<p class="note">Rows marked * are power/delay non-dominated.</p>
+{{end}}
+<p><a href="/design/{{.Name}}">Back to the spreadsheet</a></p>
+{{template "foot" .}}{{end}}`
+
+var oracleSweepTmpl = template.Must(template.Must(template.New("pages").Parse(pageSrc)).Parse(oracleSweepSrc))
+
+type oracleSweepRow struct {
+	Value, Power, Area, Delay string
+	Pareto                    bool
+}
+
+type oracleSweepPage struct {
+	base
+	Name, Var, From, To, Steps string
+	Rows                       []oracleSweepRow
+}
+
+// oracleSweep renders the page for a sweep of pts (nil for an error
+// page) with errMsg as the error: cells formatted by fmt and the units
+// Stringers, front rows marked by the quadratic dominance definition.
+func oracleSweep(t *testing.T, s *Server, name string, q url.Values, pts []explore.Point, errMsg string) string {
+	t.Helper()
+	page := oracleSweepPage{
+		base: s.base(name + " exploration"),
+		Name: name, Var: q.Get("var"), From: q.Get("from"), To: q.Get("to"), Steps: q.Get("steps"),
+	}
+	page.Error = errMsg
+	for i, p := range pts {
+		dominated := false
+		for j, o := range pts {
+			if i != j && o.Power <= p.Power && o.Delay <= p.Delay && (o.Power < p.Power || o.Delay < p.Delay) {
+				dominated = true
+			}
+		}
+		page.Rows = append(page.Rows, oracleSweepRow{
+			Value:  fmt.Sprintf("%.4g", p.Vars[page.Var]),
+			Power:  units.Watts(p.Power).String(),
+			Area:   units.SquareMeters(p.Area).String(),
+			Delay:  units.Seconds(p.Delay).String(),
+			Pareto: !dominated,
+		})
+	}
+	var buf strings.Builder
+	if err := oracleSweepTmpl.ExecuteTemplate(&buf, "sweep", page); err != nil {
+		t.Fatal(err)
+	}
+	return buf.String()
+}
+
+// seededSweepSite is a logged-in site holding the paper's three seeded
+// designs (Luminance_1, Luminance_2, InfoPad) for user "u".
+func seededSweepSite(t *testing.T) (*Server, *httptest.Server, *http.Client) {
+	t.Helper()
+	s, ts, c := site(t, Config{})
+	reg := s.Registry()
+	for _, build := range []func(*model.Registry) (*sheet.Design, error){vqsim.Luminance1, vqsim.Luminance2, infopad.Build} {
+		d, err := build(reg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.InstallDesign("u", d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	loginAs(t, ts, c, "u", "")
+	return s, ts, c
+}
+
+// TestSweepPageMatchesOracle: the served sweep page — rows appended by
+// appendSweepRows — equals the {{range}} oracle byte for byte, over the
+// benchmark's sweep ranges on the seeded designs, e-notation values
+// (whose '+' html/template escapes), Pareto stars, a from == to range,
+// and the 400, 422 and 503 error pages.
+func TestSweepPageMatchesOracle(t *testing.T) {
+	s, ts, c := seededSweepSite(t)
+	u := s.users["u"]
+	sweepOf := func(name string, q url.Values) ([]explore.Point, error) {
+		from, _ := units.Parse(q.Get("from"))
+		to, _ := units.Parse(q.Get("to"))
+		steps, _ := strconv.Atoi(q.Get("steps"))
+		u.mu.RLock()
+		defer u.mu.RUnlock()
+		return explore.Sweep(context.Background(), u.Designs[name], q.Get("var"), explore.Linspace(from, to, steps))
+	}
+	type sweepCase struct {
+		name, query string
+		mark        string // a fragment the page must show
+	}
+	ok := []sweepCase{
+		{"Luminance_1", "var=vdd&from=1&to=3.3&steps=200", "<td>*</td>"},
+		{"Luminance_1", "var=f&from=5e5&to=8e6&steps=200", "<td></td>"},
+		{"Luminance_2", "var=vdd&from=1&to=3.3&steps=200", "<td>*</td>"},
+		{"Luminance_2", "var=f&from=500k&to=8MHz&steps=200", "e&#43;06"},
+		{"InfoPad", "var=vdd1&from=1&to=3.3&steps=200", "<td>*</td>"},
+		{"InfoPad", "var=vdd3&from=3.3&to=6&steps=200", "<td>*</td>"},
+		{"InfoPad", "var=fclk&from=5e6&to=4e7&steps=200", "e&#43;07"},
+		{"InfoPad", "var=vdd1&from=1.234&to=2.875&steps=200", "<td>*</td>"},
+		{"Luminance_1", "var=vdd&from=1.5&to=1.5&steps=5", "<td>*</td>"},
+		{"Luminance_2", "", "<td>*</td>"},
+	}
+	for _, tc := range ok {
+		q, _ := url.ParseQuery(tc.query)
+		code, body := fetch(t, c, ts.URL+"/design/"+tc.name+"/sweep?"+tc.query)
+		if code != http.StatusOK {
+			t.Fatalf("%s?%s: status %d", tc.name, tc.query, code)
+		}
+		if tc.query == "" {
+			q = url.Values{"var": {"vdd"}, "from": {"1.0"}, "to": {"3.3"}, "steps": {"8"}}
+		}
+		pts, err := sweepOf(tc.name, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := oracleSweep(t, s, tc.name, q, pts, ""); body != want {
+			t.Errorf("%s?%s: page differs from the oracle at byte %d:\n got %q\nwant %q",
+				tc.name, tc.query, diffAt(body, want), around(body, diffAt(body, want)), around(want, diffAt(body, want)))
+		}
+		if !strings.Contains(body, tc.mark) {
+			t.Errorf("%s?%s: page lacks %q", tc.name, tc.query, tc.mark)
+		}
+	}
+
+	// Error pages: the frame around the message is unchanged too.
+	_, badFrom := units.Parse("abc")
+	const evalQuery = "var=vdd&from=0.1&to=0.3&steps=3"
+	evalQ, _ := url.ParseQuery(evalQuery)
+	_, evalErr := sweepOf("Luminance_1", evalQ)
+	if evalErr == nil {
+		t.Fatal("a sweep down to 0.1 V should fail model validation")
+	}
+	bad := []struct {
+		query string
+		code  int
+		msg   string
+	}{
+		{"var=vdd&from=abc&to=3&steps=4", http.StatusBadRequest, "from: " + badFrom.Error()},
+		{"var=vdd&from=1&to=3&steps=1", http.StatusBadRequest, "steps must be an integer in [2, 200]"},
+		{"var=no<such>&from=1&to=3&steps=4", http.StatusBadRequest, `no variable "no<such>" in this design`},
+		{evalQuery, http.StatusUnprocessableEntity, evalErr.Error()},
+	}
+	for _, tc := range bad {
+		q, _ := url.ParseQuery(tc.query)
+		code, body := fetch(t, c, ts.URL+"/design/Luminance_1/sweep?"+q.Encode())
+		if code != tc.code {
+			t.Fatalf("%s: status %d, want %d", tc.query, code, tc.code)
+		}
+		if want := oracleSweep(t, s, "Luminance_1", q, nil, tc.msg); body != want {
+			t.Errorf("%s: error page differs from the oracle at byte %d:\n got %q\nwant %q",
+				tc.query, diffAt(body, want), around(body, diffAt(body, want)), around(want, diffAt(body, want)))
+		}
+	}
+
+	// The 503 page, from an already-expired budget.
+	const timeoutQuery = "var=vdd&from=1.0&to=3.3&steps=8"
+	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer cancel()
+	r := httptest.NewRequest("GET", "/design/InfoPad/sweep?"+timeoutQuery, nil).WithContext(ctx)
+	r.SetPathValue("name", "InfoPad")
+	w := httptest.NewRecorder()
+	s.handleDesignSweep(w, r, u)
+	if w.Code != http.StatusServiceUnavailable {
+		t.Fatalf("expired budget: status %d", w.Code)
+	}
+	q, _ := url.ParseQuery(timeoutQuery)
+	msg := fmt.Sprintf("sweep timed out after %s — a model is stalling; try fewer steps", s.sweepTimeout())
+	if got, want := w.Body.String(), oracleSweep(t, s, "InfoPad", q, nil, msg); got != want {
+		t.Errorf("timeout page differs from the oracle at byte %d:\n got %q\nwant %q",
+			diffAt(got, want), around(got, diffAt(got, want)), around(want, diffAt(got, want)))
+	}
+}
+
+// diffAt is the first byte offset where a and b differ.
+func diffAt(a, b string) int {
+	n := min(len(a), len(b))
+	for i := 0; i < n; i++ {
+		if a[i] != b[i] {
+			return i
+		}
+	}
+	return n
+}
+
+// around is up to 60 bytes of s on either side of offset i.
+func around(s string, i int) string {
+	return s[max(0, i-60):min(len(s), i+60)]
+}
+
+// TestAppendHTMLTextMatchesTemplate: the row escaper agrees with
+// html/template's element-text escaping on every byte value.
+func TestAppendHTMLTextMatchesTemplate(t *testing.T) {
+	tmpl := template.Must(template.New("t").Parse(`<td>{{.}}</td>`))
+	var text []byte
+	for c := 0; c < 256; c++ {
+		text = append(text, byte(c), 'x')
+	}
+	text = append(text, "µm 1.2e+06 <a href='x'>&amp;\"</a>"...)
+	var want strings.Builder
+	if err := tmpl.Execute(&want, string(text)); err != nil {
+		t.Fatal(err)
+	}
+	got := "<td>" + string(appendHTMLText(nil, text)) + "</td>"
+	if got != want.String() {
+		t.Errorf("appendHTMLText differs from html/template at byte %d:\n got %q\nwant %q",
+			diffAt(got, want.String()), around(got, diffAt(got, want.String())), around(want.String(), diffAt(got, want.String())))
+	}
 }

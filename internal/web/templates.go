@@ -7,7 +7,9 @@ import (
 // The page templates.  Deliberately plain mid-90s HTML: tables, forms
 // and hyperlinks — the UI surface the paper describes, rendered by any
 // browser.
-var pageTmpl = template.Must(template.New("pages").Parse(`
+var pageTmpl = template.Must(template.New("pages").Parse(pageSrc))
+
+const pageSrc = `
 {{define "head"}}<!DOCTYPE html>
 <html><head><title>{{.Site}} - {{.Title}}</title>
 <style>
@@ -208,11 +210,7 @@ steps <input name="steps" value="{{.Steps}}" size="4">
 {{if .Rows}}
 <table>
 <tr><th>{{.Var}}</th><th>Power</th><th>Area</th><th>Delay</th><th>Pareto</th></tr>
-{{range .Rows}}
-<tr><td class="num">{{.Value}}</td><td class="num">{{.Power}}</td>
-<td class="num">{{.Area}}</td><td class="num">{{.Delay}}</td>
-<td>{{if .Pareto}}*{{end}}</td></tr>
-{{end}}
+{{.Rows}}
 </table>
 <p class="note">Rows marked * are power/delay non-dominated.</p>
 {{end}}
@@ -267,4 +265,4 @@ they are documented and shared automatically.</li>
 <code>/api/v1/models</code>), so a library characterized in Massachusetts
 prices designs in California.</p>
 {{template "foot" .}}{{end}}
-`))
+`
