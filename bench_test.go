@@ -233,48 +233,6 @@ func BenchmarkCompiledVsInterpreted(b *testing.B) {
 	})
 }
 
-// BenchmarkSweptConePoint times one per-point evaluation of a hoisted
-// sweep (X19): the invariant part of the Figure 3 sheet is computed
-// once by the Sweeper, so each iteration replays only the cone of
-// steps downstream of the swept supply.  This is the marginal cost a
-// sweep pays per point after hoisting; compare against
-// BenchmarkParameterSweep's per-point figure (its total ÷ 7).
-func BenchmarkSweptConePoint(b *testing.B) {
-	reg := powerplay.StandardLibrary()
-	d, err := powerplay.Luminance2(reg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	plan, err := d.PlanFor([]string{"vdd"})
-	if err != nil {
-		b.Fatal(err)
-	}
-	ev := plan.NewSweeper().NewEval()
-	ov := map[string]float64{"vdd": 1.5}
-	// The hoisted totals must match a full evaluation exactly.
-	power, area, delay, err := ev.At(ov)
-	if err != nil {
-		b.Fatal(err)
-	}
-	full, err := d.EvaluateAt(ov)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if power != float64(full.Power) || area != float64(full.Area) || delay != float64(full.Delay) {
-		b.Fatalf("hoisted point disagrees with EvaluateAt: %v/%v/%v vs %v/%v/%v",
-			power, area, delay, full.Power, full.Area, full.Delay)
-	}
-	supplies := []float64{1.1, 1.3, 1.5, 2.0, 2.5, 3.0, 3.3}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ov["vdd"] = supplies[i%len(supplies)]
-		if _, _, _, err := ev.At(ov); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkSweepSerial times a 64-point supply sweep of the Figure 3
 // sheet through the exploration engine (X18).
 func BenchmarkSweepSerial(b *testing.B) {

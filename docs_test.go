@@ -1,6 +1,7 @@
 package powerplay_test
 
 import (
+	"io/fs"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -66,5 +67,76 @@ func TestDocCommandsExist(t *testing.T) {
 	}
 	if refs == 0 {
 		t.Fatal("no command references found: the patterns no longer match the documents")
+	}
+}
+
+var (
+	// A go test -run or -fuzz flag and its (possibly quoted) pattern.
+	runFlag  = regexp.MustCompile(`(?:^|\s)-(?:run|fuzz)[= ](?:'([^']*)'|"([^"]*)"|([^\s'"]+))`)
+	testDecl = regexp.MustCompile(`(?m)^func ((?:Test|Fuzz|Benchmark)\w*)\(`)
+)
+
+// TestCIRunPatternsMatch fails when a -run or -fuzz pattern in CI or
+// the Makefile has an alternative that matches no Test, Fuzz or
+// Benchmark function: after a rename such a step still passes, but
+// runs nothing.  "^$" (run no tests) is exempt, and the Makefile's
+// "$$" is make's escape for "$".
+func TestCIRunPatternsMatch(t *testing.T) {
+	var funcs []string
+	err := filepath.WalkDir(".", func(path string, e fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if e.IsDir() && path != "." && strings.HasPrefix(e.Name(), ".") {
+			return filepath.SkipDir
+		}
+		if e.IsDir() || !strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		b, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		for _, m := range testDecl.FindAllStringSubmatch(string(b), -1) {
+			funcs = append(funcs, m[1])
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	patterns := 0
+	for _, file := range []string{".github/workflows/ci.yml", "Makefile"} {
+		b, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range runFlag.FindAllStringSubmatch(string(b), -1) {
+			patterns++
+			pattern := strings.ReplaceAll(m[1]+m[2]+m[3], "$$", "$")
+			for _, alt := range strings.Split(pattern, "|") {
+				if alt == "^$" {
+					continue
+				}
+				re, err := regexp.Compile(alt)
+				if err != nil {
+					t.Errorf("%s: pattern %q: %v", file, alt, err)
+					continue
+				}
+				matched := false
+				for _, f := range funcs {
+					if re.MatchString(f) {
+						matched = true
+						break
+					}
+				}
+				if !matched {
+					t.Errorf("%s: -run/-fuzz alternative %q matches no test function", file, alt)
+				}
+			}
+		}
+	}
+	if patterns == 0 {
+		t.Fatal("no -run or -fuzz patterns found: the pattern no longer matches CI or the Makefile")
 	}
 }

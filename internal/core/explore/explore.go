@@ -76,25 +76,6 @@ func Linspace(lo, hi float64, n int) []float64 {
 	return out
 }
 
-// Geomspace returns n logarithmically spaced values across [lo, hi];
-// both bounds must be positive.
-func Geomspace(lo, hi float64, n int) []float64 {
-	if n <= 0 || lo <= 0 || hi <= 0 {
-		return nil
-	}
-	if n == 1 {
-		return []float64{lo}
-	}
-	out := make([]float64, n)
-	ratio := math.Pow(hi/lo, 1/float64(n-1))
-	v := lo
-	for i := range out {
-		out[i] = v
-		v *= ratio
-	}
-	return out
-}
-
 // Sweep evaluates the design across values of one variable using a
 // zero-value Runner (default chunking, no cache); results are in input
 // order.  Construct a Runner directly to set the chunk size or attach

@@ -102,19 +102,6 @@ func TestLinspaceFiniteEndpoints(t *testing.T) {
 	}
 }
 
-func TestGeomspace(t *testing.T) {
-	got := Geomspace(1, 16, 5)
-	want := []float64{1, 2, 4, 8, 16}
-	for i := range want {
-		if !almost(got[i], want[i]) {
-			t.Errorf("Geomspace[%d] = %v", i, got[i])
-		}
-	}
-	if Geomspace(-1, 16, 5) != nil || Geomspace(1, 16, 0) != nil {
-		t.Error("bad inputs should be nil")
-	}
-}
-
 func TestSweepQuadraticPower(t *testing.T) {
 	d := testDesign(t)
 	pts, err := Sweep(context.Background(), d, "vdd", []float64{1.5, 3.0})

@@ -24,14 +24,14 @@ var (
 		"Explorations abandoned because their context was canceled or timed out.")
 	// exploreChunks tells the columnar story per chunk: "columnar"
 	// chunks ran the batch executor end to end, "scalar" chunks fell
-	// back to per-point evaluation (non-batchable sheet, failed batch,
-	// batching disabled), "cached" chunks were answered entirely from
-	// the point cache.
+	// back to per-point evaluation (non-compiling sheet, failed batch,
+	// batching disabled, one-point probes), "cached" chunks were
+	// answered entirely from the point cache.
 	exploreChunks = obs.NewCounterVec("powerplay_explore_chunks_total",
 		"Sweep chunks processed by the exploration engine, by result.", "result")
 	// exploreBatchPoints splits the same traffic per point: how many
 	// points each path actually resolved.  columnar/scalar/cache adds
-	// sum to powerplay_explore_points_total for chunked sweeps.
+	// sum to powerplay_explore_points_total.
 	exploreBatchPoints = obs.NewCounterVec("powerplay_explore_batch_points_total",
 		"Sweep points resolved by the chunked exploration engine, by path.", "path")
 )
@@ -63,9 +63,9 @@ func noteInterrupted(ctx context.Context, err error, points int) {
 // # Concurrency contract
 //
 // A call starts no goroutine.  It reads the design it is given and
-// nothing else: it uses the design's cached compiled plan and hoisted
-// baseline with private slot vectors, and a design whose plan does not
-// compile evaluates through EvaluateAt, which is safe for concurrent
+// nothing else: a columnar chunk runs over the design's cached compiled
+// plan and hoisted baseline with private columns, and every other
+// point runs through EvaluateTotals, which is safe for concurrent
 // readers.  The caller must not mutate the design during a call: the
 // web sweep page holds the user's read lock, which keeps edits out, so
 // a sweep of an unchanged sheet reuses the plan every earlier sweep
@@ -96,7 +96,7 @@ type Runner struct {
 	// ChunkSize sets how many consecutive points are priced together
 	// — the unit of columnar evaluation and of cancellation.  Zero or
 	// negative selects DefaultChunkSize; 1 disables columnar
-	// evaluation entirely (every point runs the scalar path).
+	// evaluation entirely (every point runs through EvaluateTotals).
 	ChunkSize int
 
 	// Cache, when non-nil, memoizes evaluated points by override
@@ -151,8 +151,9 @@ func (r *Runner) Sweep2D(ctx context.Context, d *sheet.Design, n1 string, v1 []f
 // or if ctx is canceled mid-search.
 //
 // Bisection probes one point at a time, so MinSupply never batches;
-// it honors ctx at every probe, and a Runner with a Cache answers a
-// repeated search from memoized operating points.
+// each probe is a one-point run, so it honors ctx, counts in the
+// engine's metrics and consults the Runner's Cache exactly as a sweep
+// point does.
 func (r *Runner) MinSupply(ctx context.Context, d *sheet.Design, fTarget, lo, hi float64) (float64, error) {
 	if !(lo > 0 && hi > lo) {
 		return 0, fmt.Errorf("explore: bad supply range [%g, %g]", lo, hi)
@@ -161,15 +162,12 @@ func (r *Runner) MinSupply(ctx context.Context, d *sheet.Design, fTarget, lo, hi
 		return 0, fmt.Errorf("explore: bad frequency target %g", fTarget)
 	}
 	target := 1 / fTarget
-	// Bisection probes share one override-name set, so the invariant
-	// part of the design is hoisted once for the whole search.
-	ev := newEval(hoist(d, map[string]float64{"vdd": lo}))
 	meets := func(vdd float64) (bool, error) {
-		p, err := r.point(ctx, d, ev, map[string]float64{"vdd": vdd})
+		pts, err := r.run(ctx, d, []map[string]float64{{"vdd": vdd}})
 		if err != nil {
 			return false, err
 		}
-		return p.Delay <= target, nil
+		return pts[0].Delay <= target, nil
 	}
 	ok, err := meets(hi)
 	if err != nil {
@@ -207,101 +205,73 @@ func (r *Runner) VoltageScale(ctx context.Context, d *sheet.Design, fTarget, lo,
 	if err != nil {
 		return SupplySavings{}, err
 	}
-	ev := newEval(hoist(d, map[string]float64{"vdd": nominal}))
-	pNom, err := r.point(ctx, d, ev, map[string]float64{"vdd": nominal})
-	if err != nil {
-		return SupplySavings{}, err
-	}
-	pMin, err := r.point(ctx, d, ev, map[string]float64{"vdd": min})
+	pts, err := r.run(ctx, d, []map[string]float64{{"vdd": nominal}, {"vdd": min}})
 	if err != nil {
 		return SupplySavings{}, err
 	}
 	return SupplySavings{
 		NominalVDD: nominal, MinVDD: min,
-		NominalPower: pNom.Power, MinPower: pMin.Power,
+		NominalPower: pts[0].Power, MinPower: pts[1].Power,
 	}, nil
 }
 
 // run evaluates one point per override map against d, preserving input
 // order in the returned slice.
 //
-// Before any point is evaluated, run hoists the sweep-invariant part of
-// the computation: it compiles the design's evaluation plan for the
-// override-name set (all points of a sweep share one), executes every
-// step that cannot depend on the swept variables once, and snapshots
-// the result.  The points are then processed in chunks: each chunk's
-// cache misses are evaluated columnar against the baseline (one
-// sheet.BatchEval pass over the whole chunk), falling back to the
-// per-point replay, which returns the canonical error messages — and,
-// when hoisting is unavailable, to the full EvaluateAt path.
+// The points are processed in chunks: each chunk's cache misses are
+// evaluated columnar (one sheet.BatchEval pass over the whole chunk,
+// against the sweep-invariant baseline the design's compiled plan
+// hoists once), falling back to EvaluateTotals point by point, which
+// returns the canonical error messages.  A call that cannot batch —
+// one point, ChunkSize 1, or a plan that does not compile — prices
+// every point through EvaluateTotals.
 func (r *Runner) run(ctx context.Context, d *sheet.Design, overrides []map[string]float64) ([]Point, error) {
 	n := len(overrides)
 	out := make([]Point, n)
 	if n == 0 {
 		return out, nil
 	}
-	if err := r.runChunks(ctx, d, overrides, out, hoist(d, overrides[0]), r.chunkSize()); err != nil {
+	if err := r.runChunks(ctx, d, overrides, out); err != nil {
 		noteInterrupted(ctx, err, n)
 		return nil, err
 	}
 	return out, nil
 }
 
-// hoist builds the sweep-invariant baseline for a call whose points
-// all override the names ov does (every caller builds such a list).
-// It returns nil — meaning "no fast path, evaluate every point through
-// EvaluateAt" — when the plan does not compile (e.g. a static cycle).
-// A failing invariant binding does not block hoisting: the baseline
-// stores it, and a point raises it only if its evaluation reads it,
-// with EvaluateAt's exact error.
-func hoist(d *sheet.Design, ov map[string]float64) *sheet.Sweeper {
+// newBatchEval returns the columnar context for a call whose points
+// all override the names ov does (every caller builds such a list),
+// sized for n points per chunk, or nil — every point through
+// EvaluateTotals — when n < 2 or the plan does not compile (e.g. a
+// static cycle).  A failing invariant binding does not block it: the
+// baseline stores the failure, and a chunk that trips over it replays
+// through EvaluateTotals.
+func newBatchEval(d *sheet.Design, ov map[string]float64, n int) *sheet.BatchEval {
+	if n < 2 {
+		return nil
+	}
 	names := make([]string, 0, len(ov))
-	for n := range ov {
-		names = append(names, n)
+	for name := range ov {
+		names = append(names, name)
 	}
 	sort.Strings(names)
 	plan, err := d.PlanFor(names)
 	if err != nil {
 		return nil
 	}
-	// Sweeps over an unchanged design share one hoisted baseline
-	// (memoized on the plan, keyed to the registry generation), so
-	// repeated sweeps warm-start from the invariant cone instead of
-	// re-executing it per run.
-	return plan.SharedSweeper()
-}
-
-// newEval is the nil-safe per-call evaluation context constructor:
-// a nil Sweeper (hoisting unavailable) yields a nil SweepEval, which
-// the point evaluators treat as "no fast path".
-func newEval(sw *sheet.Sweeper) *sheet.SweepEval {
-	if sw == nil {
-		return nil
-	}
-	return sw.NewEval()
-}
-
-// newBatchEval is the nil-safe columnar counterpart: no baseline or a
-// chunk too small to batch yields nil, which runChunk treats as
-// "scalar only".
-func newBatchEval(sw *sheet.Sweeper, chunk int) *sheet.BatchEval {
-	if sw == nil || chunk < 2 {
-		return nil
-	}
-	return sw.NewBatchEval(chunk)
+	return plan.NewBatchEval(n)
 }
 
 // runChunks prices the chunks in order on the caller's goroutine and
 // stops at the first failing point, which is therefore the
 // lowest-indexed one — the error a point-by-point run reports.  The
 // columns are sized to the sweep when it is shorter than a chunk.
-func (r *Runner) runChunks(ctx context.Context, d *sheet.Design, overrides []map[string]float64, out []Point, sw *sheet.Sweeper, chunk int) error {
+func (r *Runner) runChunks(ctx context.Context, d *sheet.Design, overrides []map[string]float64, out []Point) error {
 	start := time.Now()
 	defer func() { exploreBusySeconds.Add(time.Since(start).Seconds()) }()
-	ev := newEval(sw)
-	bev := newBatchEval(sw, min(chunk, len(overrides)))
+	chunk := r.chunkSize()
+	bev := newBatchEval(d, overrides[0], min(chunk, len(overrides)))
 	for lo := 0; lo < len(overrides); lo += chunk {
-		if err := r.runChunk(ctx, d, ev, bev, overrides, out, lo, min(lo+chunk, len(overrides))); err != nil {
+		if err := r.runChunk(ctx, d, bev, overrides, out, lo, min(lo+chunk, len(overrides))); err != nil {
 			return err
 		}
 	}
@@ -313,10 +283,10 @@ func (r *Runner) runChunks(ctx context.Context, d *sheet.Design, overrides []map
 // cached point re-requested within a sweep counts one hit, never two),
 // evaluates the misses columnar in a single BatchEval pass, and on any
 // batch error — whose text and position are not canonical, see the
-// BatchEval contract — re-evaluates the misses in order through the
-// scalar path, which reproduces the error of the lowest-indexed
+// BatchEval contract — re-evaluates the misses in order through
+// EvaluateTotals, which reproduces the error of the lowest-indexed
 // failing point verbatim.
-func (r *Runner) runChunk(ctx context.Context, d *sheet.Design, ev *sheet.SweepEval, bev *sheet.BatchEval, overrides []map[string]float64, out []Point, lo, hi int) error {
+func (r *Runner) runChunk(ctx context.Context, d *sheet.Design, bev *sheet.BatchEval, overrides []map[string]float64, out []Point, lo, hi int) error {
 	if err := ctx.Err(); err != nil {
 		return fmt.Errorf("explore: sweep interrupted: %w", err)
 	}
@@ -354,7 +324,7 @@ func (r *Runner) runChunk(ctx context.Context, d *sheet.Design, ev *sheet.SweepE
 		if keys != nil {
 			key = keys[rel]
 		}
-		p, err := r.evalPoint(ctx, d, ev, overrides[lo+rel], key)
+		p, err := r.evalPoint(ctx, d, overrides[lo+rel], key)
 		if err != nil {
 			return err
 		}
@@ -394,31 +364,18 @@ func (r *Runner) chunkColumnar(ctx context.Context, bev *sheet.BatchEval, overri
 	return true
 }
 
-// evalPoint prices one point through the scalar path and, when the
+// evalPoint prices one point through EvaluateTotals and, when the
 // Runner has a cache, stores it under key — already canonicalized by
 // the caller's cache pass.  evalPoint itself never looks the point up:
-// the lookup happened when the point entered its chunk (or in point),
-// so hit/miss accounting counts each requested point exactly once.
-//
-// When ev is non-nil the hoisted path prices the point, replaying only
-// the override-dependent cone of the compiled plan; its totals and
-// errors are EvaluateAt's.  Without it (hoisting unavailable) the point
-// runs through EvaluateAt itself.
-func (r *Runner) evalPoint(ctx context.Context, d *sheet.Design, ev *sheet.SweepEval, overrides map[string]float64, key string) (Point, error) {
+// the lookup happened when the point entered its chunk, so hit/miss
+// accounting counts each requested point exactly once.
+func (r *Runner) evalPoint(ctx context.Context, d *sheet.Design, overrides map[string]float64, key string) (Point, error) {
 	if err := ctx.Err(); err != nil {
 		return Point{}, fmt.Errorf("explore: sweep interrupted: %w", err)
 	}
 	p := Point{Vars: overrides}
 	var err error
-	if ev != nil {
-		p.Power, p.Area, p.Delay, err = ev.At(overrides)
-	} else {
-		var res *sheet.Result
-		if res, err = d.EvaluateAt(overrides); err == nil {
-			p.Power, p.Area, p.Delay = float64(res.Power), float64(res.Area), float64(res.Delay)
-		}
-	}
-	if err != nil {
+	if p.Power, p.Area, p.Delay, err = d.EvaluateTotals(overrides); err != nil {
 		return Point{}, fmt.Errorf("explore: %s: %w", overridesLabel(overrides), err)
 	}
 	if r.Cache != nil {
@@ -426,25 +383,6 @@ func (r *Runner) evalPoint(ctx context.Context, d *sheet.Design, ev *sheet.Sweep
 	}
 	explorePoints.Inc()
 	return p, nil
-}
-
-// point evaluates (or recalls from cache) a single override vector —
-// the sequential entry point MinSupply and VoltageScale probe through.
-// It checks ctx before doing any work, so a canceled search stops at
-// the next probe.
-func (r *Runner) point(ctx context.Context, d *sheet.Design, ev *sheet.SweepEval, overrides map[string]float64) (Point, error) {
-	if err := ctx.Err(); err != nil {
-		return Point{}, fmt.Errorf("explore: sweep interrupted: %w", err)
-	}
-	var key string
-	if r.Cache != nil {
-		key = Key(overrides)
-		if rec, ok := r.Cache.lookup(key); ok {
-			explorePoints.Inc()
-			return Point{Vars: overrides, Power: rec.power, Area: rec.area, Delay: rec.delay}, nil
-		}
-	}
-	return r.evalPoint(ctx, d, ev, overrides, key)
 }
 
 // overridesLabel renders an override vector for error messages

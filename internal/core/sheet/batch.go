@@ -2,10 +2,10 @@ package sheet
 
 // Columnar plan execution.
 //
-// A BatchEval is the chunked counterpart of SweepEval: where SweepEval
-// replays the override-dependent cone of a compiled plan once per
-// point, a BatchEval replays it once per *chunk*, with every slot of
-// the plan widened to a []float64 column.  Expression steps run through
+// A BatchEval replays the override-dependent cone of a compiled plan
+// once per *chunk* of sweep points, over a baseline that executed the
+// invariant steps once, with every slot of the plan widened to a
+// []float64 column.  Expression steps run through
 // expr.Program.RunBatch (tight per-operator loops), model rows with a
 // closed sweep form run through model.SweepForm.EvalCols (no Estimate
 // allocation, no parameter map, DelayScale memoized per vdd column),
@@ -14,16 +14,18 @@ package sheet
 // chunk without giving up the columnar steps around it.
 //
 // Correctness contract, continuing the plan's: a Run that succeeds
-// produces, for every point, values bit-identical to SweepEval.At on
+// produces, for every point, values bit-identical to EvaluateTotals on
 // that point (each columnar path replicates the scalar path's
 // floating-point operations in order — see expr.RunBatch and
 // model.SweepForm for their halves of the argument).  A Run that fails
-// promises only that at least one point of the chunk would fail the
-// scalar path too; the error's text and position are NOT canonical.
-// Callers must treat any Run error as "re-evaluate this chunk point by
-// point through the scalar path", which reproduces the canonical error
-// at the canonical (lowest-indexed) point.  Batch errors are therefore
-// never user-visible.
+// promises nothing about the points: the failure may be real, or it
+// may come from a step no point's evaluation reads (a failing binding
+// nothing uses, a conservative read of a failed invariant slot — see
+// build), and its text and position are NOT canonical.  Callers must
+// treat any Run error as "re-evaluate this chunk point by point
+// through EvaluateTotals", which either succeeds or reproduces the
+// canonical error at the canonical (lowest-indexed) point.  Batch
+// errors are therefore never user-visible.
 
 import (
 	"context"
@@ -80,9 +82,9 @@ type dsMemo struct {
 // BatchEval evaluates chunks of sweep points against a hoisted
 // baseline, columnar wherever the plan allows.  It holds per-chunk
 // mutable state and must not be used concurrently; each sweep builds
-// its own from the shared (immutable) Sweeper.
+// its own over the plan's shared (immutable) baseline.
 type BatchEval struct {
-	sw       *Sweeper
+	sw       *sweeper
 	capacity int
 	cols     [][]float64 // slot -> column; invariant slots broadcast baseline
 	bsteps   []batchStep
@@ -97,22 +99,32 @@ type BatchEval struct {
 	ds       map[int]*dsMemo // vdd slot -> DelayScale column memo
 }
 
-// NewBatchEval returns a columnar evaluation context over the sweeper's
-// baseline, able to evaluate up to capacity points per Run.  Like
-// SweepEval, a BatchEval must not be used concurrently.
-func (s *Sweeper) NewBatchEval(capacity int) *BatchEval {
+// NewBatchEval returns a columnar evaluation context over the plan's
+// hoisted invariant baseline, able to evaluate up to capacity points
+// per Run.  Repeated sweeps over an unchanged plan share the baseline
+// (see sharedSweeper); the BatchEval itself must not be used
+// concurrently.
+func (p *Plan) NewBatchEval(capacity int) *BatchEval {
+	return p.sharedSweeper().newBatchEval(capacity)
+}
+
+// newBatchEval builds a BatchEval over one baseline.
+func (s *sweeper) newBatchEval(capacity int) *BatchEval {
 	if capacity < 1 {
 		capacity = 1
 	}
 	p := s.plan
-	// The scalar-path slot vector starts at the baseline, exactly like
-	// a SweepEval's; per-point paths refresh only the variant slots
+	// The per-point sub-paths' slot vector starts at the baseline
+	// (stored errors included); they refresh only the variant slots
 	// they read.
+	run := p.newRun()
+	copy(run.slots, s.baseline)
+	copy(run.errs, s.errs)
 	b := &BatchEval{
 		sw:       s,
 		capacity: capacity,
 		cols:     make([][]float64, p.slotCount),
-		run:      s.newRun(),
+		run:      run,
 		ds:       make(map[int]*dsMemo),
 	}
 	// Every slot gets a column: invariant slots broadcast their
@@ -201,8 +213,11 @@ func (b *BatchEval) opCol(mc *rowModelCache, name string) ([]float64, int) {
 // returns the error) rather than one step: the caller's scalar fallback
 // then reproduces the canonical failure, and a later registry change
 // triggers a rebuild.  Columns carry no errors, so reading a failed
-// invariant slot — from a variant step, or as the root totals —
-// poisons the BatchEval too.
+// invariant slot — from a variant step that reads every slot it lists,
+// or as the root totals — poisons the BatchEval too.  A control-flow
+// program is exempt: it runs per point over b.run, which carries the
+// baseline's stored errors, so it raises one only on a point whose
+// branch reads it, as the scalar path does.
 func (b *BatchEval) build(gen uint64) {
 	b.built, b.gen, b.buildErr = true, gen, nil
 	b.bsteps = b.bsteps[:0]
@@ -215,9 +230,11 @@ func (b *BatchEval) build(gen uint64) {
 	failedRead(p.nodeBase[p.rootIdx])
 	for _, si := range p.variantSteps {
 		st := p.steps[si]
-		st.forEachRead(failedRead)
-		if b.buildErr != nil {
-			return
+		if st.kind != stepExpr || st.prog.Batchable() {
+			st.forEachRead(failedRead)
+			if b.buildErr != nil {
+				return
+			}
 		}
 		bs := batchStep{st: st, vddSlot: -1}
 		switch {
@@ -329,8 +346,8 @@ func (b *BatchEval) aggregate(st *planStep, n int) {
 
 // Run evaluates one chunk of override points and writes the design's
 // root totals for point i to pw[i], area[i], delay[i].  On success
-// every value is bit-identical to SweepEval.At on the same point; on
-// error the caller must re-evaluate the chunk through the scalar path
+// every value is bit-identical to EvaluateTotals on the same point; on
+// error the caller must re-evaluate the chunk through EvaluateTotals
 // (see the contract at the top of the file).
 //
 // Run honors ctx between steps and — on the per-point sub-paths, where

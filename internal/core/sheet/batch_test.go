@@ -105,21 +105,20 @@ func batchTestDesign(t *testing.T) *Design {
 	return d
 }
 
-// newBatchPair compiles the design for the override names and returns
-// both evaluation contexts over one shared baseline.
-func newBatchPair(t *testing.T, d *Design, names []string, capacity int) (*SweepEval, *BatchEval) {
+// newBatch compiles the design for the override names and returns a
+// BatchEval over a freshly hoisted baseline.
+func newBatch(t *testing.T, d *Design, names []string, capacity int) *BatchEval {
 	t.Helper()
 	plan, err := d.PlanFor(names)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sw := plan.NewSweeper()
-	return sw.NewEval(), sw.NewBatchEval(capacity)
+	return plan.newSweeper().newBatchEval(capacity)
 }
 
 // checkBatchMatchesEval runs one chunk through the BatchEval and every
-// point through the scalar SweepEval, demanding bit-identical totals.
-func checkBatchMatchesEval(t *testing.T, ev *SweepEval, bev *BatchEval, points []map[string]float64) {
+// point through EvaluateTotals, demanding bit-identical totals.
+func checkBatchMatchesEval(t *testing.T, d *Design, bev *BatchEval, points []map[string]float64) {
 	t.Helper()
 	n := len(points)
 	pw, area, delay := make([]float64, n), make([]float64, n), make([]float64, n)
@@ -127,7 +126,7 @@ func checkBatchMatchesEval(t *testing.T, ev *SweepEval, bev *BatchEval, points [
 		t.Fatalf("batch run: %v", err)
 	}
 	for i, ov := range points {
-		wp, wa, wd, err := ev.At(ov)
+		wp, wa, wd, err := d.EvaluateTotals(ov)
 		if err != nil {
 			t.Fatalf("scalar at %v: %v", ov, err)
 		}
@@ -140,35 +139,35 @@ func checkBatchMatchesEval(t *testing.T, ev *SweepEval, bev *BatchEval, points [
 	}
 }
 
-func TestBatchEvalMatchesSweepEval(t *testing.T) {
+func TestBatchEvalMatchesEvaluateTotals(t *testing.T) {
 	d := batchTestDesign(t)
-	ev, bev := newBatchPair(t, d, []string{"vdd"}, 64)
+	bev := newBatch(t, d, []string{"vdd"}, 64)
 	var pts []map[string]float64
 	// 0.6 and 0.7 sit at or below the delay-scale threshold voltage:
 	// the +Inf delay positions must survive the columnar path too.
 	for i := 0; i < 64; i++ {
 		pts = append(pts, map[string]float64{"vdd": 0.6 + float64(i)*(3.3-0.6)/63})
 	}
-	checkBatchMatchesEval(t, ev, bev, pts)
-	// A second, smaller chunk through the same contexts: per-chunk
+	checkBatchMatchesEval(t, d, bev, pts)
+	// A second, smaller chunk through the same context: per-chunk
 	// state (DelayScale memos, override columns) must reset cleanly.
-	checkBatchMatchesEval(t, ev, bev, pts[:7])
+	checkBatchMatchesEval(t, d, bev, pts[:7])
 }
 
 func TestBatchEvalFrequencySweep(t *testing.T) {
 	d := batchTestDesign(t)
 	// Constant vdd: the kernels take the precomputed DelayScale column.
-	ev, bev := newBatchPair(t, d, []string{"f"}, 32)
+	bev := newBatch(t, d, []string{"f"}, 32)
 	var pts []map[string]float64
 	for i := 0; i < 32; i++ {
 		pts = append(pts, map[string]float64{"f": 1e6 * float64(1+i)})
 	}
-	checkBatchMatchesEval(t, ev, bev, pts)
+	checkBatchMatchesEval(t, d, bev, pts)
 }
 
 func TestBatchEvalTwoVariableSweep(t *testing.T) {
 	d := batchTestDesign(t)
-	ev, bev := newBatchPair(t, d, []string{"f", "vdd"}, 64)
+	bev := newBatch(t, d, []string{"f", "vdd"}, 64)
 	var pts []map[string]float64
 	for i := 0; i < 8; i++ {
 		for j := 0; j < 8; j++ {
@@ -177,12 +176,12 @@ func TestBatchEvalTwoVariableSweep(t *testing.T) {
 			})
 		}
 	}
-	checkBatchMatchesEval(t, ev, bev, pts)
+	checkBatchMatchesEval(t, d, bev, pts)
 }
 
 func TestBatchEvalErrors(t *testing.T) {
 	d := batchTestDesign(t)
-	_, bev := newBatchPair(t, d, []string{"vdd"}, 8)
+	bev := newBatch(t, d, []string{"vdd"}, 8)
 	pw, area, delay := make([]float64, 8), make([]float64, 8), make([]float64, 8)
 	ctx := context.Background()
 
@@ -219,18 +218,17 @@ func TestBatchEvalErrors(t *testing.T) {
 
 	// Errors must not poison later runs: a clean chunk still works and
 	// still matches the scalar path.
-	ev, _ := newBatchPair(t, d, []string{"vdd"}, 8)
-	checkBatchMatchesEval(t, ev, bev, []map[string]float64{{"vdd": 1.1}, {"vdd": 2.2}})
+	checkBatchMatchesEval(t, d, bev, []map[string]float64{{"vdd": 1.1}, {"vdd": 2.2}})
 }
 
 func TestBatchEvalModelRegeneration(t *testing.T) {
 	d := batchTestDesign(t)
-	ev, bev := newBatchPair(t, d, []string{"vdd"}, 4)
+	bev := newBatch(t, d, []string{"vdd"}, 4)
 	pts := []map[string]float64{{"vdd": 1.0}, {"vdd": 2.0}}
-	checkBatchMatchesEval(t, ev, bev, pts)
+	checkBatchMatchesEval(t, d, bev, pts)
 	// Swap the kernel model for one with doubled capacitance: the next
 	// Run must rebuild against the new registry generation, exactly as
 	// the scalar path does.
 	d.Registry.MustRegister(newSweepableCell("kernel cell v2", 200e-15))
-	checkBatchMatchesEval(t, ev, bev, pts)
+	checkBatchMatchesEval(t, d, bev, pts)
 }

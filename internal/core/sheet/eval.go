@@ -112,7 +112,8 @@ func (d *Design) EvaluateAt(overrides map[string]float64) (*Result, error) {
 // EvaluateTotals computes just the design's root power, area and delay
 // at an override point — identical numbers to EvaluateAt's root Result,
 // without building the Result tree.  Macro evaluation uses it, which
-// is what makes deeply nested macro hierarchies cheap.
+// is what makes deeply nested macro hierarchies cheap, and so does
+// every sweep point the columnar engine does not price.
 func (d *Design) EvaluateTotals(overrides map[string]float64) (power, area, delay float64, err error) {
 	_, power, area, delay, err = d.evaluate(overrides, false)
 	return power, area, delay, err

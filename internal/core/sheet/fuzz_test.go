@@ -151,7 +151,7 @@ func sameTotals(t *testing.T, label string, pw, area, delay float64, err error, 
 }
 
 // FuzzPlanMatchesInterpreter holds the compiled plan — full results,
-// totals, the hoisted sweep paths — and the incremental engine to the
+// totals, the columnar sweep path — and the incremental engine to the
 // interpreter on arbitrary small sheets: same values bit for bit, same
 // error text, and no interpreter fallback whenever the plan compiles.  After the first Play it edits one global
 // and plays again, exercising failures retained across Plays.
@@ -182,13 +182,10 @@ func FuzzPlanMatchesInterpreter(f *testing.F) {
 			if perr != nil {
 				continue
 			}
-			sw := plan.SharedSweeper()
-			pw, area, delay, err = sw.NewEval().At(ov)
-			sameTotals(t, "SweepEval.At", pw, area, delay, err, want, wantErr)
 			// A batch error is never canonical, only a batch success is.
 			pws, areas, delays := make([]float64, 2), make([]float64, 2), make([]float64, 2)
 			pts := []map[string]float64{ov, ov}
-			if sw.NewBatchEval(2).Run(context.Background(), pts, pws, areas, delays) == nil {
+			if plan.NewBatchEval(2).Run(context.Background(), pts, pws, areas, delays) == nil {
 				sameTotals(t, "BatchEval", pws[1], areas[1], delays[1], nil, want, wantErr)
 			}
 		}

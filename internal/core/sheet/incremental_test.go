@@ -293,30 +293,22 @@ func TestSharedSweeperMemo(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s1 := plan.SharedSweeper()
-	s2 := plan.SharedSweeper()
+	s1 := plan.sharedSweeper()
+	s2 := plan.sharedSweeper()
 	if s1 != s2 {
 		t.Error("repeated sweeps did not share the hoisted baseline")
 	}
 	// A registry edit retires the memo.
 	m, _ := d.Registry.Lookup("cell")
 	d.Registry.MustRegister(m)
-	s3 := plan.SharedSweeper()
+	s3 := plan.sharedSweeper()
 	if s3 == s1 {
 		t.Error("registry edit did not retire the shared baseline")
 	}
-	// Shared and fresh baselines price points identically.
-	e1, e2 := s3.NewEval(), plan.NewSweeper().NewEval()
-	for _, v := range []float64{0.9, 1.5, 3.3} {
-		p1, a1, d1, err1 := e1.At(map[string]float64{"vdd": v})
-		p2, a2, d2, err2 := e2.At(map[string]float64{"vdd": v})
-		if err1 != nil || err2 != nil {
-			t.Fatalf("vdd=%v: %v / %v", v, err1, err2)
-		}
-		if p1 != p2 || a1 != a2 || d1 != d2 {
-			t.Errorf("vdd=%v: shared %v/%v/%v vs fresh %v/%v/%v", v, p1, a1, d1, p2, a2, d2)
-		}
-	}
+	// Shared and fresh baselines price points as EvaluateTotals does.
+	pts := []map[string]float64{{"vdd": 0.9}, {"vdd": 1.5}, {"vdd": 3.3}}
+	checkBatchMatchesEval(t, d, s3.newBatchEval(len(pts)), pts)
+	checkBatchMatchesEval(t, d, plan.newSweeper().newBatchEval(len(pts)), pts)
 }
 
 func TestSharedSweeperVolatileNeverMemoizes(t *testing.T) {
@@ -332,8 +324,8 @@ func TestSharedSweeperVolatileNeverMemoizes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s1 := plan.SharedSweeper()
-	s2 := plan.SharedSweeper()
+	s1 := plan.sharedSweeper()
+	s2 := plan.sharedSweeper()
 	if s1 == s2 {
 		t.Error("volatile design shared a hoisted baseline across sweeps")
 	}

@@ -53,8 +53,9 @@ func sameBits(t *testing.T, path string, a, b *sheet.Result) {
 }
 
 // lazyGlobalDesign is a sheet whose global g = 8/n fails at n = 0 but
-// is read only behind a guard that is false there: the interpreter
-// never evaluates it, so the design evaluates fine.
+// is read only behind guards that are false there: the interpreter
+// never evaluates it, so the design evaluates fine.  One guard reads
+// the supply, so a vdd sweep replays it per point.
 func lazyGlobalDesign(t *testing.T) *sheet.Design {
 	t.Helper()
 	reg := model.NewRegistry()
@@ -80,7 +81,7 @@ func lazyGlobalDesign(t *testing.T) *sheet.Design {
 			t.Fatal(err)
 		}
 	}
-	for row, src := range map[string]string{"guarded": "n > 0 ? g : 8", "plain": "w"} {
+	for row, src := range map[string]string{"guarded": "n > 0 ? g : 8", "plain": "w", "swept": "vdd > 0.5 ? 8 : g"} {
 		if err := d.Root.MustAddChild(row, "cell").SetParam("bits", src); err != nil {
 			t.Fatal(err)
 		}

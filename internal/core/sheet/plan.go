@@ -32,9 +32,10 @@ package sheet
 //
 // Sweep-invariant hoisting: the plan statically splits its steps into
 // the cone that depends (transitively) on the override slots and the
-// invariant remainder.  A Sweeper executes the invariant steps once
-// and snapshots the slot vector; each per-point evaluation then runs
-// only the variant cone over a copy of that baseline.
+// invariant remainder.  The columnar engine (batch.go) executes the
+// invariant steps once into a baseline slot vector and replays only
+// the variant cone per chunk; per-point evaluation always runs the
+// whole plan (EvaluateTotals).
 
 import (
 	"fmt"
@@ -152,7 +153,7 @@ type Plan struct {
 
 	// swMemo caches the hoisted invariant baseline per registry
 	// generation, so repeated sweeps over one plan skip re-executing
-	// the invariant steps (see SharedSweeper).
+	// the invariant steps (see sharedSweeper).
 	swMemo atomic.Pointer[sweeperMemo]
 }
 
@@ -581,87 +582,47 @@ func (p *Plan) buildResults(run *planRun) []*Result {
 	return results
 }
 
-// Sweeper snapshots the sweep-invariant portion of a plan: every step
+// sweeper snapshots the sweep-invariant portion of a plan: every step
 // that cannot depend on the override slots is executed once, and the
 // resulting slot vector (failures included) becomes the baseline each
-// per-point evaluation starts from.  A Sweeper is immutable and safe to
-// share; per-sweep mutable state lives in SweepEval.
-type Sweeper struct {
+// BatchEval starts from.  A sweeper is immutable and safe to share;
+// per-sweep mutable state lives in the BatchEval.
+type sweeper struct {
 	plan     *Plan
 	baseline []float64
 	errs     []error
 }
 
-// NewSweeper hoists and executes the invariant steps.  A failing
+// newSweeper hoists and executes the invariant steps.  A failing
 // invariant binding is stored in the baseline like any other outcome;
 // a point raises it only if its evaluation reads it.
-func (p *Plan) NewSweeper() *Sweeper {
+func (p *Plan) newSweeper() *sweeper {
 	run := p.newRun()
 	invariant := make([]bool, len(p.steps))
 	for i, v := range p.isVariant {
 		invariant[i] = !v
 	}
 	p.exec(invariant, run, false)
-	return &Sweeper{plan: p, baseline: run.slots, errs: run.errs}
+	return &sweeper{plan: p, baseline: run.slots, errs: run.errs}
 }
 
-// newRun returns execution state starting from the baseline.
-func (s *Sweeper) newRun() *planRun {
-	run := s.plan.newRun()
-	copy(run.slots, s.baseline)
-	copy(run.errs, s.errs)
-	return run
-}
-
-// NewEval returns a per-goroutine evaluation context over the sweeper's
-// baseline.  A SweepEval must not be used concurrently.
-func (s *Sweeper) NewEval() *SweepEval {
-	return &SweepEval{sw: s, run: s.newRun()}
-}
-
-// SweepEval evaluates sweep points against a hoisted baseline, running
-// only the override-dependent cone per point.
-type SweepEval struct {
-	sw  *Sweeper
-	run *planRun
-}
-
-// At evaluates one override point and returns the design's root
-// totals, or its error: both identical to EvaluateAt's.
-func (e *SweepEval) At(ov map[string]float64) (power, area, delay float64, err error) {
-	p := e.sw.plan
-	slots := e.run.slots
-	for i, name := range p.overrideNames {
-		v, ok := ov[name]
-		if !ok {
-			return 0, 0, 0, fmt.Errorf("sweep point missing override %q", name)
-		}
-		slots[p.overrideSlots[i]] = v
-	}
-	if err := p.exec(p.isVariant, e.run, false); err != nil {
-		return 0, 0, 0, err
-	}
-	base := p.nodeBase[p.rootIdx]
-	return slots[base+slotPower], slots[base+slotArea], slots[base+slotDelay], nil
-}
-
-// SharedSweeper returns a hoisted invariant baseline that repeated
+// sharedSweeper returns a hoisted invariant baseline that repeated
 // sweeps over this plan share, rebuilding it only when the model
 // registry's generation moves (a re-registered model may change any
 // row's numbers; binding edits already invalidate the whole plan via
 // the mutation epoch, so they cannot leak in here).  Plans whose
 // rows resolve to volatile models never share: their "invariant" steps
 // are not actually invariant across calls, so each sweep hoists fresh,
-// exactly as NewSweeper would.
-func (p *Plan) SharedSweeper() *Sweeper {
+// exactly as newSweeper would.
+func (p *Plan) sharedSweeper() *sweeper {
 	if p.hasVolatileModel() {
-		return p.NewSweeper()
+		return p.newSweeper()
 	}
 	gen := p.design.Registry.Generation()
 	if m := p.swMemo.Load(); m != nil && m.regGen == gen {
 		return m.sw
 	}
-	sw := p.NewSweeper()
+	sw := p.newSweeper()
 	p.swMemo.Store(&sweeperMemo{regGen: gen, sw: sw})
 	return sw
 }
@@ -670,7 +631,7 @@ func (p *Plan) SharedSweeper() *Sweeper {
 // generation it was computed under.
 type sweeperMemo struct {
 	regGen uint64
-	sw     *Sweeper
+	sw     *sweeper
 }
 
 // stepVolatile reports whether a step's row currently resolves to a

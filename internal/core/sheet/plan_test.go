@@ -1,8 +1,10 @@
 package sheet
 
 import (
+	"context"
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"testing"
 
@@ -413,27 +415,33 @@ func TestSweeperMatchesEvaluateAt(t *testing.T) {
 		t.Fatalf("hoisting found no invariant work: %d of %d steps variant",
 			plan.VariantSteps(), plan.Steps())
 	}
-	ev := plan.NewSweeper().NewEval()
+	var pts []map[string]float64
 	for _, vdd := range []float64{0.8, 1.0, 1.5, 2.0, 3.3} {
-		ov := map[string]float64{"vdd": vdd}
-		power, area, delay, err := ev.At(ov)
-		if err != nil {
-			t.Fatalf("vdd=%g: %v", vdd, err)
-		}
+		pts = append(pts, map[string]float64{"vdd": vdd})
+	}
+	n := len(pts)
+	power, area, delay := make([]float64, n), make([]float64, n), make([]float64, n)
+	if err := plan.newSweeper().newBatchEval(n).Run(context.Background(), pts, power, area, delay); err != nil {
+		t.Fatal(err)
+	}
+	for i, ov := range pts {
 		full, err := d.EvaluateAt(ov)
 		if err != nil {
-			t.Fatalf("vdd=%g: %v", vdd, err)
+			t.Fatalf("%v: %v", ov, err)
 		}
-		if power != float64(full.Power) || area != float64(full.Area) || delay != float64(full.Delay) {
-			t.Errorf("vdd=%g: hoisted %v/%v/%v, full %v/%v/%v",
-				vdd, power, area, delay, full.Power, full.Area, full.Delay)
+		if math.Float64bits(power[i]) != math.Float64bits(float64(full.Power)) ||
+			math.Float64bits(area[i]) != math.Float64bits(float64(full.Area)) ||
+			math.Float64bits(delay[i]) != math.Float64bits(float64(full.Delay)) {
+			t.Errorf("%v: hoisted %v/%v/%v, full %v/%v/%v",
+				ov, power[i], area[i], delay[i], full.Power, full.Area, full.Delay)
 		}
 	}
 }
 
 func TestPlanConcurrentSharedUse(t *testing.T) {
-	// Many goroutines share one design, its cached plan and one Sweeper:
-	// the mix the exploration engine produces under -race.
+	// Many goroutines share one design, its cached plan and one hoisted
+	// baseline, each through its own BatchEval: the mix concurrent
+	// sweeps produce under -race.
 	d := planTestDesign(t)
 	want, err := d.Evaluate()
 	if err != nil {
@@ -443,14 +451,15 @@ func TestPlanConcurrentSharedUse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sw := plan.NewSweeper()
+	sw := plan.newSweeper()
 	var wg sync.WaitGroup
 	errs := make(chan error, 64)
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			ev := sw.NewEval()
+			bev := sw.newBatchEval(1)
+			var p1, a1, d1 [1]float64
 			for i := 0; i < 50; i++ {
 				r, err := d.Evaluate()
 				if err != nil {
@@ -462,18 +471,21 @@ func TestPlanConcurrentSharedUse(t *testing.T) {
 					return
 				}
 				vdd := 1.0 + float64((g+i)%10)*0.2
-				p1, _, _, err := ev.At(map[string]float64{"vdd": vdd})
+				ov := map[string]float64{"vdd": vdd}
+				if err := bev.Run(context.Background(), []map[string]float64{ov}, p1[:], a1[:], d1[:]); err != nil {
+					errs <- err
+					return
+				}
+				power, area, delay, err := d.EvaluateTotals(ov)
 				if err != nil {
 					errs <- err
 					return
 				}
-				full, err := d.EvaluateAt(map[string]float64{"vdd": vdd})
-				if err != nil {
-					errs <- err
-					return
-				}
-				if p1 != float64(full.Power) {
-					errs <- fmt.Errorf("goroutine %d: hoisted %v, full %v at vdd=%g", g, p1, full.Power, vdd)
+				if math.Float64bits(p1[0]) != math.Float64bits(power) ||
+					math.Float64bits(a1[0]) != math.Float64bits(area) ||
+					math.Float64bits(d1[0]) != math.Float64bits(delay) {
+					errs <- fmt.Errorf("goroutine %d: hoisted %v/%v/%v, full %v/%v/%v at vdd=%g",
+						g, p1[0], a1[0], d1[0], power, area, delay, vdd)
 					return
 				}
 			}
