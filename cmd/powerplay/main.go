@@ -304,7 +304,9 @@ func serve(ctx context.Context, ln net.Listener, handler http.Handler) error {
 		Handler: handler,
 		// Transport-level hardening: a client that dribbles its header
 		// bytes or parks idle keep-alives cannot pin a connection
-		// forever.  Handler deadlines live in web.Config.RequestTimeout.
+		// forever.  Each handler's own deadline comes from the web
+		// package's timeout middleware (at least 2 min, and above the
+		// -sweep-timeout budget).
 		ReadHeaderTimeout: 10 * time.Second,
 		IdleTimeout:       2 * time.Minute,
 	}

@@ -1,10 +1,15 @@
 package powerplay_test
 
 import (
+	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"io/fs"
 	"os"
 	"path/filepath"
 	"regexp"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -139,4 +144,226 @@ func TestCIRunPatternsMatch(t *testing.T) {
 	if patterns == 0 {
 		t.Fatal("no -run or -fuzz patterns found: the pattern no longer matches CI or the Makefile")
 	}
+}
+
+// settingTypes are the settings structs whose every exported field
+// must be set by some program file, by declaring directory.
+var settingTypes = map[string]string{
+	"web.Config":    "internal/web",
+	"web.Remote":    "internal/web",
+	"store.Options": "internal/store",
+	"shard.Config":  "internal/shard",
+}
+
+// TestOptionsHaveCallers fails when an exported field of a settings
+// type is set by no non-test Go file of the module or of perfbench/: a
+// setting only tests set, or nothing sets, is a path the shipped
+// program never takes.
+func TestOptionsHaveCallers(t *testing.T) {
+	fset := token.NewFileSet()
+	files := map[string]*ast.File{}
+	err := filepath.WalkDir(".", func(path string, e fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if e.IsDir() {
+			if path != "." && (strings.HasPrefix(e.Name(), ".") || e.Name() == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		files[filepath.ToSlash(path)] = f
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, msg := range unsetSettings(files) {
+		t.Error(msg)
+	}
+}
+
+// TestOptionsHaveCallersRejectsLooseSets: a field with a common name
+// is not counted as set by an assignment in a package that cannot see
+// the settings type, nor by a literal whose type the checker cannot
+// name; an elided element type of a typed slice literal still counts.
+func TestOptionsHaveCallersRejectsLooseSets(t *testing.T) {
+	src := map[string]string{
+		"internal/web/config.go": `package web
+type Config struct { Name string; Key int; Timeout int }
+type Remote struct { URL string }
+var _ = Remote{URL: ""}`,
+		"internal/store/store.go": `package store
+type Options struct { Policy int }
+var _ = Options{Policy: 1}`,
+		"internal/shard/router.go": `package shard
+type Config struct { Key int }
+var _ = []Config{{Key: 1}}`,
+		"other/other.go": `package other
+type T struct { Name string }
+func f(x *T) { x.Name = ""; _ = []T{{Key: 1}}; _ = map[string]struct{ Timeout int }{"a": {Timeout: 1}} }`,
+	}
+	fset := token.NewFileSet()
+	files := map[string]*ast.File{}
+	for path, s := range src {
+		f, err := parser.ParseFile(fset, path, s, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		files[path] = f
+	}
+	got := strings.Join(unsetSettings(files), "\n")
+	for _, field := range []string{"web.Config.Name", "web.Config.Key", "web.Config.Timeout"} {
+		if !strings.Contains(got, field+" ") {
+			t.Errorf("%s is set by no program file, but the checker passed it:\n%s", field, got)
+		}
+	}
+	for _, field := range []string{"web.Remote.URL", "store.Options.Policy", "shard.Config.Key"} {
+		if strings.Contains(got, field+" ") {
+			t.Errorf("%s is set, but the checker flagged it:\n%s", field, got)
+		}
+	}
+}
+
+// unsetSettings names every exported field of settingTypes that no
+// file in files (keyed by slash path relative to the module root)
+// sets.  A field counts as set by a composite-literal key on its type
+// (directly, through a type alias such as the facade's ServerConfig,
+// or as the elided element type of a slice, array or map literal), or
+// by an assignment to a selector of its name in a file of the type's
+// own package or of one that imports it.
+func unsetSettings(files map[string]*ast.File) []string {
+	qualified := func(pkg string, typ ast.Expr) string {
+		if st, ok := typ.(*ast.StarExpr); ok {
+			typ = st.X
+		}
+		switch tt := typ.(type) {
+		case *ast.Ident:
+			return pkg + "." + tt.Name
+		case *ast.SelectorExpr:
+			if x, ok := tt.X.(*ast.Ident); ok {
+				return x.Name + "." + tt.Sel.Name
+			}
+		}
+		return ""
+	}
+
+	// The settings' exported fields, and every type alias.
+	fields := map[string][]string{}
+	aliases := map[string]string{}
+	for path, f := range files {
+		pkg := f.Name.Name
+		for _, decl := range f.Decls {
+			gd, ok := decl.(*ast.GenDecl)
+			if !ok {
+				continue
+			}
+			for _, spec := range gd.Specs {
+				ts, ok := spec.(*ast.TypeSpec)
+				if !ok {
+					continue
+				}
+				name := pkg + "." + ts.Name.Name
+				if ts.Assign.IsValid() {
+					aliases[name] = qualified(pkg, ts.Type)
+					continue
+				}
+				st, ok := ts.Type.(*ast.StructType)
+				if !ok || settingTypes[name] != filepath.ToSlash(filepath.Dir(path)) {
+					continue
+				}
+				for _, fld := range st.Fields.List {
+					for _, n := range fld.Names {
+						if n.IsExported() {
+							fields[name] = append(fields[name], n.Name)
+						}
+					}
+				}
+			}
+		}
+	}
+
+	// Every literal key and assigned selector, as "pkg.Type.Field".
+	set := map[string]bool{}
+	for path, f := range files {
+		pkg := f.Name.Name
+		// The settings types this file can name.
+		var visible []string
+		for typ, dir := range settingTypes {
+			if filepath.ToSlash(filepath.Dir(path)) == dir {
+				visible = append(visible, typ)
+				continue
+			}
+			for _, imp := range f.Imports {
+				if strings.HasSuffix(strings.Trim(imp.Path.Value, "\""), "/"+dir) {
+					visible = append(visible, typ)
+				}
+			}
+		}
+		elided := map[*ast.CompositeLit]string{}
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.CompositeLit:
+				typ, ok := elided[n]
+				if !ok && n.Type != nil {
+					typ = qualified(pkg, n.Type)
+				}
+				if a, ok := aliases[typ]; ok {
+					typ = a
+				}
+				var elem ast.Expr
+				switch tt := n.Type.(type) {
+				case *ast.ArrayType:
+					elem = tt.Elt
+				case *ast.MapType:
+					elem = tt.Value
+				}
+				for _, el := range n.Elts {
+					if kv, ok := el.(*ast.KeyValueExpr); ok {
+						if k, ok := kv.Key.(*ast.Ident); ok && typ != "" && elem == nil {
+							set[typ+"."+k.Name] = true
+						}
+						el = kv.Value
+					}
+					if cl, ok := el.(*ast.CompositeLit); ok && cl.Type == nil && elem != nil {
+						elided[cl] = qualified(pkg, elem)
+					}
+				}
+			case *ast.AssignStmt:
+				for _, lhs := range n.Lhs {
+					if sel, ok := lhs.(*ast.SelectorExpr); ok {
+						for _, typ := range visible {
+							set[typ+"."+sel.Sel.Name] = true
+						}
+					}
+				}
+			}
+			return true
+		})
+	}
+
+	var unset []string
+	types := make([]string, 0, len(settingTypes))
+	for typ := range settingTypes {
+		types = append(types, typ)
+	}
+	sort.Strings(types)
+	for _, typ := range types {
+		if len(fields[typ]) == 0 {
+			unset = append(unset, fmt.Sprintf("%s: no exported fields found; is the type still declared in %s?", typ, settingTypes[typ]))
+		}
+		for _, name := range fields[typ] {
+			if !set[typ+"."+name] {
+				unset = append(unset, fmt.Sprintf("%s.%s is set by no program file: make its default a constant, or give it a flag", typ, name))
+			}
+		}
+	}
+	return unset
 }

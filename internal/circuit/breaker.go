@@ -5,9 +5,7 @@
 //
 // The machinery landed with the remote model protocol hardening (PR 3)
 // and moved here unchanged when the shard router needed the identical
-// open/half-open/probe discipline against its backends; internal/web
-// re-exports the old names as aliases, so existing callers compile
-// untouched.
+// open/half-open/probe discipline against its backends.
 package circuit
 
 import (

@@ -18,7 +18,7 @@ type Entry struct {
 
 // Source is the upstream end of a subscription: a publisher's catalog
 // and versioned bodies.  The web layer's implementation rides the
-// Remote client, so every call inherits PR 3's RetryPolicy and the
+// Remote client, so every call inherits its retry policy and the
 // per-site circuit breaker; a dead publisher surfaces here as an
 // error, never as a hang.
 type Source interface {
@@ -45,11 +45,11 @@ type Sink interface {
 
 // Stats describes one sync pass.
 type Stats struct {
-	Catalog   int    `json:"catalog"`             // entries the publisher listed
-	Applied   int    `json:"applied"`             // bodies fetched and installed
-	Removed   int    `json:"removed"`             // local mirrors dropped
-	Unchanged int    `json:"unchanged"`           // digests already matching
-	Failed    int    `json:"failed"`              // entries that errored this pass
+	Catalog   int    `json:"catalog"`   // entries the publisher listed
+	Applied   int    `json:"applied"`   // bodies fetched and installed
+	Removed   int    `json:"removed"`   // local mirrors dropped
+	Unchanged int    `json:"unchanged"` // digests already matching
+	Failed    int    `json:"failed"`    // entries that errored this pass
 	LastError string `json:"last_error,omitempty"`
 }
 

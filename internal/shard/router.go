@@ -35,22 +35,15 @@ type Config struct {
 	// calls (X-PowerPlay-Key).  Client requests pass their own
 	// credentials through untouched.
 	Key string
-	// BreakerThreshold and BreakerCooldown parameterize each backend's
-	// circuit breaker; zeros select the circuit package defaults
-	// (5 failures, 10 s).
-	BreakerThreshold int
-	BreakerCooldown  time.Duration
-	// MaxIdlePerBackend caps the keep-alive connection pool per
-	// backend; zero selects 32.
-	MaxIdlePerBackend int
+	// BreakerCooldown is how long each backend's circuit breaker stays
+	// open before probing; zero selects the circuit default (10 s).
+	// The breaker trips at the circuit default of 5 consecutive
+	// failures.
+	BreakerCooldown time.Duration
 }
 
-func (c Config) maxIdle() int {
-	if c.MaxIdlePerBackend > 0 {
-		return c.MaxIdlePerBackend
-	}
-	return 32
-}
+// maxIdlePerBackend caps the keep-alive connection pool per backend.
+const maxIdlePerBackend = 32
 
 // maxBufferedBody bounds how much of a request body the router holds
 // in memory so it can retry after a ShardRedirect and replicate
@@ -117,8 +110,7 @@ func NewRouter(cfg Config) (*Router, error) {
 		rt.backends = append(rt.backends, b)
 		idx := strconv.Itoa(i)
 		rt.breakers = append(rt.breakers, &circuit.Breaker{
-			Threshold: cfg.BreakerThreshold,
-			Cooldown:  cfg.BreakerCooldown,
+			Cooldown: cfg.BreakerCooldown,
 			OnTransition: func(to circuit.State) {
 				shardBreakerTransitions.With(idx, to.String()).Inc()
 			},
@@ -127,8 +119,8 @@ func NewRouter(cfg Config) (*Router, error) {
 	rt.client = &http.Client{
 		Transport: &http.Transport{
 			DialContext:         (&net.Dialer{Timeout: 5 * time.Second, KeepAlive: 30 * time.Second}).DialContext,
-			MaxIdleConns:        cfg.maxIdle() * len(cfg.Backends),
-			MaxIdleConnsPerHost: cfg.maxIdle(),
+			MaxIdleConns:        maxIdlePerBackend * len(cfg.Backends),
+			MaxIdleConnsPerHost: maxIdlePerBackend,
 			IdleConnTimeout:     90 * time.Second,
 			// Above the backends' own 2 min request deadline, so a slow
 			// sweep finishes and only a truly hung backend trips this.

@@ -322,9 +322,8 @@ func TestKillBackendMidTraffic(t *testing.T) {
 	b1 := startCrashable(t, "127.0.0.1:0", dir1, 1, 2)
 
 	rt, err := shard.NewRouter(shard.Config{
-		Backends:         []string{b0.url(), b1.url()},
-		BreakerThreshold: 2,
-		BreakerCooldown:  200 * time.Millisecond,
+		Backends:        []string{b0.url(), b1.url()},
+		BreakerCooldown: 200 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -354,7 +353,7 @@ func TestKillBackendMidTraffic(t *testing.T) {
 	b1.kill()
 
 	// Live traffic against the dead shard: transport errors until the
-	// breaker trips (threshold 2), then fast envelope 503s.
+	// breaker trips (the circuit default of 5), then fast envelope 503s.
 	saw503 := false
 	for i := 0; i < 10; i++ {
 		resp, err := c1.Get(front.URL + "/menu")
@@ -443,7 +442,6 @@ func TestShardMetricsContract(t *testing.T) {
 	// A stale-count router over 2 backends: guarantees redirects.
 	f := newFleet(t, 2, func(c *shard.Config) {
 		c.ShardCount = 1
-		c.BreakerThreshold = 1
 		c.BreakerCooldown = time.Minute
 	})
 	user := userFor(t, 1, 2)
@@ -458,9 +456,10 @@ func TestShardMetricsContract(t *testing.T) {
 		"params": {"bits 8 1 64 int"}, "csw": {"bits*7f"},
 	})
 	// A breaker trip and a rejection: kill backend 1's listener, then
-	// hit its user twice (trip, then fast-fail).
+	// hit its user six times (five failures trip the default breaker,
+	// the sixth fails fast).
 	f.backends[1].Close()
-	for i := 0; i < 2; i++ {
+	for i := 0; i < 6; i++ {
 		resp, err := c.Get(f.front.URL + "/menu")
 		if err != nil {
 			t.Fatal(err)

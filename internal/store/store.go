@@ -14,28 +14,14 @@ import (
 type Options struct {
 	// Policy selects the fsync discipline (the -durability flag).
 	Policy SyncPolicy
-	// FlushInterval paces the background fsync under SyncInterval;
-	// zero selects 100 ms.
-	FlushInterval time.Duration
-	// SnapshotEvery is the per-user journal length at which the web
-	// layer is told to fold the journal into a snapshot; zero selects
-	// 512 records.
-	SnapshotEvery int
 }
 
-func (o Options) flushInterval() time.Duration {
-	if o.FlushInterval > 0 {
-		return o.FlushInterval
-	}
-	return 100 * time.Millisecond
-}
+// flushInterval paces the background fsync under SyncInterval.
+const flushInterval = 100 * time.Millisecond
 
-func (o Options) snapshotEvery() int {
-	if o.SnapshotEvery > 0 {
-		return o.SnapshotEvery
-	}
-	return 512
-}
+// snapshotEvery is the per-scope journal length at which the web layer
+// is told to fold the journal into a snapshot.
+const snapshotEvery = 512
 
 // Store manages one data directory's journals and snapshots: one
 // journal+snapshot pair per user under users/<name>/, plus a
@@ -188,7 +174,7 @@ func (st *Store) Append(user string, recs ...Record) (lagAfter int, err error) {
 
 // SnapshotDue reports whether a user's journal lag has reached the
 // fold-into-snapshot threshold.
-func (st *Store) SnapshotDue(lag int) bool { return lag >= st.opt.snapshotEvery() }
+func (st *Store) SnapshotDue(lag int) bool { return lag >= snapshotEvery }
 
 // Lag returns the total number of appended-but-unsnapshotted records
 // across all scopes: the healthz "journal lag".
@@ -282,7 +268,7 @@ func (st *Store) startFlusher() {
 	st.flushOnce.Do(func() {
 		go func() {
 			defer close(st.done)
-			t := time.NewTicker(st.opt.flushInterval())
+			t := time.NewTicker(flushInterval)
 			defer t.Stop()
 			for {
 				select {

@@ -126,14 +126,6 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	_ = json.NewEncoder(w).Encode(v)
 }
 
-// apiError is the legacy (pre-v1) error wire shape.  The server no
-// longer emits it — every error path writes the errorEnvelope of
-// apiv1.go — but the remote client still decodes it so a mount against
-// an older publisher keeps reporting sane messages.
-type apiError struct {
-	Error string `json:"error"`
-}
-
 // apiModels lists the library, honoring the shared listing parameters
 // (?prefix=, ?cursor=, ?limit= — see paginate).  The body stays the
 // bare sorted array the pre-pagination clients read; a truncated page

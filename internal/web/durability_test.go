@@ -98,21 +98,31 @@ func TestCrashRecoveryExactState(t *testing.T) {
 	}
 }
 
-// TestSnapshotFoldingAndCleanShutdown: crossing the SnapshotEvery
+// TestSnapshotFoldingAndCleanShutdown: crossing the store's 512-record
 // threshold folds the journal into a snapshot mid-flight, and a clean
 // Close leaves empty journals, so the next boot replays nothing.
 func TestSnapshotFoldingAndCleanShutdown(t *testing.T) {
 	dir := t.TempDir()
-	s1, ts1, c := durableSite(t, dir, Config{SnapshotEvery: 4})
+	s1, ts1, c := durableSite(t, dir, Config{})
 	loginAs(t, ts1, c, "u", "")
 	post(t, c, ts1.URL+"/designs", url.Values{"name": {"d"}})
-	// Each Play journals at least a touch record; a handful crosses the
-	// 4-record threshold and folds.
-	for i := 0; i < 6; i++ {
+	// Each Play journals at least a touch record, so the lag grows
+	// until the Play that crosses the threshold folds it.
+	folded := false
+	for i := 0; i < 600 && !folded; i++ {
+		before := s1.JournalLag()
 		post(t, c, ts1.URL+"/design/d/play", url.Values{"glob_vdd": {"2.5"}})
+		folded = s1.JournalLag() < before
 	}
-	if lag := s1.JournalLag(); lag >= 7 {
-		t.Errorf("journal never folded: lag %d", lag)
+	if !folded {
+		t.Errorf("journal never folded: lag %d", s1.JournalLag())
+	}
+	// Records written after the fold are what Close must snapshot.
+	for _, v := range []string{"1.5", "3.3", "1.8"} {
+		post(t, c, ts1.URL+"/design/d/play", url.Values{"glob_vdd": {v}})
+	}
+	if lag := s1.JournalLag(); lag == 0 {
+		t.Fatal("test expects un-snapshotted journal records before Close")
 	}
 	preBody, preTag := fetchWithETag(t, c, ts1.URL+"/design/d")
 	ts1.Close()

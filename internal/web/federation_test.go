@@ -199,7 +199,7 @@ func TestSyncSurvivesPublisherFlap(t *testing.T) {
 	// pass deterministically through SyncNow.
 	stopSubscription(sub)
 	rc := sub.rc
-	rc.Retry = fastRetry()
+	rc.retry = fastRetry()
 	// The first sync already initialized the lazy breaker; replace it
 	// with test pacing so post-recovery convergence is not gated on the
 	// production 10 s cooldown.

@@ -4,7 +4,8 @@ import "container/list"
 
 // lruCache is a small bounded map with least-recently-used eviction:
 // the bookkeeping behind the server's per-(user, design) read cache of
-// memoized sheet results and rendered pages.  Users and designs come
+// memoized sheet results and rendered pages, the registry's published
+// versions and the Remote client's stale cache.  Users and designs come
 // and go — an uncapped map for deleted keys is a slow leak on a
 // long-lived site — so the cache holds at most cap entries and
 // silently drops the coldest.

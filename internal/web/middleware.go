@@ -24,21 +24,18 @@ import (
 //     a deadline, so a stalled remote model or a pathological sweep
 //     cannot hold a connection forever.
 //
-// The companion settings live in Config (MaxBodyBytes, RequestTimeout);
-// transport-level limits (header read timeout, idle timeout, graceful
+// Transport-level limits (header read timeout, idle timeout, graceful
 // shutdown) belong to the http.Server that fronts this handler — see
 // cmd/powerplay.
 
-// defaultMaxBodyBytes caps request bodies when Config.MaxBodyBytes is
-// unset.  Design imports are the largest legitimate payload; the
-// paper-scale sheets serialize to a few kilobytes, so 4 MiB is three
-// orders of magnitude of headroom.
-const defaultMaxBodyBytes = 4 << 20
+// maxBodyBytes caps every request body.  Design imports are the
+// largest legitimate payload; the paper-scale sheets serialize to a few
+// kilobytes, so 4 MiB is three orders of magnitude of headroom.
+const maxBodyBytes = 4 << 20
 
-// defaultRequestTimeout bounds one request's context when
-// Config.RequestTimeout is unset: comfortably above the 30 s default
-// sweep budget, far below "forever".
-const defaultRequestTimeout = 2 * time.Minute
+// minRequestTimeout is the floor of one request's context deadline:
+// comfortably above the 30 s default sweep budget, far below "forever".
+const minRequestTimeout = 2 * time.Minute
 
 // recoverMiddleware converts handler panics into 500 responses with a
 // logged stack trace.  http.ErrAbortHandler passes through: it is the

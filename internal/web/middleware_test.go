@@ -67,27 +67,34 @@ func TestRecoverMiddleware(t *testing.T) {
 	}
 }
 
-// TestBodyLimitMiddleware: an oversized request body is rejected at the
-// configured cap, and normal-sized requests still work.
+// TestBodyLimitMiddleware: the shipped handler rejects a body over
+// the 4 MiB cap and still serves a normal-sized one, and the cap
+// middleware applies whatever limit it is given.
 func TestBodyLimitMiddleware(t *testing.T) {
-	_, ts, _ := site(t, Config{MaxBodyBytes: 256})
-	big := `{"model":"` + strings.Repeat("x", 4096) + `"}`
-	resp, err := http.Post(ts.URL+"/api/v1/eval", "application/json", strings.NewReader(big))
+	s, err := NewServer(Config{}, library.Standard())
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("oversized body = %d, want 400", resp.StatusCode)
+	eval := func(h http.Handler, body string) int {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/api/v1/eval", strings.NewReader(body)))
+		return rec.Code
+	}
+	h := s.Handler()
+	huge := `{"model":"` + strings.Repeat("x", maxBodyBytes) + `"}`
+	if code := eval(h, huge); code != http.StatusBadRequest {
+		t.Fatalf("body over the 4 MiB cap = %d, want 400", code)
 	}
 	small := `{"model":"` + library.SRAM + `","params":{"words":1024,"bits":8,"vdd":1.5,"f":1e6}}`
-	resp, err = http.Post(ts.URL+"/api/v1/eval", "application/json", strings.NewReader(small))
-	if err != nil {
-		t.Fatal(err)
+	if code := eval(h, small); code != http.StatusOK {
+		t.Errorf("normal eval under the cap = %d, want 200", code)
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Errorf("normal eval under the cap = %d, want 200", resp.StatusCode)
+	big := `{"model":"` + strings.Repeat("x", 4096) + `"}`
+	if code := eval(limitBodyMiddleware(h, 256), big); code != http.StatusBadRequest {
+		t.Errorf("4 KiB body under a 256 B cap = %d, want 400", code)
+	}
+	if code := eval(limitBodyMiddleware(h, 256), small); code != http.StatusOK {
+		t.Errorf("normal eval under a 256 B cap = %d, want 200", code)
 	}
 }
 
@@ -108,7 +115,7 @@ func TestRequestTimeoutMiddleware(t *testing.T) {
 			return e, nil
 		},
 	})
-	s, err := NewServer(Config{RequestTimeout: 50 * time.Millisecond}, reg)
+	s, err := NewServer(Config{}, reg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +126,8 @@ func TestRequestTimeoutMiddleware(t *testing.T) {
 	if err := s.InstallDesign("u", d); err != nil {
 		t.Fatal(err)
 	}
-	ts := newTestServer(t, s)
+	ts := httptest.NewServer(timeoutMiddleware(s.Handler(), 50*time.Millisecond))
+	t.Cleanup(ts.Close)
 	c := loggedInClient(t, ts, "u")
 	code, body := fetch(t, c, ts.URL+"/design/d/sweep?var=vdd&from=1.0&to=3.0&steps=8")
 	if code != http.StatusServiceUnavailable {
@@ -130,7 +138,8 @@ func TestRequestTimeoutMiddleware(t *testing.T) {
 	}
 }
 
-// TestMiddlewareConfigResolvers: zero picks defaults, negative disables.
+// TestMiddlewareConfigResolvers: the request deadline defaults to
+// 2 min and never undercuts a configured sweep budget.
 func TestMiddlewareConfigResolvers(t *testing.T) {
 	mk := func(cfg Config) *Server {
 		s, err := NewServer(cfg, library.Standard())
@@ -139,21 +148,11 @@ func TestMiddlewareConfigResolvers(t *testing.T) {
 		}
 		return s
 	}
-	if got := mk(Config{}).requestTimeout(); got != defaultRequestTimeout {
+	if got := mk(Config{}).requestTimeout(); got != minRequestTimeout {
 		t.Errorf("default requestTimeout = %v", got)
 	}
-	if got := mk(Config{RequestTimeout: -1}).requestTimeout(); got != 0 {
-		t.Errorf("disabled requestTimeout = %v", got)
-	}
-	// The request deadline never undercuts a configured sweep budget.
 	long := mk(Config{SweepTimeout: 10 * time.Minute})
 	if got := long.requestTimeout(); got != 10*time.Minute+30*time.Second {
 		t.Errorf("requestTimeout under long sweep budget = %v", got)
-	}
-	if got := mk(Config{}).maxBodyBytes(); got != defaultMaxBodyBytes {
-		t.Errorf("default maxBodyBytes = %v", got)
-	}
-	if got := mk(Config{MaxBodyBytes: -1}).maxBodyBytes(); got != 0 {
-		t.Errorf("disabled maxBodyBytes = %v", got)
 	}
 }

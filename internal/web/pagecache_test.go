@@ -206,7 +206,7 @@ func TestSheetCacheInvalidationRefresh(t *testing.T) {
 	})
 
 	west, tsWest, cWest := site(t, Config{SiteName: "west"})
-	rc := &Remote{BaseURL: tsEast.URL, Retry: fastRetry()}
+	rc := &Remote{BaseURL: tsEast.URL, retry: fastRetry()}
 	if _, err := Mount(west.Registry(), rc, "east"); err != nil {
 		t.Fatal(err)
 	}

@@ -30,10 +30,7 @@ func (s *Server) openStore() error {
 	if err != nil {
 		return fmt.Errorf("web: %w", err)
 	}
-	st, err := store.Open(s.cfg.DataDir, store.Options{
-		Policy:        policy,
-		SnapshotEvery: s.cfg.SnapshotEvery,
-	})
+	st, err := store.Open(s.cfg.DataDir, store.Options{Policy: policy})
 	if err != nil {
 		return err
 	}

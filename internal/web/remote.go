@@ -36,19 +36,12 @@ type Remote struct {
 	BaseURL string
 	// Key authenticates against a password-restricted site.
 	Key string
-	// Client is the HTTP client; nil uses a 10 s-timeout default.
-	Client *http.Client
-	// Retry paces re-attempts; nil uses the default policy.
-	Retry *RetryPolicy
-	// Breaker is the per-site circuit breaker; nil installs a default
-	// one.  Sharing a Breaker across Remotes pointed at the same site
-	// is fine; sharing across different sites is not.
-	Breaker *circuit.Breaker
-	// StaleLimit bounds the last-known-good eval cache (entries);
-	// zero selects a default, negative disables stale degradation.
-	StaleLimit int
 
-	once    sync.Once
+	once sync.Once
+	// retry and breaker are the site's retry policy and circuit
+	// breaker; init installs the defaults, and tests assign their own
+	// pacing before the first request.
+	retry   *retryPolicy
 	breaker *circuit.Breaker
 	stale   *staleCache
 }
@@ -71,31 +64,21 @@ const maxRemoteBody = 8 << 20
 // it is cheaper to drop the connection.
 const maxDrainBytes = 256 << 10
 
-func (rc *Remote) client() *http.Client {
-	if rc.Client != nil {
-		return rc.Client
-	}
-	return &http.Client{Timeout: 10 * time.Second}
-}
+// remoteClient carries every Remote's requests; its timeout bounds
+// one attempt, the retry policy bounds the attempts.
+var remoteClient = &http.Client{Timeout: 10 * time.Second}
 
-func (rc *Remote) retry() *RetryPolicy {
-	if rc.Retry != nil {
-		return rc.Retry
-	}
-	return defaultRetryPolicy
-}
-
-// init lazily wires the per-site breaker and stale cache, so a Remote
-// composite literal keeps working unchanged.
+// init lazily wires the retry policy, per-site breaker and stale
+// cache, so a Remote composite literal keeps working unchanged.
 func (rc *Remote) init() {
 	rc.once.Do(func() {
-		rc.breaker = rc.Breaker
+		if rc.retry == nil {
+			rc.retry = defaultRetry
+		}
 		if rc.breaker == nil {
 			rc.breaker = &circuit.Breaker{}
 		}
-		if rc.StaleLimit >= 0 {
-			rc.stale = newStaleCache(rc.StaleLimit)
-		}
+		rc.stale = newStaleCache()
 	})
 }
 
@@ -131,14 +114,13 @@ func (k failKind) unavailable() bool {
 // do issues one logical request with retries and breaker accounting.
 func (rc *Remote) do(ctx context.Context, method, path string, body []byte, out any, idempotent bool) error {
 	rc.init()
-	policy := rc.retry()
-	budget := policy.attempts(idempotent)
+	budget := rc.retry.attempts(idempotent)
 	var lastErr error
 	for attempt := 0; attempt < budget; attempt++ {
 		if attempt > 0 {
 			remoteRetries.Inc()
 			obs.Log(ctx).Debug("remote: retrying", "site", rc.BaseURL, "path", path, "attempt", attempt)
-			if err := policy.wait(ctx, attempt-1); err != nil {
+			if err := rc.retry.wait(ctx, attempt-1); err != nil {
 				return fmt.Errorf("remote %s%s: %w: %v", rc.BaseURL, path, ErrRemoteUnavailable, err)
 			}
 		}
@@ -185,7 +167,7 @@ func (rc *Remote) attempt(ctx context.Context, method, path string, body []byte,
 	if rc.Key != "" {
 		req.Header.Set("X-PowerPlay-Key", rc.Key)
 	}
-	resp, err := rc.client().Do(req)
+	resp, err := remoteClient.Do(req)
 	if err != nil {
 		return failTransport, fmt.Errorf("remote %s: %w: %v", rc.BaseURL, ErrRemoteUnavailable, err)
 	}
@@ -215,18 +197,12 @@ func (rc *Remote) attempt(ctx context.Context, method, path string, body []byte,
 	return failNone, nil
 }
 
-// decodeAPIError extracts a human message from an error response body:
-// first the versioned envelope ({"error":{"code","message",...}}), then
-// the legacy shape ({"error":"..."}), so the client reads both a
-// current and a pre-v1 publisher.
+// decodeAPIError extracts the message of a versioned error envelope
+// ({"error":{"code","message",...}}), or "" for any other body.
 func decodeAPIError(msg []byte) string {
 	var env errorEnvelope
-	if json.Unmarshal(msg, &env) == nil && env.Error.Message != "" {
+	if json.Unmarshal(msg, &env) == nil {
 		return env.Error.Message
-	}
-	var ae apiError
-	if json.Unmarshal(msg, &ae) == nil && ae.Error != "" {
-		return ae.Error
 	}
 	return ""
 }
@@ -308,12 +284,10 @@ func (p *proxyModel) Evaluate(params model.Params) (*model.Estimate, error) {
 	key := p.remoteRef + "\x00" + params.String()
 	ej, err := p.remote.Eval(context.Background(), p.remoteRef, raw)
 	if err == nil {
-		if p.remote.stale != nil {
-			p.remote.stale.put(key, ej)
-		}
+		p.remote.stale.put(key, ej)
 		return estimateFromJSON(ej), nil
 	}
-	if p.remote.stale != nil && errors.Is(err, ErrRemoteUnavailable) {
+	if errors.Is(err, ErrRemoteUnavailable) {
 		if cached, at, ok := p.remote.stale.get(key); ok {
 			remoteStaleServes.Inc()
 			est := estimateFromJSON(cached)

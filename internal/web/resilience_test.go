@@ -3,6 +3,7 @@ package web
 import (
 	"context"
 	"errors"
+	"io"
 	"net/http"
 	"net/http/cookiejar"
 	"net/http/httptest"
@@ -25,8 +26,14 @@ import (
 
 // fastRetry is the default policy with millisecond pacing, so failure
 // scenarios run at test speed.
-func fastRetry() *RetryPolicy {
-	return &RetryPolicy{BaseDelay: time.Millisecond, MaxDelay: 4 * time.Millisecond}
+func fastRetry() *retryPolicy {
+	return &retryPolicy{maxAttempts: 4, maxEvalAttempts: 2, baseDelay: time.Millisecond, maxDelay: 4 * time.Millisecond}
+}
+
+// noRetry makes one attempt per request, so each failure reaches the
+// breaker exactly once.
+func noRetry() *retryPolicy {
+	return &retryPolicy{maxAttempts: 1, maxEvalAttempts: 1, baseDelay: time.Millisecond, maxDelay: time.Millisecond}
 }
 
 // faultedSite starts an eastern site and a fault proxy in front of it.
@@ -55,7 +62,7 @@ func TestRemoteGetRetriesTransientFailures(t *testing.T) {
 		faultnet.Fault{Mode: faultnet.Reset},
 		faultnet.Fault{Mode: faultnet.Garbage},
 	) // then the schedule is exhausted: Pass
-	rc := &Remote{BaseURL: p.URL(), Retry: fastRetry()}
+	rc := &Remote{BaseURL: p.URL(), retry: fastRetry()}
 	models, err := rc.Models(context.Background())
 	if err != nil {
 		t.Fatalf("Models should survive 3 transient failures: %v", err)
@@ -69,19 +76,19 @@ func TestRemoteGetRetriesTransientFailures(t *testing.T) {
 }
 
 // TestRemoteGetExhaustsBudget: a site that never answers sanely costs
-// exactly MaxAttempts requests and returns the typed unavailable error.
+// exactly maxAttempts requests and returns the typed unavailable error.
 func TestRemoteGetExhaustsBudget(t *testing.T) {
 	p := faultedSite(t)
 	p.SetDefault(faultnet.Fault{Mode: faultnet.Status, Code: 503})
-	rc := &Remote{BaseURL: p.URL(), Retry: &RetryPolicy{
-		MaxAttempts: 3, BaseDelay: time.Millisecond, MaxDelay: 2 * time.Millisecond,
+	rc := &Remote{BaseURL: p.URL(), retry: &retryPolicy{
+		maxAttempts: 3, maxEvalAttempts: 2, baseDelay: time.Millisecond, maxDelay: 2 * time.Millisecond,
 	}}
 	_, err := rc.Models(context.Background())
 	if !errors.Is(err, ErrRemoteUnavailable) {
 		t.Fatalf("want ErrRemoteUnavailable, got %v", err)
 	}
 	if got := p.Requests(); got != 3 {
-		t.Errorf("requests = %d, want MaxAttempts=3", got)
+		t.Errorf("requests = %d, want maxAttempts=3", got)
 	}
 }
 
@@ -93,7 +100,7 @@ func TestRemoteEvalRetryClassification(t *testing.T) {
 	t.Run("5xx not retried", func(t *testing.T) {
 		p := faultedSite(t)
 		p.SetDefault(faultnet.Fault{Mode: faultnet.Status, Code: 500})
-		rc := &Remote{BaseURL: p.URL(), Retry: fastRetry()}
+		rc := &Remote{BaseURL: p.URL(), retry: fastRetry()}
 		_, err := rc.Eval(context.Background(), library.SRAM, sramParams())
 		if !errors.Is(err, ErrRemoteUnavailable) {
 			t.Fatalf("want ErrRemoteUnavailable, got %v", err)
@@ -104,7 +111,7 @@ func TestRemoteEvalRetryClassification(t *testing.T) {
 	})
 	t.Run("reset retried", func(t *testing.T) {
 		p := faultedSite(t, faultnet.Fault{Mode: faultnet.Reset})
-		rc := &Remote{BaseURL: p.URL(), Retry: fastRetry()}
+		rc := &Remote{BaseURL: p.URL(), retry: fastRetry()}
 		est, err := rc.Eval(context.Background(), library.SRAM, sramParams())
 		if err != nil {
 			t.Fatalf("Eval should survive one reset: %v", err)
@@ -118,7 +125,7 @@ func TestRemoteEvalRetryClassification(t *testing.T) {
 	})
 	t.Run("app error final", func(t *testing.T) {
 		p := faultedSite(t)
-		rc := &Remote{BaseURL: p.URL(), Retry: fastRetry()}
+		rc := &Remote{BaseURL: p.URL(), retry: fastRetry()}
 		_, err := rc.Eval(context.Background(), "ghost", nil)
 		if err == nil || errors.Is(err, ErrRemoteUnavailable) {
 			t.Fatalf("unknown model is an app error, not unavailability: %v", err)
@@ -132,6 +139,39 @@ func TestRemoteEvalRetryClassification(t *testing.T) {
 	})
 }
 
+// TestRemoteAppErrorMessage: a 4xx answer carrying the v1 error
+// envelope reports the envelope's message; any other 4xx body —
+// including the pre-v1 {"error":"..."} shape — reports the status and
+// the raw body.
+func TestRemoteAppErrorMessage(t *testing.T) {
+	for _, tc := range []struct{ name, body, want string }{
+		{"envelope", `{"error":{"code":"not_found","message":"unknown model \"ghost\""}}`,
+			`remote SITE: unknown model "ghost"`},
+		{"envelope without message", `{"error":{"code":"not_found"}}`,
+			`remote SITE/api/v1/eval: 404 Not Found: {"error":{"code":"not_found"}}`},
+		{"legacy shape", `{"error":"no such model"}`,
+			`remote SITE/api/v1/eval: 404 Not Found: {"error":"no such model"}`},
+		{"plain text", "404 page not found\n",
+			"remote SITE/api/v1/eval: 404 Not Found: 404 page not found"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				w.WriteHeader(http.StatusNotFound)
+				io.WriteString(w, tc.body)
+			}))
+			defer ts.Close()
+			rc := &Remote{BaseURL: ts.URL, retry: fastRetry()}
+			_, err := rc.Eval(context.Background(), "ghost", nil)
+			if err == nil || errors.Is(err, ErrRemoteUnavailable) {
+				t.Fatalf("a 4xx is an app error: %v", err)
+			}
+			if got, want := err.Error(), strings.ReplaceAll(tc.want, "SITE", ts.URL); got != want {
+				t.Errorf("error = %q\nwant    %q", got, want)
+			}
+		})
+	}
+}
+
 // TestBreakerLifecycle walks the full circuit: consecutive failures
 // trip it open, open means fail-fast with zero network traffic, the
 // cooldown admits a single probe whose failure re-opens and whose
@@ -142,8 +182,8 @@ func TestBreakerLifecycle(t *testing.T) {
 	const cooldown = 50 * time.Millisecond
 	rc := &Remote{
 		BaseURL: p.URL(),
-		Retry:   &RetryPolicy{MaxAttempts: 1, MaxEvalAttempts: 1, BaseDelay: time.Millisecond},
-		Breaker: &circuit.Breaker{Threshold: 3, Cooldown: cooldown},
+		retry:   noRetry(),
+		breaker: &circuit.Breaker{Threshold: 3, Cooldown: cooldown},
 	}
 	ctx := context.Background()
 
@@ -211,7 +251,7 @@ func TestMountAtomic(t *testing.T) {
 		// site dies while the schemas are still being fetched.
 		p := faultedSite(t, faultnet.Fault{}, faultnet.Fault{})
 		p.SetDefault(faultnet.Fault{Mode: faultnet.Status, Code: 500})
-		rc := &Remote{BaseURL: p.URL(), Retry: &RetryPolicy{MaxAttempts: 1, BaseDelay: time.Millisecond}}
+		rc := &Remote{BaseURL: p.URL(), retry: noRetry()}
 		reg := library.Standard()
 		before := append([]string(nil), reg.Names()...)
 		if _, err := MountContext(context.Background(), reg, rc, "east"); !errors.Is(err, ErrRemoteUnavailable) {
@@ -221,7 +261,7 @@ func TestMountAtomic(t *testing.T) {
 	})
 	t.Run("name collision", func(t *testing.T) {
 		p := faultedSite(t)
-		rc := &Remote{BaseURL: p.URL(), Retry: fastRetry()}
+		rc := &Remote{BaseURL: p.URL(), retry: fastRetry()}
 		reg := library.Standard()
 		// Occupy one local name a remote model would take: the registry
 		// replaces on Register, so without the up-front collision check
@@ -248,7 +288,7 @@ func TestMountAtomic(t *testing.T) {
 	})
 	t.Run("remount is idempotent", func(t *testing.T) {
 		p := faultedSite(t)
-		rc := &Remote{BaseURL: p.URL(), Retry: fastRetry()}
+		rc := &Remote{BaseURL: p.URL(), retry: fastRetry()}
 		reg := library.Standard()
 		n1, err := Mount(reg, rc, "east")
 		if err != nil {
@@ -289,7 +329,7 @@ func TestRefreshSyncsMount(t *testing.T) {
 	east, tsEast, cEast := site(t, Config{SiteName: "east"})
 	ctx := context.Background()
 	westReg := library.Standard()
-	rc := &Remote{BaseURL: tsEast.URL, Retry: fastRetry()}
+	rc := &Remote{BaseURL: tsEast.URL, retry: fastRetry()}
 	n0, err := Mount(westReg, rc, "east")
 	if err != nil {
 		t.Fatal(err)
@@ -334,7 +374,7 @@ func TestRefreshSyncsMount(t *testing.T) {
 	before := append([]string(nil), westReg.Names()...)
 	p := faultedSite(t)
 	p.SetDefault(faultnet.Fault{Mode: faultnet.Reset})
-	dead := &Remote{BaseURL: p.URL(), Retry: &RetryPolicy{MaxAttempts: 1, BaseDelay: time.Millisecond}}
+	dead := &Remote{BaseURL: p.URL(), retry: noRetry()}
 	if _, err := Refresh(ctx, westReg, dead, "east"); !errors.Is(err, ErrRemoteUnavailable) {
 		t.Fatalf("refresh against dead site: %v", err)
 	}
@@ -353,8 +393,8 @@ func TestSheetDegradesToStaleWhenRemoteDies(t *testing.T) {
 	westReg := library.Standard()
 	rc := &Remote{
 		BaseURL: p.URL(),
-		Retry:   fastRetry(),
-		Breaker: &circuit.Breaker{Threshold: 2, Cooldown: time.Hour},
+		retry:   fastRetry(),
+		breaker: &circuit.Breaker{Threshold: 2, Cooldown: time.Hour},
 	}
 	if _, err := Mount(westReg, rc, "east"); err != nil {
 		t.Fatal(err)
@@ -459,7 +499,7 @@ func TestSweepClientDisconnectCancelsWorkers(t *testing.T) {
 	const steps = 200
 	p := faultedSite(t)
 	westReg := library.Standard()
-	rc := &Remote{BaseURL: p.URL(), Retry: fastRetry()}
+	rc := &Remote{BaseURL: p.URL(), retry: fastRetry()}
 	if _, err := Mount(westReg, rc, "east"); err != nil {
 		t.Fatal(err)
 	}

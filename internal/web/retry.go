@@ -6,7 +6,7 @@ import (
 	"time"
 )
 
-// RetryPolicy bounds and paces the Remote client's re-attempts.
+// retryPolicy bounds and paces the Remote client's re-attempts.
 //
 // The policy distinguishes idempotent requests (the GETs behind Models
 // and Info, and schema refreshes) from evaluation POSTs.  GETs are
@@ -17,83 +17,45 @@ import (
 // is slow rather than down is not hammered with duplicate work.
 //
 // Waits follow exponential backoff with equal jitter: attempt k sleeps
-// between d/2 and d where d = min(MaxDelay, BaseDelay·2^k), which
+// between d/2 and d where d = min(maxDelay, baseDelay·2^k), which
 // spreads synchronized retries from many consumers apart.
-//
-// The zero value selects all defaults and is safe for concurrent use.
-type RetryPolicy struct {
-	// MaxAttempts is the total try budget for idempotent requests,
-	// including the first; zero selects 4.  One means "never retry".
-	MaxAttempts int
-	// MaxEvalAttempts is the total try budget for Eval POSTs; zero
-	// selects 2.
-	MaxEvalAttempts int
-	// BaseDelay is the backoff before the first retry; zero selects
-	// 50 ms.
-	BaseDelay time.Duration
-	// MaxDelay caps a single backoff; zero selects 2 s.
-	MaxDelay time.Duration
-
-	// sleep replaces the context-aware wait in tests; nil uses a real
-	// timer.  It returns early with the context's error when the
-	// caller goes away mid-backoff.
-	sleep func(ctx context.Context, d time.Duration) error
-	// rnd replaces the jitter source in tests; nil uses math/rand's
-	// (locked) global source.
-	rnd func() float64
+type retryPolicy struct {
+	// maxAttempts and maxEvalAttempts are the total try budgets for
+	// idempotent requests and Eval POSTs, including the first.
+	maxAttempts, maxEvalAttempts int
+	// baseDelay is the backoff before the first retry; maxDelay caps a
+	// single backoff.
+	baseDelay, maxDelay time.Duration
 }
 
-// defaultRetryPolicy backs a Remote whose Retry field is nil.
-var defaultRetryPolicy = &RetryPolicy{}
+// defaultRetry is every Remote's policy; tests pace their own.
+var defaultRetry = &retryPolicy{
+	maxAttempts: 4, maxEvalAttempts: 2,
+	baseDelay: 50 * time.Millisecond, maxDelay: 2 * time.Second,
+}
 
-// attempts resolves the try budget for one request class.
-func (p *RetryPolicy) attempts(idempotent bool) int {
-	n := p.MaxAttempts
+// attempts is the try budget for one request class.
+func (p *retryPolicy) attempts(idempotent bool) int {
 	if idempotent {
-		if n <= 0 {
-			n = 4
-		}
-	} else {
-		n = p.MaxEvalAttempts
-		if n <= 0 {
-			n = 2
-		}
+		return p.maxAttempts
 	}
-	return n
+	return p.maxEvalAttempts
 }
 
 // backoff computes the jittered wait before retry number k (0-based).
-func (p *RetryPolicy) backoff(k int) time.Duration {
-	base := p.BaseDelay
-	if base <= 0 {
-		base = 50 * time.Millisecond
-	}
-	max := p.MaxDelay
-	if max <= 0 {
-		max = 2 * time.Second
-	}
-	d := base
-	for i := 0; i < k && d < max; i++ {
+func (p *retryPolicy) backoff(k int) time.Duration {
+	d := p.baseDelay
+	for i := 0; i < k && d < p.maxDelay; i++ {
 		d *= 2
 	}
-	if d > max {
-		d = max
-	}
-	rnd := p.rnd
-	if rnd == nil {
-		rnd = rand.Float64
-	}
+	d = min(d, p.maxDelay)
 	// Equal jitter: [d/2, d).
-	return d/2 + time.Duration(rnd()*float64(d/2))
+	return d/2 + time.Duration(rand.Float64()*float64(d/2))
 }
 
 // wait sleeps the backoff for retry k, returning early if ctx ends.
-func (p *RetryPolicy) wait(ctx context.Context, k int) error {
-	d := p.backoff(k)
-	if p.sleep != nil {
-		return p.sleep(ctx, d)
-	}
-	t := time.NewTimer(d)
+func (p *retryPolicy) wait(ctx context.Context, k int) error {
+	t := time.NewTimer(p.backoff(k))
 	defer t.Stop()
 	select {
 	case <-t.C:

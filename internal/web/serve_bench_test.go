@@ -87,7 +87,7 @@ func uncachedSheetHandler(s *Server) http.Handler {
 		s.render(w, "sheet", page)
 	}))
 	h = timeoutMiddleware(h, s.requestTimeout())
-	h = limitBodyMiddleware(h, s.maxBodyBytes())
+	h = limitBodyMiddleware(h, maxBodyBytes)
 	return recoverMiddleware(requestIDMiddleware(h))
 }
 

@@ -50,13 +50,6 @@ type Config struct {
 	// negative selects the 30 s default.  Sites mounting slow remote
 	// models may need more; batch test rigs may want much less.
 	SweepTimeout time.Duration
-	// RequestTimeout is the deadline given to every request's context;
-	// zero selects a 2 min default (above any sweep budget), negative
-	// disables the deadline.
-	RequestTimeout time.Duration
-	// MaxBodyBytes caps any request body; zero selects a 4 MiB
-	// default, negative disables the cap.
-	MaxBodyBytes int64
 	// CacheEntries bounds the server's read cache (the memoized sheet
 	// results and pages, one entry per user design), in entries; zero
 	// selects the 256 default, negative selects the minimum of one
@@ -66,10 +59,6 @@ type Config struct {
 	// "always" (fsync per mutation), "interval" (background fsync, the
 	// default), or "never" (leave it to the OS).  See store.ParsePolicy.
 	Durability string
-	// SnapshotEvery is the per-user journal length at which the server
-	// folds the journal into a snapshot; zero selects the store's
-	// default (512 records).
-	SnapshotEvery int
 	// SyncInterval paces each repository subscription's digest-diff
 	// poll loop (see internal/repo); zero selects repo.DefaultInterval.
 	SyncInterval time.Duration
@@ -290,40 +279,16 @@ func (s *Server) Handler() http.Handler {
 	if s.cfg.ShardCount > 0 {
 		h = shardHeaderMiddleware(h, s.shardID())
 	}
-	if d := s.requestTimeout(); d > 0 {
-		h = timeoutMiddleware(h, d)
-	}
-	if max := s.maxBodyBytes(); max > 0 {
-		h = limitBodyMiddleware(h, max)
-	}
+	h = timeoutMiddleware(h, s.requestTimeout())
+	h = limitBodyMiddleware(h, maxBodyBytes)
 	return recoverMiddleware(requestIDMiddleware(h))
 }
 
-// requestTimeout resolves the per-request context deadline (0 = off).
-// The default never undercuts the sweep budget: a site configured for
-// long sweeps gets a correspondingly longer request deadline.
+// requestTimeout is the per-request context deadline.  It never
+// undercuts the sweep budget: a site configured for long sweeps gets a
+// correspondingly longer request deadline.
 func (s *Server) requestTimeout() time.Duration {
-	switch {
-	case s.cfg.RequestTimeout > 0:
-		return s.cfg.RequestTimeout
-	case s.cfg.RequestTimeout < 0:
-		return 0
-	}
-	if d := s.sweepTimeout() + 30*time.Second; d > defaultRequestTimeout {
-		return d
-	}
-	return defaultRequestTimeout
-}
-
-// maxBodyBytes resolves the request-body cap (0 = off).
-func (s *Server) maxBodyBytes() int64 {
-	switch {
-	case s.cfg.MaxBodyBytes > 0:
-		return s.cfg.MaxBodyBytes
-	case s.cfg.MaxBodyBytes < 0:
-		return 0
-	}
-	return defaultMaxBodyBytes
+	return max(minRequestTimeout, s.sweepTimeout()+30*time.Second)
 }
 
 // ----- sessions -----

@@ -1,7 +1,6 @@
 package web
 
 import (
-	"container/list"
 	"sync"
 	"time"
 )
@@ -14,47 +13,29 @@ import (
 // proxy models mounted through one Remote, matching the per-site
 // breaker's blame granularity.
 type staleCache struct {
-	mu    sync.Mutex
-	limit int
-	ll    *list.List               // front = most recent
-	idx   map[string]*list.Element // key → element whose Value is *staleEntry
+	mu  sync.Mutex
+	lru *lruCache[staleEntry]
 }
 
 type staleEntry struct {
-	key string
 	est *EstimateJSON
 	at  time.Time
 }
 
-// defaultStaleLimit bounds the last-known-good cache when the Remote
-// does not choose a size.  A sweep touches at most a few hundred
-// points per design, so this holds several sweeps' worth of estimates
-// in a few hundred kilobytes.
-const defaultStaleLimit = 512
+// staleLimit bounds the last-known-good cache.  A sweep touches at
+// most a few hundred points per design, so this holds several sweeps'
+// worth of estimates in a few hundred kilobytes.
+const staleLimit = 512
 
-func newStaleCache(limit int) *staleCache {
-	if limit <= 0 {
-		limit = defaultStaleLimit
-	}
-	return &staleCache{limit: limit, ll: list.New(), idx: make(map[string]*list.Element)}
+func newStaleCache() *staleCache {
+	return &staleCache{lru: newLRU[staleEntry](staleLimit)}
 }
 
 // put stores (or refreshes) the last good estimate for a key.
 func (c *staleCache) put(key string, est *EstimateJSON) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.idx[key]; ok {
-		en := el.Value.(*staleEntry)
-		en.est, en.at = est, time.Now()
-		c.ll.MoveToFront(el)
-		return
-	}
-	c.idx[key] = c.ll.PushFront(&staleEntry{key: key, est: est, at: time.Now()})
-	for c.ll.Len() > c.limit {
-		oldest := c.ll.Back()
-		c.ll.Remove(oldest)
-		delete(c.idx, oldest.Value.(*staleEntry).key)
-	}
+	c.lru.put(key, staleEntry{est: est, at: time.Now()})
 }
 
 // get returns the last good estimate for a key, and when it was stored.
@@ -62,18 +43,6 @@ func (c *staleCache) put(key string, est *EstimateJSON) {
 func (c *staleCache) get(key string) (*EstimateJSON, time.Time, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, ok := c.idx[key]
-	if !ok {
-		return nil, time.Time{}, false
-	}
-	c.ll.MoveToFront(el)
-	en := el.Value.(*staleEntry)
-	return en.est, en.at, true
-}
-
-// size reports the number of cached points (tests).
-func (c *staleCache) size() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ll.Len()
+	en, ok := c.lru.get(key)
+	return en.est, en.at, ok
 }

@@ -570,10 +570,3 @@ func TestAPIEquationsExport(t *testing.T) {
 	}
 	_ = s
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -40,7 +40,6 @@ import (
 
 	"powerplay/internal/activity"
 	"powerplay/internal/cachesim"
-	"powerplay/internal/circuit"
 	"powerplay/internal/core/explore"
 	"powerplay/internal/core/model"
 	"powerplay/internal/core/sheet"
@@ -95,14 +94,10 @@ type (
 	Server = web.Server
 	// ServerConfig parameterizes a site.
 	ServerConfig = web.Config
-	// Remote is a client for another site's model API.  It retries,
-	// circuit-breaks, and degrades to cached estimates by default; see
+	// Remote is a client for another site's model API.  It always
+	// retries, circuit-breaks and degrades to cached estimates; see
 	// DESIGN.md's "Resilience" section.
 	Remote = web.Remote
-	// RetryPolicy paces a Remote's re-attempts.
-	RetryPolicy = web.RetryPolicy
-	// Breaker is a Remote's per-site circuit breaker.
-	Breaker = circuit.Breaker
 )
 
 // ErrRemoteUnavailable is the typed error behind every remote failure
