@@ -50,7 +50,6 @@ func main() {
 	seed := flag.Bool("seed", false, "preload the paper's example designs for user 'demo'")
 	durability := flag.String("durability", "interval", "journal fsync policy: always, interval or never")
 	sweepTimeout := flag.Duration("sweep-timeout", 0, "per-request exploration sweep budget (0 = 30s default)")
-	cacheLimit := flag.Int("cache-limit", 0, "entries in the sheet read cache (0 = 256 default)")
 	profiling := flag.Bool("pprof", false, "expose net/http/pprof endpoints under /debug/pprof/")
 	logJSON := flag.Bool("log-json", false, "emit structured logs as JSON (default: human-readable text)")
 	logLevel := flag.String("log-level", "info", "minimum log level: debug, info, warn or error")
@@ -118,9 +117,8 @@ func main() {
 	reg := library.Standard()
 	srv, err := web.NewServer(web.Config{
 		SiteName: *siteName, DataDir: *data, Password: *password,
-		SweepTimeout: *sweepTimeout, CacheEntries: *cacheLimit,
-		Durability: *durability, SyncInterval: *syncInterval,
-		ShardID: *shardID, ShardCount: *shardCount,
+		SweepTimeout: *sweepTimeout, Durability: *durability,
+		SyncInterval: *syncInterval, ShardID: *shardID, ShardCount: *shardCount,
 	}, reg)
 	if err != nil {
 		fatal("server setup failed", "err", err)

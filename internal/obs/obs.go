@@ -32,6 +32,7 @@ import (
 	"math"
 	"net/http"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -335,106 +336,135 @@ func (r *Registry) WritePrometheus(w *strings.Builder) {
 	r.mu.Unlock()
 
 	for _, f := range fams {
-		fmt.Fprintf(w, "# HELP %s %s\n", f.name, escapeHelp(f.help))
-		fmt.Fprintf(w, "# TYPE %s %s\n", f.name, f.typ)
+		w.WriteString("# HELP ")
+		w.WriteString(f.name)
+		w.WriteByte(' ')
+		writeEscaped(w, f.help, false)
+		w.WriteString("\n# TYPE ")
+		w.WriteString(f.name)
+		w.WriteByte(' ')
+		w.WriteString(f.typ)
+		w.WriteByte('\n')
 		switch inst := f.inst.(type) {
 		case *Counter:
-			writeSample(w, f.name, "", inst.Value())
+			writeSample(w, f.name, "", "", inst.Value())
 		case *Gauge:
-			writeSample(w, f.name, "", inst.Value())
+			writeSample(w, f.name, "", "", inst.Value())
 		case *Histogram:
 			writeHistogram(w, f.name, "", inst)
 		case *CounterVec:
 			keys, kids := inst.l.snapshot()
 			for i, k := range keys {
-				writeSample(w, f.name, labelString(f.labels, k, ""), kids[i].Value())
+				writeSample(w, f.name, "", labelString(f.labels, k), kids[i].Value())
 			}
 		case *GaugeVec:
 			keys, kids := inst.l.snapshot()
 			for i, k := range keys {
-				writeSample(w, f.name, labelString(f.labels, k, ""), kids[i].Value())
+				writeSample(w, f.name, "", labelString(f.labels, k), kids[i].Value())
 			}
 		case *HistogramVec:
 			keys, kids := inst.l.snapshot()
-			for i := range keys {
-				writeHistogram(w, f.name, labelString(f.labels, keys[i], ""), kids[i])
+			for i, k := range keys {
+				writeHistogram(w, f.name, labelString(f.labels, k), kids[i])
 			}
 		}
 	}
 }
 
-// writeSample emits one `name{labels} value` line.  labels is the
-// pre-rendered `a="b",c="d"` interior, possibly empty.
-func writeSample(w *strings.Builder, name, labels string, v float64) {
+// writeSample emits one `name+suffix{labels} value` line.  labels is
+// the pre-rendered `a="b",c="d"` interior, possibly empty.
+func writeSample(w *strings.Builder, name, suffix, labels string, v float64) {
 	w.WriteString(name)
+	w.WriteString(suffix)
 	if labels != "" {
 		w.WriteByte('{')
 		w.WriteString(labels)
 		w.WriteByte('}')
 	}
-	fmt.Fprintf(w, " %s\n", formatValue(v))
+	w.WriteByte(' ')
+	var num [32]byte
+	w.Write(appendValue(num[:0], v))
+	w.WriteByte('\n')
 }
 
 // writeHistogram emits the cumulative bucket series plus _sum and
-// _count.  extraLabels is the family's label interior ("" when
-// unlabeled); the le label is appended after it.
-func writeHistogram(w *strings.Builder, name, extraLabels string, h *Histogram) {
+// _count.  labels is the family's label interior ("" when unlabeled);
+// the le label follows it.
+func writeHistogram(w *strings.Builder, name, labels string, h *Histogram) {
+	var num [32]byte
 	cum := uint64(0)
-	for i, bound := range h.bounds {
+	for i := range h.counts {
 		cum += h.counts[i].Load()
-		writeSample(w, name+"_bucket", joinLabels(extraLabels, fmt.Sprintf(`le="%s"`, formatValue(bound))), float64(cum))
+		w.WriteString(name)
+		w.WriteString("_bucket{")
+		if labels != "" {
+			w.WriteString(labels)
+			w.WriteByte(',')
+		}
+		w.WriteString(`le="`)
+		if i < len(h.bounds) {
+			w.Write(appendValue(num[:0], h.bounds[i]))
+		} else {
+			w.WriteString("+Inf")
+		}
+		w.WriteString(`"} `)
+		w.Write(appendValue(num[:0], float64(cum)))
+		w.WriteByte('\n')
 	}
-	cum += h.counts[len(h.bounds)].Load()
-	writeSample(w, name+"_bucket", joinLabels(extraLabels, `le="+Inf"`), float64(cum))
-	writeSample(w, name+"_sum", extraLabels, h.Sum())
-	writeSample(w, name+"_count", extraLabels, float64(h.Count()))
-}
-
-func joinLabels(a, b string) string {
-	if a == "" {
-		return b
-	}
-	return a + "," + b
+	writeSample(w, name, "_sum", labels, h.Sum())
+	writeSample(w, name, "_count", labels, float64(h.Count()))
 }
 
 // labelString renders the label interior for one child key (the
-// \xff-joined value tuple), plus an optional extra pre-rendered pair.
-func labelString(labels []string, key, extra string) string {
-	values := strings.Split(key, "\xff")
+// \xff-joined value tuple).
+func labelString(labels []string, key string) string {
 	var b strings.Builder
 	for i, l := range labels {
 		if i > 0 {
 			b.WriteByte(',')
 		}
-		fmt.Fprintf(&b, `%s="%s"`, l, escapeLabel(values[i]))
-	}
-	if extra != "" {
-		if b.Len() > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(extra)
+		var v string
+		v, key, _ = strings.Cut(key, "\xff")
+		b.WriteString(l)
+		b.WriteString(`="`)
+		writeEscaped(&b, v, true)
+		b.WriteByte('"')
 	}
 	return b.String()
 }
 
-// formatValue renders a sample value the way Prometheus expects:
+// appendValue renders a sample value the way Prometheus expects:
 // integers without an exponent, everything else in shortest form.
-func formatValue(v float64) string {
+func appendValue(dst []byte, v float64) []byte {
 	if v == math.Trunc(v) && math.Abs(v) < 1e15 {
-		return fmt.Sprintf("%d", int64(v))
+		return strconv.AppendInt(dst, int64(v), 10)
 	}
-	return fmt.Sprintf("%g", v)
+	return strconv.AppendFloat(dst, v, 'g', -1, 64)
 }
 
-func escapeHelp(s string) string {
-	s = strings.ReplaceAll(s, `\`, `\\`)
-	return strings.ReplaceAll(s, "\n", `\n`)
-}
-
-func escapeLabel(s string) string {
-	s = strings.ReplaceAll(s, `\`, `\\`)
-	s = strings.ReplaceAll(s, `"`, `\"`)
-	return strings.ReplaceAll(s, "\n", `\n`)
+// writeEscaped writes s with backslash and newline escaped, and double
+// quotes too for a label value (HELP text leaves them alone).
+func writeEscaped(w *strings.Builder, s string, quote bool) {
+	special := "\\\n"
+	if quote {
+		special += `"`
+	}
+	if !strings.ContainsAny(s, special) {
+		w.WriteString(s)
+		return
+	}
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; {
+		case c == '\\':
+			w.WriteString(`\\`)
+		case c == '\n':
+			w.WriteString(`\n`)
+		case c == '"' && quote:
+			w.WriteString(`\"`)
+		default:
+			w.WriteByte(c)
+		}
+	}
 }
 
 // Handler serves the Default registry at GET /metrics.

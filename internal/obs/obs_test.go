@@ -4,6 +4,8 @@ import (
 	"context"
 	"fmt"
 	"log/slog"
+	"math"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -187,4 +189,172 @@ func TestLogFallsBackToDefault(t *testing.T) {
 	if Log(ctx) != l {
 		t.Error("context logger not returned")
 	}
+}
+
+// TestExpositionMatchesFrozenWriter: the strconv-based writer renders
+// byte-for-byte what the fmt-based writer it replaced rendered, over
+// every instrument shape, label values and help text that need
+// escaping, ±Inf, NaN, −0, and integers on both sides of 1e15, where
+// the integer rendering gives way to the shortest float form.
+func TestExpositionMatchesFrozenWriter(t *testing.T) {
+	r := &Registry{}
+	values := []float64{
+		0, math.Copysign(0, -1), 1, -1, 0.5, -2.25, 1e-7, 5.555,
+		999999999999999, -999999999999999, 1e15, -1e15, 1e15 + 2, 1.5e15, 1e21,
+		math.Inf(1), math.Inf(-1), math.NaN(), math.MaxFloat64, math.SmallestNonzeroFloat64,
+	}
+	for i, v := range values {
+		r.NewCounter(fmt.Sprintf("t_counter_%02d_total", i), "counter help").Add(v)
+		r.NewGauge(fmt.Sprintf("t_gauge_%02d", i), "gauge help").Set(v)
+	}
+	r.NewGauge("t_help_escapes", "back\\slash, \"quotes\" and a\nnewline").Set(3)
+	cv := r.NewCounterVec("t_vec_total", "labeled counters", "route", "status")
+	gv := r.NewGaugeVec("t_gvec", "labeled gauges", "kind")
+	for i, lv := range []string{"plain", `quo"te`, `back\slash`, "new\nline", "", "GET /design/{name}", "ünï"} {
+		cv.With(lv, fmt.Sprint(200+i)).Add(values[i])
+		gv.With(lv).Set(values[len(values)-1-i])
+	}
+	h := r.NewHistogram("t_hist_seconds", "default buckets", nil)
+	hc := r.NewHistogram("t_hist_custom", "custom buckets", []float64{-1, 0, 0.25, 1e15, 2e15, math.Inf(1)})
+	hv := r.NewHistogramVec("t_hvec_seconds", "labeled histograms", []float64{0.001, 1, 1000}, "route")
+	for _, v := range []float64{1e-5, 0.003, 0.7, 4, 12, 3e15} {
+		h.Observe(v)
+		hc.Observe(v)
+		hv.With(`a"b`).Observe(v)
+		hv.With("c").Observe(v / 3)
+	}
+	hc.Observe(math.NaN())
+	r.NewHistogramVec("t_hvec_empty", "no children yet", nil, "route")
+
+	var got, want strings.Builder
+	r.WritePrometheus(&got)
+	frozenWritePrometheus(r, &want)
+	if got.String() != want.String() {
+		gl, wl := strings.Split(got.String(), "\n"), strings.Split(want.String(), "\n")
+		for i := 0; i < len(gl) && i < len(wl); i++ {
+			if gl[i] != wl[i] {
+				t.Fatalf("line %d differs:\n got %q\nwant %q", i+1, gl[i], wl[i])
+			}
+		}
+		t.Fatalf("exposition has %d lines, want %d", len(gl), len(wl))
+	}
+}
+
+// frozenWritePrometheus is the fmt-based exposition writer as it stood
+// before the writer moved to strconv appends, kept verbatim (renamed)
+// as the byte-for-byte reference for TestExpositionMatchesFrozenWriter.
+func frozenWritePrometheus(r *Registry, w *strings.Builder) {
+	r.mu.Lock()
+	names := make([]string, 0, len(r.families))
+	for n := range r.families {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	fams := make([]*family, len(names))
+	for i, n := range names {
+		fams[i] = r.families[n]
+	}
+	r.mu.Unlock()
+
+	for _, f := range fams {
+		fmt.Fprintf(w, "# HELP %s %s\n", f.name, frozenEscapeHelp(f.help))
+		fmt.Fprintf(w, "# TYPE %s %s\n", f.name, f.typ)
+		switch inst := f.inst.(type) {
+		case *Counter:
+			frozenWriteSample(w, f.name, "", inst.Value())
+		case *Gauge:
+			frozenWriteSample(w, f.name, "", inst.Value())
+		case *Histogram:
+			frozenWriteHistogram(w, f.name, "", inst)
+		case *CounterVec:
+			keys, kids := inst.l.snapshot()
+			for i, k := range keys {
+				frozenWriteSample(w, f.name, frozenLabelString(f.labels, k, ""), kids[i].Value())
+			}
+		case *GaugeVec:
+			keys, kids := inst.l.snapshot()
+			for i, k := range keys {
+				frozenWriteSample(w, f.name, frozenLabelString(f.labels, k, ""), kids[i].Value())
+			}
+		case *HistogramVec:
+			keys, kids := inst.l.snapshot()
+			for i := range keys {
+				frozenWriteHistogram(w, f.name, frozenLabelString(f.labels, keys[i], ""), kids[i])
+			}
+		}
+	}
+}
+
+// frozenWriteSample emits one `name{labels} value` line.  labels is the
+// pre-rendered `a="b",c="d"` interior, possibly empty.
+func frozenWriteSample(w *strings.Builder, name, labels string, v float64) {
+	w.WriteString(name)
+	if labels != "" {
+		w.WriteByte('{')
+		w.WriteString(labels)
+		w.WriteByte('}')
+	}
+	fmt.Fprintf(w, " %s\n", frozenFormatValue(v))
+}
+
+// frozenWriteHistogram emits the cumulative bucket series plus _sum and
+// _count.  extraLabels is the family's label interior ("" when
+// unlabeled); the le label is appended after it.
+func frozenWriteHistogram(w *strings.Builder, name, extraLabels string, h *Histogram) {
+	cum := uint64(0)
+	for i, bound := range h.bounds {
+		cum += h.counts[i].Load()
+		frozenWriteSample(w, name+"_bucket", frozenJoinLabels(extraLabels, fmt.Sprintf(`le="%s"`, frozenFormatValue(bound))), float64(cum))
+	}
+	cum += h.counts[len(h.bounds)].Load()
+	frozenWriteSample(w, name+"_bucket", frozenJoinLabels(extraLabels, `le="+Inf"`), float64(cum))
+	frozenWriteSample(w, name+"_sum", extraLabels, h.Sum())
+	frozenWriteSample(w, name+"_count", extraLabels, float64(h.Count()))
+}
+
+func frozenJoinLabels(a, b string) string {
+	if a == "" {
+		return b
+	}
+	return a + "," + b
+}
+
+// frozenLabelString renders the label interior for one child key (the
+// \xff-joined value tuple), plus an optional extra pre-rendered pair.
+func frozenLabelString(labels []string, key, extra string) string {
+	values := strings.Split(key, "\xff")
+	var b strings.Builder
+	for i, l := range labels {
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		fmt.Fprintf(&b, `%s="%s"`, l, frozenEscapeLabel(values[i]))
+	}
+	if extra != "" {
+		if b.Len() > 0 {
+			b.WriteByte(',')
+		}
+		b.WriteString(extra)
+	}
+	return b.String()
+}
+
+// frozenFormatValue renders a sample value the way Prometheus expects:
+// integers without an exponent, everything else in shortest form.
+func frozenFormatValue(v float64) string {
+	if v == math.Trunc(v) && math.Abs(v) < 1e15 {
+		return fmt.Sprintf("%d", int64(v))
+	}
+	return fmt.Sprintf("%g", v)
+}
+
+func frozenEscapeHelp(s string) string {
+	s = strings.ReplaceAll(s, `\`, `\\`)
+	return strings.ReplaceAll(s, "\n", `\n`)
+}
+
+func frozenEscapeLabel(s string) string {
+	s = strings.ReplaceAll(s, `\`, `\\`)
+	s = strings.ReplaceAll(s, `"`, `\"`)
+	return strings.ReplaceAll(s, "\n", `\n`)
 }

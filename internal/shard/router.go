@@ -63,8 +63,11 @@ const maxBufferedBody = 8 << 20
 //   - /api/v1/healthz and /metrics answer locally (the router's own
 //     health and instruments — backend health is per-backend);
 //   - everything else (the front page, the library, the site-scope
-//     model API) spreads round-robin over breaker-closed backends,
-//     which is safe because site-scope state replicates everywhere.
+//     model API) spreads round-robin over breaker-closed backends.
+//     That is safe for site models: a publish through the form or the
+//     JSON API is replicated to every backend.  Remote mounts and
+//     repository subscriptions are not replicated, so they stay on
+//     the one backend that took the request.
 //
 // A backend answering 421 ShardRedirect triggers one re-route to the
 // owner it names — how a router with a stale ShardCount keeps serving
@@ -292,14 +295,19 @@ func (rt *Router) proxy(w http.ResponseWriter, r *http.Request, target int, body
 	}
 	defer resp.Body.Close()
 	proxiedRequests.With(strconv.Itoa(target), statusClass(resp.StatusCode)).Inc()
-	// Site-model replication: a successful model definition on the
-	// owner backend fans out to every other backend, so site-scope
-	// reads stay local to whichever backend answers them.  Synchronous
-	// and before the client sees the 303, so a follow-up GET /library
-	// through any backend already shows the model.
-	if r.Method == http.MethodPost && r.URL.Path == "/models/new" &&
-		resp.StatusCode == http.StatusSeeOther && buffered && body != nil {
-		rt.replicateModel(r, body, target)
+	// Site-model replication: a successful model publish on one
+	// backend — the HTML form's 303 or the JSON API's 201 — fans out to
+	// every other backend, so site-scope reads (the library, the model
+	// listing, the registry) stay local to whichever backend answers
+	// them.  Synchronous and before the client sees the answer, so a
+	// follow-up read through any backend already shows the model.
+	if r.Method == http.MethodPost && buffered && body != nil {
+		switch {
+		case r.URL.Path == "/models/new" && resp.StatusCode == http.StatusSeeOther:
+			rt.replicateModel(r, body, r.Header.Get("Content-Type"), target)
+		case r.URL.Path == "/api/v1/models" && resp.StatusCode == http.StatusCreated:
+			rt.replicateModel(r, body, "application/json", target)
+		}
 	}
 	copyHeaders(w.Header(), resp.Header)
 	w.WriteHeader(resp.StatusCode)
@@ -349,12 +357,13 @@ func (rt *Router) attempt(r *http.Request, target int, body []byte, buffered boo
 	return resp, nil
 }
 
-// replicateModel fans a successful site-model definition out to every
-// backend except src, through each backend's internal
-// POST /api/v1/shard/model endpoint.  Best-effort: a backend that is
-// down misses the model until an operator re-replicates (its breaker
-// state says so); the owner's journal holds the authoritative copy.
-func (rt *Router) replicateModel(r *http.Request, body []byte, src int) {
+// replicateModel fans a successful site-model definition — a form or
+// JSON body, as contentType says — out to every backend except src,
+// through each backend's internal POST /api/v1/shard/model endpoint.
+// Best-effort: a backend that is down misses the model until an
+// operator re-replicates (its breaker state says so); the publishing
+// backend's journal holds the authoritative copy.
+func (rt *Router) replicateModel(r *http.Request, body []byte, contentType string, src int) {
 	for i := range rt.backends {
 		if i == src || rt.breakers[i].State() == circuit.Open {
 			continue
@@ -365,8 +374,8 @@ func (rt *Router) replicateModel(r *http.Request, body []byte, src int) {
 			shardReplications.With("error").Inc()
 			continue
 		}
-		if ct := r.Header.Get("Content-Type"); ct != "" {
-			req.Header.Set("Content-Type", ct)
+		if contentType != "" {
+			req.Header.Set("Content-Type", contentType)
 		}
 		if rt.cfg.Key != "" {
 			req.Header.Set("X-PowerPlay-Key", rt.cfg.Key)

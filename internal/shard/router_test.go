@@ -272,6 +272,46 @@ func TestModelReplication(t *testing.T) {
 	}
 }
 
+// TestModelReplicationJSON: a model published through the router's
+// JSON API lands on every backend too, so every backend's model listing
+// and registry agree and designs on any shard can price through it.
+func TestModelReplicationJSON(t *testing.T) {
+	f := newFleet(t, 2, nil)
+	blob, _ := json.Marshal(library.Equation{
+		Name: "repl.json", Title: "JSON-published adder", Class: "computation",
+		Params: []library.EquationParam{{Name: "bits", Default: 8, Min: 1, Max: 64, Integer: true}},
+		Csw:    "bits*42f",
+	})
+	// A form Content-Type, as curl -d sends: the JSON API reads the
+	// body as JSON whatever the header says, and so must replication.
+	resp, err := http.Post(f.front.URL+"/api/v1/models", "application/x-www-form-urlencoded", strings.NewReader(string(blob)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("publish: %s: %s", resp.Status, body)
+	}
+	digest := resp.Header.Get("X-Powerplay-Digest")
+	var first string
+	for i, b := range f.backends {
+		code, model, _ := get(t, newClient(t), b.URL+"/api/v1/models/repl.json")
+		if code != 200 {
+			t.Errorf("backend %d missing the JSON-published model: %d %s", i, code, model)
+			continue
+		}
+		if first == "" {
+			first = model
+		} else if model != first {
+			t.Errorf("backend %d describes repl.json differently:\n%s\nwant\n%s", i, model, first)
+		}
+		if code, reg, _ := get(t, newClient(t), b.URL+"/api/v1/registry"); code != 200 || !strings.Contains(reg, digest) {
+			t.Errorf("backend %d registry lacks repl.json@%s: %d %s", i, digest, code, reg)
+		}
+	}
+}
+
 // crashableBackend is a backend the test can kill (listener closed,
 // server abandoned un-Closed — a crash, not a shutdown) and restart on
 // the same address over the same data directory.

@@ -18,7 +18,7 @@ const (
 	// KindDefaults merges per-model parameter defaults (Model, Values).
 	KindDefaults Kind = "defaults"
 	// KindDesignPut installs a full design serialization under Design:
-	// creation, import, and the legacy-format migration all land here.
+	// creation, import and seeding all land here.
 	KindDesignPut Kind = "design_put"
 	// KindDesignDelete removes the named design.
 	KindDesignDelete Kind = "design_delete"

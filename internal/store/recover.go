@@ -102,9 +102,9 @@ func (st *Store) RecoverOwned(reg *model.Registry, owns func(user string) bool) 
 			continue
 		}
 		// Only directories the store wrote count as accounts: a user
-		// directory without journal or snapshot (a legacy layout, say)
-		// is not ours to claim — and claiming it would plant an empty
-		// journal that blocks legacy migration.
+		// directory with neither journal nor snapshot holds nothing to
+		// recover, and claiming it would conjure an account no user
+		// ever created.
 		udir := filepath.Join(usersDir, e.Name())
 		if !fileExists(filepath.Join(udir, "journal.log")) &&
 			!fileExists(filepath.Join(udir, "snapshot.json")) {

@@ -47,7 +47,7 @@ func (s *Server) handleDesignAnalysis(w http.ResponseWriter, r *http.Request, u 
 	// the live tree, so the page is built before the unlock and
 	// rendered after it.
 	u.mu.RLock()
-	res, err := s.evalDesign(u.Name, d)
+	res, err := s.evalDesign(u, d)
 	if err != nil {
 		u.mu.RUnlock()
 		page.Error = err.Error()

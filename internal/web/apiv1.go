@@ -115,13 +115,13 @@ type healthResponse struct {
 	UptimeSeconds    float64 `json:"uptime_seconds"`
 	InflightRequests int     `json:"inflight_requests"`
 	Models           int     `json:"models"`
-	ReadCacheEntries int     `json:"read_cache_entries"`
-	// SweepCacheEntries is always 0: sweeps keep no point cache.
+	ReadMemoEntries  int     `json:"read_cache_entries"`
+	// SweepCacheSize is always 0: sweeps keep no point cache.
 	// The field stays because v1 never drops a field.
-	SweepCacheEntries int               `json:"sweep_cache_entries"`
-	Shard             *healthShard      `json:"shard,omitempty"`
-	Remotes           []healthRemote    `json:"remotes,omitempty"`
-	Durability        *healthDurability `json:"durability,omitempty"`
+	SweepCacheSize int               `json:"sweep_cache_entries"`
+	Shard          *healthShard      `json:"shard,omitempty"`
+	Remotes        []healthRemote    `json:"remotes,omitempty"`
+	Durability     *healthDurability `json:"durability,omitempty"`
 	// Repo lists the repository subscriptions this site mirrors: per
 	// prefix, the publisher, its breaker, and the last sync pass.
 	Repo []healthRepoSub `json:"repo,omitempty"`
@@ -155,15 +155,20 @@ func (s *Server) apiHealthz(w http.ResponseWriter, r *http.Request) {
 		}
 		hr.Models++
 	}
-	s.cacheMu.Lock()
-	readN := s.readCaches.len()
-	s.cacheMu.Unlock()
+	readN := 0
+	s.mu.RLock()
+	for _, u := range s.users {
+		u.memoMu.Lock()
+		readN += len(u.memo)
+		u.memoMu.Unlock()
+	}
+	s.mu.RUnlock()
 	resp := healthResponse{
 		Status:           "ok",
 		UptimeSeconds:    time.Since(s.started).Seconds(),
 		InflightRequests: int(httpInflight.Value()),
 		Models:           len(names),
-		ReadCacheEntries: readN,
+		ReadMemoEntries:  readN,
 	}
 	if s.cfg.ShardCount > 0 {
 		resp.Shard = &healthShard{

@@ -88,7 +88,7 @@ func (s *Server) handleDesignCSV(w http.ResponseWriter, r *http.Request, u *User
 	// The records read the live tree (paths, models, bindings), so
 	// they are built under the read lock and written after it.
 	u.mu.RLock()
-	res, err := s.evalDesign(u.Name, d)
+	res, err := s.evalDesign(u, d)
 	if err != nil {
 		u.mu.RUnlock()
 		http.Error(w, err.Error(), http.StatusUnprocessableEntity)

@@ -450,6 +450,21 @@ func TestPublishRefusesMirroredName(t *testing.T) {
 	if _, err := west.publishModel(pubEq("east.own.a", "9e-12")); err == nil {
 		t.Fatal("publishing over a mirrored name should fail")
 	}
+	// The shard replication endpoint publishes through the same path,
+	// from a JSON body as from the form.
+	westTS := httptest.NewServer(west.Handler())
+	defer westTS.Close()
+	blob, _ := json.Marshal(pubEq("east.own.a", "9e-12"))
+	if resp, body := doAPI(t, "POST", westTS.URL+"/api/v1/shard/model", string(blob), nil); resp.StatusCode != http.StatusUnprocessableEntity {
+		t.Fatalf("replicating over a mirrored name: %s: %s", resp.Status, body)
+	}
+	blob, _ = json.Marshal(pubEq("repl.json", "3e-12"))
+	if resp, body := doAPI(t, "POST", westTS.URL+"/api/v1/shard/model", string(blob), nil); resp.StatusCode != http.StatusOK {
+		t.Fatalf("replicating a JSON publish: %s: %s", resp.Status, body)
+	}
+	if _, ok := west.Registry().Lookup("repl.json"); !ok {
+		t.Error("replicated JSON publish not registered")
+	}
 	// And a subscription cannot clobber a local publication either.
 	mustPublish(t, west, pubEq("mine.x", "1e-12"))
 	pub2, pub2TS := publisherSite(t, 0, "")

@@ -2,17 +2,16 @@ package web
 
 import "container/list"
 
-// lruCache is a small bounded map with least-recently-used eviction:
-// the bookkeeping behind the server's per-(user, design) read cache of
-// memoized sheet results and rendered pages, the registry's published
-// versions and the Remote client's stale cache.  Users and designs come
-// and go — an uncapped map for deleted keys is a slow leak on a
-// long-lived site — so the cache holds at most cap entries and
-// silently drops the coldest.
+// lruCache is a small bounded map with least-recently-used eviction,
+// for key spaces that have no natural end: the registry's superseded
+// publication versions (every republish mints a digest) and the Remote
+// client's stale cache (one key per evaluated parameter point).  An
+// uncapped map there is a slow leak on a long-lived site, so the cache
+// holds at most cap entries and silently drops the coldest.  (The
+// sheet read memo needs no cap: it holds one entry per resident
+// design, see pagecache.go.)
 //
-// Not safe for concurrent use; the owner guards it with its own mutex
-// (cache bookkeeping must never serialize behind the lock that guards
-// design edits).
+// Not safe for concurrent use; the owner guards it with its own mutex.
 type lruCache[V any] struct {
 	cap int
 	ll  *list.List // front = most recently used
@@ -24,11 +23,8 @@ type lruItem[V any] struct {
 	val V
 }
 
-// newLRU returns an empty cache holding at most cap entries (minimum 1).
+// newLRU returns an empty cache holding at most cap (> 0) entries.
 func newLRU[V any](cap int) *lruCache[V] {
-	if cap < 1 {
-		cap = 1
-	}
 	return &lruCache[V]{cap: cap, ll: list.New(), idx: make(map[string]*list.Element)}
 }
 
@@ -44,22 +40,18 @@ func (c *lruCache[V]) get(key string) (V, bool) {
 
 // put inserts or replaces the entry for key as most recently used,
 // evicting the least recently used entry if the cache is over cap.
-// It reports whether an entry was evicted, so callers can count
-// pressure on their cache.
-func (c *lruCache[V]) put(key string, val V) (evicted bool) {
+func (c *lruCache[V]) put(key string, val V) {
 	if el, ok := c.idx[key]; ok {
 		el.Value.(*lruItem[V]).val = val
 		c.ll.MoveToFront(el)
-		return false
+		return
 	}
 	c.idx[key] = c.ll.PushFront(&lruItem[V]{key: key, val: val})
 	if c.ll.Len() > c.cap {
 		oldest := c.ll.Back()
 		c.ll.Remove(oldest)
 		delete(c.idx, oldest.Value.(*lruItem[V]).key)
-		return true
 	}
-	return false
 }
 
 // len returns the number of live entries.

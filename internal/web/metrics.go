@@ -20,13 +20,10 @@ var (
 	httpPanics = obs.NewCounter("powerplay_http_panics_total",
 		"Handler panics converted to 500s by the recovery middleware.")
 
-	// Sheet read path (pagecache.go) and the bounded LRUs behind it.
+	// Sheet read path (pagecache.go).
 	pageCacheEvents = obs.NewCounterVec("powerplay_pagecache_events_total",
 		"Sheet read-path cache traffic: evaluation memo (result_*) and rendered page (page_*) hits and misses.",
 		"event")
-	webCacheEvictions = obs.NewCounterVec("powerplay_webcache_evictions_total",
-		"Entries aged out of the server's bounded LRU caches, by cache (read).",
-		"cache")
 
 	// Remote model protocol client (remote.go, retry.go, breaker.go).
 	remoteAttempts = obs.NewCounterVec("powerplay_remote_attempts_total",

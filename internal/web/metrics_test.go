@@ -56,9 +56,9 @@ func scrape(t *testing.T, base string) (samples map[string]float64, types map[st
 
 // TestMetricsSmoke drives one of everything through a site — sheet GETs
 // (miss then hits), a sweep, API evaluations, an API error — then
-// scrapes /metrics and checks the contract: the instrument families
-// spanning every subsystem are present with correct types, histogram
-// buckets are cumulative, and counters are monotonic across scrapes.
+// scrapes /metrics and checks the contract: the exported families are
+// exactly the table's, each with its type, histogram buckets are
+// cumulative, and counters are monotonic across scrapes.
 func TestMetricsSmoke(t *testing.T) {
 	_, base, c := sheetSite(t)
 	for i := 0; i < 3; i++ {
@@ -83,34 +83,61 @@ func TestMetricsSmoke(t *testing.T) {
 
 	samples, types := scrape(t, base)
 
-	// Families spanning HTTP edge, caches, sweep runner, evaluation
-	// plans and the remote client must all be exported.
+	// The contract: every family the test binary registers — HTTP edge,
+	// caches, sweep runner, evaluation plans, expression compiler,
+	// remote client and breakers, federation, sharding, durability —
+	// is exported with its type, and the exposition declares no family
+	// this table does not list.  A new family must be added here.
 	wantFamilies := map[string]string{
-		"powerplay_http_requests_total":               "counter",
-		"powerplay_http_request_seconds":              "histogram",
-		"powerplay_http_inflight_requests":            "gauge",
-		"powerplay_http_panics_total":                 "counter",
-		"powerplay_pagecache_events_total":            "counter",
-		"powerplay_webcache_evictions_total":          "counter",
-		"powerplay_sweepcache_points_total":           "counter",
+		"powerplay_breaker_transitions_total":         "counter",
+		"powerplay_explore_batch_points_total":        "counter",
+		"powerplay_explore_cancellations_total":       "counter",
+		"powerplay_explore_chunks_total":              "counter",
 		"powerplay_explore_points_total":              "counter",
 		"powerplay_explore_worker_busy_seconds_total": "counter",
-		"powerplay_explore_cancellations_total":       "counter",
-		"powerplay_sheet_plan_compiles_total":         "counter",
-		"powerplay_sheet_plan_fallbacks_total":        "counter",
-		"powerplay_sheet_incremental_plays_total":     "counter",
-		"powerplay_sheet_dirty_slots":                 "histogram",
 		"powerplay_expr_program_compiles_total":       "counter",
+		"powerplay_http_inflight_requests":            "gauge",
+		"powerplay_http_panics_total":                 "counter",
+		"powerplay_http_request_seconds":              "histogram",
+		"powerplay_http_requests_total":               "counter",
+		"powerplay_pagecache_events_total":            "counter",
 		"powerplay_remote_attempts_total":             "counter",
 		"powerplay_remote_retries_total":              "counter",
 		"powerplay_remote_stale_serves_total":         "counter",
-		"powerplay_breaker_transitions_total":         "counter",
+		"powerplay_repo_digest_checks_total":          "counter",
+		"powerplay_repo_mirror_models":                "gauge",
+		"powerplay_repo_mirror_serves_total":          "counter",
+		"powerplay_repo_sync_lag_seconds":             "gauge",
+		"powerplay_repo_sync_runs_total":              "counter",
+		"powerplay_shard_breaker_transitions_total":   "counter",
+		"powerplay_shard_lookups_total":               "counter",
+		"powerplay_shard_proxied_requests_total":      "counter",
+		"powerplay_shard_redirects_total":             "counter",
+		"powerplay_shard_rejected_total":              "counter",
+		"powerplay_shard_replications_total":          "counter",
+		"powerplay_sheet_batch_steps_total":           "counter",
+		"powerplay_sheet_dirty_slots":                 "histogram",
+		"powerplay_sheet_incremental_plays_total":     "counter",
+		"powerplay_sheet_plan_compiles_total":         "counter",
+		"powerplay_sheet_plan_fallbacks_total":        "counter",
+		"powerplay_store_append_seconds":              "histogram",
+		"powerplay_store_fsync_total":                 "counter",
+		"powerplay_store_journal_lag_records":         "gauge",
+		"powerplay_store_replay_records_total":        "counter",
+		"powerplay_store_snapshot_seconds":            "histogram",
+		"powerplay_store_truncations_total":           "counter",
+		"powerplay_sweepcache_points_total":           "counter",
 	}
 	for name, typ := range wantFamilies {
 		if got, ok := types[name]; !ok {
 			t.Errorf("family %s missing from /metrics", name)
 		} else if got != typ {
 			t.Errorf("family %s has type %s, want %s", name, got, typ)
+		}
+	}
+	for name, typ := range types {
+		if _, ok := wantFamilies[name]; !ok {
+			t.Errorf("family %s (%s) is exported but missing from the contract table", name, typ)
 		}
 	}
 

@@ -9,17 +9,17 @@ package web
 // the template for every one of those GETs.  This file makes the read
 // path O(cache hit) instead:
 //
-//  1. sheet.Result is memoized per (user, design), keyed by the
-//     design's mutation generation (sheet.Design.Generation — one
-//     atomic load) plus the model registry's generation, so a sheet is
-//     evaluated once per edit, not once per view;
-//  2. the rendered page bytes (and their gzipped form) are cached
-//     behind the same key, with a strong ETag derived from it, so
+//  1. sheet.Result is memoized per design, on the account that owns
+//     it (User.memo, keyed by design name), at the design's mutation
+//     generation (sheet.Design.Generation — one atomic load) plus the
+//     model registry's generation, so a sheet is evaluated once per
+//     edit, not once per view;
+//  2. the rendered page bytes (and their gzipped form) are cached in
+//     the same entry, with a strong ETag derived from its key, so
 //     repeat GETs are a map hit and a write — and a conditional GET
 //     with a matching If-None-Match is a 304 with no body at all.
 //
-// Invalidation is entirely generational — there are no explicit purge
-// calls to forget:
+// Invalidation is generational — an entry is checked, not purged:
 //
 //   - Play, row edits, variable edits, agent/programmatic writes: every
 //     tree mutator bumps the design generation (Play bumps even when no
@@ -33,8 +33,10 @@ package web
 //     design ID, so a replaced design can never revalidate a stale
 //     client copy.
 //
-// Entries live in a bounded LRU (Config.CacheEntries), so deleted
-// users and retired designs age out instead of leaking.
+// Deletion, the only way a design leaves an account, drops the name's
+// entry, so the memo holds at most one entry per resident design and
+// needs no cap: an entry's page is about 10 KB, next to the tens of KiB
+// of plan and engine state every viewed design keeps anyway.
 
 import (
 	"bytes"
@@ -43,6 +45,7 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 
 	"powerplay/internal/core/sheet"
 )
@@ -56,7 +59,7 @@ type readEntry struct {
 	regGen uint64
 	res    *sheet.Result
 	err    error
-	page   *renderedPage // nil until the first GET renders it; guarded by cacheMu
+	page   *renderedPage // nil until the first GET renders it; guarded by User.memoMu
 }
 
 // live reports whether the entry still describes d's current state.
@@ -80,32 +83,32 @@ func sheetETag(d *sheet.Design, gen, regGen uint64) string {
 
 // evalDesign evaluates a design through the read-path memo: a cache
 // hit costs two atomic loads and a map lookup.  The caller must hold
-// the owning user's lock (read or write) so the tree — and its
-// generation — cannot move under the evaluation.
+// u's lock (read or write) so the tree — and its generation — cannot
+// move under the evaluation.
 //
 // The miss path runs the design's incremental Play engine, so an edit
 // invalidates the cached result but re-prices only the dirty cone the
 // edit reaches.
-func (s *Server) evalDesign(userName string, d *sheet.Design) (*sheet.Result, error) {
-	key := userName + "/" + d.Name
+func (s *Server) evalDesign(u *User, d *sheet.Design) (*sheet.Result, error) {
 	gen, regGen := d.Generation(), s.registry.Generation()
-	s.cacheMu.Lock()
-	if e, ok := s.readCaches.get(key); ok && e.live(d, gen, regGen) {
-		s.cacheMu.Unlock()
+	u.memoMu.Lock()
+	if e := u.memo[d.Name]; e.live(d, gen, regGen) {
+		u.memoMu.Unlock()
 		pageCacheEvents.With("result_hit").Inc()
 		return e.res, e.err
 	}
-	s.cacheMu.Unlock()
+	u.memoMu.Unlock()
 	pageCacheEvents.With("result_miss").Inc()
 	res, _, err := d.IncrementalEngine().Play()
 	// regGen was read before evaluating: if a model edit lands mid-
 	// evaluation the entry is stored under the older generation and the
 	// next read misses — conservative, never stale.
-	s.cacheMu.Lock()
-	if s.readCaches.put(key, &readEntry{design: d, gen: gen, regGen: regGen, res: res, err: err}) {
-		webCacheEvictions.With("read").Inc()
+	u.memoMu.Lock()
+	if u.memo == nil {
+		u.memo = make(map[string]*readEntry)
 	}
-	s.cacheMu.Unlock()
+	u.memo[d.Name] = &readEntry{design: d, gen: gen, regGen: regGen, res: res, err: err}
+	u.memoMu.Unlock()
 	return res, err
 }
 
@@ -114,30 +117,32 @@ func (s *Server) evalDesign(userName string, d *sheet.Design) (*sheet.Result, er
 // the render goes through the result memo, so a GET arriving after a
 // Play reuses the Play's evaluation and pays only the render.
 func (s *Server) renderedSheetFor(u *User, d *sheet.Design) (*renderedPage, error) {
-	key := u.Name + "/" + d.Name
 	u.mu.RLock()
 	defer u.mu.RUnlock()
 	gen, regGen := d.Generation(), s.registry.Generation()
-	s.cacheMu.Lock()
-	if e, ok := s.readCaches.get(key); ok && e.live(d, gen, regGen) && e.page != nil {
+	u.memoMu.Lock()
+	if e := u.memo[d.Name]; e.live(d, gen, regGen) && e.page != nil {
 		page := e.page
-		s.cacheMu.Unlock()
+		u.memoMu.Unlock()
 		pageCacheEvents.With("page_hit").Inc()
 		return page, nil
 	}
-	s.cacheMu.Unlock()
+	u.memoMu.Unlock()
 	pageCacheEvents.With("page_miss").Inc()
-	res, err := s.evalDesign(u.Name, d)
+	res, err := s.evalDesign(u, d)
 	html, rerr := renderBytes("sheet", s.buildSheetPage(d, res, err))
 	if rerr != nil {
 		return nil, rerr
 	}
-	rp := &renderedPage{etag: sheetETag(d, gen, regGen), html: html, gz: gzipBytes(html)}
-	s.cacheMu.Lock()
-	if e, ok := s.readCaches.get(key); ok && e.live(d, gen, regGen) {
+	rp := &renderedPage{etag: sheetETag(d, gen, regGen), html: html}
+	if gz := gzipBytes(html); len(gz) < len(html) {
+		rp.gz = gz
+	}
+	u.memoMu.Lock()
+	if e := u.memo[d.Name]; e.live(d, gen, regGen) {
 		e.page = rp
 	}
-	s.cacheMu.Unlock()
+	u.memoMu.Unlock()
 	return rp, nil
 }
 
@@ -151,26 +156,28 @@ func renderBytes(name string, data any) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// gzipBytes compresses a response body once at cache-fill time, so
-// every compressed response afterwards is a plain write.  Returns nil
-// when compression does not shrink the body.
+// gzipBytes compresses a response body at BestSpeed, once at
+// cache-fill time, so every compressed response afterwards is a plain
+// write.  The writer comes from gzipWriters: a fresh one allocates
+// about 1.2 MB of flate state, which every page miss would pay.
 func gzipBytes(b []byte) []byte {
 	var buf bytes.Buffer
-	zw, err := gzip.NewWriterLevel(&buf, gzip.BestSpeed)
-	if err != nil {
-		return nil
-	}
+	zw := gzipWriters.Get().(*gzip.Writer)
+	defer gzipWriters.Put(zw)
+	zw.Reset(&buf)
 	if _, err := zw.Write(b); err != nil {
 		return nil
 	}
 	if err := zw.Close(); err != nil {
 		return nil
 	}
-	if buf.Len() >= len(b) {
-		return nil
-	}
 	return append([]byte(nil), buf.Bytes()...)
 }
+
+var gzipWriters = sync.Pool{New: func() any {
+	zw, _ := gzip.NewWriterLevel(nil, gzip.BestSpeed) // BestSpeed is a valid level
+	return zw
+}}
 
 // serveRendered writes a cached page with its cache-validation
 // headers.  ETag and Vary go on every response — including the 304,

@@ -1,11 +1,15 @@
 package web
 
 import (
+	"bytes"
 	"compress/gzip"
 	"context"
+	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/cookiejar"
+	"net/http/httptest"
 	"net/url"
 	"strings"
 	"sync"
@@ -364,37 +368,121 @@ func TestSheetCacheConcurrentTraffic(t *testing.T) {
 	wg.Wait()
 }
 
-// TestReadCacheBounded: the per-(user, design) read cache evicts LRU at the
-// configured cap instead of growing with every design ever served.
-func TestReadCacheBounded(t *testing.T) {
-	s, err := NewServer(Config{CacheEntries: 3}, library.Standard())
-	if err != nil {
-		t.Fatal(err)
+// TestReadMemoPerDesign: the read memo holds one entry per resident
+// design, with no cap, so on a site with more designs than any fixed
+// bound every repeat GET is a page hit.  Deleting a design drops its
+// entry, and a design re-created under the same name gets a new ETag.
+func TestReadMemoPerDesign(t *testing.T) {
+	s, ts, _ := site(t, Config{})
+	const users, perUser = 4, 75
+	clients := make([]*http.Client, users)
+	for i := range clients {
+		user := fmt.Sprintf("u%d", i)
+		for j := 0; j < perUser; j++ {
+			if err := s.InstallDesign(user, sheet.NewDesign(fmt.Sprintf("d%d", j), s.Registry())); err != nil {
+				t.Fatal(err)
+			}
+		}
+		jar, _ := cookiejar.New(nil)
+		clients[i] = &http.Client{Jar: jar}
+		loginAs(t, ts, clients[i], user, "")
 	}
-	for _, name := range []string{"a", "b", "c", "d", "e"} {
-		d := sheet.NewDesign(name, s.Registry())
-		if err := s.InstallDesign("u", d); err != nil {
+	etagOf := func(c *http.Client, design string) string {
+		t.Helper()
+		resp, _ := getWith(t, c, ts.URL+"/design/"+design, nil)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s: %d", design, resp.StatusCode)
+		}
+		return resp.Header.Get("ETag")
+	}
+	memoEntries := func() int {
+		t.Helper()
+		_, blob := doAPI(t, "GET", ts.URL+"/api/v1/healthz", "", nil)
+		var h healthResponse
+		if err := json.Unmarshal(blob, &h); err != nil {
+			t.Fatalf("healthz: %v: %s", err, blob)
+		}
+		return h.ReadMemoEntries
+	}
+
+	var first [users][perUser]string
+	for i, c := range clients {
+		for j := range first[i] {
+			first[i][j] = etagOf(c, fmt.Sprintf("d%d", j))
+		}
+	}
+	pageHits := pageCacheEvents.With("page_hit")
+	before := pageHits.Value()
+	for i, c := range clients {
+		for j, want := range first[i] {
+			if got := etagOf(c, fmt.Sprintf("d%d", j)); got != want {
+				t.Errorf("u%d/d%d: ETag %s on the second GET, want %s", i, j, got, want)
+			}
+		}
+	}
+	if got := pageHits.Value() - before; got != users*perUser {
+		t.Errorf("second round: %v page hits, want %d", got, users*perUser)
+	}
+	if n := memoEntries(); n != users*perUser {
+		t.Fatalf("read_cache_entries = %d, want %d", n, users*perUser)
+	}
+
+	if code, _ := post(t, clients[0], ts.URL+"/designs/delete", url.Values{"name": {"d0"}}); code != http.StatusOK {
+		t.Fatalf("delete d0: %d", code)
+	}
+	if n := memoEntries(); n != users*perUser-1 {
+		t.Errorf("after a delete, read_cache_entries = %d, want %d", n, users*perUser-1)
+	}
+	if code, _ := post(t, clients[0], ts.URL+"/designs", url.Values{"name": {"d0"}}); code != http.StatusOK {
+		t.Fatalf("re-create d0: %d", code)
+	}
+	if got := etagOf(clients[0], "d0"); got == first[0][0] {
+		t.Errorf("re-created d0 revalidates the deleted design's ETag %s", got)
+	}
+	if n := memoEntries(); n != users*perUser {
+		t.Errorf("after re-creating, read_cache_entries = %d, want %d", n, users*perUser)
+	}
+}
+
+// TestGzipPooledMatchesFresh: a recycled BestSpeed writer compresses
+// the three seeded pages and an empty body to the same bytes as a
+// fresh writer, whatever it compressed before.
+func TestGzipPooledMatchesFresh(t *testing.T) {
+	_, h, cookie := allocSite(t)
+	bodies := [][]byte{{}}
+	for _, name := range []string{"Luminance_1", "Luminance_2", "InfoPad"} {
+		r := httptest.NewRequest(http.MethodGet, "/design/"+name, nil)
+		r.AddCookie(cookie)
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, r)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("GET %s: %d", name, rec.Code)
+		}
+		bodies = append(bodies, rec.Body.Bytes())
+	}
+	fresh := func(b []byte) []byte {
+		var buf bytes.Buffer
+		zw, err := gzip.NewWriterLevel(&buf, gzip.BestSpeed)
+		if err != nil {
 			t.Fatal(err)
 		}
-		u := s.users["u"]
-		u.mu.RLock()
-		if _, err := s.evalDesign("u", d); err != nil {
+		if _, err := zw.Write(b); err != nil {
 			t.Fatal(err)
 		}
-		u.mu.RUnlock()
+		if err := zw.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
 	}
-	s.cacheMu.Lock()
-	if n := s.readCaches.len(); n != 3 {
-		t.Errorf("readCaches holds %d entries, want cap 3", n)
+	// Two passes, so each body is also compressed by a writer that has
+	// just compressed a different one.
+	for pass := 0; pass < 2; pass++ {
+		for i, b := range bodies {
+			if got, want := gzipBytes(b), fresh(b); !bytes.Equal(got, want) {
+				t.Errorf("pass %d, body %d (%d bytes): pooled writer gave %d bytes, fresh %d", pass, i, len(b), len(got), len(want))
+			}
+		}
 	}
-	// The oldest design aged out; the newest is still live.
-	if _, ok := s.readCaches.get("u/a"); ok {
-		t.Error("LRU kept the oldest entry")
-	}
-	if _, ok := s.readCaches.get("u/e"); !ok {
-		t.Error("LRU dropped the newest entry")
-	}
-	s.cacheMu.Unlock()
 }
 
 // TestLRUCache unit-tests the eviction order, including get-refreshes.

@@ -418,6 +418,11 @@ func (s *Server) handleDesignDelete(w http.ResponseWriter, r *http.Request, u *U
 	var perr error
 	if ok {
 		delete(u.Designs, name)
+		// Deletion is the only way a design leaves an account, so the
+		// read memo keeps one entry per resident design (pagecache.go).
+		u.memoMu.Lock()
+		delete(u.memo, name)
+		u.memoMu.Unlock()
 		lag, perr = s.appendUser(u.Name, store.Record{
 			Kind: store.KindDesignDelete, Design: name,
 		})

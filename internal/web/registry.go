@@ -63,13 +63,13 @@ type pubIndex struct {
 	subs map[string]*subscription
 }
 
-// versionCacheEntries bounds retained superseded bodies.  Publications
+// versionCacheSize bounds retained superseded bodies.  Publications
 // are small (a schema plus equation strings); thousands are cheap.
-const versionCacheEntries = 4096
+const versionCacheSize = 4096
 
 func newPubIndex() *pubIndex {
 	return &pubIndex{
-		versions: newLRU[*publication](versionCacheEntries),
+		versions: newLRU[*publication](versionCacheSize),
 		origins:  make(map[string]string),
 		subs:     make(map[string]*subscription),
 	}

@@ -50,11 +50,6 @@ type Config struct {
 	// negative selects the 30 s default.  Sites mounting slow remote
 	// models may need more; batch test rigs may want much less.
 	SweepTimeout time.Duration
-	// CacheEntries bounds the server's read cache (the memoized sheet
-	// results and pages, one entry per user design), in entries; zero
-	// selects the 256 default, negative selects the minimum of one
-	// entry.
-	CacheEntries int
 	// Durability selects the journal fsync policy when DataDir is set:
 	// "always" (fsync per mutation), "interval" (background fsync, the
 	// default), or "never" (leave it to the OS).  See store.ParsePolicy.
@@ -85,10 +80,18 @@ type User struct {
 	// mu is this user's shard of the server lock: it guards Defaults,
 	// Designs and every design tree under them.  Handlers lock the one
 	// user they serve, so one user's Play (write lock) never blocks
-	// another user's GETs.  Lock order: never acquire Server.mu while
-	// holding a User lock (the few paths that need both take Server.mu
-	// first, or sequentially).
+	// another user's GETs.  Lock order: Server.mu, then User.mu, then
+	// User.memoMu; never acquire Server.mu while holding a User lock
+	// (the few paths that need both take Server.mu first, or
+	// sequentially).
 	mu sync.RWMutex
+
+	// memo is the read path's memo, one entry per design by name: the
+	// evaluation and rendered page of its current state (see
+	// pagecache.go).  memoMu guards the map and the entries' pages, so
+	// concurrent GETs under mu's read lock can fill it.
+	memoMu sync.Mutex
+	memo   map[string]*readEntry
 }
 
 // Server is one PowerPlay site.
@@ -103,11 +106,6 @@ type Server struct {
 	mu       sync.RWMutex
 	sessions map[string]string // token -> user name
 	users    map[string]*User
-
-	// readCaches memoizes sheet evaluations and rendered pages per
-	// (user, design) — the serving hot path (see pagecache.go).
-	cacheMu    sync.Mutex
-	readCaches *lruCache[*readEntry]
 
 	// started timestamps server construction for the healthz uptime.
 	started time.Time
@@ -148,13 +146,12 @@ func NewServer(cfg Config, reg *model.Registry) (*Server, error) {
 		return nil, fmt.Errorf("web: shard id %d not in 0..%d", cfg.ShardID, cfg.ShardCount-1)
 	}
 	s := &Server{
-		cfg:        cfg,
-		registry:   reg,
-		sessions:   make(map[string]string),
-		users:      make(map[string]*User),
-		readCaches: newLRU[*readEntry](cfg.cacheEntries()),
-		started:    time.Now(),
-		pubs:       newPubIndex(),
+		cfg:      cfg,
+		registry: reg,
+		sessions: make(map[string]string),
+		users:    make(map[string]*User),
+		started:  time.Now(),
+		pubs:     newPubIndex(),
 	}
 	if cfg.ShardCount > 0 {
 		// Built before openStore: recovery filters the on-disk user
@@ -171,23 +168,6 @@ func NewServer(cfg Config, reg *model.Registry) (*Server, error) {
 
 // Registry exposes the site's model namespace.
 func (s *Server) Registry() *model.Registry { return s.registry }
-
-// cacheEntries resolves the read cache's entry cap (see Config).
-func (c Config) cacheEntries() int {
-	switch {
-	case c.CacheEntries > 0:
-		return c.CacheEntries
-	case c.CacheEntries < 0:
-		return 1
-	}
-	return defaultCacheEntries
-}
-
-// defaultCacheEntries bounds the read cache when
-// Config.CacheEntries is unset: roomy for any realistic number of
-// concurrently active (user, design) pairs, small enough that retired
-// designs and departed users cannot accumulate into a leak.
-const defaultCacheEntries = 256
 
 // InstallDesign places a design under a user's account (creating the
 // account if needed) and persists it: how seeded demos and programmatic

@@ -6,14 +6,16 @@ package web
 // assigns to its shard: it recovers only their journals at boot
 // (~1/N of the corpus), refuses the rest with a 421 ShardRedirect that
 // names the real owner, and stamps every response with its shard index
-// so the fleet is debuggable from curl alone.  Site-scope state (user
-// defined models) is replicated to every backend by the router through
-// apiShardModelPut below, so site reads never cross shards.
+// so the fleet is debuggable from curl alone.  Site models are
+// replicated to every backend by the router through apiShardModelPut
+// below, so model reads never cross shards.
 
 import (
+	"mime"
 	"net/http"
 	"strconv"
 
+	"powerplay/internal/library"
 	"powerplay/internal/shard"
 )
 
@@ -69,22 +71,28 @@ func shardHeaderMiddleware(next http.Handler, id string) http.Handler {
 }
 
 // apiShardModelPut is the internal replication endpoint the router
-// fans site-model definitions out to: the same form POST /models/new
+// fans site-model publishes out to: the form POST /models/new accepts,
+// or, with Content-Type application/json, the body POST /api/v1/models
 // accepts, guarded by the site key (apiAuth) rather than a session.
-// Registering is idempotent — replaying a replication is harmless —
-// and each backend journals the model into its own site scope, so a
-// restarted backend recovers the model without the router's help.
+// It publishes through the same path as both, so the same rules hold
+// (a mirrored name is refused).  Publishing is idempotent — replaying
+// a replication is harmless — and each backend journals the model into
+// its own site scope, so a restarted backend recovers the model
+// without the router's help.
 func (s *Server) apiShardModelPut(w http.ResponseWriter, r *http.Request) {
-	q, err := equationFromForm(r)
+	var q *library.Equation
+	var err error
+	if mt, _, _ := mime.ParseMediaType(r.Header.Get("Content-Type")); mt == "application/json" {
+		q = new(library.Equation)
+		err = decodeJSONBody(r, q)
+	} else {
+		q, err = equationFromForm(r)
+	}
 	if err != nil {
 		apiFail(w, r, http.StatusBadRequest, codeBadRequest, err.Error())
 		return
 	}
-	if err := s.checkModelOverwrite(q.Name); err != nil {
-		apiFail(w, r, http.StatusUnprocessableEntity, codeInvalidParams, err.Error())
-		return
-	}
-	if err := s.persistSiteModel(q); err != nil {
+	if _, err := s.publishModel(q); err != nil {
 		apiFail(w, r, http.StatusUnprocessableEntity, codeInvalidParams, err.Error())
 		return
 	}

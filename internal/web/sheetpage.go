@@ -192,7 +192,7 @@ func (s *Server) handleDesignPlay(w http.ResponseWriter, r *http.Request, u *Use
 	// the recompute, and clients must not 304 across a Play.  Journaled
 	// like any edit, so replayed generations match live ones.
 	apply(sheet.Mutation{Op: sheet.MutTouch})
-	res, evalErr := s.evalDesign(u.Name, d)
+	res, evalErr := s.evalDesign(u, d)
 	page := s.buildSheetPage(d, res, evalErr)
 	lag, perr := s.appendUser(u.Name, recs...)
 	u.mu.Unlock()
@@ -251,7 +251,7 @@ func (s *Server) handleDesignRows(w http.ResponseWriter, r *http.Request, u *Use
 	// Structural edits bump the generation themselves; a failed action
 	// left the tree untouched, so the memo serves the still-valid
 	// result either way.
-	res, evalErr := s.evalDesign(u.Name, d)
+	res, evalErr := s.evalDesign(u, d)
 	page := s.buildSheetPage(d, res, evalErr)
 	lag, perr := s.appendUser(u.Name, recs...)
 	u.mu.Unlock()
