@@ -63,11 +63,11 @@ func TestEngineAllocBudgets(t *testing.T) {
 			_, _, _, err := pad.EvaluateTotals(vdd)
 			return err
 		}},
-		{"Luminance_2 200-point vdd Sweep", 540, func() error {
+		{"Luminance_2 200-point vdd Sweep", 539, func() error {
 			_, err := powerplay.Sweep(ctx, lum, "vdd", vdds)
 			return err
 		}},
-		{"InfoPad 200-point vdd Sweep", 14800, func() error {
+		{"InfoPad 200-point vdd Sweep", 14799, func() error {
 			_, err := powerplay.Sweep(ctx, pad, "vdd", vdds)
 			return err
 		}},

@@ -3,6 +3,7 @@ package explore
 import (
 	"context"
 	"math"
+	"sync/atomic"
 	"testing"
 
 	"powerplay/internal/core/model"
@@ -242,4 +243,88 @@ func TestChunkedMixedModelSweep(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameBits(t, "mixed sweep", got, want)
+}
+
+// kernelCell is a model with a closed sweep form (the batch engine's
+// kernel path) switching capPerBit farads per bit.
+type kernelCell struct {
+	model.Func
+	capPerBit float64
+}
+
+func (c *kernelCell) SweepForm(p model.Params) (*model.SweepForm, bool) {
+	return &model.SweepForm{Dyn: []model.SweepTerm{{Csw: p["bits"] * c.capPerBit, FMul: 1}}}, true
+}
+
+func newKernelCell(capPerBit float64) *kernelCell {
+	c := &kernelCell{capPerBit: capPerBit}
+	c.Func = model.Func{
+		Meta: model.Info{
+			Name: "kcell", Title: "kernel cell", Class: model.Computation, Doc: "d",
+			Params: model.WithStd(model.Param{Name: "bits", Default: 8, Min: 1, Max: 64, Integer: true}),
+		},
+		Fn: func(p model.Params) (*model.Estimate, error) {
+			e := &model.Estimate{VDD: p.VDD()}
+			e.AddCap("c", units.Farads(p["bits"]*capPerBit), p.Freq())
+			return e, nil
+		},
+	}
+	return c
+}
+
+// TestRunnerSweepAfterKernelSwap: the kernel model is swapped for a
+// doubled one while the sweep hoists its invariant baseline (an
+// invariant row's model performs the swap, once).  The hoisted
+// baseline and the columnar context priced through the retired
+// library, so every point must come out as EvaluateTotals prices it
+// against the new one.
+func TestRunnerSweepAfterKernelSwap(t *testing.T) {
+	reg := model.NewRegistry()
+	reg.MustRegister(newKernelCell(100e-15))
+	var armed atomic.Bool
+	reg.MustRegister(&model.Func{
+		Meta: model.Info{Name: "swap", Title: "library swapper", Class: model.Computation, Doc: "d", Params: model.WithStd()},
+		Fn: func(p model.Params) (*model.Estimate, error) {
+			if armed.CompareAndSwap(true, false) {
+				if err := reg.Register(newKernelCell(200e-15)); err != nil {
+					return nil, err
+				}
+			}
+			return &model.Estimate{VDD: p.VDD()}, nil
+		},
+	})
+	d := sheet.NewDesign("swap", reg)
+	d.Root.SetGlobalValue("vdd", 1.5, "1.5")
+	d.Root.SetGlobalValue("f", 2e6, "2MHz")
+	// fixed and trigger bind their own supply, so a vdd sweep leaves
+	// them in the invariant baseline; swept follows the sweep.
+	for _, row := range []struct{ name, model string }{{"fixed", "kcell"}, {"trigger", "swap"}} {
+		n := d.Root.MustAddChild(row.name, row.model)
+		if err := n.SetParam("vdd", "1.2"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := d.Root.MustAddChild("swept", "kcell").SetParam("bits", "16"); err != nil {
+		t.Fatal(err)
+	}
+	armed.Store(true)
+	got, err := (&Runner{ChunkSize: 8}).Sweep(context.Background(), d, "vdd", Linspace(1.0, 3.3, 16))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if armed.Load() {
+		t.Fatal("the swap never ran")
+	}
+	for i, p := range got {
+		pw, area, delay, err := d.EvaluateTotals(p.Vars)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Float64bits(p.Power) != math.Float64bits(pw) ||
+			math.Float64bits(p.Area) != math.Float64bits(area) ||
+			math.Float64bits(p.Delay) != math.Float64bits(delay) {
+			t.Errorf("point %d %v: sweep %v/%v/%v, EvaluateTotals %v/%v/%v",
+				i, p.Vars, p.Power, p.Area, p.Delay, pw, area, delay)
+		}
+	}
 }

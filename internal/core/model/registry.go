@@ -55,8 +55,8 @@ func (r *Registry) Unregister(name string) bool {
 }
 
 // Generation returns a counter that advances on every Register and
-// Unregister: a cheap staleness check for caches keyed to a model
-// lookup (the sheet plan's per-row schema cache).
+// Unregister: a cheap staleness check for caches keyed to model
+// lookups (the sheet plan cache, the web read memo).
 func (r *Registry) Generation() uint64 { return r.gen.Load() }
 
 // Lookup finds a model by name.

@@ -26,6 +26,10 @@ package sheet
 // through EvaluateTotals", which either succeeds or reproduces the
 // canonical error at the canonical (lowest-indexed) point.  Batch
 // errors are therefore never user-visible.
+//
+// A BatchEval is built once, over its plan's snapshot of the registry.
+// A Run that ends after the registry moved returns an error, so the
+// caller's scalar re-run prices the chunk through a fresh plan.
 
 import (
 	"context"
@@ -59,8 +63,7 @@ type batchStep struct {
 	st   *planStep
 	kind uint8
 
-	// bKernel / bModelScalar state.
-	mc   *rowModelCache
+	// bKernel state.
 	form *model.SweepForm
 	// vddCol and fCol supply the operating point to the kernel: plan
 	// columns when the parameter is slot-bound, private constant
@@ -90,9 +93,6 @@ type BatchEval struct {
 	bsteps   []batchStep
 	run      *planRun // scalar state for the per-point paths
 	bscratch expr.BatchScratch
-
-	built    bool
-	gen      uint64 // registry generation bsteps were prepared for
 	buildErr error
 
 	chunkGen uint64
@@ -139,6 +139,7 @@ func (s *sweeper) newBatchEval(capacity int) *BatchEval {
 		}
 		b.cols[i] = col
 	}
+	b.build()
 	return b
 }
 
@@ -208,19 +209,16 @@ func (b *BatchEval) opCol(mc *rowModelCache, name string) ([]float64, int) {
 	return b.constCol(0), -1
 }
 
-// build prepares the variant steps for columnar execution against one
-// registry generation.  A build failure poisons the BatchEval (Run
-// returns the error) rather than one step: the caller's scalar fallback
-// then reproduces the canonical failure, and a later registry change
-// triggers a rebuild.  Columns carry no errors, so reading a failed
+// build prepares the variant steps for columnar execution.  A build
+// failure poisons the BatchEval (Run returns the error) rather than one
+// step: the caller's scalar fallback then reproduces the canonical
+// failure.  Columns carry no errors, so reading a failed
 // invariant slot — from a variant step that reads every slot it lists,
 // or as the root totals — poisons the BatchEval too.  A control-flow
 // program is exempt: it runs per point over b.run, which carries the
 // baseline's stored errors, so it raises one only on a point whose
 // branch reads it, as the scalar path does.
-func (b *BatchEval) build(gen uint64) {
-	b.built, b.gen, b.buildErr = true, gen, nil
-	b.bsteps = b.bsteps[:0]
+func (b *BatchEval) build() {
 	p := b.sw.plan
 	failedRead := func(s int) {
 		if b.buildErr == nil && expr.IsFailed(b.sw.baseline[s]) {
@@ -247,21 +245,15 @@ func (b *BatchEval) build(gen uint64) {
 		case st.modelName == "":
 			bs.kind = bAgg
 		default:
-			m, ok := p.design.Registry.Lookup(st.modelName)
-			if !ok {
+			mc := st.mc
+			if mc == nil {
 				b.buildErr = fmt.Errorf("no model named %q in library", st.modelName)
 				return
-			}
-			mc := st.mc.Load()
-			if mc == nil || mc.gen != gen {
-				mc = buildRowModelCache(st, m, gen, p.variantSlot)
-				st.mc.Store(mc)
 			}
 			if mc.invalid != "" {
 				b.buildErr = fmt.Errorf("unknown parameter %q", mc.invalid)
 				return
 			}
-			bs.mc = mc
 			bs.kind = bModelScalar
 			// The kernel path needs the row's variant parameters to be
 			// exactly the operating point (a swept structural parameter
@@ -274,7 +266,7 @@ func (b *BatchEval) build(gen uint64) {
 					break
 				}
 			}
-			if sf, isFormer := m.(model.SweepFormer); isFormer && opOnly {
+			if sf, isFormer := mc.m.(model.SweepFormer); isFormer && opOnly {
 				full, err := b.buildParams(mc)
 				if err != nil {
 					b.buildErr = err
@@ -354,7 +346,8 @@ func (b *BatchEval) aggregate(st *planStep, n int) {
 // a single model evaluation may be arbitrarily slow (remote models) —
 // between points, returning ctx.Err() unwrapped; to a caller that is a
 // batch error like any other, and the scalar re-run surfaces the
-// canonical interruption message.
+// canonical interruption message.  A registry move before or during
+// the Run is an error too: the chunk was priced by a retired library.
 func (b *BatchEval) Run(ctx context.Context, points []map[string]float64, pw, area, delay []float64) error {
 	n := len(points)
 	if n == 0 {
@@ -364,10 +357,6 @@ func (b *BatchEval) Run(ctx context.Context, points []map[string]float64, pw, ar
 		return fmt.Errorf("sheet: batch of %d points exceeds capacity %d", n, b.capacity)
 	}
 	p := b.sw.plan
-	gen := p.design.Registry.Generation()
-	if !b.built || b.gen != gen {
-		b.build(gen)
-	}
 	if b.buildErr != nil {
 		return b.buildErr
 	}
@@ -425,8 +414,8 @@ func (b *BatchEval) Run(ctx context.Context, points []map[string]float64, pw, ar
 			// Validation amortized per column: each variant operating-
 			// point parameter is range-checked in one pass over its
 			// column before any arithmetic runs.
-			for i := range bs.mc.varEntries {
-				en := &bs.mc.varEntries[i]
+			for i := range st.mc.varEntries {
+				en := &st.mc.varEntries[i]
 				if !en.check {
 					continue
 				}
@@ -456,15 +445,15 @@ func (b *BatchEval) Run(ctx context.Context, points []map[string]float64, pw, ar
 				// The scalar path's validation reads the run's slots:
 				// invariant ones hold the baseline, variant ones get
 				// this point's values.
-				for i := range bs.mc.varEntries {
-					slot := bs.mc.varEntries[i].slot
+				for i := range st.mc.varEntries {
+					slot := st.mc.varEntries[i].slot
 					b.run.slots[slot] = b.cols[slot][j]
 				}
-				full, err := p.validate(st, bs.mc.m, gen, b.run)
+				full, err := p.validate(st, b.run)
 				if err != nil {
 					return err
 				}
-				est, err := bs.mc.m.Evaluate(full)
+				est, err := st.mc.m.Evaluate(full)
 				if err != nil {
 					return err
 				}
@@ -477,6 +466,9 @@ func (b *BatchEval) Run(ctx context.Context, points []map[string]float64, pw, ar
 			b.aggregate(st, n)
 			sheetBatchSteps.With("model_scalar").Inc()
 		}
+	}
+	if !p.current() {
+		return fmt.Errorf("sheet: model registry changed since the plan was compiled")
 	}
 	base := p.nodeBase[p.rootIdx]
 	copy(pw[:n], b.cols[base+slotPower][:n])

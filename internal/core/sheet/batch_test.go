@@ -226,9 +226,14 @@ func TestBatchEvalModelRegeneration(t *testing.T) {
 	bev := newBatch(t, d, []string{"vdd"}, 4)
 	pts := []map[string]float64{{"vdd": 1.0}, {"vdd": 2.0}}
 	checkBatchMatchesEval(t, d, bev, pts)
-	// Swap the kernel model for one with doubled capacitance: the next
-	// Run must rebuild against the new registry generation, exactly as
-	// the scalar path does.
+	// Swap the kernel model for one with doubled capacitance: the
+	// BatchEval was built over the old plan's snapshot, so its next Run
+	// is an error (the caller's cue to re-price through EvaluateTotals),
+	// and one over the recompiled plan matches the scalar path.
 	d.Registry.MustRegister(newSweepableCell("kernel cell v2", 200e-15))
-	checkBatchMatchesEval(t, d, bev, pts)
+	pw, area, delay := make([]float64, 2), make([]float64, 2), make([]float64, 2)
+	if err := bev.Run(context.Background(), pts, pw, area, delay); err == nil {
+		t.Fatal("Run on a plan from a retired registry generation succeeded")
+	}
+	checkBatchMatchesEval(t, d, newBatch(t, d, []string{"vdd"}, 4), pts)
 }

@@ -21,9 +21,11 @@ package sheet
 //   - Clean steps' slots hold values a full run would recompute
 //     identically: their expressions are unchanged, their inputs are
 //     clean (dirtiness is closed under the conservative read sets),
-//     and their models are pure functions of their parameters for as
-//     long as the registry generation holds (volatile models — remote
-//     proxies, macros over them — never count as clean).
+//     and their models are the retained plan's snapshot of the
+//     registry, pure functions of their parameters (volatile models —
+//     remote proxies, macros over them — never count as clean).
+//   - A registry move retires the retained plan: the next Play
+//     compiles afresh against the current library and runs full.
 //   - Any edit patch() cannot prove safe (a row or binding added,
 //     removed or renamed, a reference needing a reordered schedule)
 //     compiles afresh and forces a full run.
@@ -64,8 +66,8 @@ var dirtySlots = obs.NewHistogram("powerplay_sheet_dirty_slots",
 // to other viewers of the same sheet.
 type PlayDelta struct {
 	// Full reports a from-scratch evaluation (first Play, structural
-	// change, failed Play, or a plan that does not compile); the whole
-	// sheet should be considered changed.
+	// change, registry move, failed Play, or a plan that does not
+	// compile); the whole sheet should be considered changed.
 	Full bool
 	// DirtySteps/TotalSteps count scheduled steps re-executed vs. the
 	// plan's total; DirtySlots/TotalSlots the same for value slots.
@@ -80,17 +82,19 @@ type PlayDelta struct {
 
 // Incremental is a Design's incremental Play engine: it retains the
 // last evaluation's plan, slot vector and per-row outputs, and
-// re-executes only the dirty cone on the next Play.  Obtain one with
-// Design.IncrementalEngine; all methods are safe for concurrent use
-// (Plays serialize on the engine), but the usual sheet rule applies —
-// do not mutate the design tree while a Play is running.
+// re-executes only the dirty cone on the next Play.  The retained plan
+// is reused only while its registry generation is current; after a
+// model is (un)registered the next Play compiles and runs full.
+// Obtain one with Design.IncrementalEngine; all methods are safe for
+// concurrent use (Plays serialize on the engine), but the usual sheet
+// rule applies — do not mutate the design tree while a Play is
+// running.
 type Incremental struct {
 	mu      sync.Mutex
 	d       *Design
 	plan    *Plan
 	run     *planRun
 	gen     uint64 // design generation the retained plan reflects
-	regGen  uint64
 	res     *Result
 	results []*Result // per plan-node Result; clean subtrees are shared across Plays
 
@@ -112,7 +116,7 @@ func (d *Design) IncrementalEngine() *Incremental {
 // invalidate drops all retained state; the next Play runs full.
 // Caller holds mu.
 func (e *Incremental) invalidate() {
-	e.plan, e.run, e.res, e.results, e.gen, e.regGen = nil, nil, nil, nil, 0, 0
+	e.plan, e.run, e.res, e.results, e.gen = nil, nil, nil, nil, 0
 }
 
 // Play evaluates the design — the Play button — recomputing only what
@@ -130,12 +134,12 @@ func (e *Incremental) Play() (*Result, PlayDelta, error) {
 	// Fast path: when only cell bindings changed since the last Play,
 	// patch the retained plan in place (see patch.go) — recompiling
 	// just the edited expressions, keeping every slot assignment, step
-	// and warmed row-model cache.  An unchanged design generation means
-	// no tree edit at all, so the retained plan replays as-is (volatile
-	// rows and registry moves still dirty themselves inside
-	// playIncremental).  Anything the patcher cannot prove safe
-	// compiles afresh and plays full.
-	if e.plan != nil && e.run != nil {
+	// and row-model cache.  An unchanged design generation means no
+	// tree edit at all, so the retained plan replays as-is (volatile
+	// rows still dirty themselves inside playIncremental).  A registry
+	// move, or anything the patcher cannot prove safe, compiles afresh
+	// and plays full.
+	if e.plan != nil && e.run != nil && e.plan.current() {
 		gen := e.d.Generation()
 		if gen == e.gen {
 			return e.playIncremental(e.plan)
@@ -166,7 +170,7 @@ func (e *Incremental) playFull(plan *Plan) (*Result, PlayDelta, error) {
 		e.invalidate()
 		return nil, PlayDelta{Full: true}, err
 	}
-	e.plan, e.run, e.regGen = plan, run, e.d.Registry.Generation()
+	e.plan, e.run = plan, run
 	e.results = plan.buildResults(run)
 	e.res = e.results[plan.rootIdx]
 	dirtySlots.Observe(float64(plan.slotCount))
@@ -184,13 +188,10 @@ func (e *Incremental) playFull(plan *Plan) (*Result, PlayDelta, error) {
 // the dirty cone over the retained slot vector.  Caller holds mu.
 func (e *Incremental) playIncremental(plan *Plan) (*Result, PlayDelta, error) {
 	run := e.run
-	regGen := e.d.Registry.Generation()
 
-	// Seed self-dirty steps: edited cells (expression identity moved),
-	// every model row when the registry generation moved (a
-	// re-registered model may answer differently for any row), and
-	// volatile rows always (their answers may change with no edit at
-	// all — the reason Play's contract is "recompute now").
+	// Seed self-dirty steps: edited cells (expression identity moved)
+	// and volatile rows always (their answers may change with no edit
+	// at all — the reason Play's contract is "recompute now").
 	if e.dirty == nil || len(e.dirty) < len(plan.steps) {
 		e.dirty = make([]bool, len(plan.steps))
 	}
@@ -200,7 +201,6 @@ func (e *Incremental) playIncremental(plan *Plan) (*Result, PlayDelta, error) {
 	dirty, slotDirty := e.dirty[:len(plan.steps)], e.slotDirty[:plan.slotCount]
 	clear(dirty)
 	clear(slotDirty)
-	regMoved := regGen != e.regGen
 	if plan != e.plan {
 		// patch() shares every step it did not recompile.
 		old := e.plan.steps
@@ -208,27 +208,8 @@ func (e *Incremental) playIncremental(plan *Plan) (*Result, PlayDelta, error) {
 			dirty[i] = st != old[i]
 		}
 	}
-	if regMoved {
-		for i, st := range plan.steps {
-			if st.kind == stepNode && st.modelName != "" {
-				dirty[i] = true
-			}
-		}
-	} else {
-		// Volatile rows re-price on every Play; the scan behind the
-		// list hits the registry, so it is cached per generation.
-		if !plan.volOK || plan.volGen != regGen {
-			plan.volSteps = plan.volSteps[:0]
-			for i, st := range plan.steps {
-				if st.kind == stepNode && plan.stepVolatile(st) {
-					plan.volSteps = append(plan.volSteps, i)
-				}
-			}
-			plan.volGen, plan.volOK = regGen, true
-		}
-		for _, i := range plan.volSteps {
-			dirty[i] = true
-		}
+	for _, i := range plan.volSteps {
+		dirty[i] = true
 	}
 
 	// Propagate: a step reading a dirty slot is dirty; a dirty step's
@@ -275,14 +256,14 @@ func (e *Incremental) playIncremental(plan *Plan) (*Result, PlayDelta, error) {
 	dirtySlots.Observe(float64(dirtySlotCount))
 
 	if dirtySteps == 0 {
-		e.plan, e.regGen = plan, regGen
+		e.plan = plan
 		return e.res, delta, nil
 	}
 	if err := plan.exec(dirty, run, true); err != nil {
 		e.invalidate()
 		return nil, PlayDelta{Full: true}, err
 	}
-	e.plan, e.regGen = plan, regGen
+	e.plan = plan
 	// Rebuild only the dirty rows' Results (children before parents —
 	// dirtyNodes is in schedule order); clean subtrees are shared with
 	// the previous Play's tree, which is immutable once built.

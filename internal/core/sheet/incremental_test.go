@@ -270,8 +270,9 @@ func TestIncrementalRegistryEditDirtiesAllRows(t *testing.T) {
 		t.Fatal(err)
 	}
 	base := counts["cell"].Load()
-	// Re-registering any model bumps the registry generation: every
-	// model row must re-price (the edit may have changed any of them).
+	// Re-registering any model bumps the registry generation: the
+	// retained plan is a snapshot of the old library, so the next Play
+	// compiles afresh and re-prices every model row.
 	reg := countingRegistry(counts)
 	m, _ := reg.Lookup("cell")
 	d.Registry.MustRegister(m)
@@ -282,8 +283,47 @@ func TestIncrementalRegistryEditDirtiesAllRows(t *testing.T) {
 	if got := counts["cell"].Load(); got != base+3 {
 		t.Errorf("registry edit re-evaluated %d rows, want 3", got-base)
 	}
-	if delta.Full {
-		t.Errorf("registry edit should stay incremental (plan unchanged): %+v", delta)
+	if !delta.Full {
+		t.Errorf("registry edit should play full on a fresh plan: %+v", delta)
+	}
+}
+
+// TestIncrementalMidPlayRegistration: a model whose evaluation
+// registers a doubled version of itself.  The Play that ran it priced
+// its own snapshot of the library; the next Play must see the new one,
+// exactly as a fresh evaluation does.
+func TestIncrementalMidPlayRegistration(t *testing.T) {
+	reg := model.NewRegistry()
+	info := model.Info{Name: "grow", Title: "self-replacing cell", Class: model.Computation, Doc: "d", Params: model.WithStd()}
+	price := func(c float64, p model.Params) *model.Estimate {
+		e := &model.Estimate{VDD: p.VDD()}
+		e.AddCap("c", units.Farads(c), p.Freq())
+		return e
+	}
+	doubled := &model.Func{Meta: info, Fn: func(p model.Params) (*model.Estimate, error) {
+		return price(200e-15, p), nil
+	}}
+	reg.MustRegister(&model.Func{Meta: info, Fn: func(p model.Params) (*model.Estimate, error) {
+		if err := reg.Register(doubled); err != nil {
+			return nil, err
+		}
+		return price(100e-15, p), nil
+	}})
+	d := NewDesign("grow", reg)
+	d.Root.SetGlobalValue("vdd", 1.5, "1.5")
+	d.Root.SetGlobalValue("f", 2e6, "2MHz")
+	d.Root.MustAddChild("a", "grow")
+	e := d.IncrementalEngine()
+	first, _, err := e.Play()
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, delta := playBothWays(t, d)
+	if r.Power != 2*first.Power {
+		t.Errorf("second Play = %v, want the doubled model's %v", r.Power, 2*first.Power)
+	}
+	if !delta.Full {
+		t.Errorf("a Play after a registry move should run full: %+v", delta)
 	}
 }
 
@@ -298,17 +338,25 @@ func TestSharedSweeperMemo(t *testing.T) {
 	if s1 != s2 {
 		t.Error("repeated sweeps did not share the hoisted baseline")
 	}
-	// A registry edit retires the memo.
+	// A registry edit retires the plan, and with it the memo: PlanFor
+	// compiles a new plan, whose baseline is hoisted afresh.
 	m, _ := d.Registry.Lookup("cell")
 	d.Registry.MustRegister(m)
-	s3 := plan.sharedSweeper()
-	if s3 == s1 {
-		t.Error("registry edit did not retire the shared baseline")
+	fresh, err := d.PlanFor([]string{"vdd"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fresh == plan {
+		t.Fatal("registry edit did not retire the plan")
+	}
+	s3 := fresh.sharedSweeper()
+	if s3 == s1 || fresh.sharedSweeper() != s3 {
+		t.Error("the fresh plan should memoize its own baseline")
 	}
 	// Shared and fresh baselines price points as EvaluateTotals does.
 	pts := []map[string]float64{{"vdd": 0.9}, {"vdd": 1.5}, {"vdd": 3.3}}
 	checkBatchMatchesEval(t, d, s3.newBatchEval(len(pts)), pts)
-	checkBatchMatchesEval(t, d, plan.newSweeper().newBatchEval(len(pts)), pts)
+	checkBatchMatchesEval(t, d, fresh.newSweeper().newBatchEval(len(pts)), pts)
 }
 
 func TestSharedSweeperVolatileNeverMemoizes(t *testing.T) {

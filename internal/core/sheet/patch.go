@@ -3,16 +3,17 @@ package sheet
 // Plan patching: the edit-Play fast path.
 //
 // PlanFor keys its cache on the tree's mutation epoch, so any cell edit
-// recompiles the entire plan — correct, but the compile (and the fresh
-// plan's cold row-model caches) costs several times a warm full
-// evaluation, which would leave the incremental engine slower than the
-// thing it is meant to beat.  patch() exploits that a
+// recompiles the entire plan — correct, but the compile (row-model
+// caches included) costs several times a warm full evaluation, which
+// would leave the incremental engine slower than the thing it is meant
+// to beat.  patch() exploits that a
 // binding-only edit cannot move the slot layout: it verifies the tree
 // still has the shape the plan was compiled from, recompiles just the
 // cells whose expression identity moved against the recorded slot
 // assignments, and returns a shallow copy of the plan sharing every
-// unchanged step — including the stepNode pointers and their warmed
-// row-model caches.
+// unchanged step — including the stepNode pointers and their row-model
+// caches.  The patched plan keeps the original's registry generation:
+// it is the same snapshot of the library.
 //
 // patch() is deliberately conservative: anything it cannot prove
 // preserves the compiled schedule — a row or binding added, removed,
@@ -136,6 +137,7 @@ func (p *Plan) patch() (*Plan, bool) {
 	}
 	return &Plan{
 		design:        p.design,
+		regGen:        p.regGen,
 		overrideNames: p.overrideNames,
 		overrideSlots: p.overrideSlots,
 		slotCount:     p.slotCount,
@@ -153,8 +155,6 @@ func (p *Plan) patch() (*Plan, bool) {
 		nodePaths:     p.nodePaths,
 		writers:       p.writers,
 		volSteps:      p.volSteps,
-		volGen:        p.volGen,
-		volOK:         p.volOK,
 	}, true
 }
 

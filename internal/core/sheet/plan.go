@@ -86,8 +86,9 @@ func overrideNames(ov map[string]float64) []string {
 // PlanFor returns the design's compiled evaluation plan for the given
 // override-name set (sorted; nil for plain Evaluate), compiling it on
 // first use and caching it on the Design.  The cache is keyed on the
-// root's identity and mutation epoch: every tree mutator bumps the
-// epoch, so callers never observe a stale plan (recovery's
+// root's identity, its mutation epoch and the registry generation:
+// every tree mutator bumps the epoch and every Register/Unregister the
+// generation, so callers never observe a stale plan (recovery's
 // AdoptGeneration runs before a design serves, see its doc).
 // Concurrent callers share one cached Plan; Plan execution is itself
 // concurrency-safe.
@@ -100,14 +101,18 @@ func (d *Design) PlanFor(names []string) (*Plan, error) {
 	d.planMu.Lock()
 	defer d.planMu.Unlock()
 	epoch := d.Root.epoch.Load()
-	if d.plans == nil || d.planRoot != d.Root || d.planEpoch != epoch || len(d.plans) > maxCachedPlans {
+	// Read before compiling resolves any model: a registration racing
+	// the compile leaves the new plan already stale, never silently
+	// mixed.
+	regGen := d.Registry.Generation()
+	if d.plans == nil || d.planRoot != d.Root || d.planEpoch != epoch || d.planRegGen != regGen || len(d.plans) > maxCachedPlans {
 		d.plans = make(map[string]*planEntry)
-		d.planRoot, d.planEpoch = d.Root, epoch
+		d.planRoot, d.planEpoch, d.planRegGen = d.Root, epoch, regGen
 	}
 	if e, ok := d.plans[key]; ok {
 		return e.plan, e.err
 	}
-	plan, err := compilePlan(d, names)
+	plan, err := compilePlan(d, names, regGen)
 	if err == nil {
 		planCompiles.With("ok").Inc()
 	} else {
@@ -117,11 +122,15 @@ func (d *Design) PlanFor(names []string) (*Plan, error) {
 	return plan, err
 }
 
-// Plan is a compiled evaluation schedule for one design and one
-// override-name set.  It is immutable after compilation (per-row model
-// caches update atomically) and safe for concurrent evaluation.
+// Plan is a compiled evaluation schedule for one design, one
+// override-name set and one registry generation: a snapshot.  Every
+// model row is resolved once, at compile, so a plan keeps pricing the
+// models it was compiled against; current reports whether the registry
+// has moved since.  It is immutable after compilation and safe for
+// concurrent evaluation.
 type Plan struct {
 	design        *Design
+	regGen        uint64 // registry generation read before any model resolved
 	overrideNames []string
 	overrideSlots []int
 	slotCount     int
@@ -144,18 +153,20 @@ type Plan struct {
 	nodePaths   []string          // per node index: path at compile (stable under patching)
 	writers     []int             // per slot: writing step index; lazy, engine-mu guarded
 
-	// Volatile model-step cache, keyed by registry generation (lazy,
-	// engine-mu guarded like writers; patching carries it over since
-	// stepNode steps are shared).
+	// volSteps lists the steps whose row resolved to a volatile model
+	// (see model.Volatile); patching carries it over since stepNode
+	// steps are shared.
 	volSteps []int
-	volGen   uint64
-	volOK    bool
 
-	// swMemo caches the hoisted invariant baseline per registry
-	// generation, so repeated sweeps over one plan skip re-executing
-	// the invariant steps (see sharedSweeper).
-	swMemo atomic.Pointer[sweeperMemo]
+	// swMemo caches the hoisted invariant baseline, so repeated sweeps
+	// over one plan skip re-executing the invariant steps (see
+	// sharedSweeper).
+	swMemo atomic.Pointer[sweeper]
 }
+
+// current reports whether the plan still reflects the registry: false
+// once any model was registered or unregistered after its compile.
+func (p *Plan) current() bool { return p.regGen == p.design.Registry.Generation() }
 
 // planStep is one unit of scheduled work: either "run a compiled
 // binding into a slot" or "evaluate and aggregate one row".
@@ -184,7 +195,7 @@ type planStep struct {
 	stdSlots   []int
 	childBases []int
 	compose    Compose
-	mc         atomic.Pointer[rowModelCache]
+	mc         *rowModelCache // nil: the model was not in the registry at compile
 }
 
 type stepKind uint8
@@ -195,14 +206,13 @@ const (
 )
 
 // rowModelCache pins the resolved model, its prebuilt validation
-// schema, and the row's precomputed validation schedule, keyed to the
-// registry generation so re-registering a model invalidates it.  The
-// schedule is split by slot variance: between evaluations of one plan,
-// invariant entries always reproduce the same value (their slots are
-// written by deterministic invariant steps, or are constants), so a
-// re-fill of an already-populated map only rewrites varEntries.
+// schema, and the row's precomputed validation schedule; it is built
+// at compile and lives exactly as long as the plan.  The schedule is
+// split by slot variance: between evaluations of one plan, invariant
+// entries always reproduce the same value (their slots are written by
+// deterministic invariant steps, or are constants), so a re-fill of an
+// already-populated map only rewrites varEntries.
 type rowModelCache struct {
-	gen        uint64
 	m          model.Model
 	schema     *model.Schema
 	varEntries []paramEntry // bound to override-dependent slots
@@ -226,8 +236,8 @@ type paramEntry struct {
 // buildRowModelCache resolves a row's model and precomputes its
 // validation schedule from the step's bound/inherited slots, split by
 // the plan's slot-variance map.
-func buildRowModelCache(st *planStep, m model.Model, gen uint64, variantSlot []bool) *rowModelCache {
-	mc := &rowModelCache{gen: gen, m: m, schema: model.NewSchema(m.Info().Params)}
+func buildRowModelCache(st *planStep, m model.Model, variantSlot []bool) *rowModelCache {
+	mc := &rowModelCache{m: m, schema: model.NewSchema(m.Info().Params)}
 	put := func(en paramEntry) {
 		mc.size++
 		if en.slot >= 0 && variantSlot[en.slot] {
@@ -281,10 +291,9 @@ const (
 // at the same indices; readers raise it (see planRun.err).  ests and
 // params hold per-row outputs when the caller keeps results; fulls are
 // reusable per-row validated-parameter maps that never escape a run.
-// A full map's key set is fixed by the row's validation schedule, so
-// re-evaluations overwrite in place without clearing; fullGen records
-// which schedule (registry generation) populated it, forcing a clear
-// if a re-registered model changed the schema.
+// A full map is stored once its invariant entries hold their final
+// values, so re-evaluations overwrite only the variant entries in
+// place (see validate); nil means not yet populated.
 type planRun struct {
 	slots   []float64
 	errs    []error
@@ -292,18 +301,16 @@ type planRun struct {
 	ests    []*model.Estimate
 	params  []model.Params
 	fulls   []model.Params
-	fullGen []uint64
 }
 
 // newRun allocates execution state sized to the plan.
 func (p *Plan) newRun() *planRun {
 	return &planRun{
-		slots:   make([]float64, p.slotCount),
-		errs:    make([]error, p.slotCount),
-		ests:    make([]*model.Estimate, len(p.nodes)),
-		params:  make([]model.Params, len(p.nodes)),
-		fulls:   make([]model.Params, len(p.nodes)),
-		fullGen: make([]uint64, len(p.nodes)),
+		slots:  make([]float64, p.slotCount),
+		errs:   make([]error, p.slotCount),
+		ests:   make([]*model.Estimate, len(p.nodes)),
+		params: make([]model.Params, len(p.nodes)),
+		fulls:  make([]model.Params, len(p.nodes)),
 	}
 }
 
@@ -313,26 +320,6 @@ func (run *planRun) err(slot int) error {
 		return run.errs[slot]
 	}
 	return nil
-}
-
-// fullMap returns the idx'th reusable validated-parameter map and
-// whether it is already populated for this registry generation.  A
-// populated map's invariant entries hold their final values — they are
-// written by deterministic invariant steps or are schema constants —
-// so the caller only rewrites the variant entries.  The caller marks
-// the map populated (fullGen) after a successful full fill.
-func (run *planRun) fullMap(idx, size int, gen uint64) (model.Params, bool) {
-	m := run.fulls[idx]
-	if m == nil {
-		m = make(model.Params, size)
-		run.fulls[idx] = m
-		return m, false
-	}
-	if run.fullGen[idx] != gen {
-		clear(m)
-		return m, false
-	}
-	return m, true
 }
 
 // Steps returns the number of scheduled steps (for tests and
@@ -388,11 +375,10 @@ func (p *Plan) execNode(st *planStep, run *planRun, keep bool) error {
 	slots := run.slots
 	var pw, dyn, static, area, delay float64
 	if st.modelName != "" {
-		reg := p.design.Registry
-		m, ok := reg.Lookup(st.modelName)
-		if !ok {
+		if st.mc == nil {
 			return &EvalError{Path: st.node.Path(), Msg: fmt.Sprintf("no model named %q in library", st.modelName)}
 		}
+		m := st.mc.m
 		for _, s := range st.paramSlots {
 			if err := run.err(s); err != nil {
 				return err
@@ -404,7 +390,7 @@ func (p *Plan) execNode(st *planStep, run *planRun, keep bool) error {
 			}
 		}
 		var est *model.Estimate
-		full, err := p.validate(st, m, reg.Generation(), run)
+		full, err := p.validate(st, run)
 		if err != nil {
 			// Let the interpreter's own call word the failure (schema
 			// order, unknown names last, the model-name prefix).
@@ -448,20 +434,20 @@ func (p *Plan) execNode(st *planStep, run *planRun, keep bool) error {
 }
 
 // validate fills the row's reusable validated-parameter map from its
-// precomputed schedule.  Any error means only "validation fails"; its
-// wording is not canonical.
-func (p *Plan) validate(st *planStep, m model.Model, gen uint64, run *planRun) (model.Params, error) {
-	mc := st.mc.Load()
-	if mc == nil || mc.gen != gen {
-		mc = buildRowModelCache(st, m, gen, p.variantSlot)
-		st.mc.Store(mc)
-	}
+// precomputed schedule.  A populated map's invariant entries hold their
+// final values — they are written by deterministic invariant steps or
+// are schema constants — so only the variant entries are rewritten.
+// Any error means only "validation fails"; its wording is not
+// canonical.
+func (p *Plan) validate(st *planStep, run *planRun) (model.Params, error) {
+	mc := st.mc
 	if mc.invalid != "" {
 		return nil, fmt.Errorf("unknown parameter %q", mc.invalid)
 	}
 	slots := run.slots
-	full, populated := run.fullMap(st.nodeIdx, mc.size, gen)
-	if !populated {
+	full := run.fulls[st.nodeIdx]
+	if full == nil {
+		full = make(model.Params, mc.size)
 		for i := range mc.invEntries {
 			en := &mc.invEntries[i]
 			v := en.def
@@ -475,6 +461,7 @@ func (p *Plan) validate(st *planStep, m model.Model, gen uint64, run *planRun) (
 			}
 			full[en.name] = v
 		}
+		run.fulls[st.nodeIdx] = full
 	}
 	for i := range mc.varEntries {
 		en := &mc.varEntries[i]
@@ -485,9 +472,6 @@ func (p *Plan) validate(st *planStep, m model.Model, gen uint64, run *planRun) (
 			}
 		}
 		full[en.name] = v
-	}
-	if !populated {
-		run.fullGen[st.nodeIdx] = gen
 	}
 	return full, nil
 }
@@ -606,55 +590,22 @@ func (p *Plan) newSweeper() *sweeper {
 	return &sweeper{plan: p, baseline: run.slots, errs: run.errs}
 }
 
-// sharedSweeper returns a hoisted invariant baseline that repeated
-// sweeps over this plan share, rebuilding it only when the model
-// registry's generation moves (a re-registered model may change any
-// row's numbers; binding edits already invalidate the whole plan via
-// the mutation epoch, so they cannot leak in here).  Plans whose
-// rows resolve to volatile models never share: their "invariant" steps
-// are not actually invariant across calls, so each sweep hoists fresh,
-// exactly as newSweeper would.
+// sharedSweeper returns the hoisted invariant baseline that repeated
+// sweeps over this plan share, memoized once per plan: binding edits
+// and registry moves both retire the whole plan (see PlanFor), so
+// neither can leak in here.  Plans with a volatile row never share:
+// their "invariant" steps are not actually invariant across calls, so
+// each sweep hoists fresh, exactly as newSweeper would.
 func (p *Plan) sharedSweeper() *sweeper {
-	if p.hasVolatileModel() {
+	if len(p.volSteps) > 0 {
 		return p.newSweeper()
 	}
-	gen := p.design.Registry.Generation()
-	if m := p.swMemo.Load(); m != nil && m.regGen == gen {
-		return m.sw
+	if sw := p.swMemo.Load(); sw != nil {
+		return sw
 	}
 	sw := p.newSweeper()
-	p.swMemo.Store(&sweeperMemo{regGen: gen, sw: sw})
+	p.swMemo.Store(sw)
 	return sw
-}
-
-// sweeperMemo caches one hoisted baseline keyed to the registry
-// generation it was computed under.
-type sweeperMemo struct {
-	regGen uint64
-	sw     *sweeper
-}
-
-// stepVolatile reports whether a step's row currently resolves to a
-// volatile model (see model.Volatile): such steps must re-run on every
-// Play regardless of dirty tracking, and baselines containing their
-// outputs must not be reused across calls.
-func (p *Plan) stepVolatile(st *planStep) bool {
-	if st.kind != stepNode || st.modelName == "" {
-		return false
-	}
-	m, ok := p.design.Registry.Lookup(st.modelName)
-	return ok && model.IsVolatile(m)
-}
-
-// hasVolatileModel reports whether any row of the plan resolves to a
-// volatile model.
-func (p *Plan) hasVolatileModel() bool {
-	for _, st := range p.steps {
-		if p.stepVolatile(st) {
-			return true
-		}
-	}
-	return false
 }
 
 // forEachRead calls fn for every slot the step reads.  Expression slot
@@ -744,9 +695,10 @@ type planCompiler struct {
 // preserving the interpreter's lazy-globals semantics; an error (a
 // static cycle) aborts the plan and the design evaluates through the
 // interpreter instead.
-func compilePlan(d *Design, names []string) (*Plan, error) {
+func compilePlan(d *Design, names []string, regGen uint64) (*Plan, error) {
 	p := &Plan{
 		design:        d,
+		regGen:        regGen,
 		overrideNames: names,
 		idxOf:         make(map[*Node]int),
 	}
@@ -770,8 +722,20 @@ func compilePlan(d *Design, names []string) (*Plan, error) {
 	pc.markVariance()
 	p.nodeStep = make([]int, len(p.nodes))
 	for i, st := range p.steps {
-		if st.kind == stepNode {
-			p.nodeStep[st.nodeIdx] = i
+		if st.kind != stepNode {
+			continue
+		}
+		p.nodeStep[st.nodeIdx] = i
+		// Resolve the row's model once; a missing one stays nil and
+		// execNode raises it where the interpreter would.
+		if st.modelName == "" {
+			continue
+		}
+		if m, ok := d.Registry.Lookup(st.modelName); ok {
+			st.mc = buildRowModelCache(st, m, p.variantSlot)
+			if model.IsVolatile(m) {
+				p.volSteps = append(p.volSteps, i)
+			}
 		}
 	}
 	p.globalNames = make([][]string, len(p.nodes))

@@ -396,6 +396,70 @@ func TestPlanPicksUpReRegisteredModel(t *testing.T) {
 	sameResult(t, "", r2, mustInterp(t, d))
 }
 
+// scaledCell is testRegistry's "cell" with capPerBit farads switched
+// per bit, for tests that swap the library under a design.
+func scaledCell(capPerBit float64) model.Model {
+	return &model.Func{
+		Meta: model.Info{
+			Name: "cell", Title: "scaled test cell", Class: model.Computation, Doc: "d",
+			Params: model.WithStd(
+				model.Param{Name: "bits", Default: 8, Min: 1, Max: 1024, Integer: true},
+				model.Param{Name: "act", Default: 1, Min: 0, Max: 2},
+			),
+		},
+		Fn: func(p model.Params) (*model.Estimate, error) {
+			e := &model.Estimate{VDD: p.VDD()}
+			e.AddCap("c", units.Farads(p["act"]*p["bits"]*capPerBit), p.Freq())
+			return e, nil
+		},
+	}
+}
+
+// TestPlanForKeysOnRegistryGeneration: a plan is a snapshot of one
+// registry generation.  PlanFor hands out the same plan while both the
+// design and the registry hold still and a new one after a Register;
+// the plan compiled before the swap keeps pricing the old model.
+func TestPlanForKeysOnRegistryGeneration(t *testing.T) {
+	d := planTestDesign(t)
+	d.Registry.MustRegister(scaledCell(100e-15))
+	p1, err := d.PlanFor(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p2, _ := d.PlanFor(nil); p2 != p1 {
+		t.Fatal("unchanged design and registry should reuse the cached plan")
+	}
+	_, before, _, _, err := p1.evalAt(nil, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.Registry.MustRegister(scaledCell(200e-15))
+	p3, err := d.PlanFor(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p3 == p1 {
+		t.Fatal("Register must retire the cached plan")
+	}
+	if p4, _ := d.PlanFor(nil); p4 != p3 {
+		t.Fatal("the recompiled plan should be cached in turn")
+	}
+	_, stale, _, _, err := p1.evalAt(nil, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stale != before {
+		t.Errorf("old plan re-priced after the swap: %v, then %v", before, stale)
+	}
+	_, fresh, _, _, err := p3.evalAt(nil, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := float64(mustInterp(t, d).Power); fresh != want || fresh == before {
+		t.Errorf("new plan prices %v, interpreter %v (old model %v)", fresh, want, before)
+	}
+}
+
 func mustInterp(t *testing.T, d *Design) *Result {
 	t.Helper()
 	r, err := d.EvaluateInterpreted(nil)

@@ -103,12 +103,14 @@ type Design struct {
 	Registry *model.Registry
 
 	// Compiled-plan cache (see plan.go).  Guarded by planMu; the plans
-	// were compiled from planRoot at mutation epoch planEpoch, so any
-	// tree edit invalidates them on the next PlanFor call.
-	planMu    sync.Mutex
-	planRoot  *Node
-	planEpoch uint64
-	plans     map[string]*planEntry
+	// were compiled from planRoot at mutation epoch planEpoch against
+	// registry generation planRegGen, so any tree edit or model
+	// (un)registration invalidates them on the next PlanFor call.
+	planMu     sync.Mutex
+	planRoot   *Node
+	planEpoch  uint64
+	planRegGen uint64
+	plans      map[string]*planEntry
 
 	// id lazily holds the design's process-unique identity (see ID).
 	id atomic.Uint64

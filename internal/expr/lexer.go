@@ -13,13 +13,6 @@ type lexer struct {
 	pos int
 }
 
-func (l *lexer) peekByte() byte {
-	if l.pos >= len(l.src) {
-		return 0
-	}
-	return l.src[l.pos]
-}
-
 func (l *lexer) skipSpace() {
 	for l.pos < len(l.src) {
 		c := l.src[l.pos]

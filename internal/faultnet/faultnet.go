@@ -133,13 +133,6 @@ func (p *Proxy) SetDefault(f Fault) {
 	p.def = f
 }
 
-// Extend appends faults to the remaining schedule.
-func (p *Proxy) Extend(faults ...Fault) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.schedule = append(p.schedule, faults...)
-}
-
 // Requests returns how many requests the proxy has begun serving.
 func (p *Proxy) Requests() int {
 	p.mu.Lock()

@@ -64,10 +64,10 @@ const maxBufferedBody = 8 << 20
 //     health and instruments — backend health is per-backend);
 //   - everything else (the front page, the library, the site-scope
 //     model API) spreads round-robin over breaker-closed backends.
-//     That is safe for site models: a publish through the form or the
-//     JSON API is replicated to every backend.  Remote mounts and
-//     repository subscriptions are not replicated, so they stay on
-//     the one backend that took the request.
+//     That is safe for site state: a model publish through the form or
+//     the JSON API, and a remote mount or repository subscription
+//     created or deleted through /api/v1/mounts, is replicated to every
+//     backend.
 //
 // A backend answering 421 ShardRedirect triggers one re-route to the
 // owner it names — how a router with a stale ShardCount keeps serving
@@ -295,18 +295,24 @@ func (rt *Router) proxy(w http.ResponseWriter, r *http.Request, target int, body
 	}
 	defer resp.Body.Close()
 	proxiedRequests.With(strconv.Itoa(target), statusClass(resp.StatusCode)).Inc()
-	// Site-model replication: a successful model publish on one
-	// backend — the HTML form's 303 or the JSON API's 201 — fans out to
-	// every other backend, so site-scope reads (the library, the model
-	// listing, the registry) stay local to whichever backend answers
-	// them.  Synchronous and before the client sees the answer, so a
-	// follow-up read through any backend already shows the model.
-	if r.Method == http.MethodPost && buffered && body != nil {
+	// Site-state replication: a successful model publish on one
+	// backend — the HTML form's 303 or the JSON API's 201 — and a
+	// successful mount or unmount fan out to every other backend, so
+	// site-scope reads (the library, the model listing, the registry,
+	// the mount table) stay local to whichever backend answers them.
+	// Synchronous and before the client sees the answer, so a
+	// follow-up read through any backend already shows the change.
+	if buffered {
+		path := r.URL.Path
 		switch {
-		case r.URL.Path == "/models/new" && resp.StatusCode == http.StatusSeeOther:
-			rt.replicateModel(r, body, r.Header.Get("Content-Type"), target)
-		case r.URL.Path == "/api/v1/models" && resp.StatusCode == http.StatusCreated:
-			rt.replicateModel(r, body, "application/json", target)
+		case r.Method == http.MethodPost && path == "/models/new" && resp.StatusCode == http.StatusSeeOther && body != nil:
+			rt.replicate(r, http.MethodPost, "/api/v1/shard/model", body, r.Header.Get("Content-Type"), target)
+		case r.Method == http.MethodPost && path == "/api/v1/models" && resp.StatusCode == http.StatusCreated && body != nil:
+			rt.replicate(r, http.MethodPost, "/api/v1/shard/model", body, "application/json", target)
+		case r.Method == http.MethodPost && path == "/api/v1/mounts" && resp.StatusCode == http.StatusCreated:
+			rt.replicate(r, http.MethodPost, path, body, "application/json", target)
+		case r.Method == http.MethodDelete && strings.HasPrefix(path, "/api/v1/mounts/") && resp.StatusCode == http.StatusOK:
+			rt.replicate(r, http.MethodDelete, r.URL.RequestURI(), nil, "", target)
 		}
 	}
 	copyHeaders(w.Header(), resp.Header)
@@ -357,19 +363,21 @@ func (rt *Router) attempt(r *http.Request, target int, body []byte, buffered boo
 	return resp, nil
 }
 
-// replicateModel fans a successful site-model definition — a form or
-// JSON body, as contentType says — out to every backend except src,
-// through each backend's internal POST /api/v1/shard/model endpoint.
-// Best-effort: a backend that is down misses the model until an
-// operator re-replicates (its breaker state says so); the publishing
-// backend's journal holds the authoritative copy.
-func (rt *Router) replicateModel(r *http.Request, body []byte, contentType string, src int) {
+// replicate fans a successful site-scope write out to every
+// breaker-closed backend except src: the same request (method, path
+// and body — a form or JSON body, as contentType says) under the
+// router's site key.  Model publishes go through each backend's
+// internal POST /api/v1/shard/model endpoint; mounts replay the public
+// mounts API.  Best-effort: a backend that is down misses the write
+// until an operator re-replicates (its breaker state says so); the
+// backend that took the request holds the authoritative copy.
+func (rt *Router) replicate(r *http.Request, method, path string, body []byte, contentType string, src int) {
 	for i := range rt.backends {
 		if i == src || rt.breakers[i].State() == circuit.Open {
 			continue
 		}
-		req, err := http.NewRequestWithContext(r.Context(), http.MethodPost,
-			rt.backends[i]+"/api/v1/shard/model", bytes.NewReader(body))
+		req, err := http.NewRequestWithContext(r.Context(), method,
+			rt.backends[i]+path, bytes.NewReader(body))
 		if err != nil {
 			shardReplications.With("error").Inc()
 			continue
@@ -384,7 +392,7 @@ func (rt *Router) replicateModel(r *http.Request, body []byte, contentType strin
 		resp, err := rt.client.Do(req)
 		if err != nil {
 			shardReplications.With("error").Inc()
-			slog.Warn("shard: model replication failed", "backend", i, "err", err)
+			slog.Warn("shard: replication failed", "backend", i, "path", path, "err", err)
 			continue
 		}
 		io.Copy(io.Discard, resp.Body)
@@ -393,7 +401,7 @@ func (rt *Router) replicateModel(r *http.Request, body []byte, contentType strin
 			shardReplications.With("ok").Inc()
 		} else {
 			shardReplications.With("error").Inc()
-			slog.Warn("shard: model replication rejected", "backend", i, "status", resp.StatusCode)
+			slog.Warn("shard: replication rejected", "backend", i, "path", path, "status", resp.StatusCode)
 		}
 	}
 }

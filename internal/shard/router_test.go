@@ -312,6 +312,72 @@ func TestModelReplicationJSON(t *testing.T) {
 	}
 }
 
+// TestMountReplication: a mount created through the front door — a
+// proxy mount and a mirror subscription, both site scope and both
+// round-robined to one backend — reaches every backend, and a delete
+// through the front door removes it from every backend.
+func TestMountReplication(t *testing.T) {
+	f := newFleet(t, 2, nil)
+	pubSrv, err := web.NewServer(web.Config{SiteName: "pub"}, library.Standard())
+	if err != nil {
+		t.Fatal(err)
+	}
+	pub := httptest.NewServer(pubSrv.Handler())
+	t.Cleanup(pub.Close)
+
+	mounted := func(backend string) map[string]string {
+		t.Helper()
+		code, body, _ := get(t, newClient(t), backend+"/api/v1/mounts")
+		if code != 200 {
+			t.Fatalf("mounts listing: %d %s", code, body)
+		}
+		var listing []struct{ Prefix, Mode string }
+		if err := json.Unmarshal([]byte(body), &listing); err != nil {
+			t.Fatal(err)
+		}
+		modes := map[string]string{}
+		for _, m := range listing {
+			modes[m.Prefix] = m.Mode
+		}
+		return modes
+	}
+	mounts := map[string]string{"px": "proxy", "mir.": "mirror"}
+	for prefix, mode := range mounts {
+		body := fmt.Sprintf(`{"url":%q,"prefix":%q,"mode":%q}`, pub.URL, prefix, mode)
+		resp, err := http.Post(f.front.URL+"/api/v1/mounts", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusCreated {
+			t.Fatalf("mount %s: %s: %s", prefix, resp.Status, b)
+		}
+	}
+	for i, b := range f.backends {
+		if got := mounted(b.URL); len(got) != len(mounts) || got["px"] != "proxy" || got["mir."] != "mirror" {
+			t.Errorf("backend %d mounts = %v, want %v", i, got, mounts)
+		}
+	}
+	for prefix := range mounts {
+		req, _ := http.NewRequest(http.MethodDelete, f.front.URL+"/api/v1/mounts/"+prefix, nil)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("delete %s: %s", prefix, resp.Status)
+		}
+	}
+	for i, b := range f.backends {
+		if got := mounted(b.URL); len(got) != 0 {
+			t.Errorf("backend %d still mounts %v after the deletes", i, got)
+		}
+	}
+}
+
 // crashableBackend is a backend the test can kill (listener closed,
 // server abandoned un-Closed — a crash, not a shutdown) and restart on
 // the same address over the same data directory.

@@ -34,7 +34,7 @@ const (
 	// recovery re-mounts best-effort.
 	KindMount Kind = "mount"
 	// KindRefresh records a re-sync of a mounted prefix (Blob is a
-	// MountSpec); replay folds into the mount set.
+	// MountSpec); only older binaries wrote it, replay still folds it.
 	KindRefresh Kind = "refresh"
 	// KindUnmount removes a mounted prefix (Blob is a MountSpec; only
 	// Prefix matters); replay drops it from the mount set.

@@ -113,12 +113,12 @@ func TestServedAllocBudgets(t *testing.T) {
 				plays[d][(nPlay/2)%2])
 			return err
 		}},
-		{"rows POST, add and remove alternating", 2150, func() error {
+		{"rows POST, add and remove alternating", 2149, func() error {
 			_, err := serve(cookie, http.MethodPost, "/design/Luminance_2/rows", rows[nRows%2])
 			nRows++
 			return err
 		}},
-		{"200-step InfoPad vdd1 sweep", 800, func() error {
+		{"200-step InfoPad vdd1 sweep", 798, func() error {
 			_, err := serve(cookie, http.MethodGet, "/design/InfoPad/sweep?var=vdd1&from=1&to=3.3&steps=200", "")
 			return err
 		}},

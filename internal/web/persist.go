@@ -12,7 +12,6 @@ package web
 // are journaled, because later records' generations build on them.
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"log/slog"
@@ -247,24 +246,14 @@ func (s *Server) MountRemote(url, prefix string) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	s.recordMount(store.KindMount, url, prefix)
-	return n, nil
-}
-
-// RefreshRemote re-syncs an already-mounted prefix with its remote.
-func (s *Server) RefreshRemote(url, prefix string) (int, error) {
-	n, err := Refresh(context.Background(), s.registry, &Remote{BaseURL: url, Key: s.cfg.Password}, prefix)
-	if err != nil {
-		return 0, err
-	}
-	s.recordMount(store.KindRefresh, url, prefix)
+	s.recordMount(url, prefix)
 	return n, nil
 }
 
 // recordMount folds a mount into the server's mount table and
 // journals it.  Journal failure is logged, not surfaced: the mount
 // itself succeeded and the site is serving it.
-func (s *Server) recordMount(kind store.Kind, url, prefix string) {
+func (s *Server) recordMount(url, prefix string) {
 	spec := store.MountSpec{URL: url, Prefix: prefix}
 	s.mu.Lock()
 	replaced := false
@@ -281,7 +270,7 @@ func (s *Server) recordMount(kind store.Kind, url, prefix string) {
 	s.mu.Unlock()
 	blob, err := json.Marshal(spec)
 	if err == nil {
-		_, err = s.appendSite(store.Record{Kind: kind, Blob: blob})
+		_, err = s.appendSite(store.Record{Kind: store.KindMount, Blob: blob})
 	}
 	if err != nil {
 		slog.Warn("web: journaling mount failed", "prefix", prefix, "err", err)

@@ -105,12 +105,6 @@ func (k failKind) retryable(idempotent bool) bool {
 	return k == failTransport
 }
 
-// unavailable reports whether this kind of failure means the site is
-// effectively down (and stale degradation should kick in).
-func (k failKind) unavailable() bool {
-	return k == failTransport || k == failServer || k == failPayload
-}
-
 // do issues one logical request with retries and breaker accounting.
 func (rc *Remote) do(ctx context.Context, method, path string, body []byte, out any, idempotent bool) error {
 	rc.init()
