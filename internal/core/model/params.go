@@ -104,24 +104,16 @@ func (s *Schema) Lookup(name string) (Param, bool) {
 // Validate checks a valuation against the schema and returns a complete
 // copy with defaults filled in — semantics identical to the package-
 // level Validate.
-func (s *Schema) Validate(in Params) (Params, error) {
-	return s.ValidateInto(in, make(Params, len(s.params)+3))
-}
-
-// ValidateInto is Validate writing into a caller-owned output map,
-// which it clears first: the allocation-free variant for hot loops
-// (the compiled sheet plan) that re-validate against one schema per
-// evaluation.  The caller must not let the model being evaluated
-// retain out beyond the call.
 // Validation order is deterministic regardless of map iteration order:
 // schema parameters are checked in declaration order, so when several
 // bound values are invalid at once, the error is always the first
 // offender by schema position.  Unknown names are reported in sorted
-// order.  The interpreter, compiled, batch, and incremental paths all
-// funnel through here, so this ordering is what makes their error text
-// reproducible and mutually bit-identical.
-func (s *Schema) ValidateInto(in, out Params) (Params, error) {
-	clear(out)
+// order.  model.Evaluate validates through here.  The compiled plan
+// checks each row against its own precomputed schedule instead and,
+// when that check fails, re-runs the row through model.Evaluate, so
+// this ordering words every validation error the engines report.
+func (s *Schema) Validate(in Params) (Params, error) {
+	out := make(Params, len(s.params)+3)
 	known := 0
 	for _, p := range s.params {
 		v, ok := in[p.Name]

@@ -42,6 +42,26 @@ func NewRequestID() string {
 	return string(dst[:])
 }
 
+// RequestIDFrom returns the ID a server adopts for a request whose
+// client sent id: id itself when it is short and printable-safe (at
+// most 64 bytes of [A-Za-z0-9._-]), otherwise a fresh NewRequestID, so
+// a hostile header cannot smuggle log-breaking bytes or unbounded junk.
+// The router and the backends apply this one rule, so a routed request
+// keeps one ID from the front door to the backend's logs.
+func RequestIDFrom(id string) string {
+	if id == "" || len(id) > 64 {
+		return NewRequestID()
+	}
+	for _, r := range id {
+		ok := r == '-' || r == '_' || r == '.' ||
+			r >= 'a' && r <= 'z' || r >= 'A' && r <= 'Z' || r >= '0' && r <= '9'
+		if !ok {
+			return NewRequestID()
+		}
+	}
+	return id
+}
+
 // WithRequestID returns ctx carrying the request ID.
 func WithRequestID(ctx context.Context, id string) context.Context {
 	return context.WithValue(ctx, requestIDKey, id)

@@ -150,14 +150,11 @@ func (rt *Router) Handler() http.Handler {
 	mux.Handle("GET /metrics", obs.Handler())
 	mux.HandleFunc("/", rt.route)
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		// Echo (or mint) the request ID so one ID follows the request
-		// through router log lines, backend log lines, and the client's
-		// error envelope.
-		id := r.Header.Get("X-Request-ID")
-		if id == "" {
-			id = obs.NewRequestID()
-			r.Header.Set("X-Request-ID", id)
-		}
+		// Adopt (or mint) the request ID by the backends' rule and
+		// forward it, so one ID follows the request through router log
+		// lines, backend log lines, and the client's error envelope.
+		id := obs.RequestIDFrom(r.Header.Get("X-Request-ID"))
+		r.Header.Set("X-Request-ID", id)
 		w.Header().Set("X-Request-ID", id)
 		mux.ServeHTTP(w, r)
 	})
@@ -460,11 +457,13 @@ var hopHeaders = []string{
 	"Proxy-Authorization", "Te", "Trailer", "Transfer-Encoding", "Upgrade",
 }
 
+// copyHeaders copies a backend response's end-to-end headers onto the
+// client's.  A header the backend sent replaces the router's own value
+// rather than joining it, so a routed response carries one X-Request-ID:
+// the one the backend logged and put in its envelope.
 func copyHeaders(dst, src http.Header) {
 	for k, vv := range src {
-		for _, v := range vv {
-			dst.Add(k, v)
-		}
+		dst[k] = vv
 	}
 	for _, h := range hopHeaders {
 		dst.Del(h)

@@ -607,3 +607,53 @@ func TestShardMetricsContract(t *testing.T) {
 		}
 	}
 }
+
+// TestRouterRequestID: a routed response carries exactly one
+// X-Request-ID, adopted by the backends' rule (a well-formed client ID
+// is kept, a malformed one replaced), and every error envelope — the
+// backend's and the router's own 503 — names the ID in the header.
+func TestRouterRequestID(t *testing.T) {
+	f := newFleet(t, 2, nil)
+	get := func(path, sent string) (status int, id, envelopeID string) {
+		t.Helper()
+		req, _ := http.NewRequest(http.MethodGet, f.front.URL+path, nil)
+		req.Header.Set("X-Request-ID", sent)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		ids := resp.Header.Values("X-Request-ID")
+		if len(ids) != 1 {
+			t.Fatalf("GET %s sent %q: X-Request-ID = %q, want one value", path, sent, ids)
+		}
+		var env struct {
+			Error struct {
+				RequestID string `json:"request_id"`
+			} `json:"error"`
+		}
+		if resp.StatusCode >= 400 {
+			if err := json.NewDecoder(resp.Body).Decode(&env); err != nil {
+				t.Fatalf("GET %s: %d without an envelope: %v", path, resp.StatusCode, err)
+			}
+		}
+		return resp.StatusCode, ids[0], env.Error.RequestID
+	}
+	for _, sent := range []string{"abc-123", "bad id with spaces"} {
+		keep := sent == "abc-123"
+		if _, id, _ := get("/api/v1/models", sent); (id == sent) != keep {
+			t.Errorf("sent %q, routed response carries %q", sent, id)
+		}
+		status, id, envID := get("/api/v1/models/no.such.model", sent)
+		if status != http.StatusNotFound || envID != id || (id == sent) != keep {
+			t.Errorf("sent %q: backend error %d names %q, header %q", sent, status, envID, id)
+		}
+	}
+	for _, b := range f.backends {
+		b.Close()
+	}
+	status, id, envID := get("/api/v1/models", "bad id with spaces")
+	if status != http.StatusServiceUnavailable || envID != id || id == "bad id with spaces" {
+		t.Errorf("router refusal %d names %q, header %q", status, envID, id)
+	}
+}

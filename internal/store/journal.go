@@ -40,6 +40,7 @@ package store
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -152,6 +153,15 @@ func scanFrames(b []byte) (payloads [][]byte, validLen int64) {
 	}
 }
 
+// ErrJournalFailed is what Append returns once an earlier write or
+// fsync on the journal failed.  The failed write may have left a torn
+// frame on disk, and a failed fsync may have let the kernel drop the
+// dirty pages, so a record appended behind either would sit past a
+// hole that recovery stops at: acknowledged, then lost.  The journal
+// takes appends again only after recovery reopens it and truncates the
+// tail.
+var ErrJournalFailed = errors.New("store: journal failed")
+
 // Journal is one append-only record file.
 type Journal struct {
 	mu     sync.Mutex
@@ -159,7 +169,8 @@ type Journal struct {
 	sink   WriteSyncer // the write path; f unless a test interposed
 	path   string
 	policy SyncPolicy
-	dirty  bool // bytes written since the last successful Sync
+	dirty  bool  // bytes written since the last successful Sync
+	failed error // the write or fsync that failed; Append refuses after it
 }
 
 // openJournal opens (creating if needed) the journal at path, scans
@@ -207,9 +218,11 @@ func (j *Journal) SetSink(wrap func(WriteSyncer) WriteSyncer) {
 }
 
 // Append frames and writes the payloads as one contiguous write, then
-// applies the sync policy.  On a write error the journal's tail may be
-// torn — exactly the state recovery truncates — so the caller reports
-// the error and keeps serving from memory.
+// applies the sync policy.  A failed write or fsync marks the journal
+// failed: the tail may be torn (the state recovery truncates), so this
+// and every later Append return an error wrapping ErrJournalFailed
+// rather than acknowledge a record recovery would cut off with the
+// tail.  The caller reports the error and keeps serving from memory.
 func (j *Journal) Append(payloads ...[]byte) error {
 	if len(payloads) == 0 {
 		return nil
@@ -227,11 +240,14 @@ func (j *Journal) Append(payloads ...[]byte) error {
 	if j.f == nil {
 		return fmt.Errorf("store: journal %s is closed", j.path)
 	}
-	if _, err := j.sink.Write(buf); err != nil {
-		j.dirty = true
-		return fmt.Errorf("store: appending to %s: %w", j.path, err)
+	if j.failed != nil {
+		return fmt.Errorf("%w: %s: %v", ErrJournalFailed, j.path, j.failed)
 	}
 	j.dirty = true
+	if _, err := j.sink.Write(buf); err != nil {
+		j.failed = err
+		return fmt.Errorf("store: appending to %s: %w", j.path, err)
+	}
 	if j.policy == SyncAlways {
 		if err := j.syncLocked(); err != nil {
 			return err
@@ -251,8 +267,11 @@ func (j *Journal) Sync() error {
 	return j.syncLocked()
 }
 
+// syncLocked runs the fsync barrier; a failure marks the journal
+// failed (see ErrJournalFailed).
 func (j *Journal) syncLocked() error {
 	if err := j.sink.Sync(); err != nil {
+		j.failed = err
 		return fmt.Errorf("store: fsync %s: %w", j.path, err)
 	}
 	j.dirty = false

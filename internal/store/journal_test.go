@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -233,6 +234,82 @@ func TestJournalTornWriteRecovery(t *testing.T) {
 	if truncated != 5 {
 		t.Errorf("truncated %d bytes, want the 5 torn ones", truncated)
 	}
+}
+
+// TestJournalRefusesAppendAfterFailedWrite: after one write is cut
+// short (or one fsync fails), the journal refuses every later append,
+// even once the sink works again, so nothing is acknowledged behind
+// the torn tail; a reopen recovers exactly the acknowledged prefix.
+func TestJournalRefusesAppendAfterFailedWrite(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		policy    SyncPolicy
+		fault     onceFault
+		truncated int64
+	}{
+		{"short write", SyncAlways, onceFault{shortWrite: 5}, 5},
+		{"failed fsync", SyncInterval, onceFault{failSync: true}, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "journal.log")
+			j, _, _ := openTestJournal(t, path, tc.policy)
+			acked := []byte(`{"a":1}`)
+			if err := j.Append(acked); err != nil {
+				t.Fatal(err)
+			}
+			fault := tc.fault
+			j.SetSink(func(ws WriteSyncer) WriteSyncer {
+				fault.inner = ws
+				return &fault
+			})
+			if tc.fault.shortWrite > 0 {
+				if err := j.Append([]byte(`{"b":2}`)); err == nil {
+					t.Fatal("short write acknowledged")
+				}
+			} else if err := j.Sync(); err == nil {
+				t.Fatal("failed fsync reported success")
+			}
+			err := j.Append([]byte(`{"c":3}`))
+			if !errors.Is(err, ErrJournalFailed) {
+				t.Fatalf("append after the failure: err = %v, want ErrJournalFailed", err)
+			}
+			if err := j.Close(); err != nil {
+				t.Fatal(err)
+			}
+			_, payloads, truncated := openTestJournal(t, path, tc.policy)
+			if len(payloads) != 1 || !bytes.Equal(payloads[0], acked) {
+				t.Errorf("reopen recovered %q, want exactly the acknowledged %q", payloads, acked)
+			}
+			if truncated != tc.truncated {
+				t.Errorf("truncated %d bytes, want %d", truncated, tc.truncated)
+			}
+		})
+	}
+}
+
+// onceFault fails its sink once, then passes everything through: a
+// write cut to shortWrite bytes, or one failed fsync.
+type onceFault struct {
+	inner      WriteSyncer
+	shortWrite int
+	failSync   bool
+}
+
+func (f *onceFault) Write(p []byte) (int, error) {
+	if n := f.shortWrite; n > 0 && n < len(p) {
+		f.shortWrite = 0
+		f.inner.Write(p[:n])
+		return n, fmt.Errorf("oncefault: write cut after %d bytes", n)
+	}
+	return f.inner.Write(p)
+}
+
+func (f *onceFault) Sync() error {
+	if f.failSync {
+		f.failSync = false
+		return fmt.Errorf("oncefault: fsync failed")
+	}
+	return f.inner.Sync()
 }
 
 // TestSnapshotAtomicRoundTrip: snapshots survive their own framing and

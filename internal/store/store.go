@@ -290,7 +290,7 @@ func (st *Store) flushAll() {
 	}
 	st.mu.Unlock()
 	for _, j := range js {
-		_ = j.Sync() // a failed background fsync retries next tick
+		_ = j.Sync() // a failure marks j failed; its next Append reports it
 	}
 }
 

@@ -2,6 +2,7 @@ package web
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/cookiejar"
@@ -10,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"powerplay/internal/core/model"
 	"powerplay/internal/library"
 	"powerplay/internal/store"
 )
@@ -242,5 +244,47 @@ func TestHealthzDurabilityBlock(t *testing.T) {
 	_, body = fetch(t, c2, tsMem.URL+"/api/v1/healthz")
 	if strings.Contains(body, "durability") {
 		t.Error("in-memory healthz should omit the durability block")
+	}
+}
+
+// TestMountsFoldSiteJournal: proxy mounts journal through the same site
+// write path as every other site writer, so past the store's 512-record
+// threshold the site journal folds into a snapshot instead of growing
+// for the life of the process, and the folded mount table recovers.
+func TestMountsFoldSiteJournal(t *testing.T) {
+	// An empty catalog keeps each mount to one request.
+	pub, err := NewServer(Config{}, model.NewRegistry())
+	if err != nil {
+		t.Fatal(err)
+	}
+	pubTS := httptest.NewServer(pub.Handler())
+	t.Cleanup(pubTS.Close)
+	dir := t.TempDir()
+	cfg := Config{DataDir: dir, Durability: "never"}
+	s1, err := NewServer(cfg, library.Standard())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const mounts = 520
+	for i := 0; i < mounts; i++ {
+		if _, err := s1.MountRemote(pubTS.URL, fmt.Sprintf("m%d", i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if lag := s1.JournalLag(); lag >= 512 {
+		t.Errorf("site journal never folded: lag %d after %d mounts", lag, mounts)
+	}
+	// Crash without Close: the snapshot plus the journal suffix must
+	// still hold every mount.
+	s2, err := NewServer(cfg, library.Standard())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s2.Close() })
+	if got := len(s2.RecoveredMounts()); got != mounts {
+		t.Errorf("recovered %d mounts, want %d", got, mounts)
+	}
+	if st := s2.LastRecovery(); st == nil || st.SnapshotsLoaded == 0 {
+		t.Errorf("recovery did not start from the folded snapshot: %+v", st)
 	}
 }

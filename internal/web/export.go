@@ -7,7 +7,6 @@ import (
 	"strings"
 
 	"powerplay/internal/core/sheet"
-	"powerplay/internal/store"
 	"powerplay/internal/units"
 )
 
@@ -55,19 +54,10 @@ func (s *Server) handleDesignImport(w http.ResponseWriter, r *http.Request, u *U
 		http.Error(w, fmt.Sprintf("powerplay: design name %q not addressable", d.Name), http.StatusBadRequest)
 		return
 	}
-	u.mu.Lock()
-	_, exists := u.Designs[d.Name]
-	var lag int
-	var perr error
-	if !exists {
-		u.Designs[d.Name] = d
-		var rec store.Record
-		if rec, perr = designRecord(d); perr == nil {
-			lag, perr = s.appendUser(u.Name, rec)
-		}
-	}
-	u.mu.Unlock()
-	if exists {
+	tx := s.begin(u)
+	installed := tx.install(d)
+	perr := tx.commit()
+	if !installed {
 		http.Error(w, fmt.Sprintf("powerplay: design %q already exists", d.Name), http.StatusConflict)
 		return
 	}
@@ -75,7 +65,6 @@ func (s *Server) handleDesignImport(w http.ResponseWriter, r *http.Request, u *U
 		http.Error(w, "persisting design: "+perr.Error(), http.StatusInternalServerError)
 		return
 	}
-	s.maybeSnapshotUser(u, lag)
 	http.Redirect(w, r, "/design/"+d.Name, http.StatusSeeOther)
 }
 

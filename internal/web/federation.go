@@ -156,13 +156,11 @@ func (sub *subscription) Apply(name, digest string, body []byte) error {
 	if err := sub.s.registry.Register(q); err != nil {
 		return err
 	}
-	lag, err := sub.s.appendSite(store.Record{
+	if err := sub.s.commitSite(store.Record{
 		Kind: store.KindRepoModel, Model: local, Origin: sub.spec.URL, Blob: body,
-	})
-	if err != nil {
+	}, nil); err != nil {
 		return fmt.Errorf("journaling mirror of %q: %w", local, err)
 	}
-	sub.s.maybeSnapshotSite(lag)
 	sub.mu.Lock()
 	sub.mirrored[name] = digest
 	sub.mu.Unlock()
@@ -186,12 +184,7 @@ func (s *Server) dropMirror(local string) {
 	delete(idx.origins, local)
 	idx.mu.Unlock()
 	s.registry.Unregister(local)
-	lag, err := s.appendSite(store.Record{Kind: store.KindRepoDrop, Model: local})
-	if err != nil {
-		slog.Warn("web: journaling mirror drop failed", "model", local, "err", err)
-		return
-	}
-	s.maybeSnapshotSite(lag)
+	_ = s.commitSite(store.Record{Kind: store.KindRepoDrop, Model: local}, nil)
 }
 
 // seedMirrored rebuilds the subscription's publisher-name → digest map
@@ -280,13 +273,7 @@ func (s *Server) addSubscription(spec store.SubSpec, journal bool) (*subscriptio
 	idx.subs[spec.Prefix] = sub
 	idx.mu.Unlock()
 	if journal {
-		blob, err := json.Marshal(spec)
-		if err == nil {
-			_, err = s.appendSite(store.Record{Kind: store.KindRepoSubscribe, Blob: blob})
-		}
-		if err != nil {
-			slog.Warn("web: journaling subscription failed", "prefix", spec.Prefix, "err", err)
-		}
+		_ = s.commitSite(store.Record{Kind: store.KindRepoSubscribe}, spec)
 	}
 	return sub, nil
 }
@@ -336,15 +323,7 @@ func (s *Server) Unsubscribe(prefix string) error {
 	for _, n := range names {
 		s.dropMirror(sub.localName(n))
 	}
-	blob, err := json.Marshal(sub.spec)
-	if err == nil {
-		var lag int
-		lag, err = s.appendSite(store.Record{Kind: store.KindRepoUnsubscribe, Blob: blob})
-		s.maybeSnapshotSite(lag)
-	}
-	if err != nil {
-		slog.Warn("web: journaling unsubscribe failed", "prefix", prefix, "err", err)
-	}
+	_ = s.commitSite(store.Record{Kind: store.KindRepoUnsubscribe}, sub.spec)
 	return nil
 }
 

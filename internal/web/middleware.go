@@ -78,30 +78,10 @@ const requestIDHeader = "X-Request-ID"
 // what the client saw.
 func requestIDMiddleware(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		id := sanitizeRequestID(r.Header.Get(requestIDHeader))
-		if id == "" {
-			id = obs.NewRequestID()
-		}
+		id := obs.RequestIDFrom(r.Header.Get(requestIDHeader))
 		w.Header().Set(requestIDHeader, id)
 		next.ServeHTTP(w, r.WithContext(obs.WithRequestID(r.Context(), id)))
 	})
-}
-
-// sanitizeRequestID accepts a client-supplied request ID only when it
-// is short and printable-safe; anything else is replaced, so a hostile
-// header cannot smuggle log-breaking bytes or unbounded junk.
-func sanitizeRequestID(id string) string {
-	if id == "" || len(id) > 64 {
-		return ""
-	}
-	for _, r := range id {
-		ok := r == '-' || r == '_' || r == '.' ||
-			r >= 'a' && r <= 'z' || r >= 'A' && r <= 'Z' || r >= '0' && r <= '9'
-		if !ok {
-			return ""
-		}
-	}
-	return id
 }
 
 // statusRecorder captures the status code a handler writes, so the

@@ -1,7 +1,6 @@
 package web
 
 import (
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"strings"
@@ -163,13 +162,7 @@ func (s *Server) persistSiteModel(q *library.Equation) error {
 	if err := s.registry.Register(q); err != nil {
 		return err
 	}
-	blob, err := json.Marshal(q)
-	if err == nil {
-		var lag int
-		lag, err = s.appendSite(store.Record{Kind: store.KindModelPut, Model: q.Name, Blob: blob})
-		s.maybeSnapshotSite(lag)
-	}
-	if err != nil {
+	if err := s.commitSite(store.Record{Kind: store.KindModelPut, Model: q.Name}, q); err != nil {
 		return fmt.Errorf("persisting model: %w", err)
 	}
 	return nil

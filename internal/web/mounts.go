@@ -269,13 +269,7 @@ func (s *Server) Unmount(prefix string) error {
 			}
 		}
 	}
-	blob, err := json.Marshal(store.MountSpec{Prefix: prefix})
-	if err == nil {
-		var lag int
-		lag, err = s.appendSite(store.Record{Kind: store.KindUnmount, Blob: blob})
-		s.maybeSnapshotSite(lag)
-	}
-	if err != nil {
+	if err := s.commitSite(store.Record{Kind: store.KindUnmount}, store.MountSpec{Prefix: prefix}); err != nil {
 		return fmt.Errorf("web: journaling unmount of %q: %w", prefix, err)
 	}
 	return nil

@@ -147,13 +147,15 @@ func (s *Server) renderedSheetFor(u *User, d *sheet.Design) (*renderedPage, erro
 }
 
 // renderBytes executes a page template into memory (the cacheable
-// sibling of Server.render).
+// sibling of Server.render).  The page is copied out at its exact
+// length: the memo keeps it, and the buffer's grown capacity would
+// otherwise stay resident beside it.
 func renderBytes(name string, data any) ([]byte, error) {
 	var buf bytes.Buffer
 	if err := pageTmpl.ExecuteTemplate(&buf, name, data); err != nil {
 		return nil, err
 	}
-	return buf.Bytes(), nil
+	return bytes.Clone(buf.Bytes()), nil
 }
 
 // gzipBytes compresses a response body at BestSpeed, once at

@@ -249,21 +249,17 @@ func (s *Server) handleCellEval(w http.ResponseWriter, r *http.Request, u *User)
 		return
 	}
 	// Update the user's defaults for this model, journaling the merge.
-	u.mu.Lock()
+	tx := s.begin(u)
 	if u.Defaults[name] == nil {
 		u.Defaults[name] = make(map[string]float64)
 	}
 	for k, v := range params {
 		u.Defaults[name][k] = v
 	}
-	lag, perr := s.appendUser(u.Name, store.Record{
-		Kind: store.KindDefaults, Model: name, Values: params,
-	})
-	u.mu.Unlock()
-	if perr != nil {
+	tx.journal(store.Record{Kind: store.KindDefaults, Model: name, Values: params})
+	if perr := tx.commit(); perr != nil {
 		page.Error = "persisting defaults: " + perr.Error()
 	}
-	s.maybeSnapshotUser(u, lag)
 
 	if r.FormValue("action") == "Add to design" {
 		s.addCellToDesign(w, r, u, name, srcs, page)
@@ -285,46 +281,30 @@ func (s *Server) addCellToDesign(w http.ResponseWriter, r *http.Request, u *User
 	designName := strings.TrimSpace(r.FormValue("design"))
 	rowName := strings.TrimSpace(r.FormValue("row"))
 	page.Design, page.Row = designName, rowName
-	u.mu.Lock()
-	var recs []store.Record
+	tx := s.begin(u)
 	d, ok := u.Designs[designName]
 	if !ok && designName != "" {
-		// Create on first save, like the original tool.  The fresh
-		// design (with its stock variables) journals whole; the row and
-		// parameters below journal as mutations on top of it.
-		d = sheet.NewDesign(designName, s.registry)
-		d.Root.SetGlobalValue("vdd", 1.5, "1.5")
-		d.Root.SetGlobalValue("f", 1e6, "1MHz")
-		u.Designs[designName] = d
-		if rec, err := designRecord(d); err == nil {
-			recs = append(recs, rec)
-		}
-		ok = true
+		// Create on first save, like the original tool.  The blank
+		// design journals whole; the row and parameters below journal
+		// as mutations on top of it.
+		d = blankDesign(designName, s.registry)
+		ok = tx.install(d)
 	}
 	var addErr error
 	if !ok {
 		addErr = fmt.Errorf("no design named %q", designName)
 	} else {
-		m := sheet.Mutation{Op: sheet.MutAddRow, Name: rowName, Model: modelName}
-		if addErr = d.ApplyMutation(m); addErr == nil {
-			recs = append(recs, mutRecord(d, m))
-			for _, p := range pageParamOrder(page) {
-				if src, has := srcs[p]; has {
-					pm := sheet.Mutation{Op: sheet.MutSetParam, Path: rowName, Name: p, Expr: src}
-					if addErr = d.ApplyMutation(pm); addErr != nil {
-						break
-					}
-					recs = append(recs, mutRecord(d, pm))
-				}
+		addErr = tx.apply(d, sheet.Mutation{Op: sheet.MutAddRow, Name: rowName, Model: modelName})
+		for _, p := range page.Params {
+			if addErr != nil {
+				break
+			}
+			if src, has := srcs[p.Name]; has {
+				addErr = tx.apply(d, sheet.Mutation{Op: sheet.MutSetParam, Path: rowName, Name: p.Name, Expr: src})
 			}
 		}
 	}
-	// Journal whatever landed, even on a halfway failure: the
-	// in-memory tree keeps the successful edits, and the journal must
-	// agree with it.
-	lag, perr := s.appendUser(u.Name, recs...)
-	u.mu.Unlock()
-	s.maybeSnapshotUser(u, lag)
+	perr := tx.commit()
 	if addErr != nil {
 		page.Error = addErr.Error()
 		w.WriteHeader(http.StatusBadRequest)
@@ -337,14 +317,6 @@ func (s *Server) addCellToDesign(w http.ResponseWriter, r *http.Request, u *User
 		return
 	}
 	http.Redirect(w, r, "/design/"+designName, http.StatusSeeOther)
-}
-
-func pageParamOrder(page *cellPage) []string {
-	names := make([]string, len(page.Params))
-	for i, p := range page.Params {
-		names[i] = p.Name
-	}
-	return names
 }
 
 // ----- designs -----
@@ -374,25 +346,16 @@ func (s *Server) handleDesigns(w http.ResponseWriter, r *http.Request, u *User) 
 
 func (s *Server) handleDesignCreate(w http.ResponseWriter, r *http.Request, u *User) {
 	name := strings.TrimSpace(r.FormValue("name"))
-	u.mu.Lock()
 	var err, perr error
-	var lag int
-	switch {
-	case !validUserName(name):
+	if !validUserName(name) {
 		err = fmt.Errorf("invalid design name %q", name)
-	case u.Designs[name] != nil:
-		err = fmt.Errorf("design %q already exists", name)
-	default:
-		d := sheet.NewDesign(name, s.registry)
-		d.Root.SetGlobalValue("vdd", 1.5, "1.5")
-		d.Root.SetGlobalValue("f", 1e6, "1MHz")
-		u.Designs[name] = d
-		var rec store.Record
-		if rec, perr = designRecord(d); perr == nil {
-			lag, perr = s.appendUser(u.Name, rec)
+	} else {
+		tx := s.begin(u)
+		if !tx.install(blankDesign(name, s.registry)) {
+			err = fmt.Errorf("design %q already exists", name)
 		}
+		perr = tx.commit()
 	}
-	u.mu.Unlock()
 	if err != nil {
 		page := designsPage{base: s.base("Design Spreadsheets")}
 		page.Error = err.Error()
@@ -404,18 +367,24 @@ func (s *Server) handleDesignCreate(w http.ResponseWriter, r *http.Request, u *U
 		http.Error(w, "persisting design: "+perr.Error(), http.StatusInternalServerError)
 		return
 	}
-	s.maybeSnapshotUser(u, lag)
 	http.Redirect(w, r, "/design/"+name, http.StatusSeeOther)
+}
+
+// blankDesign is a new sheet with the stock supply and clock (1.5 V,
+// 1 MHz) that the design form and a first cell save both start from.
+func blankDesign(name string, reg *model.Registry) *sheet.Design {
+	d := sheet.NewDesign(name, reg)
+	d.Root.SetGlobalValue("vdd", 1.5, "1.5")
+	d.Root.SetGlobalValue("f", 1e6, "1MHz")
+	return d
 }
 
 // handleDesignDelete removes a design from the account — journaled,
 // so the deletion survives a crash like any other mutation.
 func (s *Server) handleDesignDelete(w http.ResponseWriter, r *http.Request, u *User) {
 	name := strings.TrimSpace(r.FormValue("name"))
-	u.mu.Lock()
+	tx := s.begin(u)
 	_, ok := u.Designs[name]
-	var lag int
-	var perr error
 	if ok {
 		delete(u.Designs, name)
 		// Deletion is the only way a design leaves an account, so the
@@ -423,11 +392,9 @@ func (s *Server) handleDesignDelete(w http.ResponseWriter, r *http.Request, u *U
 		u.memoMu.Lock()
 		delete(u.memo, name)
 		u.memoMu.Unlock()
-		lag, perr = s.appendUser(u.Name, store.Record{
-			Kind: store.KindDesignDelete, Design: name,
-		})
+		tx.journal(store.Record{Kind: store.KindDesignDelete, Design: name})
 	}
-	u.mu.Unlock()
+	perr := tx.commit()
 	if !ok {
 		http.NotFound(w, r)
 		return
@@ -436,6 +403,5 @@ func (s *Server) handleDesignDelete(w http.ResponseWriter, r *http.Request, u *U
 		http.Error(w, "persisting deletion: "+perr.Error(), http.StatusInternalServerError)
 		return
 	}
-	s.maybeSnapshotUser(u, lag)
 	http.Redirect(w, r, "/designs", http.StatusSeeOther)
 }

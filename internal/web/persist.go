@@ -4,12 +4,23 @@ package web
 // (internal/store) before acknowledging, periodic snapshots fold the
 // journals, and NewServer replays whatever a crash left behind.
 //
-// The invariant the handlers maintain: a mutation applied to the
-// in-memory tree is journaled in the same critical section, under the
-// owning user's write lock, so journal order equals generation order
-// and replay reconstructs the exact pre-crash tree.  This holds even
-// when a multi-edit request fails halfway — the edits that did land
-// are journaled, because later records' generations build on them.
+// There is one write path per scope.  An account changes only through
+// a userWrite: begin takes the user's write lock, apply and install
+// change the tree and queue records, commit appends them, unlocks and
+// folds.  Site state (models, mounts, mirrors) journals through
+// commitSite.  Both fold a journal into a snapshot once its lag
+// reaches the store's threshold.
+//
+// The invariant this maintains: a mutation applied to the in-memory
+// tree is journaled in the same critical section, under the owning
+// user's write lock, so journal order equals generation order and
+// replay reconstructs the exact pre-crash tree.  This holds even when
+// a multi-edit request fails halfway — the edits that did land are
+// journaled, because later records' generations build on them.  Once
+// a journal write or fsync fails, the store refuses that journal's
+// later appends (store.ErrJournalFailed): the handlers report the
+// error and serve from memory, and nothing is acknowledged behind a
+// torn tail that recovery would cut off.
 
 import (
 	"encoding/json"
@@ -79,66 +90,114 @@ func (s *Server) openStore() error {
 	return nil
 }
 
-// mutRecord journals one applied tree edit.  Call it immediately after
-// a successful ApplyMutation (same lock), so Gen captures the
-// generation the edit produced.
-func mutRecord(d *sheet.Design, m sheet.Mutation) store.Record {
-	mm := m
-	return store.Record{Kind: store.KindMutate, Design: d.Name, Gen: d.Generation(), Mut: &mm}
+// userWrite is one journaled write to an account, and the only way
+// handlers change one.  begin takes the user's write lock; apply and
+// install change the account and queue their records in generation
+// order; commit appends the batch, releases the lock and folds the
+// journal when it is due.
+type userWrite struct {
+	s    *Server
+	u    *User
+	recs []store.Record
+	err  error // a design that installed but could not be serialized
 }
 
-// designRecord journals a whole design (creation, import, install).
-func designRecord(d *sheet.Design) (store.Record, error) {
+// begin opens a write to u's account under its write lock.  Account
+// creation (login) begins on a User no other goroutine can see yet.
+func (s *Server) begin(u *User) userWrite {
+	u.mu.Lock()
+	return userWrite{s: s, u: u}
+}
+
+// apply runs one tree edit and queues its record, carrying the
+// generation the edit produced.  A failed edit leaves the tree as it
+// was and queues nothing; edits that landed before it in the same
+// write stay queued, because the tree keeps them.
+func (w *userWrite) apply(d *sheet.Design, m sheet.Mutation) error {
+	if err := d.ApplyMutation(m); err != nil {
+		return err
+	}
+	w.recs = append(w.recs, store.Record{Kind: store.KindMutate, Design: d.Name, Gen: d.Generation(), Mut: &m})
+	return nil
+}
+
+// install puts a whole design into the account and queues its
+// design_put record.  It reports false, changing nothing, when the
+// account already holds a design of that name.  A design that cannot
+// be serialized still installs, and commit reports the failure.
+func (w *userWrite) install(d *sheet.Design) bool {
+	if _, exists := w.u.Designs[d.Name]; exists {
+		return false
+	}
+	w.u.Designs[d.Name] = d
 	blob, err := d.MarshalJSON()
 	if err != nil {
-		return store.Record{}, err
+		w.err = fmt.Errorf("serializing design %s: %w", d.Name, err)
+		return true
 	}
-	return store.Record{
+	w.recs = append(w.recs, store.Record{
 		Kind: store.KindDesignPut, Design: d.Name,
 		Gen: d.Generation(), ID: d.ID(), Blob: blob,
-	}, nil
+	})
+	return true
 }
 
-// appendUser journals records for one user and returns the journal
-// lag.  The caller must hold the user's write lock (or, for a user
-// being created under Server.mu, ensure no concurrent writer exists),
-// so journal order matches generation order.  No-op without a store.
-func (s *Server) appendUser(name string, recs ...store.Record) (int, error) {
+// journal queues a record for an account change that is neither a
+// tree edit nor a whole design: account creation, a defaults merge, a
+// deletion.
+func (w *userWrite) journal(rec store.Record) { w.recs = append(w.recs, rec) }
+
+// commit appends the queued records, releases the write lock and, once
+// the user's journal lag reaches the threshold, folds the journal into
+// a snapshot under the read lock.  A fold failure is logged, never
+// returned: the journal still holds everything.  The returned error
+// means the change is live in memory but not durable.
+func (w *userWrite) commit() error {
+	var lag int
+	var err error
+	if w.s.store != nil {
+		lag, err = w.s.store.Append(w.u.Name, w.recs...)
+	}
+	w.u.mu.Unlock()
+	if w.s.store != nil && w.s.store.SnapshotDue(lag) {
+		if serr := w.s.snapshotUser(w.u); serr != nil {
+			slog.Warn("web: periodic snapshot failed", "user", w.u.Name, "err", serr)
+		}
+	}
+	if w.err != nil {
+		return w.err
+	}
+	return err
+}
+
+// commitSite journals one site-scope record, marshaling payload (when
+// non-nil) into its Blob, and folds the site journal when it is due.
+// Callers hold no server lock: the fold takes the mount table's and
+// the federation index's own.  A failure is logged here and returned;
+// callers whose change already serves (a mount, a subscription, a
+// mirror drop) discard it, the others refuse on it.
+func (s *Server) commitSite(rec store.Record, payload any) error {
 	if s.store == nil {
-		return 0, nil
+		return nil
 	}
-	return s.store.Append(name, recs...)
-}
-
-// appendSite journals site-scope records (models, mounts).
-func (s *Server) appendSite(recs ...store.Record) (int, error) {
-	if s.store == nil {
-		return 0, nil
+	var err error
+	if payload != nil {
+		rec.Blob, err = json.Marshal(payload)
 	}
-	return s.store.Append(store.SiteScope, recs...)
-}
-
-// maybeSnapshotUser folds a user's journal into a snapshot once the
-// lag crosses the threshold.  Called after the mutation's lock is
-// released; failure is logged, never surfaced — the journal still
-// holds everything.
-func (s *Server) maybeSnapshotUser(u *User, lag int) {
-	if s.store == nil || !s.store.SnapshotDue(lag) {
-		return
+	lag := 0
+	if err == nil {
+		lag, err = s.store.Append(store.SiteScope, rec)
 	}
-	if err := s.snapshotUser(u); err != nil {
-		slog.Warn("web: periodic snapshot failed", "user", u.Name, "err", err)
+	if err != nil {
+		slog.Warn("web: journaling site record failed", "kind", rec.Kind, "err", err)
+		return err
 	}
-}
-
-// maybeSnapshotSite is maybeSnapshotUser for the site scope.
-func (s *Server) maybeSnapshotSite(lag int) {
-	if s.store == nil || !s.store.SnapshotDue(lag) {
-		return
+	if s.store.SnapshotDue(lag) {
+		if err := s.snapshotSite(); err != nil {
+			slog.Warn("web: periodic site snapshot failed", "err", err)
+		}
 	}
-	if err := s.snapshotSite(); err != nil {
-		slog.Warn("web: periodic site snapshot failed", "err", err)
-	}
+	return nil
 }
 
 // snapshotUser writes one user's full state as a snapshot and
@@ -268,11 +327,5 @@ func (s *Server) recordMount(url, prefix string) {
 		s.mounts = append(s.mounts, spec)
 	}
 	s.mu.Unlock()
-	blob, err := json.Marshal(spec)
-	if err == nil {
-		_, err = s.appendSite(store.Record{Kind: store.KindMount, Blob: blob})
-	}
-	if err != nil {
-		slog.Warn("web: journaling mount failed", "prefix", prefix, "err", err)
-	}
+	_ = s.commitSite(store.Record{Kind: store.KindMount}, spec)
 }

@@ -197,22 +197,11 @@ func (s *Server) InstallDesign(userName string, d *sheet.Design) error {
 		s.users[userName] = u
 	}
 	s.mu.Unlock()
-	u.mu.Lock()
-	if _, exists := u.Designs[d.Name]; exists {
-		u.mu.Unlock()
-		return nil
-	}
-	u.Designs[d.Name] = d
-	rec, err := designRecord(d)
-	var lag int
-	if err == nil {
-		lag, err = s.appendUser(u.Name, rec)
-	}
-	u.mu.Unlock()
-	if err != nil {
+	tx := s.begin(u)
+	tx.install(d)
+	if err := tx.commit(); err != nil {
 		return fmt.Errorf("web: persisting design %s: %w", d.Name, err)
 	}
-	s.maybeSnapshotUser(u, lag)
 	return nil
 }
 
@@ -346,9 +335,11 @@ func (s *Server) login(name string) (token string, err error) {
 		}
 		s.users[name] = u
 		// Journal the account's existence so a crashed site greets the
-		// user by name again.  Still under s.mu, so no concurrent writer
-		// for this brand-new user exists yet.
-		if _, err := s.appendUser(name, store.Record{Kind: store.KindUserCreate}); err != nil {
+		// user by name again.  Still under s.mu, so no other goroutine
+		// can reach this brand-new user yet.
+		tx := s.begin(u)
+		tx.journal(store.Record{Kind: store.KindUserCreate})
+		if err := tx.commit(); err != nil {
 			delete(s.users, name)
 			return "", fmt.Errorf("persisting account: %w", err)
 		}

@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"powerplay/internal/core/sheet"
-	"powerplay/internal/store"
 	"powerplay/internal/units"
 )
 
@@ -144,46 +143,37 @@ func (s *Server) handleDesignPlay(w http.ResponseWriter, r *http.Request, u *Use
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	u.mu.Lock()
+	tx := s.begin(u)
+	// Every edit goes through tx.apply: one that fails leaves the tree
+	// untouched and journals nothing, and the ones that landed are
+	// journaled even when a later one fails, because the tree keeps
+	// them.
 	var editErr error
-	var recs []store.Record
-	// apply runs one edit through the journaled-mutation path: the
-	// record is built right after the successful ApplyMutation, so its
-	// Gen is the generation this edit produced.  Edits that fail leave
-	// the tree untouched and journal nothing; edits that succeed are
-	// journaled even when a later edit fails, because the in-memory
-	// tree keeps them.
-	apply := func(m sheet.Mutation) {
-		if err := d.ApplyMutation(m); err != nil {
-			editErr = err
-			return
-		}
-		recs = append(recs, mutRecord(d, m))
-	}
 	for key, vals := range r.PostForm {
 		if len(vals) == 0 {
 			continue
 		}
 		src := strings.TrimSpace(vals[0])
-		switch {
-		case strings.HasPrefix(key, "row_"):
-			spec := strings.TrimPrefix(key, "row_")
+		var m sheet.Mutation
+		if spec, ok := strings.CutPrefix(key, "row_"); ok {
 			path, param, ok := strings.Cut(spec, "|")
 			if !ok {
 				continue
 			}
+			m = sheet.Mutation{Op: sheet.MutSetParam, Path: path, Name: param, Expr: src}
 			if src == "" {
-				apply(sheet.Mutation{Op: sheet.MutDeleteParam, Path: path, Name: param})
-				continue
+				m.Op = sheet.MutDeleteParam
 			}
-			apply(sheet.Mutation{Op: sheet.MutSetParam, Path: path, Name: param, Expr: src})
-		case strings.HasPrefix(key, "glob_"):
-			name := strings.TrimPrefix(key, "glob_")
+		} else if name, ok := strings.CutPrefix(key, "glob_"); ok {
+			m = sheet.Mutation{Op: sheet.MutSetGlobal, Name: name, Expr: src}
 			if src == "" {
-				apply(sheet.Mutation{Op: sheet.MutDeleteGlobal, Name: name})
-				continue
+				m.Op = sheet.MutDeleteGlobal
 			}
-			apply(sheet.Mutation{Op: sheet.MutSetGlobal, Name: name, Expr: src})
+		} else {
+			continue
+		}
+		if err := tx.apply(d, m); err != nil {
+			editErr = err
 		}
 	}
 	// Play's contract is "recompute now": bump the generation even when
@@ -191,18 +181,18 @@ func (s *Server) handleDesignPlay(w http.ResponseWriter, r *http.Request, u *Use
 	// ETag all retire — a mounted remote model may price differently on
 	// the recompute, and clients must not 304 across a Play.  Journaled
 	// like any edit, so replayed generations match live ones.
-	apply(sheet.Mutation{Op: sheet.MutTouch})
+	if err := tx.apply(d, sheet.Mutation{Op: sheet.MutTouch}); err != nil {
+		editErr = err
+	}
 	res, evalErr := s.evalDesign(u, d)
 	page := s.buildSheetPage(d, res, evalErr)
-	lag, perr := s.appendUser(u.Name, recs...)
-	u.mu.Unlock()
+	perr := tx.commit()
 	if editErr != nil && page.Error == "" {
 		page.Error = editErr.Error()
 	}
 	if perr != nil && page.Error == "" {
 		page.Error = "persisting design: " + perr.Error()
 	}
-	s.maybeSnapshotUser(u, lag)
 	s.render(w, "sheet", page)
 }
 
@@ -213,15 +203,8 @@ func (s *Server) handleDesignRows(w http.ResponseWriter, r *http.Request, u *Use
 		http.NotFound(w, r)
 		return
 	}
-	u.mu.Lock()
+	tx := s.begin(u)
 	var err error
-	var recs []store.Record
-	// apply journals the structural edit iff it landed (see Play).
-	apply := func(m sheet.Mutation) {
-		if err = d.ApplyMutation(m); err == nil {
-			recs = append(recs, mutRecord(d, m))
-		}
-	}
 	switch r.FormValue("action") {
 	case "Add":
 		parentPath := strings.TrimSpace(r.FormValue("parent"))
@@ -229,7 +212,7 @@ func (s *Server) handleDesignRows(w http.ResponseWriter, r *http.Request, u *Use
 			err = fmt.Errorf("no row %q", parentPath)
 			break
 		}
-		apply(sheet.Mutation{Op: sheet.MutAddRow, Path: parentPath,
+		err = tx.apply(d, sheet.Mutation{Op: sheet.MutAddRow, Path: parentPath,
 			Name:  strings.TrimSpace(r.FormValue("row")),
 			Model: strings.TrimSpace(r.FormValue("model"))})
 	case "Remove":
@@ -239,10 +222,10 @@ func (s *Server) handleDesignRows(w http.ResponseWriter, r *http.Request, u *Use
 			err = fmt.Errorf("no removable row %q", path)
 			break
 		}
-		apply(sheet.Mutation{Op: sheet.MutRemoveRow,
+		err = tx.apply(d, sheet.Mutation{Op: sheet.MutRemoveRow,
 			Path: target.Parent().Path(), Name: target.Name})
 	case "SetVar":
-		apply(sheet.Mutation{Op: sheet.MutSetGlobal,
+		err = tx.apply(d, sheet.Mutation{Op: sheet.MutSetGlobal,
 			Name: strings.TrimSpace(r.FormValue("var")),
 			Expr: strings.TrimSpace(r.FormValue("expr"))})
 	default:
@@ -253,8 +236,7 @@ func (s *Server) handleDesignRows(w http.ResponseWriter, r *http.Request, u *Use
 	// result either way.
 	res, evalErr := s.evalDesign(u, d)
 	page := s.buildSheetPage(d, res, evalErr)
-	lag, perr := s.appendUser(u.Name, recs...)
-	u.mu.Unlock()
+	perr := tx.commit()
 	if err != nil {
 		page.Error = err.Error()
 		w.WriteHeader(http.StatusBadRequest)
@@ -264,6 +246,5 @@ func (s *Server) handleDesignRows(w http.ResponseWriter, r *http.Request, u *Use
 	if perr != nil && page.Error == "" {
 		page.Error = "persisting design: " + perr.Error()
 	}
-	s.maybeSnapshotUser(u, lag)
 	s.render(w, "sheet", page)
 }
