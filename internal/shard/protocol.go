@@ -38,7 +38,17 @@ const (
 	// CodeUnavailable marks a request refused because the owning
 	// backend is down (breaker open) or unreachable (status 503).
 	CodeUnavailable = "unavailable"
+	// CodeBadRequest marks an unparseable request payload (status
+	// 400), including a body over MaxBodyBytes.
+	CodeBadRequest = "bad_request"
 )
+
+// MaxBodyBytes caps every request body, the fleet's one cap: the
+// backends refuse a larger body, and the router refuses it with the
+// same answer without contacting a backend.  Design imports are the
+// largest legitimate payload; the paper-scale sheets serialize to a few
+// kilobytes, so 4 MiB is three orders of magnitude of headroom.
+const MaxBodyBytes = 4 << 20
 
 // RoleRouter and RoleBackend are the healthz "role" values.
 const (

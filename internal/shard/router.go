@@ -2,15 +2,18 @@ package shard
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"log/slog"
 	"net"
 	"net/http"
+	"net/http/httputil"
 	"net/url"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -20,8 +23,9 @@ import (
 
 // Config parameterizes a Router.
 type Config struct {
-	// Backends are the backend base URLs in shard order: Backends[i]
-	// serves shard i.  Required, at least one.
+	// Backends are the backend base URLs (scheme://host:port, or a bare
+	// host:port, no path) in shard order: Backends[i] serves shard i.
+	// Required, at least one.
 	Backends []string
 	// ShardCount is the hash width — how many shards the user corpus
 	// is partitioned into.  Zero selects len(Backends), the steady
@@ -45,11 +49,11 @@ type Config struct {
 // maxIdlePerBackend caps the keep-alive connection pool per backend.
 const maxIdlePerBackend = 32
 
-// maxBufferedBody bounds how much of a request body the router holds
-// in memory so it can retry after a ShardRedirect and replicate
-// site-scope writes.  Matches the backends' own 4 MiB body cap with
-// headroom; a larger body streams through with no retry capability.
-const maxBufferedBody = 8 << 20
+// replicationTimeout bounds one site-write fan-out.  The fan-out runs
+// detached from the client's context, so a client that hangs up
+// mid-publish cannot leave some backends without the write; this
+// deadline is what still stops it when a backend hangs.
+const replicationTimeout = 30 * time.Second
 
 // Router is the shard front door: one process that owns no user state
 // at all, just the hash, the backend list, and a breaker per backend.
@@ -74,13 +78,14 @@ const maxBufferedBody = 8 << 20
 // through a resize.  A backend whose breaker is open costs its users a
 // fast 503 with the v1 error envelope; everyone else is untouched.
 type Router struct {
-	cfg      Config
-	backends []string // normalized: scheme://host, no trailing slash
-	ring     *Ring
-	breakers []*circuit.Breaker
-	client   *http.Client
-	rr       atomic.Uint64
-	started  time.Time
+	cfg       Config
+	backends  []*url.URL // scheme://host, no path
+	ring      *Ring
+	breakers  []*circuit.Breaker
+	transport *http.Transport
+	proxy     *httputil.ReverseProxy
+	rr        atomic.Uint64
+	started   time.Time
 }
 
 // NewRouter validates the configuration and builds the router with its
@@ -107,10 +112,10 @@ func NewRouter(cfg Config) (*Router, error) {
 			b = "http://" + b
 		}
 		u, err := url.Parse(b)
-		if err != nil || u.Host == "" {
+		if err != nil || u.Host == "" || u.Path != "" {
 			return nil, fmt.Errorf("shard: backend %d: unusable URL %q", i, cfg.Backends[i])
 		}
-		rt.backends = append(rt.backends, b)
+		rt.backends = append(rt.backends, u)
 		idx := strconv.Itoa(i)
 		rt.breakers = append(rt.breakers, &circuit.Breaker{
 			Cooldown: cfg.BreakerCooldown,
@@ -119,19 +124,27 @@ func NewRouter(cfg Config) (*Router, error) {
 			},
 		})
 	}
-	rt.client = &http.Client{
-		Transport: &http.Transport{
-			DialContext:         (&net.Dialer{Timeout: 5 * time.Second, KeepAlive: 30 * time.Second}).DialContext,
-			MaxIdleConns:        maxIdlePerBackend * len(cfg.Backends),
-			MaxIdleConnsPerHost: maxIdlePerBackend,
-			IdleConnTimeout:     90 * time.Second,
-			// Above the backends' own 2 min request deadline, so a slow
-			// sweep finishes and only a truly hung backend trips this.
-			ResponseHeaderTimeout: 150 * time.Second,
+	rt.transport = &http.Transport{
+		DialContext:         (&net.Dialer{Timeout: 5 * time.Second, KeepAlive: 30 * time.Second}).DialContext,
+		MaxIdleConns:        maxIdlePerBackend * len(cfg.Backends),
+		MaxIdleConnsPerHost: maxIdlePerBackend,
+		IdleConnTimeout:     90 * time.Second,
+		// Above the backends' own 2 min request deadline, so a slow
+		// sweep finishes and only a truly hung backend trips this.
+		ResponseHeaderTimeout: 150 * time.Second,
+	}
+	rt.proxy = &httputil.ReverseProxy{
+		Rewrite: func(pr *httputil.ProxyRequest) {
+			rt.retarget(pr.Out, routeOf(pr.In).target)
+			pr.Out.Header["X-Forwarded-For"] = pr.In.Header["X-Forwarded-For"]
+			pr.SetXForwarded()
 		},
-		// The router never follows 3xx: redirects (the app's 303s)
-		// belong to the browser.
-		CheckRedirect: func(*http.Request, []*http.Request) error { return http.ErrUseLastResponse },
+		Transport:      roundTripFunc(rt.forward),
+		ModifyResponse: rt.onResponse,
+		ErrorHandler: func(w http.ResponseWriter, r *http.Request, err error) {
+			rt.fail(w, r, http.StatusServiceUnavailable, CodeUnavailable, err.Error())
+		},
+		BufferPool: copyBuffers,
 	}
 	return rt, nil
 }
@@ -160,28 +173,48 @@ func (rt *Router) Handler() http.Handler {
 	})
 }
 
-// route is the proxying path: extract the shard key, pick the backend,
-// forward.
+// routing is one request's routing decision, carried on its context
+// from route to the transport and the replication hook.  The body is
+// held whole so a re-send (failover, ShardRedirect) and a replication
+// can replay it.
+type routing struct {
+	target int  // the backend that answered, once forward returns
+	rr     bool // round-robin (site-scope) traffic, which may fail over
+	body   []byte
+}
+
+type routingKey struct{}
+
+func routeOf(r *http.Request) *routing { return r.Context().Value(routingKey{}).(*routing) }
+
+// route is the proxying path: read the body, extract the shard key,
+// pick the backend, forward.
 func (rt *Router) route(w http.ResponseWriter, r *http.Request) {
-	body, buffered, err := rt.bufferBody(r)
-	if err != nil {
-		rt.fail(w, r, http.StatusBadGateway, CodeUnavailable, "reading request body: "+err.Error())
-		return
+	var body []byte
+	if r.Body != http.NoBody {
+		var err error
+		if body, err = io.ReadAll(http.MaxBytesReader(w, r.Body, MaxBodyBytes)); err != nil {
+			// The backends' answer to a body they cannot read, over-cap
+			// ones included, given without sending them any of it.
+			rt.fail(w, r, http.StatusBadRequest, CodeBadRequest, "bad request: "+err.Error())
+			return
+		}
+		r.Body, r.ContentLength = io.NopCloser(bytes.NewReader(body)), int64(len(body))
 	}
-	user := rt.requestUser(r, body)
-	if user != "" {
-		target := rt.ring.Pick(user)
-		rt.proxy(w, r, target, body, buffered, false)
-		return
+	st := &routing{body: body}
+	if user := rt.requestUser(r, body); user != "" {
+		st.target = rt.ring.Pick(user)
+	} else {
+		// Site-scope / anonymous traffic: any healthy backend will do.
+		target, ok := rt.nextHealthy()
+		if !ok {
+			shardRejected.Inc()
+			rt.fail(w, r, http.StatusServiceUnavailable, CodeUnavailable, "no backend available")
+			return
+		}
+		st.target, st.rr = target, true
 	}
-	// Site-scope / anonymous traffic: any healthy backend will do.
-	target, ok := rt.nextHealthy()
-	if !ok {
-		shardRejected.Inc()
-		rt.fail(w, r, http.StatusServiceUnavailable, CodeUnavailable, "no backend available")
-		return
-	}
-	rt.proxy(w, r, target, body, buffered, true)
+	rt.proxy.ServeHTTP(w, r.WithContext(context.WithValue(r.Context(), routingKey{}, st)))
 }
 
 // requestUser extracts the shard key: the login form's user field on
@@ -204,33 +237,6 @@ func (rt *Router) requestUser(r *http.Request, body []byte) string {
 	return ""
 }
 
-// bufferBody reads a bounded request body into memory so the request
-// can be retried (ShardRedirect) and replicated (site-scope writes).
-// An over-limit body is not consumed: buffered reports false and the
-// request streams through exactly once.
-func (rt *Router) bufferBody(r *http.Request) (body []byte, buffered bool, err error) {
-	if r.Body == nil || r.Body == http.NoBody {
-		return nil, true, nil
-	}
-	if r.ContentLength > maxBufferedBody {
-		return nil, false, nil
-	}
-	body, err = io.ReadAll(io.LimitReader(r.Body, maxBufferedBody+1))
-	if err != nil {
-		return nil, false, err
-	}
-	if len(body) > maxBufferedBody {
-		// Too big after all (chunked encoding): stream the rest through,
-		// stitching the consumed prefix back on.
-		r.Body = struct {
-			io.Reader
-			io.Closer
-		}{io.MultiReader(bytes.NewReader(body), r.Body), r.Body}
-		return nil, false, nil
-	}
-	return body, true, nil
-}
-
 // nextHealthy picks the next round-robin backend whose breaker admits
 // traffic, scanning at most one full cycle.
 func (rt *Router) nextHealthy() (int, bool) {
@@ -245,33 +251,37 @@ func (rt *Router) nextHealthy() (int, bool) {
 	return 0, false
 }
 
-// proxy forwards one request to backends[target], following at most
-// one ShardRedirect, and copies the response back.  rr marks
-// round-robin (site-scope) traffic, which may fail over to another
+// retarget points an outbound request at backends[i].
+func (rt *Router) retarget(out *http.Request, i int) {
+	out.URL.Scheme, out.URL.Host, out.Host = rt.backends[i].Scheme, rt.backends[i].Host, ""
+}
+
+// roundTripFunc adapts a function to http.RoundTripper.
+type roundTripFunc func(*http.Request) (*http.Response, error)
+
+func (f roundTripFunc) RoundTrip(r *http.Request) (*http.Response, error) { return f(r) }
+
+// forward is the proxy's transport: it sends the outbound request to
+// its routed backend, following at most one ShardRedirect.
+// Round-robin (site-scope) traffic may fail over once to another
 // backend; user traffic must not — the user's state lives on exactly
 // one backend.
-func (rt *Router) proxy(w http.ResponseWriter, r *http.Request, target int, body []byte, buffered bool, rr bool) {
-	resp, err := rt.attempt(r, target, body, buffered)
-	if err != nil && rr && buffered {
+func (rt *Router) forward(out *http.Request) (*http.Response, error) {
+	st := routeOf(out)
+	resp, err := rt.send(out, st.target)
+	if err != nil && st.rr {
 		// Site-scope reads are stateless: one failover attempt.
-		if next, ok := rt.nextHealthy(); ok && next != target {
-			target = next
-			resp, err = rt.attempt(r, target, body, buffered)
+		if next, ok := rt.nextHealthy(); ok && next != st.target {
+			st.target = next
+			resp, err = rt.send(rt.resend(out, st), st.target)
 		}
-	}
-	if err != nil {
-		shardRejected.Inc()
-		proxiedRequests.With(strconv.Itoa(target), "error").Inc()
-		rt.fail(w, r, http.StatusServiceUnavailable, CodeUnavailable,
-			fmt.Sprintf("shard %d unavailable: %v", target, err))
-		return
 	}
 	// A misdirected request: the backend told us who owns the user.
 	// Trust it for one hop — the backend's count is ground truth for
 	// its own journal partition — and re-route.
-	if resp.StatusCode == StatusMisdirected && buffered {
+	if err == nil && resp.StatusCode == StatusMisdirected {
 		owner, oerr := strconv.Atoi(resp.Header.Get(HeaderOwner))
-		if oerr == nil && owner != target && owner >= 0 && owner < len(rt.backends) {
+		if oerr == nil && owner != st.target && owner >= 0 && owner < len(rt.backends) {
 			io.Copy(io.Discard, resp.Body)
 			resp.Body.Close()
 			shardRedirects.Inc()
@@ -279,76 +289,37 @@ func (rt *Router) proxy(w http.ResponseWriter, r *http.Request, target int, body
 				slog.Warn("shard: backend disagrees on shard count; following its redirect",
 					"router_count", rt.ring.Len(), "backend_count", cnt, "owner", owner)
 			}
-			target = owner
-			resp, err = rt.attempt(r, target, body, buffered)
-			if err != nil {
-				shardRejected.Inc()
-				proxiedRequests.With(strconv.Itoa(target), "error").Inc()
-				rt.fail(w, r, http.StatusServiceUnavailable, CodeUnavailable,
-					fmt.Sprintf("shard %d unavailable: %v", target, err))
-				return
-			}
+			st.target = owner
+			resp, err = rt.send(rt.resend(out, st), st.target)
 		}
 	}
-	defer resp.Body.Close()
-	proxiedRequests.With(strconv.Itoa(target), statusClass(resp.StatusCode)).Inc()
-	// Site-state replication: a successful model publish on one
-	// backend — the HTML form's 303 or the JSON API's 201 — and a
-	// successful mount or unmount fan out to every other backend, so
-	// site-scope reads (the library, the model listing, the registry,
-	// the mount table) stay local to whichever backend answers them.
-	// Synchronous and before the client sees the answer, so a
-	// follow-up read through any backend already shows the change.
-	if buffered {
-		path := r.URL.Path
-		switch {
-		case r.Method == http.MethodPost && path == "/models/new" && resp.StatusCode == http.StatusSeeOther && body != nil:
-			rt.replicate(r, http.MethodPost, "/api/v1/shard/model", body, r.Header.Get("Content-Type"), target)
-		case r.Method == http.MethodPost && path == "/api/v1/models" && resp.StatusCode == http.StatusCreated && body != nil:
-			rt.replicate(r, http.MethodPost, "/api/v1/shard/model", body, "application/json", target)
-		case r.Method == http.MethodPost && path == "/api/v1/mounts" && resp.StatusCode == http.StatusCreated:
-			rt.replicate(r, http.MethodPost, path, body, "application/json", target)
-		case r.Method == http.MethodDelete && strings.HasPrefix(path, "/api/v1/mounts/") && resp.StatusCode == http.StatusOK:
-			rt.replicate(r, http.MethodDelete, r.URL.RequestURI(), nil, "", target)
-		}
+	if err != nil {
+		shardRejected.Inc()
+		proxiedRequests.With(strconv.Itoa(st.target), "error").Inc()
+		return nil, fmt.Errorf("shard %d unavailable: %w", st.target, err)
 	}
-	copyHeaders(w.Header(), resp.Header)
-	w.WriteHeader(resp.StatusCode)
-	io.Copy(w, resp.Body)
+	proxiedRequests.With(strconv.Itoa(st.target), statusClass(resp.StatusCode)).Inc()
+	return resp, nil
 }
 
-// attempt issues one proxied request through the target's breaker.
-func (rt *Router) attempt(r *http.Request, target int, body []byte, buffered bool) (*http.Response, error) {
+// resend clones an outbound request for another attempt at st.target,
+// over a fresh reader of the buffered body.
+func (rt *Router) resend(out *http.Request, st *routing) *http.Request {
+	again := out.Clone(out.Context())
+	rt.retarget(again, st.target)
+	if again.Body != nil {
+		again.Body = io.NopCloser(bytes.NewReader(st.body))
+	}
+	return again
+}
+
+// send issues one request through backends[target]'s breaker.
+func (rt *Router) send(out *http.Request, target int) (*http.Response, error) {
 	br := rt.breakers[target]
 	if err := br.Allow(); err != nil {
 		return nil, err
 	}
-	var rd io.Reader
-	if buffered {
-		if len(body) > 0 {
-			rd = bytes.NewReader(body)
-		}
-	} else {
-		rd = r.Body
-	}
-	out, err := http.NewRequestWithContext(r.Context(), r.Method,
-		rt.backends[target]+r.URL.RequestURI(), rd)
-	if err != nil {
-		br.Success() // a malformed URL is our bug, not the backend's health
-		return nil, err
-	}
-	copyHeaders(out.Header, r.Header)
-	out.Header.Set("X-Forwarded-Host", r.Host)
-	if ip, _, err := net.SplitHostPort(r.RemoteAddr); err == nil {
-		if prior := r.Header.Get("X-Forwarded-For"); prior != "" {
-			ip = prior + ", " + ip
-		}
-		out.Header.Set("X-Forwarded-For", ip)
-	}
-	if buffered {
-		out.ContentLength = int64(len(body))
-	}
-	resp, err := rt.client.Do(out)
+	resp, err := rt.transport.RoundTrip(out)
 	if err != nil {
 		br.Failure()
 		return nil, err
@@ -360,21 +331,57 @@ func (rt *Router) attempt(r *http.Request, target int, body []byte, buffered boo
 	return resp, nil
 }
 
+// copyBuffers pools the proxy's 32 KiB response copy buffers.
+var copyBuffers = &bufferPool{sync.Pool{New: func() any { return new([32 << 10]byte) }}}
+
+type bufferPool struct{ sync.Pool }
+
+func (p *bufferPool) Get() []byte  { return p.Pool.Get().(*[32 << 10]byte)[:] }
+func (p *bufferPool) Put(b []byte) { p.Pool.Put((*[32 << 10]byte)(b)) }
+
+// onResponse is the proxy's response hook.  It drops the backend's
+// X-Request-ID, since the router's own header carries the same ID, and
+// replicates site state: a successful model publish on one backend —
+// the HTML form's 303 or the JSON API's 201 — and a successful mount
+// or unmount fan out to every other backend, so site-scope reads (the
+// library, the model listing, the registry, the mount table) stay
+// local to whichever backend answers them.  Synchronous and before the
+// client sees the answer, so a follow-up read through any backend
+// already shows the change.
+func (rt *Router) onResponse(resp *http.Response) error {
+	resp.Header.Del("X-Request-ID")
+	r, st := resp.Request, routeOf(resp.Request)
+	path := r.URL.Path
+	switch {
+	case r.Method == http.MethodPost && path == "/models/new" && resp.StatusCode == http.StatusSeeOther && st.body != nil:
+		rt.replicate(r, http.MethodPost, "/api/v1/shard/model", st.body, r.Header.Get("Content-Type"), st.target)
+	case r.Method == http.MethodPost && path == "/api/v1/models" && resp.StatusCode == http.StatusCreated && st.body != nil:
+		rt.replicate(r, http.MethodPost, "/api/v1/shard/model", st.body, "application/json", st.target)
+	case r.Method == http.MethodPost && path == "/api/v1/mounts" && resp.StatusCode == http.StatusCreated:
+		rt.replicate(r, http.MethodPost, path, st.body, "application/json", st.target)
+	case r.Method == http.MethodDelete && strings.HasPrefix(path, "/api/v1/mounts/") && resp.StatusCode == http.StatusOK:
+		rt.replicate(r, http.MethodDelete, r.URL.RequestURI(), nil, "", st.target)
+	}
+	return nil
+}
+
 // replicate fans a successful site-scope write out to every
 // breaker-closed backend except src: the same request (method, path
 // and body — a form or JSON body, as contentType says) under the
 // router's site key.  Model publishes go through each backend's
 // internal POST /api/v1/shard/model endpoint; mounts replay the public
-// mounts API.  Best-effort: a backend that is down misses the write
+// mounts API.  The fan-out outlives a client that hangs up, under its
+// own deadline.  Best-effort: a backend that is down misses the write
 // until an operator re-replicates (its breaker state says so); the
 // backend that took the request holds the authoritative copy.
 func (rt *Router) replicate(r *http.Request, method, path string, body []byte, contentType string, src int) {
-	for i := range rt.backends {
+	ctx, cancel := context.WithTimeout(context.WithoutCancel(r.Context()), replicationTimeout)
+	defer cancel()
+	for i, b := range rt.backends {
 		if i == src || rt.breakers[i].State() == circuit.Open {
 			continue
 		}
-		req, err := http.NewRequestWithContext(r.Context(), method,
-			rt.backends[i]+path, bytes.NewReader(body))
+		req, err := http.NewRequestWithContext(ctx, method, b.String()+path, bytes.NewReader(body))
 		if err != nil {
 			shardReplications.With("error").Inc()
 			continue
@@ -386,7 +393,7 @@ func (rt *Router) replicate(r *http.Request, method, path string, body []byte, c
 			req.Header.Set("X-PowerPlay-Key", rt.cfg.Key)
 		}
 		req.Header.Set("X-Request-ID", r.Header.Get("X-Request-ID"))
-		resp, err := rt.client.Do(req)
+		resp, err := rt.transport.RoundTrip(req)
 		if err != nil {
 			shardReplications.With("error").Inc()
 			slog.Warn("shard: replication failed", "backend", i, "path", path, "err", err)
@@ -432,7 +439,7 @@ func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	}
 	for i, b := range rt.backends {
 		resp.Backends = append(resp.Backends, healthBackend{
-			URL: b, ShardID: i, Breaker: rt.breakers[i].State().String(),
+			URL: b.String(), ShardID: i, Breaker: rt.breakers[i].State().String(),
 		})
 	}
 	w.Header().Set(HeaderShard, RoleRouter)
@@ -449,25 +456,6 @@ func (rt *Router) fail(w http.ResponseWriter, r *http.Request, status int, code,
 	json.NewEncoder(w).Encode(map[string]any{"error": map[string]string{
 		"code": code, "message": msg, "request_id": w.Header().Get("X-Request-ID"),
 	}})
-}
-
-// hopHeaders are the hop-by-hop headers a proxy must not forward.
-var hopHeaders = []string{
-	"Connection", "Proxy-Connection", "Keep-Alive", "Proxy-Authenticate",
-	"Proxy-Authorization", "Te", "Trailer", "Transfer-Encoding", "Upgrade",
-}
-
-// copyHeaders copies a backend response's end-to-end headers onto the
-// client's.  A header the backend sent replaces the router's own value
-// rather than joining it, so a routed response carries one X-Request-ID:
-// the one the backend logged and put in its envelope.
-func copyHeaders(dst, src http.Header) {
-	for k, vv := range src {
-		dst[k] = vv
-	}
-	for _, h := range hopHeaders {
-		dst.Del(h)
-	}
 }
 
 // statusClass buckets upstream statuses for the proxied-requests

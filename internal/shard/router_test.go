@@ -6,6 +6,8 @@ package shard_test
 // internal/shard.
 
 import (
+	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -15,6 +17,8 @@ import (
 	"net/http/httptest"
 	"net/url"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -655,5 +659,187 @@ func TestRouterRequestID(t *testing.T) {
 	status, id, envID := get("/api/v1/models", "bad id with spaces")
 	if status != http.StatusServiceUnavailable || envID != id || id == "bad id with spaces" {
 		t.Errorf("router refusal %d names %q, header %q", status, envID, id)
+	}
+}
+
+// TestRouterStripsHopHeaders: headers a hop names in its Connection
+// header belong to that hop alone (RFC 9110 §7.6.1), so neither the
+// client's nor the backend's cross the router.
+func TestRouterStripsHopHeaders(t *testing.T) {
+	seen := make(chan http.Header, 1)
+	backend := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		seen <- r.Header.Clone()
+		w.Header().Set("Connection", "X-Hop")
+		w.Header().Set("X-Hop", "secret")
+		io.WriteString(w, "ok")
+	}))
+	t.Cleanup(backend.Close)
+	rt, err := shard.NewRouter(shard.Config{Backends: []string{backend.URL}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	front := httptest.NewServer(rt.Handler())
+	t.Cleanup(front.Close)
+
+	req, _ := http.NewRequest(http.MethodGet, front.URL+"/", nil)
+	req.Header.Set("Connection", "X-Hop")
+	req.Header.Set("X-Hop", "secret")
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("routed GET: %s", resp.Status)
+	}
+	in := <-seen
+	if in.Get("X-Hop") != "" || strings.Contains(in.Get("Connection"), "X-Hop") {
+		t.Errorf("backend received the client's hop headers: X-Hop %q, Connection %q", in.Get("X-Hop"), in.Get("Connection"))
+	}
+	if resp.Header.Get("X-Hop") != "" || strings.Contains(resp.Header.Get("Connection"), "X-Hop") {
+		t.Errorf("client received the backend's hop headers: X-Hop %q, Connection %q",
+			resp.Header.Get("X-Hop"), resp.Header.Get("Connection"))
+	}
+	if in.Get("X-Forwarded-For") == "" || in.Get("X-Forwarded-Proto") != "http" {
+		t.Errorf("backend request lacks forwarding headers: %v", in)
+	}
+}
+
+// TestRouterRefusesOverCapBody: a body over the fleet's cap gets the
+// backends' own 400 envelope from the router, which forwards none of
+// it — whether the client declares its length or streams it chunked.
+func TestRouterRefusesOverCapBody(t *testing.T) {
+	s, err := web.NewServer(web.Config{}, library.Standard())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var hits atomic.Int64
+	h := s.Handler()
+	backend := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		hits.Add(1)
+		h.ServeHTTP(w, r)
+	}))
+	t.Cleanup(backend.Close)
+	rt, err := shard.NewRouter(shard.Config{Backends: []string{backend.URL}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	front := httptest.NewServer(rt.Handler())
+	t.Cleanup(front.Close)
+
+	huge := `{"model":"` + strings.Repeat("x", shard.MaxBodyBytes) + `"}`
+	type envelope struct {
+		Error struct{ Code, Message string } `json:"error"`
+	}
+	eval := func(base string, body io.Reader) (int, envelope) {
+		t.Helper()
+		resp, err := http.Post(base+"/api/v1/eval", "application/json", body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var env envelope
+		if err := json.NewDecoder(resp.Body).Decode(&env); err != nil {
+			t.Fatalf("%s: %d without an envelope: %v", base, resp.StatusCode, err)
+		}
+		return resp.StatusCode, env
+	}
+	wantStatus, want := eval(backend.URL, strings.NewReader(huge))
+	if wantStatus != http.StatusBadRequest || want.Error.Code != "bad_request" {
+		t.Fatalf("backend's own over-cap answer: %d %+v", wantStatus, want)
+	}
+	for name, body := range map[string]io.Reader{
+		"declared length": strings.NewReader(huge),
+		"chunked":         io.MultiReader(strings.NewReader(huge)),
+	} {
+		status, got := eval(front.URL, body)
+		if status != wantStatus || got != want {
+			t.Errorf("%s: routed over-cap answer %d %+v, want the backend's %d %+v", name, status, got, wantStatus, want)
+		}
+	}
+	if n := hits.Load(); n != 1 {
+		t.Errorf("backend served %d requests, want 1 (the direct one)", n)
+	}
+}
+
+// TestReplicationSurvivesClientHangup: a client that hangs up while
+// the router replicates its model publish does not cut the fan-out
+// short — every backend ends up with the model.
+func TestReplicationSurvivesClientHangup(t *testing.T) {
+	const n = 3
+	arrived, release := make(chan struct{}), make(chan struct{})
+	var held atomic.Bool
+	var releaseOnce sync.Once
+	cfg := shard.Config{}
+	for i := 0; i < n; i++ {
+		s, err := web.NewServer(web.Config{ShardID: i, ShardCount: n}, library.Standard())
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := s.Handler()
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			// Hold the first replication until the client has hung up.
+			if r.URL.Path == "/api/v1/shard/model" && held.CompareAndSwap(false, true) {
+				close(arrived)
+				<-release
+			}
+			h.ServeHTTP(w, r)
+		}))
+		t.Cleanup(ts.Close)
+		cfg.Backends = append(cfg.Backends, ts.URL)
+	}
+	rt, err := shard.NewRouter(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	routed := rt.Handler()
+	hungUp, served := make(chan struct{}), make(chan struct{})
+	front := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/api/v1/models" {
+			ctx := r.Context()
+			go func() { <-ctx.Done(); close(hungUp) }()
+			defer close(served)
+		}
+		routed.ServeHTTP(w, r)
+	}))
+	t.Cleanup(front.Close)
+	// Runs before the servers' cleanups, which wait for the held handler.
+	t.Cleanup(func() { releaseOnce.Do(func() { close(release) }) })
+
+	blob, _ := json.Marshal(library.Equation{
+		Name: "hangup.adder", Title: "adder", Class: "computation",
+		Params: []library.EquationParam{{Name: "bits", Default: 8, Min: 1, Max: 64, Integer: true}},
+		Csw:    "bits*42f",
+	})
+	ctx, cancel := context.WithCancel(context.Background())
+	req, _ := http.NewRequestWithContext(ctx, http.MethodPost, front.URL+"/api/v1/models", bytes.NewReader(blob))
+	req.Header.Set("Content-Type", "application/json")
+	done := make(chan error, 1)
+	go func() {
+		resp, err := http.DefaultClient.Do(req)
+		if err == nil {
+			resp.Body.Close()
+		}
+		done <- err
+	}()
+	wait := func(ch <-chan struct{}, what string) {
+		t.Helper()
+		select {
+		case <-ch:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("timed out waiting for %s", what)
+		}
+	}
+	wait(arrived, "the first replication")
+	cancel()
+	<-done
+	wait(hungUp, "the router to see the client hang up")
+	releaseOnce.Do(func() { close(release) })
+	wait(served, "the routed publish to finish")
+	for i, b := range cfg.Backends {
+		if code, body, _ := get(t, newClient(t), b+"/api/v1/models/hangup.adder"); code != http.StatusOK {
+			t.Errorf("backend %d lacks the model after the client hung up: %d %s", i, code, body)
+		}
 	}
 }

@@ -36,11 +36,11 @@ type errorEnvelope struct {
 // API error codes: the closed set clients may switch on.  Adding a code
 // is a compatible change; repurposing one is not.
 const (
-	codeUnauthorized  = "unauthorized"   // missing or wrong site key
-	codeNotFound      = "not_found"      // no such model
-	codeBadRequest    = "bad_request"    // unparseable request payload
-	codeInvalidParams = "invalid_params" // the model rejected the evaluation
-	codeInternal      = "internal"       // server-side failure
+	codeUnauthorized  = "unauthorized"       // missing or wrong site key
+	codeNotFound      = "not_found"          // no such model
+	codeBadRequest    = shard.CodeBadRequest // unparseable request payload
+	codeInvalidParams = "invalid_params"     // the model rejected the evaluation
+	codeInternal      = "internal"           // server-side failure
 )
 
 // apiFail writes the uniform error envelope with the request's ID.

@@ -9,7 +9,9 @@ import (
 	"net/http/httptest"
 	"net/url"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"powerplay/internal/core/model"
 	"powerplay/internal/library"
@@ -286,5 +288,75 @@ func TestMountsFoldSiteJournal(t *testing.T) {
 	}
 	if st := s2.LastRecovery(); st == nil || st.SnapshotsLoaded == 0 {
 		t.Errorf("recovery did not start from the folded snapshot: %+v", st)
+	}
+}
+
+// stallSink holds the first journal write until release closes,
+// closing entered when it arrives.
+type stallSink struct {
+	store.WriteSyncer
+	once             *sync.Once
+	entered, release chan struct{}
+}
+
+func (s stallSink) Write(p []byte) (int, error) {
+	s.once.Do(func() { close(s.entered) })
+	<-s.release
+	return s.WriteSyncer.Write(p)
+}
+
+// TestLoginJournalsOutsideServerLock: a first login's journal append
+// (which may fsync) runs outside the server-wide lock, so another
+// user's requests are answered while it is stuck in the store.
+func TestLoginJournalsOutsideServerLock(t *testing.T) {
+	s, ts, c := durableSite(t, t.TempDir(), Config{})
+	loginAs(t, ts, c, "reader", "")
+	entered, release := make(chan struct{}), make(chan struct{})
+	var releaseOnce sync.Once
+	t.Cleanup(func() { releaseOnce.Do(func() { close(release) }) })
+	if err := s.store.SetSink("writer", func(ws store.WriteSyncer) store.WriteSyncer {
+		return stallSink{ws, &sync.Once{}, entered, release}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	loggedIn := make(chan error, 1)
+	go func() {
+		resp, err := ts.Client().PostForm(ts.URL+"/login", url.Values{"user": {"writer"}})
+		if err == nil {
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				err = fmt.Errorf("login: %s", resp.Status)
+			}
+		}
+		loggedIn <- err
+	}()
+	select {
+	case <-entered:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the new account never reached its journal")
+	}
+	read := make(chan error, 1)
+	go func() {
+		resp, err := c.Get(ts.URL + "/designs")
+		if err == nil {
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				err = fmt.Errorf("GET /designs: %s", resp.Status)
+			}
+		}
+		read <- err
+	}()
+	select {
+	case err := <-read:
+		if err != nil {
+			t.Error(err)
+		}
+	case <-time.After(time.Second):
+		t.Error("another user's GET /designs waited on a login's journal append")
+		defer func() { <-read }()
+	}
+	releaseOnce.Do(func() { close(release) })
+	if err := <-loggedIn; err != nil {
+		t.Fatal(err)
 	}
 }

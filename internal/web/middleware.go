@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"powerplay/internal/obs"
+	"powerplay/internal/shard"
 )
 
 // Server-side hardening for a site under heavy (or hostile) traffic:
@@ -28,10 +29,9 @@ import (
 // shutdown) belong to the http.Server that fronts this handler — see
 // cmd/powerplay.
 
-// maxBodyBytes caps every request body.  Design imports are the
-// largest legitimate payload; the paper-scale sheets serialize to a few
-// kilobytes, so 4 MiB is three orders of magnitude of headroom.
-const maxBodyBytes = 4 << 20
+// maxBodyBytes caps every request body: the fleet's one cap, which the
+// shard router enforces too.
+const maxBodyBytes = shard.MaxBodyBytes
 
 // minRequestTimeout is the floor of one request's context deadline:
 // comfortably above the 30 s default sweep budget, far below "forever".

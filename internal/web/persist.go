@@ -103,7 +103,7 @@ type userWrite struct {
 }
 
 // begin opens a write to u's account under its write lock.  Account
-// creation (login) begins on a User no other goroutine can see yet.
+// creation (newUser) begins on a User no other goroutine can see yet.
 func (s *Server) begin(u *User) userWrite {
 	u.mu.Lock()
 	return userWrite{s: s, u: u}

@@ -187,17 +187,14 @@ func (s *Server) InstallDesign(userName string, d *sheet.Design) error {
 			userName, s.ring.Pick(userName), s.cfg.ShardID)
 	}
 	s.mu.Lock()
-	u, ok := s.users[userName]
-	if !ok {
-		u = &User{
-			Name:     userName,
-			Defaults: make(map[string]map[string]float64),
-			Designs:  make(map[string]*sheet.Design),
-		}
-		s.users[userName] = u
+	var tx userWrite
+	if u, ok := s.users[userName]; ok {
+		s.mu.Unlock()
+		tx = s.begin(u)
+	} else {
+		tx = s.newUser(userName)
+		s.mu.Unlock()
 	}
-	s.mu.Unlock()
-	tx := s.begin(u)
 	tx.install(d)
 	if err := tx.commit(); err != nil {
 		return fmt.Errorf("web: persisting design %s: %w", d.Name, err)
@@ -280,11 +277,7 @@ func (s *Server) currentUser(r *http.Request) *User {
 	}
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	name, ok := s.sessions[c.Value]
-	if !ok {
-		return nil
-	}
-	return s.users[name]
+	return s.users[s.sessions[c.Value]] // no user is named "", an unknown token's name
 }
 
 // auth wraps HTML handlers: unidentified users are sent to the login
@@ -326,20 +319,16 @@ func (s *Server) login(name string) (token string, err error) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	u, ok := s.users[name]
-	if !ok {
-		u = &User{
-			Name:     name,
-			Defaults: make(map[string]map[string]float64),
-			Designs:  make(map[string]*sheet.Design),
-		}
-		s.users[name] = u
+	if _, ok := s.users[name]; !ok {
 		// Journal the account's existence so a crashed site greets the
-		// user by name again.  Still under s.mu, so no other goroutine
-		// can reach this brand-new user yet.
-		tx := s.begin(u)
+		// user by name again: outside s.mu, which every request's
+		// session lookup takes, since the append may fsync.
+		tx := s.newUser(name)
+		s.mu.Unlock()
 		tx.journal(store.Record{Kind: store.KindUserCreate})
-		if err := tx.commit(); err != nil {
+		err = tx.commit()
+		s.mu.Lock()
+		if err != nil {
 			delete(s.users, name)
 			return "", fmt.Errorf("persisting account: %w", err)
 		}
@@ -347,6 +336,15 @@ func (s *Server) login(name string) (token string, err error) {
 	token = newToken()
 	s.sessions[token] = name
 	return token, nil
+}
+
+// newUser adds an empty account for name and begins its first write,
+// under the caller's s.mu: no one else can reach the user yet, so the
+// lock order Server.mu → User.mu is kept and begin never waits.
+func (s *Server) newUser(name string) userWrite {
+	u := &User{Name: name, Defaults: map[string]map[string]float64{}, Designs: map[string]*sheet.Design{}}
+	s.users[name] = u
+	return s.begin(u)
 }
 
 func validUserName(s string) bool {
