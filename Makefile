@@ -26,6 +26,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzPlanMatchesInterpreter$$' -fuzztime 10s ./internal/core/sheet/
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s ./internal/units/
 	$(GO) test -run '^$$' -fuzz '^FuzzAppendFormat$$' -fuzztime 10s ./internal/units/
+	$(GO) test -run '^$$' -fuzz '^FuzzSheetPageMatchesOracle$$' -fuzztime 10s ./internal/web/
 
 # Non-test Go lines per package, largest first, then the total.
 loc:

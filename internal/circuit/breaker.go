@@ -133,7 +133,7 @@ func (b *Breaker) State() State {
 
 // Allow asks permission to issue one request.  It returns nil (go
 // ahead) or ErrOpen.  Every Allow that returns nil must be matched by
-// exactly one Success or Failure call.
+// exactly one Success, Failure or Release call.
 func (b *Breaker) Allow() error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -185,4 +185,14 @@ func (b *Breaker) Failure() {
 		b.enter(Open)
 		b.openedAt = b.clock()
 	}
+}
+
+// Release ends an admitted request that has no verdict on the peer:
+// the caller gave up (its own context ended) before the peer answered.
+// It counts neither a success nor a failure, and it frees a half-open
+// probe slot so the next Allow probes instead of the breaker wedging.
+func (b *Breaker) Release() {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.probing = false
 }

@@ -81,3 +81,47 @@ func TestOnTransition(t *testing.T) {
 		}
 	}
 }
+
+// TestReleaseRecordsNoOutcome: a released request neither trips nor
+// resets the breaker, and a released half-open probe lets the next
+// Allow probe.
+func TestReleaseRecordsNoOutcome(t *testing.T) {
+	clock := time.Now()
+	b := &Breaker{Threshold: 2, Cooldown: time.Minute}
+	b.now = func() time.Time { return clock }
+	b.Allow()
+	b.Failure()
+	for i := 0; i < 5; i++ {
+		if err := b.Allow(); err != nil {
+			t.Fatalf("released requests closed the door: %v", err)
+		}
+		b.Release()
+	}
+	if got := b.State(); got != Closed {
+		t.Fatalf("after releases state = %v, want closed", got)
+	}
+	b.Allow()
+	b.Failure() // the second consecutive failure: releases did not reset the run
+	if got := b.State(); got != Open {
+		t.Fatalf("state = %v, want open", got)
+	}
+
+	clock = clock.Add(time.Minute)
+	if err := b.Allow(); err != nil {
+		t.Fatalf("probe rejected: %v", err)
+	}
+	if err := b.Allow(); err != ErrOpen {
+		t.Fatalf("concurrent probe allowed (err=%v)", err)
+	}
+	b.Release()
+	if got := b.State(); got != HalfOpen {
+		t.Fatalf("after a released probe state = %v, want half-open", got)
+	}
+	if err := b.Allow(); err != nil {
+		t.Fatalf("released probe wedged the breaker: %v", err)
+	}
+	b.Success()
+	if got := b.State(); got != Closed {
+		t.Fatalf("after a successful probe state = %v, want closed", got)
+	}
+}

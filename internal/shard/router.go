@@ -321,7 +321,13 @@ func (rt *Router) send(out *http.Request, target int) (*http.Response, error) {
 	}
 	resp, err := rt.transport.RoundTrip(out)
 	if err != nil {
-		br.Failure()
+		if out.Context().Err() != nil {
+			// The client hung up or timed out first: no verdict on
+			// the backend.
+			br.Release()
+		} else {
+			br.Failure()
+		}
 		return nil, err
 	}
 	// Any HTTP answer means the process is alive: application-level

@@ -22,6 +22,7 @@ import (
 	"testing"
 	"time"
 
+	"powerplay/internal/circuit"
 	"powerplay/internal/library"
 	"powerplay/internal/shard"
 	"powerplay/internal/web"
@@ -841,5 +842,56 @@ func TestReplicationSurvivesClientHangup(t *testing.T) {
 		if code, body, _ := get(t, newClient(t), b+"/api/v1/models/hangup.adder"); code != http.StatusOK {
 			t.Errorf("backend %d lacks the model after the client hung up: %d %s", i, code, body)
 		}
+	}
+}
+
+// TestClientHangupKeepsBreakerClosed: clients that give up before a
+// slow but healthy backend answers are not evidence against it.  Five
+// GETs, each abandoned after 20 ms against a backend that takes 1 s,
+// must leave its breaker closed, and the next request must be served.
+func TestClientHangupKeepsBreakerClosed(t *testing.T) {
+	backend := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		select {
+		case <-time.After(time.Second):
+			io.WriteString(w, "slow but alive")
+		case <-r.Context().Done():
+		}
+	}))
+	t.Cleanup(backend.Close)
+	rt, err := shard.NewRouter(shard.Config{Backends: []string{backend.URL}, BreakerCooldown: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	routed := rt.Handler()
+	finished := make(chan struct{}, 16)
+	front := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		routed.ServeHTTP(w, r)
+		finished <- struct{}{}
+	}))
+	t.Cleanup(front.Close)
+
+	for i := 0; i < 5; i++ {
+		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+		req, _ := http.NewRequestWithContext(ctx, http.MethodGet, front.URL+"/api/v1/models", nil)
+		resp, err := http.DefaultClient.Do(req)
+		cancel()
+		if err == nil {
+			resp.Body.Close()
+			t.Fatalf("GET %d was answered within its 20 ms deadline; the backend is not slow", i)
+		}
+		// The router has accounted for the request once its handler
+		// returns.
+		select {
+		case <-finished:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("the router never finished GET %d after the client hung up", i)
+		}
+	}
+	if got := rt.BreakerState(0); got != circuit.Closed {
+		t.Fatalf("after five client hang-ups the backend's breaker is %v, want closed", got)
+	}
+	code, body, _ := get(t, http.DefaultClient, front.URL+"/api/v1/models")
+	if code != http.StatusOK {
+		t.Fatalf("next request: %d %s, want 200 from the healthy backend", code, body)
 	}
 }

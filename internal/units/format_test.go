@@ -60,6 +60,11 @@ func frozenFormatArea(m2 float64) string {
 	}
 }
 
+// frozenSci is Sci as it stood before AppendSci replaced it.
+func frozenSci(v float64, unit string) string {
+	return fmt.Sprintf("%.3e%s", v, unit)
+}
+
 // formatSeeds are the values where the formatters change behaviour:
 // signed zeros, subnormals, non-finite values, the edges of the prefix
 // bands (where rounding carries into the next band), and the bands
@@ -88,10 +93,16 @@ func checkFormat(t *testing.T, v float64, unit string) {
 	if got, want := FormatArea(v), frozenFormatArea(v); got != want {
 		t.Fatalf("FormatArea(%v) = %q, want %q", v, got, want)
 	}
+	if got, want := string(AppendSci([]byte("x"), v, unit)), "x"+frozenSci(v, unit); got != want {
+		t.Fatalf("AppendSci(%v (%#x), %q) = %q, want %q", v, math.Float64bits(v), unit, got, want)
+	}
+	if got, want := Sci(v, unit), frozenSci(v, unit); got != want {
+		t.Fatalf("Sci(%v, %q) = %q, want %q", v, unit, got, want)
+	}
 }
 
-// FuzzAppendFormat: AppendFormat and AppendArea equal the frozen
-// fmt-based formatters for every float64 and unit.
+// FuzzAppendFormat: AppendFormat, AppendArea and AppendSci equal the
+// frozen fmt-based formatters for every float64 and unit.
 func FuzzAppendFormat(f *testing.F) {
 	for _, v := range formatSeeds {
 		f.Add(v, "W")
@@ -127,16 +138,18 @@ func TestAppendFormatMatchesFrozen(t *testing.T) {
 }
 
 // TestAppendFormatNoAllocs: appending into a buffer with room allocates
-// nothing, which is what the sweep page's table builder relies on.
+// nothing, which is what the sheet and sweep pages' table builders
+// rely on.
 func TestAppendFormatNoAllocs(t *testing.T) {
 	buf := make([]byte, 0, 64)
 	allocs := testing.AllocsPerRun(100, func() {
 		for _, v := range formatSeeds {
 			buf = AppendFormat(buf[:0], v, "W")
 			buf = AppendArea(buf[:0], v)
+			buf = AppendSci(buf[:0], v, "W")
 		}
 	})
 	if allocs != 0 {
-		t.Errorf("AppendFormat/AppendArea allocated %v times per run, want 0", allocs)
+		t.Errorf("AppendFormat/AppendArea/AppendSci allocated %v times per run, want 0", allocs)
 	}
 }

@@ -173,7 +173,13 @@ func appendG(dst []byte, v float64, unit string) []byte {
 // Sci renders a value the way the paper's spreadsheet dumps do
 // ("5.438e-04W").
 func Sci(v float64, unit string) string {
-	return fmt.Sprintf("%.3e%s", v, unit)
+	return string(AppendSci(make([]byte, 0, 16), v, unit))
+}
+
+// AppendSci appends Sci(v, unit) to dst and returns the extended
+// buffer.
+func AppendSci(dst []byte, v float64, unit string) []byte {
+	return append(strconv.AppendFloat(dst, v, 'e', 3, 64), unit...)
 }
 
 // Parse reads a number in engineering notation and returns its SI value.

@@ -72,13 +72,6 @@ func TestServedAllocBudgets(t *testing.T) {
 		t.Fatal("sheet page served without an ETag")
 	}
 
-	// Each Play sets two cells to the other of two values, alternating
-	// between the two edit-play sheets, so every Play has a dirty cone.
-	plays := [2][2]string{
-		{"glob_vdd1=1.2&row_display_lcds%7Cpnom=0.4", "glob_vdd1=1.5&row_display_lcds%7Cpnom=0.5"},
-		{"glob_vdd=1.1&row_read_bank%7Cwords=1024", "glob_vdd=1.5&row_read_bank%7Cwords=2048"},
-	}
-	playDesigns := [2]string{"InfoPad", "Luminance_2"}
 	var nPlay, nRows int
 	rows := [2]string{"action=Add&row=alloc_row&model=" + library.Register, "action=Remove&row=alloc_row"}
 	eval := `{"model":"` + library.SRAM + `","params":{"words":4096,"bits":6,"vdd":1.5,"f":2e6}}`
@@ -99,21 +92,20 @@ func TestServedAllocBudgets(t *testing.T) {
 			}
 			return err
 		}},
-		{"sheet GET, miss", 1300, func() error {
+		{"sheet GET, miss", 265, func() error {
 			demo.mu.Lock()
 			missDesign.Touch()
 			demo.mu.Unlock()
 			_, err := serve(cookie, http.MethodGet, "/design/Luminance_1", "")
 			return err
 		}},
-		{"Play POST, two edits, InfoPad and Luminance_2 alternating", 2500, func() error {
+		{"Play POST, two edits, InfoPad and Luminance_2 alternating", 380, func() error {
 			nPlay++
-			d := nPlay % 2
-			_, err := serve(cookie, http.MethodPost, "/design/"+playDesigns[d]+"/play",
-				plays[d][(nPlay/2)%2])
+			design, form := editPlay(nPlay)
+			_, err := serve(cookie, http.MethodPost, "/design/"+design+"/play", form)
 			return err
 		}},
-		{"rows POST, add and remove alternating", 2149, func() error {
+		{"rows POST, add and remove alternating", 680, func() error {
 			_, err := serve(cookie, http.MethodPost, "/design/Luminance_2/rows", rows[nRows%2])
 			nRows++
 			return err
@@ -168,9 +160,22 @@ func TestServedAllocBudgets(t *testing.T) {
 // children's label strings are most of them.
 const metricsAllocsPerLine = 0.4
 
+// editPlay is the i'th Play of the edit-play loop: two cells set to the
+// other of two values, alternating between the InfoPad and Luminance_2
+// sheets, so every Play has a dirty cone.  It returns the design and
+// the form body.
+func editPlay(i int) (design, form string) {
+	plays := [2][2]string{
+		{"glob_vdd1=1.2&row_display_lcds%7Cpnom=0.4", "glob_vdd1=1.5&row_display_lcds%7Cpnom=0.5"},
+		{"glob_vdd=1.1&row_read_bank%7Cwords=1024", "glob_vdd=1.5&row_read_bank%7Cwords=2048"},
+	}
+	d := i % 2
+	return [2]string{"InfoPad", "Luminance_2"}[d], plays[d][(i/2)%2]
+}
+
 // allocSite builds a site holding the three seeded sheets for user
 // demo and returns it with its handler and a session cookie.
-func allocSite(t *testing.T) (*Server, http.Handler, *http.Cookie) {
+func allocSite(t testing.TB) (*Server, http.Handler, *http.Cookie) {
 	t.Helper()
 	s, err := NewServer(Config{}, library.Standard())
 	if err != nil {

@@ -136,9 +136,14 @@ func (rc *Remote) do(ctx context.Context, method, path string, body []byte, out 
 			rc.breaker.Success()
 			return err
 		}
-		rc.breaker.Failure()
 		lastErr = err
-		if ctx.Err() != nil || !kind.retryable(idempotent) {
+		if ctx.Err() != nil {
+			// The caller gave up first: no verdict on the site.
+			rc.breaker.Release()
+			break
+		}
+		rc.breaker.Failure()
+		if !kind.retryable(idempotent) {
 			break
 		}
 	}

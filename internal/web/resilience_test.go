@@ -566,3 +566,25 @@ func TestSweepClientDisconnectCancelsWorkers(t *testing.T) {
 		t.Errorf("requests still arriving after handler returned: %d -> %d", settled, got)
 	}
 }
+
+// TestRemoteCallerDeadlineKeepsBreakerClosed: a caller whose own
+// context ends before a slow publisher answers records no failure
+// against the publisher, even with a one-failure threshold.
+func TestRemoteCallerDeadlineKeepsBreakerClosed(t *testing.T) {
+	slow := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		select {
+		case <-time.After(time.Second):
+		case <-r.Context().Done():
+		}
+	}))
+	t.Cleanup(slow.Close)
+	rc := &Remote{BaseURL: slow.URL, retry: noRetry(), breaker: &circuit.Breaker{Threshold: 1, Cooldown: time.Hour}}
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	if _, err := rc.Models(ctx); err == nil {
+		t.Fatal("a 1 s publisher answered within a 20 ms deadline")
+	}
+	if got := rc.BreakerState(); got != circuit.Closed {
+		t.Fatalf("breaker %v after the caller's deadline, want closed", got)
+	}
+}

@@ -6,6 +6,7 @@ import (
 	"net/http/cookiejar"
 	"net/http/httptest"
 	"net/url"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -247,5 +248,27 @@ func BenchmarkServeSweep(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		benchGet(b, c, sweepURL)
+	}
+}
+
+// BenchmarkServePlay is the in-process view of perfbench's edit-play
+// workload: a logged-in Play POST through Server.Handler() with two
+// edits, alternating between the InfoPad and Luminance_2 sheets, so
+// each one journals nothing (no -data), recomputes a dirty cone and
+// renders the page.
+func BenchmarkServePlay(b *testing.B) {
+	_, h, cookie := allocSite(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		design, form := editPlay(i)
+		r := httptest.NewRequest(http.MethodPost, "/design/"+design+"/play", strings.NewReader(form))
+		r.Header.Set("Content-Type", "application/x-www-form-urlencoded")
+		r.AddCookie(cookie)
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, r)
+		if rec.Code != http.StatusOK {
+			b.Fatalf("Play %s: status %d", design, rec.Code)
+		}
 	}
 }

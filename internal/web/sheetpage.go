@@ -2,7 +2,9 @@ package web
 
 import (
 	"fmt"
+	"html/template"
 	"net/http"
+	"strconv"
 	"strings"
 
 	"powerplay/internal/core/sheet"
@@ -13,37 +15,12 @@ import (
 
 type sheetPage struct {
 	base
-	Name       string
-	Doc        string
-	Rows       []sheetRow
-	Globals    []sheetGlobal
-	TotalPower string
-	TotalArea  string
-	TotalDelay string
-}
-
-type sheetRow struct {
-	Name, Model string
-	Indent      int
-	Params      []sheetParam
-	Energy      string
-	Power       string
-	Area        string
-	Delay       string
-	// Stale carries a degraded-mode note when this row's estimate was
-	// served from the remote client's last-known-good cache because
-	// the publishing site is unavailable.
-	Stale string
-}
-
-type sheetParam struct {
-	Name  string
-	Field string // form field suffix: path|param
-	Src   string
-}
-
-type sheetGlobal struct {
-	Name, Src, Value string
+	Name string
+	Doc  string
+	// Table is the sheet table's body — a row per design row, a row per
+	// global variable, and the TOTAL row — pre-escaped by
+	// appendSheetTable.
+	Table template.HTML
 }
 
 func (s *Server) design(u *User, name string) (*sheet.Design, bool) {
@@ -61,60 +38,131 @@ func (s *Server) buildSheetPage(d *sheet.Design, r *sheet.Result, err error) she
 	page := sheetPage{base: s.base(d.Name + " summary"), Name: d.Name, Doc: d.Doc}
 	if err != nil {
 		page.Error = err.Error()
+		r = nil
 	}
-	var walk func(n *sheet.Node, res *sheet.Result, depth int)
-	walk = func(n *sheet.Node, res *sheet.Result, depth int) {
-		if depth > 0 {
-			row := sheetRow{Name: n.Name, Model: n.Model, Indent: depth - 1}
-			for _, b := range n.Params {
-				row.Params = append(row.Params, sheetParam{
-					Name:  b.Name,
-					Field: n.Path() + "|" + b.Name,
-					Src:   b.Expr.Source(),
-				})
-			}
-			if res != nil {
-				if res.Estimate != nil {
-					row.Energy = units.Sci(float64(res.EnergyPerOp), "J")
-					for _, note := range res.Estimate.Notes {
-						if strings.HasPrefix(note, staleNotePrefix) {
-							row.Stale = note
-							break
-						}
-					}
-				}
-				row.Power = units.Sci(float64(res.Power), "W")
-				row.Area = res.Area.String()
-				row.Delay = res.Delay.String()
-			}
-			page.Rows = append(page.Rows, row)
-		}
-		for i, c := range n.Children {
-			var cr *sheet.Result
-			if res != nil && i < len(res.Children) {
-				cr = res.Children[i]
-			}
-			walk(c, cr, depth+1)
-		}
-	}
-	var rootRes *sheet.Result
-	if err == nil {
-		rootRes = r
-	}
-	walk(d.Root, rootRes, 0)
-	for _, g := range d.Root.Globals {
-		sg := sheetGlobal{Name: g.Name, Src: g.Expr.Source()}
-		if v, ok := g.Expr.Const(); ok {
-			sg.Value = fmt.Sprintf("%g", v)
-		}
-		page.Globals = append(page.Globals, sg)
-	}
-	if err == nil {
-		page.TotalPower = units.Sci(float64(r.Power), "W")
-		page.TotalArea = r.Area.String()
-		page.TotalDelay = r.Delay.String()
-	}
+	// The build buffer does not escape, so it lives on the stack unless
+	// the table outgrows it; the page's string is the one heap copy.
+	page.Table = template.HTML(appendSheetTable(make([]byte, 0, 8<<10), d, r))
 	return page
+}
+
+// appendSheetTable appends the sheet table's rows, from below the
+// column headers through the TOTAL row, for the design and its result
+// (nil when evaluation failed: the structural view, with no figures),
+// and returns the extended buffer.  The bytes are exactly what the
+// {{range}} blocks over the rows and globals wrote through
+// html/template (sheetpage_test.go keeps those blocks as the oracle),
+// without reflecting over every cell.
+func appendSheetTable(dst []byte, d *sheet.Design, r *sheet.Result) []byte {
+	var path [128]byte
+	for i, c := range d.Root.Children {
+		dst = appendSheetRows(dst, c, childResult(r, i), 0, path[:0])
+	}
+	dst = append(dst, '\n')
+	var cell [32]byte
+	for _, g := range d.Root.Globals {
+		dst = append(dst, "\n<tr><td>"...)
+		dst = appendHTMLText(dst, g.Name)
+		dst = append(dst, "</td><td>variable</td>\n<td><input name=\"glob_"...)
+		dst = appendHTMLText(dst, g.Name)
+		dst = append(dst, "\" value=\""...)
+		dst = appendHTMLText(dst, g.Expr.Source())
+		dst = append(dst, "\" size=\"14\"></td>\n<td></td><td class=\"num\">"...)
+		if v, ok := g.Expr.Const(); ok {
+			dst = appendHTMLText(dst, strconv.AppendFloat(cell[:0], v, 'g', -1, 64))
+		}
+		dst = append(dst, "</td><td></td><td></td></tr>\n"...)
+	}
+	dst = append(dst, "\n<tr class=\"total\"><td>TOTAL</td><td></td><td></td><td></td>\n<td class=\"num\">"...)
+	if r != nil {
+		dst = appendHTMLText(dst, units.AppendSci(cell[:0], float64(r.Power), "W"))
+	}
+	dst = append(dst, "</td><td class=\"num\">"...)
+	if r != nil {
+		dst = appendHTMLText(dst, units.AppendArea(cell[:0], float64(r.Area)))
+	}
+	dst = append(dst, "</td>\n<td class=\"num\">"...)
+	if r != nil {
+		dst = appendHTMLText(dst, units.AppendFormat(cell[:0], float64(r.Delay), "s"))
+	}
+	return append(dst, "</td></tr>"...)
+}
+
+// appendSheetRows appends the row for n, indented by depth, and then
+// its subtree's rows in order.  path is n's parent's path, the prefix
+// of its parameters' form fields.
+func appendSheetRows(dst []byte, n *sheet.Node, r *sheet.Result, depth int, path []byte) []byte {
+	if len(path) > 0 {
+		path = append(path, '/')
+	}
+	path = append(path, n.Name...)
+	dst = append(dst, "\n<tr><td style=\"padding-left:"...)
+	dst = strconv.AppendInt(dst, int64(depth), 10)
+	dst = append(dst, "em\">"...)
+	if n.Model != "" {
+		dst = append(dst, "<a href=\"/cell/"...)
+		dst = appendURLPath(dst, n.Model)
+		dst = append(dst, "\">"...)
+		dst = appendHTMLText(dst, n.Name)
+		dst = append(dst, "</a></td>\n<td><a href=\"/doc/"...)
+		dst = appendURLPath(dst, n.Model)
+		dst = append(dst, "\">"...)
+		dst = appendHTMLText(dst, n.Model)
+		dst = append(dst, "</a></td>\n<td>"...)
+	} else {
+		dst = append(dst, "<b>"...)
+		dst = appendHTMLText(dst, n.Name)
+		dst = append(dst, "</b></td>\n<td></td>\n<td>"...)
+	}
+	for _, b := range n.Params {
+		dst = appendHTMLText(dst, b.Name)
+		dst = append(dst, "=<input name=\"row_"...)
+		dst = appendHTMLText(dst, path)
+		dst = append(dst, '|')
+		dst = appendHTMLText(dst, b.Name)
+		dst = append(dst, "\" value=\""...)
+		dst = appendHTMLText(dst, b.Expr.Source())
+		dst = append(dst, "\" size=\"9\"> "...)
+	}
+	dst = append(dst, "</td>\n<td class=\"num\">"...)
+	var cell [32]byte
+	if r != nil && r.Estimate != nil {
+		dst = appendHTMLText(dst, units.AppendSci(cell[:0], float64(r.EnergyPerOp), "J"))
+		for _, note := range r.Estimate.Notes {
+			if strings.HasPrefix(note, staleNotePrefix) {
+				dst = append(dst, " <span class=\"stale\" title=\""...)
+				dst = appendHTMLText(dst, note)
+				dst = append(dst, "\">(stale)</span>"...)
+				break
+			}
+		}
+	}
+	dst = append(dst, "</td><td class=\"num\">"...)
+	if r != nil {
+		dst = appendHTMLText(dst, units.AppendSci(cell[:0], float64(r.Power), "W"))
+	}
+	dst = append(dst, "</td>\n<td class=\"num\">"...)
+	if r != nil {
+		dst = appendHTMLText(dst, units.AppendArea(cell[:0], float64(r.Area)))
+	}
+	dst = append(dst, "</td><td class=\"num\">"...)
+	if r != nil {
+		dst = appendHTMLText(dst, units.AppendFormat(cell[:0], float64(r.Delay), "s"))
+	}
+	dst = append(dst, "</td></tr>\n"...)
+	for i, c := range n.Children {
+		dst = appendSheetRows(dst, c, childResult(r, i), depth+1, path)
+	}
+	return dst
+}
+
+// childResult is r's i'th child result, or nil when r is nil or has no
+// such child.
+func childResult(r *sheet.Result, i int) *sheet.Result {
+	if r == nil || i >= len(r.Children) {
+		return nil
+	}
+	return r.Children[i]
 }
 
 func (s *Server) handleDesignSheet(w http.ResponseWriter, r *http.Request, u *User) {

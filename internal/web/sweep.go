@@ -159,29 +159,3 @@ func appendSweepRows(dst []byte, pts []explore.Point, variable string, front []b
 	}
 	return dst
 }
-
-// appendHTMLText appends text escaped as html/template escapes it in
-// element content — including '+' (as in "1.2e+06") and NUL.
-func appendHTMLText(dst, text []byte) []byte {
-	for _, c := range text {
-		switch c {
-		case 0:
-			dst = append(dst, "\uFFFD"...)
-		case '"':
-			dst = append(dst, "&#34;"...)
-		case '&':
-			dst = append(dst, "&amp;"...)
-		case '\'':
-			dst = append(dst, "&#39;"...)
-		case '+':
-			dst = append(dst, "&#43;"...)
-		case '<':
-			dst = append(dst, "&lt;"...)
-		case '>':
-			dst = append(dst, "&gt;"...)
-		default:
-			dst = append(dst, c)
-		}
-	}
-	return dst
-}

@@ -117,21 +117,7 @@ New design: <input name="name" size="20"> <input type="submit" value="Create">
 <form method="POST" action="/design/{{.Name}}/play">
 <table>
 <tr><th>Name</th><th>Model</th><th>Parameters</th><th>Energy/op</th><th>Power</th><th>Area</th><th>Delay</th></tr>
-{{range .Rows}}
-<tr><td style="padding-left:{{.Indent}}em">{{if .Model}}<a href="/cell/{{.Model}}">{{.Name}}</a>{{else}}<b>{{.Name}}</b>{{end}}</td>
-<td>{{if .Model}}<a href="/doc/{{.Model}}">{{.Model}}</a>{{end}}</td>
-<td>{{range .Params}}{{.Name}}=<input name="row_{{.Field}}" value="{{.Src}}" size="9"> {{end}}</td>
-<td class="num">{{.Energy}}{{if .Stale}} <span class="stale" title="{{.Stale}}">(stale)</span>{{end}}</td><td class="num">{{.Power}}</td>
-<td class="num">{{.Area}}</td><td class="num">{{.Delay}}</td></tr>
-{{end}}
-{{range .Globals}}
-<tr><td>{{.Name}}</td><td>variable</td>
-<td><input name="glob_{{.Name}}" value="{{.Src}}" size="14"></td>
-<td></td><td class="num">{{.Value}}</td><td></td><td></td></tr>
-{{end}}
-<tr class="total"><td>TOTAL</td><td></td><td></td><td></td>
-<td class="num">{{.TotalPower}}</td><td class="num">{{.TotalArea}}</td>
-<td class="num">{{.TotalDelay}}</td></tr>
+{{.Table}}
 </table>
 <input type="submit" value="PLAY">
 </form>
