@@ -27,6 +27,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s ./internal/units/
 	$(GO) test -run '^$$' -fuzz '^FuzzAppendFormat$$' -fuzztime 10s ./internal/units/
 	$(GO) test -run '^$$' -fuzz '^FuzzSheetPageMatchesOracle$$' -fuzztime 10s ./internal/web/
+	$(GO) test -run '^$$' -fuzz '^FuzzSweepPageMatchesOracle$$' -fuzztime 10s ./internal/web/
 
 # Non-test Go lines per package, largest first, then the total.
 loc:

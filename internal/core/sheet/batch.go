@@ -127,17 +127,28 @@ func (s *sweeper) newBatchEval(capacity int) *BatchEval {
 		run:      run,
 		ds:       make(map[int]*dsMemo),
 	}
-	// Every slot gets a column: invariant slots broadcast their
-	// baseline value once here, variant slots are rewritten each Run by
+	// Only the slots a Run touches get a column: the override slots it
+	// fills, the root totals it reads out, and every slot a variant step
+	// reads or writes.  Invariant ones among them broadcast their
+	// baseline value once here; variant ones are rewritten each Run by
 	// the override fill and the variant steps.
-	for i := range b.cols {
-		col := make([]float64, capacity)
-		if v := s.baseline[i]; v != 0 {
-			for j := range col {
-				col[j] = v
-			}
+	touched := make([]bool, p.slotCount)
+	touch := func(slot int) { touched[slot] = true }
+	for _, slot := range p.overrideSlots {
+		touch(slot)
+	}
+	root := p.nodeBase[p.rootIdx]
+	touch(root + slotPower)
+	touch(root + slotArea)
+	touch(root + slotDelay)
+	for _, si := range p.variantSteps {
+		p.steps[si].forEachRead(touch)
+		p.steps[si].forEachWrite(touch)
+	}
+	for i, ok := range touched {
+		if ok {
+			b.cols[i] = b.constCol(s.baseline[i])
 		}
-		b.cols[i] = col
 	}
 	b.build()
 	return b

@@ -84,7 +84,7 @@ func TestRouterAllocBudgets(t *testing.T) {
 		{"routed sheet GET, page-cache hit", 215, func() error {
 			return serve(http.MethodGet, "/design/Luminance_2", "")
 		}},
-		{"routed Play POST, two edits, InfoPad and Luminance_2 alternating", 530, func() error {
+		{"routed Play POST, two edits, InfoPad and Luminance_2 alternating", 330, func() error {
 			nPlay++
 			d := nPlay % 2
 			return serve(http.MethodPost, "/design/"+playDesigns[d]+"/play", plays[d][(nPlay/2)%2])

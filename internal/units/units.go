@@ -12,6 +12,7 @@ package units
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -134,13 +135,32 @@ func AppendFormat(dst []byte, v float64, unit string) []byte {
 	start := len(dst)
 	dst = appendG(dst, v/engScales[i], "")
 	// Guard against 999.99... rounding up into the next band.
-	if f, _ := strconv.ParseFloat(string(dst[start:]), 64); math.Abs(f) >= 1000 {
+	if readsThousand(dst[start:]) {
 		if i++; i == len(engScales) {
 			return appendG(dst[:start], v, unit)
 		}
 		dst = appendG(dst[:start], v/engScales[i], "")
 	}
 	return append(append(dst, engPrefixes[i]...), unit...)
+}
+
+// readsThousand reports whether appendG's text reads 1000 or more in
+// magnitude: four integer digits, or, in exponent form, a parsed value.
+func readsThousand(text []byte) bool {
+	if slices.Contains(text, 'e') {
+		f, _ := strconv.ParseFloat(string(text), 64)
+		return math.Abs(f) >= 1000
+	}
+	digits := 0
+	for _, c := range text {
+		if c == '.' {
+			break
+		}
+		if '0' <= c && c <= '9' {
+			digits++
+		}
+	}
+	return digits >= 4
 }
 
 // FormatArea renders an area, preferring mm² and µm² which are the

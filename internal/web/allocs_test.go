@@ -92,25 +92,25 @@ func TestServedAllocBudgets(t *testing.T) {
 			}
 			return err
 		}},
-		{"sheet GET, miss", 265, func() error {
+		{"sheet GET, miss", 62, func() error {
 			demo.mu.Lock()
 			missDesign.Touch()
 			demo.mu.Unlock()
 			_, err := serve(cookie, http.MethodGet, "/design/Luminance_1", "")
 			return err
 		}},
-		{"Play POST, two edits, InfoPad and Luminance_2 alternating", 380, func() error {
+		{"Play POST, two edits, InfoPad and Luminance_2 alternating", 180, func() error {
 			nPlay++
 			design, form := editPlay(nPlay)
 			_, err := serve(cookie, http.MethodPost, "/design/"+design+"/play", form)
 			return err
 		}},
-		{"rows POST, add and remove alternating", 680, func() error {
+		{"rows POST, add and remove alternating", 475, func() error {
 			_, err := serve(cookie, http.MethodPost, "/design/Luminance_2/rows", rows[nRows%2])
 			nRows++
 			return err
 		}},
-		{"200-step InfoPad vdd1 sweep", 798, func() error {
+		{"200-step InfoPad vdd1 sweep", 525, func() error {
 			_, err := serve(cookie, http.MethodGet, "/design/InfoPad/sweep?var=vdd1&from=1&to=3.3&steps=200", "")
 			return err
 		}},

@@ -116,7 +116,7 @@ func (s *Server) evalDesign(u *User, d *sheet.Design) (*sheet.Result, error) {
 // design, rendering (and caching) it on miss.  The evaluation feeding
 // the render goes through the result memo, so a GET arriving after a
 // Play reuses the Play's evaluation and pays only the render.
-func (s *Server) renderedSheetFor(u *User, d *sheet.Design) (*renderedPage, error) {
+func (s *Server) renderedSheetFor(u *User, d *sheet.Design) *renderedPage {
 	u.mu.RLock()
 	defer u.mu.RUnlock()
 	gen, regGen := d.Generation(), s.registry.Generation()
@@ -125,15 +125,16 @@ func (s *Server) renderedSheetFor(u *User, d *sheet.Design) (*renderedPage, erro
 		page := e.page
 		u.memoMu.Unlock()
 		pageCacheEvents.With("page_hit").Inc()
-		return page, nil
+		return page
 	}
 	u.memoMu.Unlock()
 	pageCacheEvents.With("page_miss").Inc()
-	res, err := s.evalDesign(u, d)
-	html, rerr := renderBytes("sheet", s.buildSheetPage(d, res, err))
-	if rerr != nil {
-		return nil, rerr
-	}
+	res, msg := sheetView(s.evalDesign(u, d))
+	// The build buffer does not escape, so it lives on the stack unless
+	// the page outgrows it; the memo keeps a copy at the page's exact
+	// length.
+	page, _ := s.appendSheetPage(make([]byte, 0, sheetPageCap), d, res, msg)
+	html := bytes.Clone(page)
 	rp := &renderedPage{etag: sheetETag(d, gen, regGen), html: html}
 	if gz := gzipBytes(html); len(gz) < len(html) {
 		rp.gz = gz
@@ -143,19 +144,7 @@ func (s *Server) renderedSheetFor(u *User, d *sheet.Design) (*renderedPage, erro
 		e.page = rp
 	}
 	u.memoMu.Unlock()
-	return rp, nil
-}
-
-// renderBytes executes a page template into memory (the cacheable
-// sibling of Server.render).  The page is copied out at its exact
-// length: the memo keeps it, and the buffer's grown capacity would
-// otherwise stay resident beside it.
-func renderBytes(name string, data any) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := pageTmpl.ExecuteTemplate(&buf, name, data); err != nil {
-		return nil, err
-	}
-	return bytes.Clone(buf.Bytes()), nil
+	return rp
 }
 
 // gzipBytes compresses a response body at BestSpeed, once at

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"net/http"
 	"sort"
+	"strconv"
 	"strings"
 
 	"powerplay/internal/core/model"
@@ -28,6 +29,44 @@ func (s *Server) render(w http.ResponseWriter, name string, data any) {
 	w.Header().Set("Content-Type", "text/html; charset=utf-8")
 	if err := pageTmpl.ExecuteTemplate(w, name, data); err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
+	}
+}
+
+// pageBufs holds spare buffers for the appended pages.  Each page is
+// written in one call and then dropped, so without them every Play
+// would allocate and zero a fresh 16 KB buffer, and every 200-step
+// sweep a 28 KB page.
+var pageBufs = make(chan []byte, 4)
+
+// maxPageBuf caps the buffers pageBufs keeps, so one huge sheet does
+// not stay resident.
+const maxPageBuf = 64 << 10
+
+// pageBuf returns an empty buffer to append a page into; writePage
+// hands it back.
+func pageBuf() []byte {
+	select {
+	case b := <-pageBufs:
+		return b
+	default:
+		return make([]byte, 0, sheetPageCap)
+	}
+}
+
+// writePage sends an appended page with its length and status in one
+// Write, so the response is never chunked, and then keeps the page's
+// buffer for the next one: the caller must not touch page afterwards.
+func writePage(w http.ResponseWriter, status int, page []byte) {
+	h := w.Header()
+	h.Set("Content-Type", "text/html; charset=utf-8")
+	h.Set("Content-Length", strconv.Itoa(len(page)))
+	w.WriteHeader(status)
+	_, _ = w.Write(page)
+	if cap(page) <= maxPageBuf {
+		select {
+		case pageBufs <- page[:0]:
+		default:
+		}
 	}
 }
 

@@ -82,10 +82,10 @@ func uncachedSheetHandler(s *Server) http.Handler {
 			return
 		}
 		u.mu.RLock()
-		res, err := d.Evaluate()
-		page := s.buildSheetPage(d, res, err)
+		res, msg := sheetView(d.Evaluate())
+		page, _ := s.appendSheetPage(make([]byte, 0, sheetPageCap), d, res, msg)
 		u.mu.RUnlock()
-		s.render(w, "sheet", page)
+		writePage(w, http.StatusOK, page)
 	}))
 	h = timeoutMiddleware(h, s.requestTimeout())
 	h = limitBodyMiddleware(h, maxBodyBytes)

@@ -2,8 +2,8 @@ package web
 
 import (
 	"fmt"
-	"html/template"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -13,16 +13,6 @@ import (
 
 // The design spreadsheet pages: Figures 2 and 5.
 
-type sheetPage struct {
-	base
-	Name string
-	Doc  string
-	// Table is the sheet table's body — a row per design row, a row per
-	// global variable, and the TOTAL row — pre-escaped by
-	// appendSheetTable.
-	Table template.HTML
-}
-
 func (s *Server) design(u *User, name string) (*sheet.Design, bool) {
 	u.mu.RLock()
 	defer u.mu.RUnlock()
@@ -30,20 +20,79 @@ func (s *Server) design(u *User, name string) (*sheet.Design, bool) {
 	return d, ok
 }
 
-// buildSheetPage lays out the design with results (if evaluation
-// succeeded) or with the structural view plus the error.  The caller
-// supplies the evaluation — usually from the read-path memo — and must
-// hold the owning user's lock.
-func (s *Server) buildSheetPage(d *sheet.Design, r *sheet.Result, err error) sheetPage {
-	page := sheetPage{base: s.base(d.Name + " summary"), Name: d.Name, Doc: d.Doc}
+// sheetPageCap sizes a page buffer: the seeded sheets' pages run 4.5–10
+// KB.
+const sheetPageCap = 16 << 10
+
+// sheetView is what the sheet page shows for an evaluation: its result,
+// or, when evaluation failed, the structural view (no result) and the
+// failure as the page's error line.
+func sheetView(r *sheet.Result, err error) (*sheet.Result, string) {
 	if err != nil {
-		page.Error = err.Error()
-		r = nil
+		return nil, err.Error()
 	}
-	// The build buffer does not escape, so it lives on the stack unless
-	// the table outgrows it; the page's string is the one heap copy.
-	page.Table = template.HTML(appendSheetTable(make([]byte, 0, 8<<10), d, r))
-	return page
+	return r, ""
+}
+
+// appendSheetPage appends the whole sheet page for the design — head,
+// frame, table and foot — with r's figures (nil: the structural view)
+// and errMsg as its error line, and returns the extended buffer and the
+// offset where the error line starts, for an error found after the page
+// was laid out (see insertErrorLine).  The caller must hold the owning
+// user's lock.
+func (s *Server) appendSheetPage(dst []byte, d *sheet.Design, r *sheet.Result, errMsg string) ([]byte, int) {
+	dst = appendPageHead(dst, s.cfg.SiteName, d.Name+" summary")
+	dst = append(dst, "\n<p>"...)
+	dst = appendHTMLText(dst, d.Doc)
+	dst = append(dst, "</p>\n"...)
+	errAt := len(dst)
+	dst = appendErrorLine(dst, errMsg)
+	dst = append(dst, "\n<form method=\"POST\" action=\"/design/"...)
+	dst = appendURLPath(dst, d.Name)
+	dst = append(dst, `/play">
+<table>
+<tr><th>Name</th><th>Model</th><th>Parameters</th><th>Energy/op</th><th>Power</th><th>Area</th><th>Delay</th></tr>
+`...)
+	dst = appendSheetTable(dst, d, r)
+	dst = append(dst, `
+</table>
+<input type="submit" value="PLAY">
+</form>
+<p><a href="/design/`...)
+	dst = appendURLPath(dst, d.Name)
+	dst = append(dst, "/analysis\">Power/timing analysis</a> |\n<a href=\"/design/"...)
+	dst = appendURLPath(dst, d.Name)
+	dst = append(dst, "/sweep\">Parameter sweep</a> |\n<a href=\"/design/"...)
+	dst = appendURLPath(dst, d.Name)
+	dst = append(dst, "/export\">Export JSON</a> |\n<a href=\"/design/"...)
+	dst = appendURLPath(dst, d.Name)
+	dst = append(dst, "/csv\">Export CSV</a></p>\n<h2>Edit rows</h2>\n<form method=\"POST\" action=\"/design/"...)
+	dst = appendURLPath(dst, d.Name)
+	dst = append(dst, `/rows">
+Add row: name <input name="row" size="12"> model <input name="model" size="18">
+under <input name="parent" size="12" placeholder="(root)">
+<input type="submit" name="action" value="Add">
+</form>
+<form method="POST" action="/design/`...)
+	dst = appendURLPath(dst, d.Name)
+	dst = append(dst, `/rows">
+Remove row: path <input name="row" size="18">
+<input type="submit" name="action" value="Remove">
+</form>
+<form method="POST" action="/design/`...)
+	dst = appendURLPath(dst, d.Name)
+	dst = append(dst, `/rows">
+Set variable: name <input name="var" size="10"> expr <input name="expr" size="14">
+<input type="submit" name="action" value="SetVar">
+</form>
+`...)
+	return append(dst, pageFoot...), errAt
+}
+
+// insertErrorLine puts msg's error line into a page laid out without
+// one, at the offset appendSheetPage returned.
+func insertErrorLine(page []byte, errAt int, msg string) []byte {
+	return slices.Insert(page, errAt, appendErrorLine(nil, msg)...)
 }
 
 // appendSheetTable appends the sheet table's rows, from below the
@@ -171,12 +220,7 @@ func (s *Server) handleDesignSheet(w http.ResponseWriter, r *http.Request, u *Us
 		http.NotFound(w, r)
 		return
 	}
-	rp, err := s.renderedSheetFor(u, d)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	serveRendered(w, r, rp)
+	serveRendered(w, r, s.renderedSheetFor(u, d))
 }
 
 // handleDesignPlay is the PLAY button: absorb every edited cell, then
@@ -232,16 +276,15 @@ func (s *Server) handleDesignPlay(w http.ResponseWriter, r *http.Request, u *Use
 	if err := tx.apply(d, sheet.Mutation{Op: sheet.MutTouch}); err != nil {
 		editErr = err
 	}
-	res, evalErr := s.evalDesign(u, d)
-	page := s.buildSheetPage(d, res, evalErr)
-	perr := tx.commit()
-	if editErr != nil && page.Error == "" {
-		page.Error = editErr.Error()
+	res, msg := sheetView(s.evalDesign(u, d))
+	if editErr != nil && msg == "" {
+		msg = editErr.Error()
 	}
-	if perr != nil && page.Error == "" {
-		page.Error = "persisting design: " + perr.Error()
+	page, errAt := s.appendSheetPage(pageBuf(), d, res, msg)
+	if perr := tx.commit(); perr != nil && msg == "" {
+		page = insertErrorLine(page, errAt, "persisting design: "+perr.Error())
 	}
-	s.render(w, "sheet", page)
+	writePage(w, http.StatusOK, page)
 }
 
 // handleDesignRows adds/removes rows and sets top-level variables.
@@ -282,17 +325,14 @@ func (s *Server) handleDesignRows(w http.ResponseWriter, r *http.Request, u *Use
 	// Structural edits bump the generation themselves; a failed action
 	// left the tree untouched, so the memo serves the still-valid
 	// result either way.
-	res, evalErr := s.evalDesign(u, d)
-	page := s.buildSheetPage(d, res, evalErr)
-	perr := tx.commit()
+	res, msg := sheetView(s.evalDesign(u, d))
+	status := http.StatusOK
 	if err != nil {
-		page.Error = err.Error()
-		w.WriteHeader(http.StatusBadRequest)
-		s.render(w, "sheet", page)
-		return
+		msg, status = err.Error(), http.StatusBadRequest
 	}
-	if perr != nil && page.Error == "" {
-		page.Error = "persisting design: " + perr.Error()
+	page, errAt := s.appendSheetPage(pageBuf(), d, res, msg)
+	if perr := tx.commit(); perr != nil && msg == "" {
+		page = insertErrorLine(page, errAt, "persisting design: "+perr.Error())
 	}
-	s.render(w, "sheet", page)
+	writePage(w, status, page)
 }

@@ -3,9 +3,12 @@ package web
 import (
 	"fmt"
 	"html/template"
+	"io"
 	"math"
 	"net/http"
+	"net/http/httptest"
 	"net/url"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -20,7 +23,7 @@ import (
 
 // oracleSheetSrc is the sheet template as it stood while the table's
 // rows, globals and TOTAL row were {{range}} blocks and fields: the
-// oracle the appended table must keep matching byte for byte.
+// oracle the appended page must keep matching byte for byte.
 const oracleSheetSrc = `{{define "sheet"}}{{template "head" .}}
 <p>{{.Doc}}</p>
 {{if .Error}}<p class="err">{{.Error}}</p>{{end}}
@@ -65,7 +68,34 @@ Set variable: name <input name="var" size="10"> expr <input name="expr" size="14
 </form>
 {{template "foot" .}}{{end}}`
 
-var oracleSheetTmpl = template.Must(template.Must(template.New("pages").Parse(pageSrc)).Parse(oracleSheetSrc))
+// oracleFrameSrc is the head and foot templates as they stood while
+// the head was a template: the frame both page oracles render.
+const oracleFrameSrc = `{{define "head"}}<!DOCTYPE html>
+<html><head><title>{{.Site}} - {{.Title}}</title>
+<style>
+body { font-family: sans-serif; margin: 2em; }
+table { border-collapse: collapse; }
+td, th { border: 1px solid #888; padding: 2px 8px; text-align: left; }
+th { background: #ddd; }
+.num { text-align: right; font-family: monospace; }
+.total { font-weight: bold; background: #eee; }
+.err { color: #a00; font-weight: bold; }
+.note { color: #555; font-size: smaller; }
+.stale { color: #a60; font-size: smaller; font-style: italic; }
+</style></head><body>
+<p><a href="/menu">Main Menu</a> | <a href="/library">Library</a> |
+<a href="/designs">Designs</a> | <a href="/models/new">New Model</a> |
+<a href="/help">Help</a> | <a href="/logout">Logout</a></p>
+<h1>{{.Title}}</h1>{{end}}
+
+{{define "foot"}}</body></html>{{end}}`
+
+// oracleTmpl parses one page's oracle template over the frozen frame.
+func oracleTmpl(src string) *template.Template {
+	return template.Must(template.Must(template.New("pages").Parse(oracleFrameSrc)).Parse(src))
+}
+
+var oracleSheetTmpl = oracleTmpl(oracleSheetSrc)
 
 type oracleSheetRow struct {
 	Name, Model string
@@ -163,12 +193,14 @@ func oracleSheet(t testing.TB, s *Server, d *sheet.Design, r *sheet.Result, eval
 // a byte that is not UTF-8.
 const oddText = "a\" ' & < > + % b\x00é\xff/c"
 
-// TestSheetPageMatchesOracle: the served sheet page — table appended by
-// appendSheetTable — equals the {{range}} oracle byte for byte, and a
-// GET's ETag is the frozen generation triple.  It covers GET, Play and
-// Rows on every seeded design (rows nested under a hierarchy row), an
-// evaluation error, a failed edit and a failed row action (400), a row
-// served stale, and names, models, sources and globals holding oddText.
+// TestSheetPageMatchesOracle: the served sheet page — appended whole by
+// appendSheetPage — equals the frozen {{range}} oracle byte for byte,
+// goes out in one piece with its Content-Length and status, and a GET's
+// ETag is the frozen generation triple (Play and Rows send none).  It
+// covers GET (identity and gzip), Play and Rows on every seeded design
+// (rows nested under a hierarchy row), an evaluation error, a failed
+// edit and a failed row action (400), a row served stale, and names,
+// models, sources and globals holding oddText.
 func TestSheetPageMatchesOracle(t *testing.T) {
 	s, ts, c := seededSweepSite(t)
 	u := s.users["u"]
@@ -191,25 +223,24 @@ func TestSheetPageMatchesOracle(t *testing.T) {
 	}
 	get := func(name, errMsg string) {
 		t.Helper()
-		resp, body := getWith(t, c, ts.URL+"/design/"+name, nil)
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("GET %s: status %d", name, resp.StatusCode)
-		}
-		expect("GET "+name, name, body, errMsg)
 		u.mu.RLock()
 		d := u.Designs[name]
-		want := fmt.Sprintf("\"%x.%x.%x\"", d.ID(), d.Generation(), s.registry.Generation())
+		etag := fmt.Sprintf("\"%x.%x.%x\"", d.ID(), d.Generation(), s.registry.Generation())
 		u.mu.RUnlock()
-		if got := resp.Header.Get("ETag"); got != want {
-			t.Errorf("GET %s: ETag %s, want %s", name, got, want)
+		resp, body := getWith(t, c, ts.URL+"/design/"+name, map[string]string{"Accept-Encoding": "identity"})
+		checkWhole(t, "GET "+name, resp, body, http.StatusOK, etag)
+		expect("GET "+name, name, body, errMsg)
+		// The gzipped copy, decompressed by the client.
+		resp, body = getWith(t, c, ts.URL+"/design/"+name, nil)
+		if !resp.Uncompressed || resp.Header.Get("ETag") != etag {
+			t.Errorf("GET %s, gzip: uncompressed %v, ETag %s, want %s", name, resp.Uncompressed, resp.Header.Get("ETag"), etag)
 		}
+		expect("GET "+name+", gzip", name, body, errMsg)
 	}
 	postPage := func(path string, form url.Values, code int) string {
 		t.Helper()
-		got, body := post(t, c, ts.URL+path, form)
-		if got != code {
-			t.Fatalf("POST %s %v: status %d, want %d: %s", path, form, got, code, body)
-		}
+		resp, body := postWith(t, c, ts.URL+path, form)
+		checkWhole(t, fmt.Sprintf("POST %s %v", path, form), resp, body, code, "")
 		return body
 	}
 
@@ -319,15 +350,92 @@ func TestSheetPageMatchesOracle(t *testing.T) {
 	get("remote", "")
 }
 
+// writeCounter is a ResponseRecorder that counts body writes.
+type writeCounter struct {
+	*httptest.ResponseRecorder
+	writes int
+}
+
+func (w *writeCounter) Write(b []byte) (int, error) {
+	w.writes++
+	return w.ResponseRecorder.Write(b)
+}
+
+// TestHotPagesWriteOnce: Play, Rows, the sweep page and a sheet GET —
+// error pages too — reach the connection through the whole middleware
+// stack in one Write, with their Content-Length.
+func TestHotPagesWriteOnce(t *testing.T) {
+	_, h, cookie := allocSite(t)
+	for _, tc := range []struct {
+		method, target, body string
+		code                 int
+	}{
+		{http.MethodPost, "/design/InfoPad/play", "glob_vdd1=1.2", http.StatusOK},
+		{http.MethodPost, "/design/Luminance_2/rows", "action=Add&row=once&model=" + library.Register, http.StatusOK},
+		{http.MethodPost, "/design/Luminance_2/rows", "action=Remove&row=nosuch", http.StatusBadRequest},
+		{http.MethodGet, "/design/InfoPad/sweep?var=vdd1&from=1&to=3.3&steps=200", "", http.StatusOK},
+		{http.MethodGet, "/design/InfoPad/sweep?var=vdd1&from=1&to=3.3&steps=1", "", http.StatusBadRequest},
+		{http.MethodGet, "/design/Luminance_1/sweep?var=vdd&from=0.1&to=0.3&steps=3", "", http.StatusUnprocessableEntity},
+		{http.MethodGet, "/design/InfoPad", "", http.StatusOK},
+	} {
+		r := httptest.NewRequest(tc.method, tc.target, strings.NewReader(tc.body))
+		if tc.method == http.MethodPost {
+			r.Header.Set("Content-Type", "application/x-www-form-urlencoded")
+		}
+		r.AddCookie(cookie)
+		w := &writeCounter{ResponseRecorder: httptest.NewRecorder()}
+		h.ServeHTTP(w, r)
+		what := tc.method + " " + tc.target
+		if w.Code != tc.code {
+			t.Fatalf("%s: status %d, want %d", what, w.Code, tc.code)
+		}
+		if w.writes != 1 {
+			t.Errorf("%s: %d writes, want 1", what, w.writes)
+		}
+		if got, want := w.Header().Get("Content-Length"), strconv.Itoa(w.Body.Len()); got != want {
+			t.Errorf("%s: Content-Length %q, want %s", what, got, want)
+		}
+	}
+}
+
+// postWith posts a form and returns the response with its body read.
+func postWith(t *testing.T, c *http.Client, url string, form url.Values) (*http.Response, string) {
+	t.Helper()
+	resp, err := c.PostForm(url, form)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, _ := io.ReadAll(resp.Body)
+	return resp, string(body)
+}
+
+// checkWhole checks a hot page's response: its status, a Content-Length
+// that matches the body it sent unchunked, and its ETag ("" for none).
+func checkWhole(t *testing.T, what string, resp *http.Response, body string, code int, etag string) {
+	t.Helper()
+	if resp.StatusCode != code {
+		t.Fatalf("%s: status %d, want %d: %s", what, resp.StatusCode, code, body)
+	}
+	if resp.ContentLength != int64(len(body)) || len(resp.TransferEncoding) > 0 {
+		t.Errorf("%s: Content-Length %d, transfer encoding %v, for a %d-byte body",
+			what, resp.ContentLength, resp.TransferEncoding, len(body))
+	}
+	if got := resp.Header.Get("ETag"); got != etag {
+		t.Errorf("%s: ETag %q, want %q", what, got, etag)
+	}
+}
+
 // unescapeHTML reverses html/template's escaping of an error line.
 func unescapeHTML(s string) string {
 	return strings.NewReplacer("&#34;", `"`, "&#39;", "'", "&#43;", "+", "&lt;", "<", "&gt;", ">", "&amp;", "&").Replace(s)
 }
 
 // FuzzSheetPageMatchesOracle: for any row name, model name, parameter
-// source, global name and figure, the appended table renders what the
-// oracle does — with figures (one row stale, one row without a result)
-// and as the structural view of a failed evaluation.
+// source, global name and figure, the appended page renders what the
+// oracle does — with figures (one row stale, one row without a result),
+// as the structural view of a failed evaluation, and with an error line
+// inserted after the page was laid out.
 func FuzzSheetPageMatchesOracle(f *testing.F) {
 	f.Add("row", library.Register, "f/16", "vdd", 1.5)
 	f.Add(oddText, oddText, oddText, oddText, 1e-300)
@@ -355,19 +463,21 @@ func FuzzSheetPageMatchesOracle(f *testing.F) {
 		r := &sheet.Result{Power: units.Watts(v), Area: units.SquareMeters(2 * v), Delay: units.Seconds(-v), Children: []*sheet.Result{{
 			Power: units.Watts(v), Children: []*sheet.Result{{Power: units.Watts(v), EnergyPerOp: units.Joules(v), Estimate: est}},
 		}}}
-		for _, evalErr := range []error{nil, fmt.Errorf("eval %s", name)} {
-			errMsg := ""
-			if evalErr != nil {
-				errMsg = evalErr.Error()
-			}
-			page := s.buildSheetPage(d, r, evalErr)
-			got, err := renderBytes("sheet", page)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if want := oracleSheet(t, s, d, r, evalErr, errMsg); string(got) != want {
+		match := func(got []byte, want string) {
+			t.Helper()
+			if string(got) != want {
 				t.Fatalf("page differs from the oracle at byte %d:\n got %q\nwant %q",
 					diffAt(string(got), want), around(string(got), diffAt(string(got), want)), around(want, diffAt(string(got), want)))
+			}
+		}
+		for _, evalErr := range []error{nil, fmt.Errorf("eval %s", name)} {
+			res, errMsg := sheetView(r, evalErr)
+			got, errAt := s.appendSheetPage(nil, d, res, errMsg)
+			match(got, oracleSheet(t, s, d, r, evalErr, errMsg))
+			if evalErr == nil {
+				// An error found after the page was laid out.
+				late := "persisting " + src
+				match(insertErrorLine(got, errAt, late), oracleSheet(t, s, d, r, nil, late))
 			}
 		}
 	})

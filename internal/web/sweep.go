@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"html/template"
 	"net/http"
 	"strconv"
 	"strings"
@@ -49,8 +48,6 @@ type sweepPage struct {
 	Var      string
 	From, To string
 	Steps    string
-	// Rows is the swept table's body, pre-escaped by appendSweepRows.
-	Rows template.HTML
 }
 
 func (s *Server) handleDesignSweep(w http.ResponseWriter, r *http.Request, u *User) {
@@ -73,8 +70,7 @@ func (s *Server) handleDesignSweep(w http.ResponseWriter, r *http.Request, u *Us
 	}
 	fail := func(status int, msg string) {
 		page.Error = msg
-		w.WriteHeader(status)
-		s.render(w, "sweep", page)
+		writePage(w, status, appendSweepPage(pageBuf(), &page, nil, nil))
 	}
 	from, err := units.Parse(page.From)
 	if err != nil {
@@ -131,8 +127,38 @@ func (s *Server) handleDesignSweep(w http.ResponseWriter, r *http.Request, u *Us
 		}
 		return
 	}
-	page.Rows = template.HTML(appendSweepRows(make([]byte, 0, 160*len(pts)), pts, page.Var, explore.Front(pts)))
-	s.render(w, "sweep", page)
+	writePage(w, http.StatusOK, appendSweepPage(pageBuf(), &page, pts, explore.Front(pts)))
+}
+
+// appendSweepPage appends the whole sweep page — head, the error line,
+// the form echoing the request's fields, the swept table when there are
+// points, and foot — and returns the extended buffer.
+func appendSweepPage(dst []byte, page *sweepPage, pts []explore.Point, front []bool) []byte {
+	dst = appendPageHead(dst, page.Site, page.Title)
+	dst = append(dst, '\n')
+	dst = appendErrorLine(dst, page.Error)
+	dst = append(dst, "\n<form method=\"GET\" action=\"/design/"...)
+	dst = appendURLPath(dst, page.Name)
+	dst = append(dst, "/sweep\">\nVariable <input name=\"var\" value=\""...)
+	dst = appendHTMLText(dst, page.Var)
+	dst = append(dst, "\" size=\"8\">\nfrom <input name=\"from\" value=\""...)
+	dst = appendHTMLText(dst, page.From)
+	dst = append(dst, "\" size=\"8\">\nto <input name=\"to\" value=\""...)
+	dst = appendHTMLText(dst, page.To)
+	dst = append(dst, "\" size=\"8\">\nsteps <input name=\"steps\" value=\""...)
+	dst = appendHTMLText(dst, page.Steps)
+	dst = append(dst, "\" size=\"4\">\n<input type=\"submit\" value=\"Sweep\">\n</form>\n"...)
+	if len(pts) > 0 {
+		dst = append(dst, "\n<table>\n<tr><th>"...)
+		dst = appendHTMLText(dst, page.Var)
+		dst = append(dst, "</th><th>Power</th><th>Area</th><th>Delay</th><th>Pareto</th></tr>\n"...)
+		dst = appendSweepRows(dst, pts, page.Var, front)
+		dst = append(dst, "\n</table>\n<p class=\"note\">Rows marked * are power/delay non-dominated.</p>\n"...)
+	}
+	dst = append(dst, "\n<p><a href=\"/design/"...)
+	dst = appendURLPath(dst, page.Name)
+	dst = append(dst, "\">Back to the spreadsheet</a></p>\n"...)
+	return append(dst, pageFoot...)
 }
 
 // appendSweepRows appends one table row per point — the swept value,

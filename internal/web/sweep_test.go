@@ -271,7 +271,8 @@ func TestSweepConcurrentWithEdits(t *testing.T) {
 
 // oracleSweepSrc is the sweep page as html/template rendered it before
 // appendSweepRows: the same frame, with a {{range}} block over the
-// cells.  TestSweepPageMatchesOracle holds the served page to it.
+// cells.  TestSweepPageMatchesOracle and FuzzSweepPageMatchesOracle
+// hold the appended page to it.
 const oracleSweepSrc = `{{define "sweep"}}{{template "head" .}}
 {{if .Error}}<p class="err">{{.Error}}</p>{{end}}
 <form method="GET" action="/design/{{.Name}}/sweep">
@@ -295,7 +296,7 @@ steps <input name="steps" value="{{.Steps}}" size="4">
 <p><a href="/design/{{.Name}}">Back to the spreadsheet</a></p>
 {{template "foot" .}}{{end}}`
 
-var oracleSweepTmpl = template.Must(template.Must(template.New("pages").Parse(pageSrc)).Parse(oracleSweepSrc))
+var oracleSweepTmpl = oracleTmpl(oracleSweepSrc)
 
 type oracleSweepRow struct {
 	Value, Power, Area, Delay string
@@ -309,12 +310,13 @@ type oracleSweepPage struct {
 }
 
 // oracleSweep renders the page for a sweep of pts (nil for an error
-// page) with errMsg as the error: cells formatted by fmt and the units
-// Stringers, front rows marked by the quadratic dominance definition.
-func oracleSweep(t *testing.T, s *Server, name string, q url.Values, pts []explore.Point, errMsg string) string {
+// page) on the named site with errMsg as the error: cells formatted by
+// fmt and the units Stringers, front rows marked by the quadratic
+// dominance definition.
+func oracleSweep(t *testing.T, site, name string, q url.Values, pts []explore.Point, errMsg string) string {
 	t.Helper()
 	page := oracleSweepPage{
-		base: s.base(name + " exploration"),
+		base: base{Site: site, Title: name + " exploration"},
 		Name: name, Var: q.Get("var"), From: q.Get("from"), To: q.Get("to"), Steps: q.Get("steps"),
 	}
 	page.Error = errMsg
@@ -359,11 +361,12 @@ func seededSweepSite(t *testing.T) (*Server, *httptest.Server, *http.Client) {
 	return s, ts, c
 }
 
-// TestSweepPageMatchesOracle: the served sweep page — rows appended by
-// appendSweepRows — equals the {{range}} oracle byte for byte, over the
-// benchmark's sweep ranges on the seeded designs, e-notation values
-// (whose '+' html/template escapes), Pareto stars, a from == to range,
-// and the 400, 422 and 503 error pages.
+// TestSweepPageMatchesOracle: the served sweep page — appended whole by
+// appendSweepPage — equals the frozen {{range}} oracle byte for byte and
+// goes out in one piece with its Content-Length, its status and no
+// ETag, over the benchmark's sweep ranges on the seeded designs,
+// e-notation values (whose '+' html/template escapes), Pareto stars, a
+// from == to range, and the 400, 422 and 503 error pages.
 func TestSweepPageMatchesOracle(t *testing.T) {
 	s, ts, c := seededSweepSite(t)
 	u := s.users["u"]
@@ -393,10 +396,8 @@ func TestSweepPageMatchesOracle(t *testing.T) {
 	}
 	for _, tc := range ok {
 		q, _ := url.ParseQuery(tc.query)
-		code, body := fetch(t, c, ts.URL+"/design/"+tc.name+"/sweep?"+tc.query)
-		if code != http.StatusOK {
-			t.Fatalf("%s?%s: status %d", tc.name, tc.query, code)
-		}
+		resp, body := getWith(t, c, ts.URL+"/design/"+tc.name+"/sweep?"+tc.query, nil)
+		checkWhole(t, tc.name+"?"+tc.query, resp, body, http.StatusOK, "")
 		if tc.query == "" {
 			q = url.Values{"var": {"vdd"}, "from": {"1.0"}, "to": {"3.3"}, "steps": {"8"}}
 		}
@@ -404,7 +405,7 @@ func TestSweepPageMatchesOracle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want := oracleSweep(t, s, tc.name, q, pts, ""); body != want {
+		if want := oracleSweep(t, s.cfg.SiteName, tc.name, q, pts, ""); body != want {
 			t.Errorf("%s?%s: page differs from the oracle at byte %d:\n got %q\nwant %q",
 				tc.name, tc.query, diffAt(body, want), around(body, diffAt(body, want)), around(want, diffAt(body, want)))
 		}
@@ -433,11 +434,9 @@ func TestSweepPageMatchesOracle(t *testing.T) {
 	}
 	for _, tc := range bad {
 		q, _ := url.ParseQuery(tc.query)
-		code, body := fetch(t, c, ts.URL+"/design/Luminance_1/sweep?"+q.Encode())
-		if code != tc.code {
-			t.Fatalf("%s: status %d, want %d", tc.query, code, tc.code)
-		}
-		if want := oracleSweep(t, s, "Luminance_1", q, nil, tc.msg); body != want {
+		resp, body := getWith(t, c, ts.URL+"/design/Luminance_1/sweep?"+q.Encode(), nil)
+		checkWhole(t, tc.query, resp, body, tc.code, "")
+		if want := oracleSweep(t, s.cfg.SiteName, "Luminance_1", q, nil, tc.msg); body != want {
 			t.Errorf("%s: error page differs from the oracle at byte %d:\n got %q\nwant %q",
 				tc.query, diffAt(body, want), around(body, diffAt(body, want)), around(want, diffAt(body, want)))
 		}
@@ -451,15 +450,45 @@ func TestSweepPageMatchesOracle(t *testing.T) {
 	r.SetPathValue("name", "InfoPad")
 	w := httptest.NewRecorder()
 	s.handleDesignSweep(w, r, u)
-	if w.Code != http.StatusServiceUnavailable {
-		t.Fatalf("expired budget: status %d", w.Code)
-	}
+	checkWhole(t, "expired budget", w.Result(), w.Body.String(), http.StatusServiceUnavailable, "")
 	q, _ := url.ParseQuery(timeoutQuery)
 	msg := fmt.Sprintf("sweep timed out after %s — a model is stalling; try fewer steps", s.sweepTimeout())
-	if got, want := w.Body.String(), oracleSweep(t, s, "InfoPad", q, nil, msg); got != want {
+	if got, want := w.Body.String(), oracleSweep(t, s.cfg.SiteName, "InfoPad", q, nil, msg); got != want {
 		t.Errorf("timeout page differs from the oracle at byte %d:\n got %q\nwant %q",
 			diffAt(got, want), around(got, diffAt(got, want)), around(want, diffAt(got, want)))
 	}
+}
+
+// FuzzSweepPageMatchesOracle: for any design name, site name, error
+// and echoed var, from, to and steps fields, the appended sweep page
+// renders what the oracle does — as an error page and with a table.
+func FuzzSweepPageMatchesOracle(f *testing.F) {
+	f.Add("Luminance_2", "PowerPlay", "vdd", "1.0", "3.3", "8", "")
+	f.Add(oddText, oddText, oddText, oddText, oddText, oddText, oddText)
+	f.Add("", "", "", "", "", "", "steps must be an integer in [2, 200]")
+	f.Add("a/b", "é", "x?y#z", "1e+06", "%41", "<script>", `no variable "no<such>" in this design`)
+	f.Add("%4%41%zz", "\xff\x00", "'\"", "500k", "8MHz", "200", "explore: vdd=0.1: outside")
+	f.Fuzz(func(t *testing.T, name, site, variable, from, to, steps, errMsg string) {
+		q := url.Values{"var": {variable}, "from": {from}, "to": {to}, "steps": {steps}}
+		page := sweepPage{base: base{Site: site, Title: name + " exploration"},
+			Name: name, Var: variable, From: from, To: to, Steps: steps}
+		page.Error = errMsg
+		match := func(got []byte, want string) {
+			t.Helper()
+			if string(got) != want {
+				t.Fatalf("page differs from the oracle at byte %d:\n got %q\nwant %q",
+					diffAt(string(got), want), around(string(got), diffAt(string(got), want)), around(want, diffAt(string(got), want)))
+			}
+		}
+		match(appendSweepPage(nil, &page, nil, nil), oracleSweep(t, site, name, q, nil, errMsg))
+		pts := []explore.Point{
+			{Vars: map[string]float64{variable: 1.5}, Power: 1e-3, Area: 2e-6, Delay: 3e-9},
+			{Vars: map[string]float64{variable: 2.5e6}, Power: 5e-4, Area: 1e-9, Delay: 4e-9},
+			{Vars: map[string]float64{variable: -1e-7}, Power: 2e-3, Area: 0, Delay: 5e-9},
+		}
+		page.Error = ""
+		match(appendSweepPage(nil, &page, pts, explore.Front(pts)), oracleSweep(t, site, name, q, pts, ""))
+	})
 }
 
 // diffAt is the first byte offset where a and b differ.

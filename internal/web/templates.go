@@ -4,14 +4,27 @@ import (
 	"html/template"
 )
 
-// The page templates.  Deliberately plain mid-90s HTML: tables, forms
-// and hyperlinks — the UI surface the paper describes, rendered by any
-// browser.
-var pageTmpl = template.Must(template.New("pages").Parse(pageSrc))
+// The pages.  Deliberately plain mid-90s HTML: tables, forms and
+// hyperlinks — the UI surface the paper describes, rendered by any
+// browser.  The hot pages, the sheet (sheetpage.go) and the sweep
+// (sweep.go), are appended whole into one buffer; the others are
+// templates.  Every page starts with appendPageHead and ends with
+// pageFoot, the templates through the "head" and "foot" blocks.
+var pageTmpl = template.Must(template.New("pages").Funcs(template.FuncMap{
+	"pageHead": func(site, title string) template.HTML {
+		return template.HTML(appendPageHead(nil, site, title))
+	},
+}).Parse(pageSrc))
 
-const pageSrc = `
-{{define "head"}}<!DOCTYPE html>
-<html><head><title>{{.Site}} - {{.Title}}</title>
+// appendPageHead appends the head every page starts with — the title,
+// the style sheet, the navigation bar and the heading — escaping site
+// and title as html/template escapes text in <title> and <h1>.
+func appendPageHead(dst []byte, site, title string) []byte {
+	dst = append(dst, "<!DOCTYPE html>\n<html><head><title>"...)
+	dst = appendHTMLText(dst, site)
+	dst = append(dst, " - "...)
+	dst = appendHTMLText(dst, title)
+	dst = append(dst, `</title>
 <style>
 body { font-family: sans-serif; margin: 2em; }
 table { border-collapse: collapse; }
@@ -26,9 +39,29 @@ th { background: #ddd; }
 <p><a href="/menu">Main Menu</a> | <a href="/library">Library</a> |
 <a href="/designs">Designs</a> | <a href="/models/new">New Model</a> |
 <a href="/help">Help</a> | <a href="/logout">Logout</a></p>
-<h1>{{.Title}}</h1>{{end}}
+<h1>`...)
+	dst = appendHTMLText(dst, title)
+	return append(dst, "</h1>"...)
+}
 
-{{define "foot"}}</body></html>{{end}}
+// pageFoot ends every page.
+const pageFoot = "</body></html>"
+
+// appendErrorLine appends a page's error line, or nothing when msg is
+// empty.
+func appendErrorLine(dst []byte, msg string) []byte {
+	if msg == "" {
+		return dst
+	}
+	dst = append(dst, "<p class=\"err\">"...)
+	dst = appendHTMLText(dst, msg)
+	return append(dst, "</p>"...)
+}
+
+const pageSrc = `
+{{define "head"}}{{pageHead .Site .Title}}{{end}}
+
+{{define "foot"}}` + pageFoot + `{{end}}
 
 {{define "login"}}{{template "head" .}}
 <p>PowerPlay needs to know who you are: WWW browsers do not supply user
@@ -111,36 +144,6 @@ New design: <input name="name" size="20"> <input type="submit" value="Create">
 </form>
 {{template "foot" .}}{{end}}
 
-{{define "sheet"}}{{template "head" .}}
-<p>{{.Doc}}</p>
-{{if .Error}}<p class="err">{{.Error}}</p>{{end}}
-<form method="POST" action="/design/{{.Name}}/play">
-<table>
-<tr><th>Name</th><th>Model</th><th>Parameters</th><th>Energy/op</th><th>Power</th><th>Area</th><th>Delay</th></tr>
-{{.Table}}
-</table>
-<input type="submit" value="PLAY">
-</form>
-<p><a href="/design/{{.Name}}/analysis">Power/timing analysis</a> |
-<a href="/design/{{.Name}}/sweep">Parameter sweep</a> |
-<a href="/design/{{.Name}}/export">Export JSON</a> |
-<a href="/design/{{.Name}}/csv">Export CSV</a></p>
-<h2>Edit rows</h2>
-<form method="POST" action="/design/{{.Name}}/rows">
-Add row: name <input name="row" size="12"> model <input name="model" size="18">
-under <input name="parent" size="12" placeholder="(root)">
-<input type="submit" name="action" value="Add">
-</form>
-<form method="POST" action="/design/{{.Name}}/rows">
-Remove row: path <input name="row" size="18">
-<input type="submit" name="action" value="Remove">
-</form>
-<form method="POST" action="/design/{{.Name}}/rows">
-Set variable: name <input name="var" size="10"> expr <input name="expr" size="14">
-<input type="submit" name="action" value="SetVar">
-</form>
-{{template "foot" .}}{{end}}
-
 {{define "modelform"}}{{template "head" .}}
 <p>Define a primitive by naming it, giving equations for the EQ 1
 template quantities, and documenting it.  The model is incorporated
@@ -182,25 +185,6 @@ remote sites).</p>
 {{if .Notes}}<h2>Modeling notes (at defaults)</h2>
 {{range .Notes}}<p class="note">{{.}}</p>{{end}}{{end}}
 <p><a href="/cell/{{.Name}}">Open the input form</a></p>
-{{template "foot" .}}{{end}}
-
-{{define "sweep"}}{{template "head" .}}
-{{if .Error}}<p class="err">{{.Error}}</p>{{end}}
-<form method="GET" action="/design/{{.Name}}/sweep">
-Variable <input name="var" value="{{.Var}}" size="8">
-from <input name="from" value="{{.From}}" size="8">
-to <input name="to" value="{{.To}}" size="8">
-steps <input name="steps" value="{{.Steps}}" size="4">
-<input type="submit" value="Sweep">
-</form>
-{{if .Rows}}
-<table>
-<tr><th>{{.Var}}</th><th>Power</th><th>Area</th><th>Delay</th><th>Pareto</th></tr>
-{{.Rows}}
-</table>
-<p class="note">Rows marked * are power/delay non-dominated.</p>
-{{end}}
-<p><a href="/design/{{.Name}}">Back to the spreadsheet</a></p>
 {{template "foot" .}}{{end}}
 
 {{define "analysis"}}{{template "head" .}}
