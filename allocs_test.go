@@ -59,19 +59,19 @@ func TestEngineAllocBudgets(t *testing.T) {
 			_, _, _, err := lum.EvaluateTotals(vdd)
 			return err
 		}},
-		{"InfoPad EvaluateTotals at a vdd override", 85, func() error {
+		{"InfoPad EvaluateTotals at a vdd override", 75, func() error {
 			_, _, _, err := pad.EvaluateTotals(vdd)
 			return err
 		}},
-		{"Luminance_2 200-point vdd Sweep", 539, func() error {
+		{"Luminance_2 200-point vdd Sweep", 425, func() error {
 			_, err := powerplay.Sweep(ctx, lum, "vdd", vdds)
 			return err
 		}},
-		{"InfoPad 200-point vdd Sweep", 14799, func() error {
+		{"InfoPad 200-point vdd Sweep", 12650, func() error {
 			_, err := powerplay.Sweep(ctx, pad, "vdd", vdds)
 			return err
 		}},
-		{"Luminance_2 200-point vdd Sweep, ChunkSize 1", 3700, func() error {
+		{"Luminance_2 200-point vdd Sweep, ChunkSize 1", 3500, func() error {
 			_, err := scalar.Sweep(ctx, lum, "vdd", vdds)
 			return err
 		}},

@@ -2,7 +2,9 @@ package explore
 
 import (
 	"context"
+	"fmt"
 	"math"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -326,5 +328,108 @@ func TestRunnerSweepAfterKernelSwap(t *testing.T) {
 			t.Errorf("point %d %v: sweep %v/%v/%v, EvaluateTotals %v/%v/%v",
 				i, p.Vars, p.Power, p.Area, p.Delay, pw, area, delay)
 		}
+	}
+}
+
+// spareDesign mixes a kernel row (columnar sweep form) with a Func row
+// priced per point inside the chunk, so a sweep exercises both halves
+// of the BatchEval a plan keeps as its spare.
+func spareDesign(t *testing.T) *sheet.Design {
+	t.Helper()
+	d := testDesign(t)
+	d.Registry.MustRegister(newKernelCell(100e-15))
+	if err := d.Root.MustAddChild("k", "kcell").SetParam("bits", "16"); err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
+// TestConcurrentSweepsShareSpare: goroutines sweeping one design share
+// its plan and hand its spare BatchEval back and forth, at sweep
+// lengths that force both reuse and rebuilds.  Every column entry must
+// be bit-identical to EvaluateTotals at that point, and every point
+// must have been priced columnar.
+func TestConcurrentSweepsShareSpare(t *testing.T) {
+	d := spareDesign(t)
+	columnar := exploreBatchPoints.With("columnar")
+	before := columnar.Value()
+	var wg sync.WaitGroup
+	errs := make(chan error, 4)
+	var points atomic.Int64
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 10; i++ {
+				values := Linspace(0.9+0.1*float64(g), 3.3, 8+5*((g+i)%4))
+				cols, err := SweepColumns(context.Background(), d, "vdd", values)
+				if err != nil {
+					errs <- err
+					return
+				}
+				points.Add(int64(len(values)))
+				for j, v := range values {
+					pw, area, delay, err := d.EvaluateTotals(map[string]float64{"vdd": v})
+					if err != nil {
+						errs <- err
+						return
+					}
+					if math.Float64bits(cols.Power[j]) != math.Float64bits(pw) ||
+						math.Float64bits(cols.Area[j]) != math.Float64bits(area) ||
+						math.Float64bits(cols.Delay[j]) != math.Float64bits(delay) {
+						errs <- fmt.Errorf("goroutine %d vdd=%g: columns %v/%v/%v, EvaluateTotals %v/%v/%v",
+							g, v, cols.Power[j], cols.Area[j], cols.Delay[j], pw, area, delay)
+						return
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	if got := columnar.Value() - before; got < float64(points.Load()) {
+		t.Errorf("%v of %d points priced columnar", got, points.Load())
+	}
+}
+
+// TestSweepAllocsPerSweepNotPerPoint pins the column core's cost to the
+// sweep: a repeated sweep of an unchanged plan reuses the plan's spare
+// BatchEval, so it allocates as often at 200 steps as at 20, and only
+// its result and argument columns (3 at the time of writing; a new
+// BatchEval alone costs a column per touched slot).
+func TestSweepAllocsPerSweepNotPerPoint(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes allocation counts")
+	}
+	// Kernel rows only: a Func row allocates its Estimate per point by
+	// design.
+	reg := model.NewRegistry()
+	reg.MustRegister(newKernelCell(100e-15))
+	d := sheet.NewDesign("kernels", reg)
+	d.Root.SetGlobalValue("vdd", 1.5, "1.5")
+	d.Root.SetGlobalValue("f", 2e6, "2MHz")
+	for _, name := range []string{"a", "b"} {
+		d.Root.MustAddChild(name, "kcell")
+	}
+	allocs := func(steps int) float64 {
+		values := Linspace(1.0, 3.3, steps)
+		var runErr error
+		n := testing.AllocsPerRun(20, func() {
+			if _, err := SweepColumns(context.Background(), d, "vdd", values); err != nil && runErr == nil {
+				runErr = err
+			}
+		})
+		if runErr != nil {
+			t.Fatal(runErr)
+		}
+		return n
+	}
+	a20, a200 := allocs(20), allocs(200)
+	t.Logf("%v allocs at 20 steps, %v at 200", a20, a200)
+	if a20 != a200 || a200 > 4 {
+		t.Errorf("a repeated sweep allocates %v times at 20 steps and %v at 200, budget 4", a20, a200)
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"container/list"
 	"sort"
 	"strconv"
-	"strings"
 	"sync"
 
 	"powerplay/internal/obs"
@@ -41,8 +40,6 @@ type Cache struct {
 }
 
 // cacheRecord is one stored point: the key plus the design totals.
-// Vars are reconstructed by the caller, which already holds the
-// override map.
 type cacheRecord struct {
 	key                string
 	power, area, delay float64
@@ -75,16 +72,24 @@ func Key(overrides map[string]float64) string {
 		names = append(names, n)
 	}
 	sort.Strings(names)
-	var b strings.Builder
-	for i, n := range names {
-		if i > 0 {
-			b.WriteByte(';')
-		}
-		b.WriteString(n)
-		b.WriteByte('=')
-		b.WriteString(strconv.FormatFloat(overrides[n], 'g', -1, 64))
+	vals := make([][]float64, len(names))
+	for k, n := range names {
+		vals[k] = []float64{overrides[n]}
 	}
-	return b.String()
+	return keyAt(names, vals, 0)
+}
+
+// keyAt is Key of point i of a sweep's override columns, names sorted.
+func keyAt(names []string, vals [][]float64, i int) string {
+	var b []byte
+	for k, n := range names {
+		if k > 0 {
+			b = append(b, ';')
+		}
+		b = append(append(b, n...), '=')
+		b = strconv.AppendFloat(b, vals[k][i], 'g', -1, 64)
+	}
+	return string(b)
 }
 
 // lookup returns the stored totals for a key, marking it most recently

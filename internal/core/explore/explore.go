@@ -4,30 +4,26 @@
 //
 // The paper's enabler #3 is "a spread-sheet-like work sheet … which
 // allows the study of the impact of parameter variations (such as
-// supply voltage and clock frequency)".  The sheet's EvaluateAt gives
-// single points; this package drives it across ranges and digests the
-// results into the decisions an early-phase designer actually makes:
-// which architecture wins where, how low the supply can go for a given
-// throughput, and what the energy cost of headroom is.
+// supply voltage and clock frequency)".  This package drives the sheet
+// across ranges and digests the results into the decisions an
+// early-phase designer makes: which architecture wins where, how low
+// the supply can go for a given throughput, and what headroom costs.
 //
-// # Concurrency
+// # Columns
 //
-// One site serves many designers, so the parallelism worth having is
-// across requests, not inside one: a Runner call prices its points in
-// chunks on the caller's goroutine and starts none of its own.  Every
-// call reads the design directly — its cached compiled plan and
-// hoisted baseline — and an optional Cache memoizes repeated operating
-// points.  Any number of calls may overlap on one design and one
-// Runner; a caller that wants one sweep spread over several cores
-// issues concurrent calls on disjoint value ranges.  The caller must
-// not mutate the design during a call (the web sweep page holds the
-// user's read lock), and in return a sweep of an unchanged design
-// reuses the plan an earlier sweep compiled.  The package-level Sweep, Sweep2D, MinSupply and
-// VoltageScale are thin wrappers over a zero-value Runner; all of them
-// take a context.Context and stop at the next chunk boundary once it
-// is canceled.  The full contract — the live-design rule, cancellation,
-// determinism, and cache validity — is documented on Runner, Cache and
-// in DESIGN.md's "Concurrent exploration" section.
+// A sweep is a batch: the swept values go in as a column, and the
+// design's power, area and delay come out as columns (SweepColumns,
+// Columns), priced in chunks on the caller's goroutine by the design's
+// compiled plan — columnar where the sheet allows, EvaluateTotals per
+// point where it does not — with no per-point map or Point on the way.
+// Front reads the power and delay columns.  Sweep, Sweep2D, MinSupply
+// and VoltageScale adapt the same core; Sweep and Sweep2D return
+// []Point for library callers.  A call must not overlap an edit of its
+// design (the web sweep page holds the user's read lock), and in return
+// a repeated sweep of an unchanged design reuses the plan, baseline
+// and columns earlier sweeps built.  The full contract — the
+// live-design rule, cancellation, determinism and cache validity — is
+// on Runner and Cache and in DESIGN.md's "Concurrent exploration".
 package explore
 
 import (
@@ -50,6 +46,35 @@ type Point struct {
 // EDP returns the energy-delay product proxy P·D² (power × delay² is
 // the voltage-independent figure of merit for CMOS).
 func (p Point) EDP() float64 { return p.Power * p.Delay * p.Delay }
+
+// Columns holds a sweep's design totals, entry i for point i.
+type Columns struct {
+	Power, Area, Delay []float64
+}
+
+// makeColumns returns zeroed columns for n points, one allocation.
+func makeColumns(n int) Columns {
+	buf := make([]float64, 3*n)
+	return Columns{Power: buf[:n:n], Area: buf[n : 2*n : 2*n], Delay: buf[2*n:]}
+}
+
+// points turns the columns into Points whose Vars come from vars(i).
+func (c Columns) points(vars func(i int) map[string]float64) []Point {
+	pts := make([]Point, len(c.Power))
+	for i := range pts {
+		pts[i] = Point{Vars: vars(i), Power: c.Power[i], Area: c.Area[i], Delay: c.Delay[i]}
+	}
+	return pts
+}
+
+// SweepColumns evaluates the design across values of one variable
+// with a zero-value Runner and returns the totals as columns, entry i
+// for values[i]: the engine's own shape, with no per-point Point or
+// override map.  See Runner for the concurrency, cancellation and
+// determinism guarantees.
+func SweepColumns(ctx context.Context, d *sheet.Design, name string, values []float64) (Columns, error) {
+	return (&Runner{}).columns(ctx, d, []string{name}, [][]float64{values})
+}
 
 // Linspace returns n evenly spaced values across [lo, hi].
 func Linspace(lo, hi float64, n int) []float64 {
@@ -95,8 +120,12 @@ func Sweep2D(ctx context.Context, d *sheet.Design, n1 string, v1 []float64, n2 s
 // Front), sorted by increasing power, then delay (NaN first); points
 // that tie on both keep their input order.
 func Pareto(points []Point) []Point {
+	power, delay := make([]float64, len(points)), make([]float64, len(points))
+	for i, p := range points {
+		power[i], delay[i] = p.Power, p.Delay
+	}
 	var out []Point
-	for i, on := range Front(points) {
+	for i, on := range Front(power, delay) {
 		if on {
 			out = append(out, points[i])
 		}
@@ -105,29 +134,29 @@ func Pareto(points []Point) []Point {
 	return out
 }
 
-// Front reports which points are power/delay non-dominated.  A point
-// is dominated when another point is no worse in both power and delay
-// and strictly better in one; a point with a NaN total neither
-// dominates nor is dominated, so it is always on the front.  One sort
-// by (power, delay) and one scan: O(n log n).
-func Front(points []Point) []bool {
-	on := make([]bool, len(points))
-	idx := make([]int, 0, len(points))
-	for i, p := range points {
-		if math.IsNaN(p.Power) || math.IsNaN(p.Delay) {
+// Front reports which points of a sweep's power and delay columns are
+// non-dominated.  A point is dominated when another point is no worse
+// in both power and delay and strictly better in one; a point with a
+// NaN total neither dominates nor is dominated, so it is always on the
+// front.  One sort by (power, delay) and one scan: O(n log n).
+func Front(power, delay []float64) []bool {
+	on := make([]bool, len(power))
+	idx := make([]int, 0, len(power))
+	for i := range power {
+		if math.IsNaN(power[i]) || math.IsNaN(delay[i]) {
 			on[i] = true
 		} else {
 			idx = append(idx, i)
 		}
 	}
-	slices.SortFunc(idx, func(a, b int) int { return byPowerDelay(points[a], points[b]) })
+	slices.SortFunc(idx, func(a, b int) int { return comparePD(power[a], delay[a], power[b], delay[b]) })
 	// best is the least delay over all points of strictly lower power.
 	best, seen := 0.0, false
 	for g := 0; g < len(idx); {
-		power, least := points[idx[g]].Power, points[idx[g]].Delay
+		pw, least := power[idx[g]], delay[idx[g]]
 		e := g
-		for ; e < len(idx) && points[idx[e]].Power == power; e++ {
-			d := points[idx[e]].Delay
+		for ; e < len(idx) && power[idx[e]] == pw; e++ {
+			d := delay[idx[e]]
 			// Dominated by an equal-power point of less delay, or by a
 			// lower-power point of no more delay.
 			on[idx[e]] = d == least && !(seen && best <= d)
@@ -142,11 +171,14 @@ func Front(points []Point) []bool {
 
 // byPowerDelay orders points by power, then delay, in cmp.Compare's
 // order (NaN first).
-func byPowerDelay(p, q Point) int {
-	if c := cmp.Compare(p.Power, q.Power); c != 0 {
+func byPowerDelay(p, q Point) int { return comparePD(p.Power, p.Delay, q.Power, q.Delay) }
+
+// comparePD orders (power, delay) pairs as byPowerDelay does.
+func comparePD(pa, da, pb, db float64) int {
+	if c := cmp.Compare(pa, pb); c != 0 {
 		return c
 	}
-	return cmp.Compare(p.Delay, q.Delay)
+	return cmp.Compare(da, db)
 }
 
 // MinSupply finds, by bisection, the lowest supply voltage in

@@ -193,7 +193,11 @@ func TestFrontMatchesOracle(t *testing.T) {
 				pts[i] = Point{Power: 2, Delay: 3}
 			}
 		}
-		mask := Front(pts)
+		power, delay := make([]float64, len(pts)), make([]float64, len(pts))
+		for i, p := range pts {
+			power[i], delay[i] = p.Power, p.Delay
+		}
+		mask := Front(power, delay)
 		var want []Point
 		for i := range pts {
 			if mask[i] == dominatedOracle(pts, i) {

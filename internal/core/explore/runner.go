@@ -8,6 +8,7 @@ import (
 	"strings"
 	"time"
 
+	"powerplay/internal/core/model"
 	"powerplay/internal/core/sheet"
 	"powerplay/internal/obs"
 )
@@ -42,53 +43,39 @@ var (
 // chunk's column working set stays cache-resident.
 const DefaultChunkSize = 256
 
-// noteInterrupted records (and logs, with the request ID the context
-// carries) an exploration that died of cancellation or deadline rather
-// than a bad point.
-func noteInterrupted(ctx context.Context, err error, points int) {
-	if err == nil || (!errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded)) {
-		return
-	}
-	exploreCancellations.Inc()
-	obs.Log(ctx).Debug("explore: sweep interrupted", "points", points, "err", err)
-}
-
-// Runner is the exploration engine: it prices design points in
-// fixed-size chunks on the caller's goroutine — columnar when the
-// sheet allows, per point otherwise — and returns them in input order.
-//
-// The zero value is ready to use and is what the package-level Sweep,
-// Sweep2D, MinSupply and VoltageScale delegate to.
+// Runner configures the exploration engine's column core, which every
+// sweep and solver of this package runs through: one column per swept
+// variable in, power, area and delay columns out, in input order.
+// Points are priced in fixed-size chunks on the caller's goroutine —
+// one BatchEval pass per chunk when the sheet allows, EvaluateTotals
+// per point otherwise, the only path that needs an override map.  The
+// zero value is ready to use and is what SweepColumns and the
+// package-level functions run on.
 //
 // # Concurrency contract
 //
-// A call starts no goroutine.  It reads the design it is given and
-// nothing else: a columnar chunk runs over the design's cached compiled
-// plan and hoisted baseline with private columns, and every other
-// point runs through EvaluateTotals, which is safe for concurrent
-// readers.  The caller must not mutate the design during a call: the
-// web sweep page holds the user's read lock, which keeps edits out, so
-// a sweep of an unchanged sheet reuses the plan every earlier sweep
-// compiled.  One Runner may serve any number of concurrent calls; it
-// holds no mutable state of its own beyond the optional Cache, which
-// is internally locked.  A caller that wants one sweep spread over
-// several cores issues concurrent calls on disjoint value ranges.
+// A call starts no goroutine and reads only the design it is given: a
+// columnar chunk runs over the design's cached plan and hoisted
+// baseline on a BatchEval the call holds alone (the plan's spare when
+// free) and hands back as the spare when it ends; every other point
+// runs through EvaluateTotals, which is safe for concurrent readers.
+// The caller must not mutate the design during a call (the web sweep
+// page holds the user's read lock).  One Runner may serve any number
+// of concurrent calls; its only shared state is the optional Cache,
+// which is internally locked.
 //
-// Cancellation: every method takes a context.Context and stops promptly
-// — no later than the next chunk boundary (the next point boundary when
-// evaluating per point) — when the context is canceled or its deadline
-// passes, returning an error that wraps ctx.Err() (so
-// errors.Is(err, context.Canceled) and
-// errors.Is(err, context.DeadlineExceeded) work).  Points already
-// evaluated are discarded; partial sweeps are never returned.
+// Cancellation: every method takes a context.Context and stops — no
+// later than the next chunk boundary (the next point boundary when
+// evaluating per point) — once it is canceled or past its deadline,
+// returning an error that wraps ctx.Err(), so errors.Is classifies it.
+// Partial sweeps are never returned.
 //
-// Determinism: results are ordered by input position regardless of
-// chunking, and a failing sweep reports the error of the
-// lowest-indexed failing point with the same text EvaluateAt produces.
-// The columnar fast path never reports its own errors — a chunk whose
-// batch evaluation fails is re-evaluated point by point, which
-// rediscovers the canonical failure in order — so batched and
-// unbatched runs are observably identical apart from wall-clock time.
+// Determinism: results are in input order regardless of chunking, and
+// a failing sweep reports the lowest-indexed failing point's error
+// with the text EvaluateAt produces.  A chunk whose batch evaluation
+// fails is re-evaluated point by point, which rediscovers the
+// canonical failure, so batched and unbatched runs are observably
+// identical apart from wall-clock time.
 type Runner struct {
 	// Deprecated: ignored; every call runs on the caller's goroutine.
 	Workers int
@@ -101,47 +88,48 @@ type Runner struct {
 
 	// Cache, when non-nil, memoizes evaluated points by override
 	// vector (see Cache for the validity rules).  Every call shares
-	// it, concurrent ones included, so a repeated call over the same
-	// design hits memoized points.  Each
-	// requested point costs exactly one lookup per sweep — a hit fills
-	// the point from the record, a miss evaluates and stores it
-	// without a second lookup — so Stats counts requests, not internal
-	// traffic.
+	// it, concurrent ones included.  Each requested point costs
+	// exactly one lookup per sweep — a hit fills the point from the
+	// record, a miss evaluates and stores it without a second lookup —
+	// so Stats counts requests, not internal traffic.
 	Cache *Cache
-}
-
-// chunkSize resolves the effective chunk length.
-func (r *Runner) chunkSize() int {
-	if r.ChunkSize <= 0 {
-		return DefaultChunkSize
-	}
-	return r.ChunkSize
 }
 
 // Sweep evaluates the design across values of one variable, in order.
 // See the Runner type documentation for the concurrency, cancellation
 // and determinism guarantees.
 func (r *Runner) Sweep(ctx context.Context, d *sheet.Design, name string, values []float64) ([]Point, error) {
-	overrides := make([]map[string]float64, len(values))
-	for i, v := range values {
-		overrides[i] = map[string]float64{name: v}
+	cols, err := r.columns(ctx, d, []string{name}, [][]float64{values})
+	if err != nil {
+		return nil, err
 	}
-	return r.run(ctx, d, overrides)
+	return cols.points(func(i int) map[string]float64 { return map[string]float64{name: values[i]} }), nil
 }
 
 // Sweep2D evaluates the cross product of two variables, row-major in
-// the first variable (the same ordering the serial implementation
-// produced).  See the Runner type documentation for the concurrency,
-// cancellation and determinism guarantees.
+// the first variable.  See the Runner type documentation for the
+// concurrency, cancellation and determinism guarantees.
 func (r *Runner) Sweep2D(ctx context.Context, d *sheet.Design, n1 string, v1 []float64, n2 string, v2 []float64) ([]Point, error) {
-	overrides := make([]map[string]float64, 0, len(v1)*len(v2))
-	for _, a := range v1 {
-		for _, b := range v2 {
-			overrides = append(overrides, map[string]float64{n1: a, n2: b})
-		}
+	a, b := make([]float64, len(v1)*len(v2)), make([]float64, len(v1)*len(v2))
+	for i := range a {
+		a[i], b[i] = v1[i/len(v2)], v2[i%len(v2)]
 	}
-	return r.run(ctx, d, overrides)
+	names, vals := []string{n1, n2}, [][]float64{a, b}
+	switch {
+	case n1 == n2: // a point's override map keeps the second value
+		names, vals = names[1:], vals[1:]
+	case n2 < n1:
+		names[0], names[1], vals[0], vals[1] = n2, n1, b, a
+	}
+	cols, err := r.columns(ctx, d, names, vals)
+	if err != nil {
+		return nil, err
+	}
+	return cols.points(func(i int) map[string]float64 { return map[string]float64{n1: a[i], n2: b[i]} }), nil
 }
+
+// vddName is the override-name list of a supply run.
+var vddName = []string{model.ParamVDD}
 
 // MinSupply finds, by bisection, the lowest supply voltage in [lo, hi]
 // at which the design's critical path still meets the cycle time
@@ -163,11 +151,11 @@ func (r *Runner) MinSupply(ctx context.Context, d *sheet.Design, fTarget, lo, hi
 	}
 	target := 1 / fTarget
 	meets := func(vdd float64) (bool, error) {
-		pts, err := r.run(ctx, d, []map[string]float64{{"vdd": vdd}})
+		cols, err := r.columns(ctx, d, vddName, [][]float64{{vdd}})
 		if err != nil {
 			return false, err
 		}
-		return pts[0].Delay <= target, nil
+		return cols.Delay[0] <= target, nil
 	}
 	ok, err := meets(hi)
 	if err != nil {
@@ -205,184 +193,158 @@ func (r *Runner) VoltageScale(ctx context.Context, d *sheet.Design, fTarget, lo,
 	if err != nil {
 		return SupplySavings{}, err
 	}
-	pts, err := r.run(ctx, d, []map[string]float64{{"vdd": nominal}, {"vdd": min}})
+	cols, err := r.columns(ctx, d, vddName, [][]float64{{nominal, min}})
 	if err != nil {
 		return SupplySavings{}, err
 	}
 	return SupplySavings{
 		NominalVDD: nominal, MinVDD: min,
-		NominalPower: pts[0].Power, MinPower: pts[1].Power,
+		NominalPower: cols.Power[0], MinPower: cols.Power[1],
 	}, nil
 }
 
-// run evaluates one point per override map against d, preserving input
-// order in the returned slice.
-//
-// The points are processed in chunks: each chunk's cache misses are
-// evaluated columnar (one sheet.BatchEval pass over the whole chunk,
-// against the sweep-invariant baseline the design's compiled plan
-// hoists once), falling back to EvaluateTotals point by point, which
-// returns the canonical error messages.  A call that cannot batch —
-// one point, ChunkSize 1, or a plan that does not compile — prices
-// every point through EvaluateTotals.
-func (r *Runner) run(ctx context.Context, d *sheet.Design, overrides []map[string]float64) ([]Point, error) {
-	n := len(overrides)
-	out := make([]Point, n)
+// columns is the column core: vals[k][i] is variable names[k] at point
+// i (names sorted and distinct, columns of one length), and entry i of
+// the result is point i's totals.  Chunks run in order and the first
+// failing one stops the call.  A call that cannot batch — one point,
+// ChunkSize 1, or a plan that does not compile (e.g. a static cycle) —
+// prices every point through EvaluateTotals.
+func (r *Runner) columns(ctx context.Context, d *sheet.Design, names []string, vals [][]float64) (Columns, error) {
+	n := len(vals[0])
+	out := makeColumns(n)
 	if n == 0 {
 		return out, nil
 	}
-	if err := r.runChunks(ctx, d, overrides, out); err != nil {
-		noteInterrupted(ctx, err, n)
-		return nil, err
+	start := time.Now()
+	defer func() { exploreBusySeconds.Add(time.Since(start).Seconds()) }()
+	sw := sweep{r: r, ctx: ctx, d: d, names: names}
+	chunk := r.ChunkSize
+	if chunk <= 0 {
+		chunk = DefaultChunkSize
+	}
+	if min(chunk, n) > 1 {
+		if plan, err := d.PlanFor(names); err == nil {
+			sw.bev = plan.NewBatchEval(min(chunk, n))
+			defer sw.bev.Release()
+		}
+	}
+	in := vals // one chunk reads the columns whole
+	if n > chunk {
+		in = make([][]float64, len(vals))
+	}
+	for lo := 0; lo < n; lo += chunk {
+		hi := min(lo+chunk, n)
+		for k := range vals {
+			in[k] = vals[k][lo:hi]
+		}
+		if err := sw.chunk(in, Columns{out.Power[lo:hi], out.Area[lo:hi], out.Delay[lo:hi]}); err != nil {
+			if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+				exploreCancellations.Inc()
+				obs.Log(ctx).Debug("explore: sweep interrupted", "points", n, "err", err)
+			}
+			return Columns{}, err
+		}
 	}
 	return out, nil
 }
 
-// newBatchEval returns the columnar context for a call whose points
-// all override the names ov does (every caller builds such a list),
-// sized for n points per chunk, or nil — every point through
-// EvaluateTotals — when n < 2 or the plan does not compile (e.g. a
-// static cycle).  A failing invariant binding does not block it: the
-// baseline stores the failure, and a chunk that trips over it replays
-// through EvaluateTotals.
-func newBatchEval(d *sheet.Design, ov map[string]float64, n int) *sheet.BatchEval {
-	if n < 2 {
-		return nil
-	}
-	names := make([]string, 0, len(ov))
-	for name := range ov {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	plan, err := d.PlanFor(names)
-	if err != nil {
-		return nil
-	}
-	return plan.NewBatchEval(n)
+// sweep is one call's state.  ov is the override map the scalar path
+// refills per point (EvaluateTotals keeps no reference to it).
+type sweep struct {
+	r     *Runner
+	ctx   context.Context
+	d     *sheet.Design
+	bev   *sheet.BatchEval
+	names []string
+	ov    map[string]float64
 }
 
-// runChunks prices the chunks in order on the caller's goroutine and
-// stops at the first failing point, which is therefore the
-// lowest-indexed one — the error a point-by-point run reports.  The
-// columns are sized to the sweep when it is shorter than a chunk.
-func (r *Runner) runChunks(ctx context.Context, d *sheet.Design, overrides []map[string]float64, out []Point) error {
-	start := time.Now()
-	defer func() { exploreBusySeconds.Add(time.Since(start).Seconds()) }()
-	chunk := r.chunkSize()
-	bev := newBatchEval(d, overrides[0], min(chunk, len(overrides)))
-	for lo := 0; lo < len(overrides); lo += chunk {
-		if err := r.runChunk(ctx, d, bev, overrides, out, lo, min(lo+chunk, len(overrides))); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// runChunk prices points [lo, hi) of the sweep.  The chunk makes one
-// pass over the cache (exactly one lookup per requested point — a
-// cached point re-requested within a sweep counts one hit, never two),
-// evaluates the misses columnar in a single BatchEval pass, and on any
-// batch error — whose text and position are not canonical, see the
-// BatchEval contract — re-evaluates the misses in order through
-// EvaluateTotals, which reproduces the error of the lowest-indexed
-// failing point verbatim.
-func (r *Runner) runChunk(ctx context.Context, d *sheet.Design, bev *sheet.BatchEval, overrides []map[string]float64, out []Point, lo, hi int) error {
-	if err := ctx.Err(); err != nil {
+// chunk prices one chunk of points into res.  With a Cache it looks
+// each point up once (a point repeated within the chunk is two
+// misses), prices the misses gathered into columns of their own, and
+// stores each priced miss.
+func (s *sweep) chunk(in [][]float64, res Columns) error {
+	if err := s.ctx.Err(); err != nil {
 		return fmt.Errorf("explore: sweep interrupted: %w", err)
 	}
-	n := hi - lo
-	pending := make([]int, 0, n) // chunk-relative indexes still to price
-	var keys []string
-	if r.Cache != nil {
-		keys = make([]string, n)
-		for rel := 0; rel < n; rel++ {
-			ov := overrides[lo+rel]
-			keys[rel] = Key(ov)
-			if rec, ok := r.Cache.lookup(keys[rel]); ok {
-				out[lo+rel] = Point{Vars: ov, Power: rec.power, Area: rec.area, Delay: rec.delay}
-				explorePoints.Inc()
-				exploreBatchPoints.With("cache").Inc()
-				continue
-			}
-			pending = append(pending, rel)
-		}
-	} else {
-		for rel := 0; rel < n; rel++ {
-			pending = append(pending, rel)
-		}
+	c := s.r.Cache
+	if c == nil {
+		_, err := s.price(in, res)
+		return err
 	}
-	if len(pending) == 0 {
+	var miss []int
+	var keys []string
+	for i := range res.Power {
+		key := keyAt(s.names, in, i)
+		if rec, ok := c.lookup(key); ok {
+			res.Power[i], res.Area[i], res.Delay[i] = rec.power, rec.area, rec.delay
+			continue
+		}
+		miss, keys = append(miss, i), append(keys, key)
+	}
+	if hits := len(res.Power) - len(miss); hits > 0 {
+		explorePoints.Add(float64(hits))
+		exploreBatchPoints.With("cache").Add(float64(hits))
+	}
+	if len(miss) == 0 {
 		exploreChunks.With("cached").Inc()
 		return nil
 	}
-	if bev != nil && r.chunkColumnar(ctx, bev, overrides, out, lo, pending, keys) {
-		return nil
-	}
-	exploreChunks.With("scalar").Inc()
-	for _, rel := range pending {
-		var key string
-		if keys != nil {
-			key = keys[rel]
+	sub := make([][]float64, len(in))
+	for k := range in {
+		sub[k] = make([]float64, len(miss))
+		for m, i := range miss {
+			sub[k][m] = in[k][i]
 		}
-		p, err := r.evalPoint(ctx, d, overrides[lo+rel], key)
-		if err != nil {
-			return err
-		}
-		out[lo+rel] = p
-		exploreBatchPoints.With("scalar").Inc()
 	}
-	return nil
+	got := makeColumns(len(miss))
+	done, err := s.price(sub, got)
+	for m, i := range miss[:done] {
+		res.Power[i], res.Area[i], res.Delay[i] = got.Power[m], got.Area[m], got.Delay[m]
+		c.store(cacheRecord{key: keys[m], power: got.Power[m], area: got.Area[m], delay: got.Delay[m]})
+	}
+	return err
 }
 
-// chunkColumnar attempts one columnar evaluation of a chunk's pending
-// points, back-filling results (and the cache) on success.  It reports
-// false — claiming nothing, counting nothing — when the batch fails
-// (including by cancellation); the caller's scalar pass then owns the
-// chunk and reproduces the canonical error.
-func (r *Runner) chunkColumnar(ctx context.Context, bev *sheet.BatchEval, overrides []map[string]float64, out []Point, lo int, pending []int, keys []string) bool {
-	m := len(pending)
-	pts := make([]map[string]float64, m)
-	for i, rel := range pending {
-		pts[i] = overrides[lo+rel]
+// price fills res with the totals of every point of in: one BatchEval
+// pass, or — without one, or when it fails, since a batch error is
+// never canonical — point by point through EvaluateTotals up to the
+// first failing point.  It reports how many leading points it priced.
+func (s *sweep) price(in [][]float64, res Columns) (int, error) {
+	n := len(res.Power)
+	if s.bev != nil && s.bev.Run(s.ctx, in, res.Power, res.Area, res.Delay) == nil {
+		countChunk("columnar", n)
+		return n, nil
 	}
-	pw := make([]float64, m)
-	area := make([]float64, m)
-	delay := make([]float64, m)
-	if err := bev.Run(ctx, pts, pw, area, delay); err != nil {
-		return false
+	if s.ov == nil {
+		s.ov = make(map[string]float64, len(s.names))
 	}
-	for i, rel := range pending {
-		p := Point{Vars: pts[i], Power: pw[i], Area: area[i], Delay: delay[i]}
-		if r.Cache != nil {
-			r.Cache.store(cacheRecord{key: keys[rel], power: p.Power, area: p.Area, delay: p.Delay})
-		}
-		out[lo+rel] = p
-		explorePoints.Inc()
-	}
-	exploreChunks.With("columnar").Inc()
-	exploreBatchPoints.With("columnar").Add(float64(m))
-	return true
-}
-
-// evalPoint prices one point through EvaluateTotals and, when the
-// Runner has a cache, stores it under key — already canonicalized by
-// the caller's cache pass.  evalPoint itself never looks the point up:
-// the lookup happened when the point entered its chunk, so hit/miss
-// accounting counts each requested point exactly once.
-func (r *Runner) evalPoint(ctx context.Context, d *sheet.Design, overrides map[string]float64, key string) (Point, error) {
-	if err := ctx.Err(); err != nil {
-		return Point{}, fmt.Errorf("explore: sweep interrupted: %w", err)
-	}
-	p := Point{Vars: overrides}
+	done := 0
 	var err error
-	if p.Power, p.Area, p.Delay, err = d.EvaluateTotals(overrides); err != nil {
-		return Point{}, fmt.Errorf("explore: %s: %w", overridesLabel(overrides), err)
+	for ; done < n; done++ {
+		if err = s.ctx.Err(); err != nil {
+			err = fmt.Errorf("explore: sweep interrupted: %w", err)
+			break
+		}
+		for k, name := range s.names {
+			s.ov[name] = in[k][done]
+		}
+		if res.Power[done], res.Area[done], res.Delay[done], err = s.d.EvaluateTotals(s.ov); err != nil {
+			err = fmt.Errorf("explore: %s: %w", overridesLabel(s.ov), err)
+			break
+		}
 	}
-	if r.Cache != nil {
-		r.Cache.store(cacheRecord{key: key, power: p.Power, area: p.Area, delay: p.Delay})
+	countChunk("scalar", done)
+	return done, err
+}
+
+// countChunk records one chunk priced by path and the points it priced.
+func countChunk(path string, points int) {
+	exploreChunks.With(path).Inc()
+	if points > 0 {
+		explorePoints.Add(float64(points))
+		exploreBatchPoints.With(path).Add(float64(points))
 	}
-	explorePoints.Inc()
-	return p, nil
 }
 
 // overridesLabel renders an override vector for error messages

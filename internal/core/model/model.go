@@ -177,8 +177,14 @@ func (e *Estimate) AddStatic(label string, i units.Amps) {
 	e.Static = append(e.Static, StaticTerm{Label: label, I: i})
 }
 
-// Note records a modeling caveat.
+// Note records a modeling caveat.  A constant note (no args, no verb)
+// is appended as it is: Sprintf would return it unchanged, and models
+// attach such notes on every evaluation of a sweep.
 func (e *Estimate) Note(format string, args ...any) {
+	if len(args) == 0 && strings.IndexByte(format, '%') < 0 {
+		e.Notes = append(e.Notes, format)
+		return
+	}
 	e.Notes = append(e.Notes, fmt.Sprintf(format, args...))
 }
 

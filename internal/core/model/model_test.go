@@ -1,6 +1,7 @@
 package model
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -76,6 +77,31 @@ func TestNotes(t *testing.T) {
 	e.Note("signal correlations neglected (%s estimate)", "conservative")
 	if len(e.Notes) != 1 || e.Notes[0] != "signal correlations neglected (conservative estimate)" {
 		t.Errorf("Notes = %v", e.Notes)
+	}
+}
+
+// TestNoteMatchesSprintf: Note's constant-note shortcut records exactly
+// what fmt.Sprintf would, with and without verbs and arguments.
+func TestNoteMatchesSprintf(t *testing.T) {
+	cases := []struct {
+		format string
+		args   []any
+	}{
+		{"fixed power", nil},
+		{"", nil},
+		{"µm² \xff\x00 <b>", nil},
+		{"100% duty", nil},
+		{"%%", nil},
+		{"%d bits", []any{16}},
+		{"%s", []any{"x"}},
+		{"no verb", []any{1}},
+	}
+	for _, c := range cases {
+		e := &Estimate{}
+		e.Note(c.format, c.args...)
+		if want := fmt.Sprintf(c.format, c.args...); len(e.Notes) != 1 || e.Notes[0] != want {
+			t.Errorf("Note(%q, %v) = %q, want %q", c.format, c.args, e.Notes, want)
+		}
 	}
 }
 

@@ -84,8 +84,8 @@ type dsMemo struct {
 
 // BatchEval evaluates chunks of sweep points against a hoisted
 // baseline, columnar wherever the plan allows.  It holds per-chunk
-// mutable state and must not be used concurrently; each sweep builds
-// its own over the plan's shared (immutable) baseline.
+// mutable state and must not be used concurrently: a sweep takes one
+// from NewBatchEval, owns it alone, and hands it back with Release.
 type BatchEval struct {
 	sw       *sweeper
 	capacity int
@@ -101,11 +101,29 @@ type BatchEval struct {
 
 // NewBatchEval returns a columnar evaluation context over the plan's
 // hoisted invariant baseline, able to evaluate up to capacity points
-// per Run.  Repeated sweeps over an unchanged plan share the baseline
-// (see sharedSweeper); the BatchEval itself must not be used
-// concurrently.
+// per Run: the plan's spare when it holds one that large, a new one
+// otherwise.  Repeated sweeps over an unchanged plan share the baseline
+// (see sharedSweeper) and, through Release, its broadcast columns; the
+// BatchEval itself must not be used concurrently.
 func (p *Plan) NewBatchEval(capacity int) *BatchEval {
-	return p.sharedSweeper().newBatchEval(capacity)
+	sw := p.sharedSweeper()
+	if b := sw.spare.Swap(nil); b != nil && b.capacity >= capacity {
+		return b
+	}
+	return sw.newBatchEval(capacity)
+}
+
+// Release hands b back to its plan as the spare the next NewBatchEval
+// takes, unless the plan already holds one; b must not be used after.
+// A plan keeps at most one spare and drops it with the plan when an
+// edit or a registry move retires it.  Plans with a volatile row keep
+// none: each of their sweeps hoists a fresh baseline.  Runs leave the
+// invariant columns as they found them, failed ones included, so a
+// spare starts every Run from the same state a new BatchEval would.
+func (b *BatchEval) Release() {
+	if len(b.sw.plan.volSteps) == 0 {
+		b.sw.spare.CompareAndSwap(nil, b)
+	}
 }
 
 // newBatchEval builds a BatchEval over one baseline.
@@ -347,11 +365,13 @@ func (b *BatchEval) aggregate(st *planStep, n int) {
 	}
 }
 
-// Run evaluates one chunk of override points and writes the design's
-// root totals for point i to pw[i], area[i], delay[i].  On success
-// every value is bit-identical to EvaluateTotals on the same point; on
-// error the caller must re-evaluate the chunk through EvaluateTotals
-// (see the contract at the top of the file).
+// Run evaluates one chunk of len(pw) points and writes the design's
+// root totals for point i to pw[i], area[i], delay[i].  values holds
+// one column per override name of the plan, in sorted name order, and
+// values[k][i] is that override's value at point i.  On success every
+// value is bit-identical to EvaluateTotals on the same point; on error
+// the caller must re-evaluate the chunk through EvaluateTotals (see
+// the contract at the top of the file).
 //
 // Run honors ctx between steps and — on the per-point sub-paths, where
 // a single model evaluation may be arbitrarily slow (remote models) —
@@ -359,8 +379,8 @@ func (b *BatchEval) aggregate(st *planStep, n int) {
 // batch error like any other, and the scalar re-run surfaces the
 // canonical interruption message.  A registry move before or during
 // the Run is an error too: the chunk was priced by a retired library.
-func (b *BatchEval) Run(ctx context.Context, points []map[string]float64, pw, area, delay []float64) error {
-	n := len(points)
+func (b *BatchEval) Run(ctx context.Context, values [][]float64, pw, area, delay []float64) error {
+	n := len(pw)
 	if n == 0 {
 		return nil
 	}
@@ -371,16 +391,18 @@ func (b *BatchEval) Run(ctx context.Context, points []map[string]float64, pw, ar
 	if b.buildErr != nil {
 		return b.buildErr
 	}
+	if len(values) > len(p.overrideNames) {
+		return fmt.Errorf("sheet: %d override columns for %d override names", len(values), len(p.overrideNames))
+	}
 	b.chunkGen++
 	for i, name := range p.overrideNames {
-		col := b.cols[p.overrideSlots[i]]
-		for j, pt := range points {
-			v, ok := pt[name]
-			if !ok {
-				return fmt.Errorf("sweep point missing override %q", name)
-			}
-			col[j] = v
+		if i >= len(values) {
+			return fmt.Errorf("sweep point missing override %q", name)
 		}
+		if len(values[i]) < n {
+			return fmt.Errorf("sheet: override column %q holds %d values, want %d", name, len(values[i]), n)
+		}
+		copy(b.cols[p.overrideSlots[i]][:n], values[i][:n])
 	}
 	for si := range b.bsteps {
 		if err := ctx.Err(); err != nil {

@@ -116,13 +116,27 @@ func newBatch(t *testing.T, d *Design, names []string, capacity int) *BatchEval 
 	return plan.newSweeper().newBatchEval(capacity)
 }
 
+// pointColumns lays points out as the override columns Run takes, one
+// per plan override name, in the plan's order.
+func pointColumns(b *BatchEval, points []map[string]float64) [][]float64 {
+	names := b.sw.plan.overrideNames
+	cols := make([][]float64, len(names))
+	for k, name := range names {
+		cols[k] = make([]float64, len(points))
+		for i, pt := range points {
+			cols[k][i] = pt[name]
+		}
+	}
+	return cols
+}
+
 // checkBatchMatchesEval runs one chunk through the BatchEval and every
 // point through EvaluateTotals, demanding bit-identical totals.
 func checkBatchMatchesEval(t *testing.T, d *Design, bev *BatchEval, points []map[string]float64) {
 	t.Helper()
 	n := len(points)
 	pw, area, delay := make([]float64, n), make([]float64, n), make([]float64, n)
-	if err := bev.Run(context.Background(), points, pw, area, delay); err != nil {
+	if err := bev.Run(context.Background(), pointColumns(bev, points), pw, area, delay); err != nil {
 		t.Fatalf("batch run: %v", err)
 	}
 	for i, ov := range points {
@@ -190,13 +204,13 @@ func TestBatchEvalErrors(t *testing.T) {
 	for i := range big {
 		big[i] = map[string]float64{"vdd": 1.5}
 	}
-	if err := bev.Run(ctx, big, make([]float64, 9), make([]float64, 9), make([]float64, 9)); err == nil ||
+	if err := bev.Run(ctx, pointColumns(bev, big), make([]float64, 9), make([]float64, 9), make([]float64, 9)); err == nil ||
 		!strings.Contains(err.Error(), "capacity") {
 		t.Fatalf("oversized chunk: got %v", err)
 	}
 
 	// A point missing the override the plan was compiled for.
-	if err := bev.Run(ctx, []map[string]float64{{"f": 1e6}}, pw, area, delay); err == nil ||
+	if err := bev.Run(ctx, nil, pw[:1], area[:1], delay[:1]); err == nil ||
 		!strings.Contains(err.Error(), "missing override") {
 		t.Fatalf("missing override: got %v", err)
 	}
@@ -205,14 +219,14 @@ func TestBatchEvalErrors(t *testing.T) {
 	// violates the std schema range (max 10 V), caught by the kernel
 	// path's per-column validation.
 	bad := []map[string]float64{{"vdd": 1.5}, {"vdd": 11}, {"vdd": 2}}
-	if err := bev.Run(ctx, bad[:3], pw, area, delay); err == nil {
+	if err := bev.Run(ctx, pointColumns(bev, bad[:3]), pw[:3], area[:3], delay[:3]); err == nil {
 		t.Fatal("out-of-range vdd slipped through the columnar path")
 	}
 
 	// Cancellation surfaces as an error, not a partial chunk.
 	canceled, cancel := context.WithCancel(context.Background())
 	cancel()
-	if err := bev.Run(canceled, []map[string]float64{{"vdd": 1.5}}, pw, area, delay); err == nil {
+	if err := bev.Run(canceled, [][]float64{{1.5}}, pw[:1], area[:1], delay[:1]); err == nil {
 		t.Fatal("canceled context not honored")
 	}
 
@@ -232,7 +246,7 @@ func TestBatchEvalModelRegeneration(t *testing.T) {
 	// and one over the recompiled plan matches the scalar path.
 	d.Registry.MustRegister(newSweepableCell("kernel cell v2", 200e-15))
 	pw, area, delay := make([]float64, 2), make([]float64, 2), make([]float64, 2)
-	if err := bev.Run(context.Background(), pts, pw, area, delay); err == nil {
+	if err := bev.Run(context.Background(), pointColumns(bev, pts), pw, area, delay); err == nil {
 		t.Fatal("Run on a plan from a retired registry generation succeeded")
 	}
 	checkBatchMatchesEval(t, d, newBatch(t, d, []string{"vdd"}, 4), pts)

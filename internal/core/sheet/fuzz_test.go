@@ -184,8 +184,8 @@ func FuzzPlanMatchesInterpreter(f *testing.F) {
 			}
 			// A batch error is never canonical, only a batch success is.
 			pws, areas, delays := make([]float64, 2), make([]float64, 2), make([]float64, 2)
-			pts := []map[string]float64{ov, ov}
-			if plan.NewBatchEval(2).Run(context.Background(), pts, pws, areas, delays) == nil {
+			bev := plan.NewBatchEval(2)
+			if bev.Run(context.Background(), pointColumns(bev, []map[string]float64{ov, ov}), pws, areas, delays) == nil {
 				sameTotals(t, "BatchEval", pws[1], areas[1], delays[1], nil, want, wantErr)
 			}
 		}

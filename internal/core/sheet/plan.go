@@ -569,12 +569,17 @@ func (p *Plan) buildResults(run *planRun) []*Result {
 // sweeper snapshots the sweep-invariant portion of a plan: every step
 // that cannot depend on the override slots is executed once, and the
 // resulting slot vector (failures included) becomes the baseline each
-// BatchEval starts from.  A sweeper is immutable and safe to share;
-// per-sweep mutable state lives in the BatchEval.
+// BatchEval starts from.  A sweeper is immutable apart from its
+// atomically swapped spare, and safe to share; per-sweep mutable state
+// lives in the BatchEval a sweep holds.
 type sweeper struct {
 	plan     *Plan
 	baseline []float64
 	errs     []error
+	// spare is the BatchEval a finished sweep handed back (see
+	// BatchEval.Release): its invariant columns already hold the
+	// broadcast baseline.
+	spare atomic.Pointer[BatchEval]
 }
 
 // newSweeper hoists and executes the invariant steps.  A failing

@@ -485,7 +485,8 @@ func TestSweeperMatchesEvaluateAt(t *testing.T) {
 	}
 	n := len(pts)
 	power, area, delay := make([]float64, n), make([]float64, n), make([]float64, n)
-	if err := plan.newSweeper().newBatchEval(n).Run(context.Background(), pts, power, area, delay); err != nil {
+	bev := plan.newSweeper().newBatchEval(n)
+	if err := bev.Run(context.Background(), pointColumns(bev, pts), power, area, delay); err != nil {
 		t.Fatal(err)
 	}
 	for i, ov := range pts {
@@ -536,7 +537,7 @@ func TestPlanConcurrentSharedUse(t *testing.T) {
 				}
 				vdd := 1.0 + float64((g+i)%10)*0.2
 				ov := map[string]float64{"vdd": vdd}
-				if err := bev.Run(context.Background(), []map[string]float64{ov}, p1[:], a1[:], d1[:]); err != nil {
+				if err := bev.Run(context.Background(), [][]float64{{vdd}}, p1[:], a1[:], d1[:]); err != nil {
 					errs <- err
 					return
 				}

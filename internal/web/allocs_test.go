@@ -110,7 +110,7 @@ func TestServedAllocBudgets(t *testing.T) {
 			nRows++
 			return err
 		}},
-		{"200-step InfoPad vdd1 sweep", 525, func() error {
+		{"200-step InfoPad vdd1 sweep", 80, func() error {
 			_, err := serve(cookie, http.MethodGet, "/design/InfoPad/sweep?var=vdd1&from=1&to=3.3&steps=200", "")
 			return err
 		}},

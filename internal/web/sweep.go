@@ -70,7 +70,7 @@ func (s *Server) handleDesignSweep(w http.ResponseWriter, r *http.Request, u *Us
 	}
 	fail := func(status int, msg string) {
 		page.Error = msg
-		writePage(w, status, appendSweepPage(pageBuf(), &page, nil, nil))
+		writePage(w, status, appendSweepPage(pageBuf(), &page, nil, explore.Columns{}, nil))
 	}
 	from, err := units.Parse(page.From)
 	if err != nil {
@@ -88,8 +88,9 @@ func (s *Server) handleDesignSweep(w http.ResponseWriter, r *http.Request, u *Us
 		return
 	}
 	// The sweep reads the live tree, so the user's read lock is held
-	// from the variable check to the last point; the points hold no
-	// tree references, so the Pareto pass and the render run unlocked.
+	// from the variable check to the last point; the result columns
+	// hold no tree references, so the Pareto pass and the render run
+	// unlocked.
 	u.mu.RLock()
 	// The variable must exist somewhere in the sheet (overriding an
 	// unknown name would sweep nothing and silently plot a flat line).
@@ -107,7 +108,8 @@ func (s *Server) handleDesignSweep(w http.ResponseWriter, r *http.Request, u *Us
 	ctx, cancel := context.WithTimeout(r.Context(), s.sweepTimeout())
 	defer cancel()
 	start := time.Now()
-	pts, err := explore.Sweep(ctx, d, page.Var, explore.Linspace(from, to, steps))
+	values := explore.Linspace(from, to, steps)
+	cols, err := explore.SweepColumns(ctx, d, page.Var, values)
 	u.mu.RUnlock()
 	obs.Log(ctx).Debug("sweep finished",
 		"design", d.Name, "var", page.Var, "steps", steps,
@@ -127,13 +129,13 @@ func (s *Server) handleDesignSweep(w http.ResponseWriter, r *http.Request, u *Us
 		}
 		return
 	}
-	writePage(w, http.StatusOK, appendSweepPage(pageBuf(), &page, pts, explore.Front(pts)))
+	writePage(w, http.StatusOK, appendSweepPage(pageBuf(), &page, values, cols, explore.Front(cols.Power, cols.Delay)))
 }
 
 // appendSweepPage appends the whole sweep page — head, the error line,
 // the form echoing the request's fields, the swept table when there are
-// points, and foot — and returns the extended buffer.
-func appendSweepPage(dst []byte, page *sweepPage, pts []explore.Point, front []bool) []byte {
+// values, and foot — and returns the extended buffer.
+func appendSweepPage(dst []byte, page *sweepPage, values []float64, cols explore.Columns, front []bool) []byte {
 	dst = appendPageHead(dst, page.Site, page.Title)
 	dst = append(dst, '\n')
 	dst = appendErrorLine(dst, page.Error)
@@ -148,11 +150,11 @@ func appendSweepPage(dst []byte, page *sweepPage, pts []explore.Point, front []b
 	dst = append(dst, "\" size=\"8\">\nsteps <input name=\"steps\" value=\""...)
 	dst = appendHTMLText(dst, page.Steps)
 	dst = append(dst, "\" size=\"4\">\n<input type=\"submit\" value=\"Sweep\">\n</form>\n"...)
-	if len(pts) > 0 {
+	if len(values) > 0 {
 		dst = append(dst, "\n<table>\n<tr><th>"...)
 		dst = appendHTMLText(dst, page.Var)
 		dst = append(dst, "</th><th>Power</th><th>Area</th><th>Delay</th><th>Pareto</th></tr>\n"...)
-		dst = appendSweepRows(dst, pts, page.Var, front)
+		dst = appendSweepRows(dst, values, cols, front)
 		dst = append(dst, "\n</table>\n<p class=\"note\">Rows marked * are power/delay non-dominated.</p>\n"...)
 	}
 	dst = append(dst, "\n<p><a href=\"/design/"...)
@@ -161,22 +163,22 @@ func appendSweepPage(dst []byte, page *sweepPage, pts []explore.Point, front []b
 	return append(dst, pageFoot...)
 }
 
-// appendSweepRows appends one table row per point — the swept value,
-// power, area and delay, and a * on the power/delay front — and returns
-// the extended buffer.  The bytes are exactly what a {{range}} block
+// appendSweepRows appends one table row per swept value — the value,
+// its power, area and delay from the result columns, and a * on the
+// power/delay front — and returns the extended buffer.  The bytes are exactly what a {{range}} block
 // over the cells writes through html/template (sweep_test.go keeps that
 // block as the oracle), without reflecting over 200 × 5 cells.
-func appendSweepRows(dst []byte, pts []explore.Point, variable string, front []bool) []byte {
+func appendSweepRows(dst []byte, values []float64, cols explore.Columns, front []bool) []byte {
 	var cell [32]byte
-	for i, p := range pts {
+	for i, v := range values {
 		dst = append(dst, "\n<tr><td class=\"num\">"...)
-		dst = appendHTMLText(dst, strconv.AppendFloat(cell[:0], p.Vars[variable], 'g', 4, 64))
+		dst = appendHTMLText(dst, strconv.AppendFloat(cell[:0], v, 'g', 4, 64))
 		dst = append(dst, "</td><td class=\"num\">"...)
-		dst = appendHTMLText(dst, units.AppendFormat(cell[:0], p.Power, "W"))
+		dst = appendHTMLText(dst, units.AppendFormat(cell[:0], cols.Power[i], "W"))
 		dst = append(dst, "</td>\n<td class=\"num\">"...)
-		dst = appendHTMLText(dst, units.AppendArea(cell[:0], p.Area))
+		dst = appendHTMLText(dst, units.AppendArea(cell[:0], cols.Area[i]))
 		dst = append(dst, "</td><td class=\"num\">"...)
-		dst = appendHTMLText(dst, units.AppendFormat(cell[:0], p.Delay, "s"))
+		dst = appendHTMLText(dst, units.AppendFormat(cell[:0], cols.Delay[i], "s"))
 		dst = append(dst, "</td>\n<td>"...)
 		if front[i] {
 			dst = append(dst, '*')

@@ -480,14 +480,20 @@ func FuzzSweepPageMatchesOracle(f *testing.F) {
 					diffAt(string(got), want), around(string(got), diffAt(string(got), want)), around(want, diffAt(string(got), want)))
 			}
 		}
-		match(appendSweepPage(nil, &page, nil, nil), oracleSweep(t, site, name, q, nil, errMsg))
+		match(appendSweepPage(nil, &page, nil, explore.Columns{}, nil), oracleSweep(t, site, name, q, nil, errMsg))
 		pts := []explore.Point{
 			{Vars: map[string]float64{variable: 1.5}, Power: 1e-3, Area: 2e-6, Delay: 3e-9},
 			{Vars: map[string]float64{variable: 2.5e6}, Power: 5e-4, Area: 1e-9, Delay: 4e-9},
 			{Vars: map[string]float64{variable: -1e-7}, Power: 2e-3, Area: 0, Delay: 5e-9},
 		}
 		page.Error = ""
-		match(appendSweepPage(nil, &page, pts, explore.Front(pts)), oracleSweep(t, site, name, q, pts, ""))
+		values := []float64{pts[0].Vars[variable], pts[1].Vars[variable], pts[2].Vars[variable]}
+		cols := explore.Columns{
+			Power: []float64{pts[0].Power, pts[1].Power, pts[2].Power},
+			Area:  []float64{pts[0].Area, pts[1].Area, pts[2].Area},
+			Delay: []float64{pts[0].Delay, pts[1].Delay, pts[2].Delay},
+		}
+		match(appendSweepPage(nil, &page, values, cols, explore.Front(cols.Power, cols.Delay)), oracleSweep(t, site, name, q, pts, ""))
 	})
 }
 
