@@ -30,11 +30,14 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzSweepPageMatchesOracle$$' -fuzztime 10s ./internal/web/
 
 # Non-test Go lines per package, largest first, then the total.
+# internal/faultnet is imported only by tests: it is printed after the
+# total as test infrastructure and not counted in it.
 loc:
 	@$(GO) list -f '{{.ImportPath}}{{range .GoFiles}} {{$$.Dir}}/{{.}}{{end}}' ./... | \
 	while read -r pkg files; do \
 		[ -z "$$files" ] || printf '%7d %s\n' "$$(cat $$files | wc -l)" "$$pkg"; \
-	done | sort -k1,1nr | awk '{ print; n += $$1 } END { printf "%7d total\n", n }'
+	done | sort -k1,1nr | awk '$$2 ~ /\/internal\/faultnet$$/ { infra = $$0; next } { print; n += $$1 } \
+		END { printf "%7d total\n", n; if (infra != "") print infra " (test infrastructure, not in the total)" }'
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

@@ -47,7 +47,7 @@ func TestShardSim(t *testing.T) {
 	var u0, u1 string
 	for i := 0; u0 == "" || u1 == ""; i++ {
 		name := fmt.Sprintf("simuser%d", i)
-		switch shard.Owner(name, 2) {
+		switch shard.NewRing(shard.Members(2)).Pick(name) {
 		case 0:
 			if u0 == "" {
 				u0 = name

@@ -3,7 +3,8 @@
 // Figure 4 multiplier form, the Figure 5 InfoPad breakdown, the
 // activity-rate derivation, the Ong/Yan sorting-energy study (ref 15),
 // the voltage/frequency exploration sweeps, the Figure 6-7 remote
-// model round trip, and the ablations listed in DESIGN.md.
+// model round trip, the ablations listed in DESIGN.md, and the Design
+// Agent's tool flows (ref [1]).
 //
 // Usage:
 //
@@ -47,6 +48,7 @@ func experiments() []experiment {
 		{"octave", "Extension: Monte-Carlo check of the within-an-octave claim", runOctave},
 		{"profile", "Extension: profiler listing feeding the EQ 12 model", runProfile},
 		{"protocol", "Extension: controller models in context (protocol chip)", runProtocol},
+		{"agent", "Ref [1]: the Design Agent prices a row through tool flows", runAgent},
 	}
 }
 

@@ -2,6 +2,7 @@ package main
 
 import (
 	"os"
+	"strings"
 	"testing"
 )
 
@@ -42,5 +43,28 @@ func TestExperimentIDsUnique(t *testing.T) {
 	}
 	if len(seen) < 13 {
 		t.Errorf("only %d experiments registered", len(seen))
+	}
+}
+
+// TestAgentFlows: the Design Agent picks the cheap equation where the
+// context allows it and the netlist-and-simulate chain where it does
+// not, and a repeated parameter point is served from the flow cache.
+func TestAgentFlows(t *testing.T) {
+	var b strings.Builder
+	if err := agentFlows(&b); err != nil {
+		t.Fatal(err)
+	}
+	out := b.String()
+	for _, want := range []string{
+		"registered tools: equation, netlist, simulate\n",
+		"stdcell  equation ",
+		"custom   netlist → simulate ",
+		"tool runs to price the sheet: 3\n",
+		"the custom row's point again: 0 tool runs (flow cache hit)\n",
+		"a new point, 32 bits:        2 tool runs\n",
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("output lacks %q:\n%s", want, out)
+		}
 	}
 }

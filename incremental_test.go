@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"powerplay"
+	"powerplay/internal/expr"
 )
 
 // editableCells walks a design and collects every edit surface the
@@ -37,6 +38,19 @@ func editableCells(d *powerplay.Design) []editTarget {
 		}
 	})
 	return out
+}
+
+// setParamLiteral rebinds a bound row parameter of d to a literal, as
+// a typed edit would, but to values (NaN, Inf) no expression source
+// spells: it replaces the binding's expression in place, and Touch
+// advances the generation as the sheet's own setters do.
+func setParamLiteral(d *powerplay.Design, n *powerplay.Node, name string, v float64) {
+	for i := range n.Params {
+		if n.Params[i].Name == name {
+			n.Params[i].Expr = expr.Literal(v, "fuzz")
+		}
+	}
+	d.Touch()
 }
 
 // leafModel returns the model name of some model row, for structural
@@ -102,7 +116,7 @@ func TestIncrementalFuzzEquivalence(t *testing.T) {
 						if c.param == "" {
 							c.node.SetGlobalValue(c.name, v, "fuzz")
 						} else {
-							c.node.SetParamValue(c.param, v, "fuzz")
+							setParamLiteral(d, c.node, c.param, v)
 						}
 					case op < 7: // Play with no edit at all
 						d.Touch()

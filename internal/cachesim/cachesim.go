@@ -110,13 +110,6 @@ func (s Stats) MissRate() float64 {
 	return float64(s.Misses()) / float64(s.Accesses())
 }
 
-// MemoryTraffic returns the number of block transfers to/from the next
-// level: fills plus writebacks plus write-through words scaled to
-// blocks is deliberately NOT done — traffic is reported in events.
-func (s Stats) MemoryTraffic() uint64 {
-	return s.Misses() + s.Writebacks + s.MemWrites
-}
-
 type line struct {
 	tag     uint64
 	valid   bool
@@ -159,22 +152,8 @@ func New(cfg Config) (*Cache, error) {
 	}, nil
 }
 
-// Config returns the cache's organization.
-func (c *Cache) Config() Config { return c.cfg }
-
 // Stats returns the accumulated counters.
 func (c *Cache) Stats() Stats { return c.stats }
-
-// Reset clears contents and counters.
-func (c *Cache) Reset() {
-	for _, set := range c.sets {
-		for i := range set {
-			set[i] = line{}
-		}
-	}
-	c.clock = 0
-	c.stats = Stats{}
-}
 
 // Access performs one read (write=false) or write (write=true) of the
 // byte address addr and reports whether it hit.

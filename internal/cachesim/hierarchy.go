@@ -28,16 +28,13 @@ func NewHierarchy(cfgs ...Config) (*Hierarchy, error) {
 	return h, nil
 }
 
-// Levels returns the number of cache levels.
-func (h *Hierarchy) Levels() int { return len(h.levels) }
-
 // Stats returns the counters of level (1-based).
 func (h *Hierarchy) Stats(level int) Stats {
 	return h.levels[level-1].Stats()
 }
 
 // Access performs one access.  It returns the level that hit
-// (1-based), or Levels()+1 when the request went all the way to
+// (1-based), or the level count plus one when the request went all the way to
 // memory.
 func (h *Hierarchy) Access(addr uint64, write bool) int {
 	for i, c := range h.levels {
@@ -57,13 +54,6 @@ func (h *Hierarchy) Access(addr uint64, write bool) int {
 		}
 	}
 	return len(h.levels) + 1
-}
-
-// Reset clears every level.
-func (h *Hierarchy) Reset() {
-	for _, c := range h.levels {
-		c.Reset()
-	}
 }
 
 // MemoryAccesses returns the number of requests that missed every

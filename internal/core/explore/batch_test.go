@@ -172,8 +172,8 @@ func TestSweepCacheAccountingOncePerPoint(t *testing.T) {
 		{"columnar", testDesign(t)},
 		{"scalar-fallback", cycleDesign(t)},
 	} {
-		cache := NewCache(0)
-		r := &Runner{ChunkSize: 2, Cache: cache}
+		stats := cacheCounts()
+		r := &Runner{ChunkSize: 2, Cache: NewCache(0)}
 		// The same operating point twice within one chunk: two misses,
 		// no phantom hit from the second evaluation-and-store.
 		pts, err := r.Sweep(context.Background(), c.design, "vdd", []float64{2.5, 2.5})
@@ -183,14 +183,14 @@ func TestSweepCacheAccountingOncePerPoint(t *testing.T) {
 		if math.Float64bits(pts[0].Power) != math.Float64bits(pts[1].Power) {
 			t.Errorf("%s: duplicate points disagree: %v vs %v", c.name, pts[0].Power, pts[1].Power)
 		}
-		if hits, misses := cache.Stats(); hits != 0 || misses != 2 {
+		if hits, misses := stats(); hits != 0 || misses != 2 {
 			t.Errorf("%s cold: hits=%d misses=%d, want 0/2", c.name, hits, misses)
 		}
 		// Warm repeat: every request is one hit, nothing re-evaluated.
 		if _, err := r.Sweep(context.Background(), c.design, "vdd", []float64{2.5, 2.5}); err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
-		if hits, misses := cache.Stats(); hits != 2 || misses != 2 {
+		if hits, misses := stats(); hits != 2 || misses != 2 {
 			t.Errorf("%s warm: hits=%d misses=%d, want 2/2", c.name, hits, misses)
 		}
 	}

@@ -2,7 +2,6 @@ package explore
 
 import (
 	"container/list"
-	"sort"
 	"strconv"
 	"sync"
 
@@ -35,8 +34,6 @@ type Cache struct {
 	limit   int
 	entries map[string]*list.Element
 	order   *list.List // front = most recently used
-	hits    int64
-	misses  int64
 }
 
 // cacheRecord is one stored point: the key plus the design totals.
@@ -63,23 +60,9 @@ func NewCache(limit int) *Cache {
 	}
 }
 
-// Key canonicalizes an override vector into a cache key: names sorted,
-// values spelled with full round-trip precision, so two maps with the
-// same bindings always collide regardless of construction order.
-func Key(overrides map[string]float64) string {
-	names := make([]string, 0, len(overrides))
-	for n := range overrides {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	vals := make([][]float64, len(names))
-	for k, n := range names {
-		vals[k] = []float64{overrides[n]}
-	}
-	return keyAt(names, vals, 0)
-}
-
-// keyAt is Key of point i of a sweep's override columns, names sorted.
+// keyAt canonicalizes point i of a sweep's override columns (names
+// sorted) into a cache key: values spelled with full round-trip
+// precision, so equal bindings always collide.
 func keyAt(names []string, vals [][]float64, i int) string {
 	var b []byte
 	for k, n := range names {
@@ -99,11 +82,9 @@ func (c *Cache) lookup(key string) (cacheRecord, bool) {
 	defer c.mu.Unlock()
 	el, ok := c.entries[key]
 	if !ok {
-		c.misses++
 		sweepCacheEvents.With("miss").Inc()
 		return cacheRecord{}, false
 	}
-	c.hits++
 	sweepCacheEvents.With("hit").Inc()
 	c.order.MoveToFront(el)
 	return el.Value.(cacheRecord), true
@@ -133,12 +114,4 @@ func (c *Cache) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.order.Len()
-}
-
-// Stats reports the lifetime hit and miss counts: the observability
-// hook callers (and tests) use to confirm memoization is working.
-func (c *Cache) Stats() (hits, misses int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.hits, c.misses
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -167,25 +168,51 @@ func TestRunnerErrorDeterminism(t *testing.T) {
 	}
 }
 
+// key canonicalizes an override vector into a cache key: names sorted,
+// values spelled with full round-trip precision, so two maps with the
+// same bindings always collide regardless of construction order.
+func key(overrides map[string]float64) string {
+	names := make([]string, 0, len(overrides))
+	for n := range overrides {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	vals := make([][]float64, len(names))
+	for k, n := range names {
+		vals[k] = []float64{overrides[n]}
+	}
+	return keyAt(names, vals, 0)
+}
+
+// cacheCounts returns a reader of the sweep cache hits and misses
+// counted process-wide since the call.
+func cacheCounts() func() (hits, misses int64) {
+	h0, m0 := sweepCacheEvents.With("hit").Value(), sweepCacheEvents.With("miss").Value()
+	return func() (int64, int64) {
+		return int64(sweepCacheEvents.With("hit").Value() - h0), int64(sweepCacheEvents.With("miss").Value() - m0)
+	}
+}
+
 // TestCache checks the memoization layer: hits on repeats, capacity
 // bounded by LRU eviction, canonical keys.
 func TestCache(t *testing.T) {
 	d := testDesign(t)
 	cache := NewCache(0)
+	stats := cacheCounts()
 	r := &Runner{Cache: cache}
 	values := Linspace(1.0, 3.3, 10)
 	first, err := r.Sweep(context.Background(), d, "vdd", values)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if hits, misses := cache.Stats(); hits != 0 || misses != 10 {
+	if hits, misses := stats(); hits != 0 || misses != 10 {
 		t.Errorf("cold sweep: hits=%d misses=%d", hits, misses)
 	}
 	second, err := r.Sweep(context.Background(), d, "vdd", values)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if hits, _ := cache.Stats(); hits != 10 {
+	if hits, _ := stats(); hits != 10 {
 		t.Errorf("warm sweep should hit all 10 points, hits=%d", hits)
 	}
 	for i := range first {
@@ -196,12 +223,12 @@ func TestCache(t *testing.T) {
 	if cache.Len() != 10 {
 		t.Errorf("Len = %d", cache.Len())
 	}
-	// Key is canonical: insertion order of the map must not matter.
-	if Key(map[string]float64{"vdd": 1.5, "f": 2e6}) != Key(map[string]float64{"f": 2e6, "vdd": 1.5}) {
-		t.Error("Key should be order-independent")
+	// key is canonical: insertion order of the map must not matter.
+	if key(map[string]float64{"vdd": 1.5, "f": 2e6}) != key(map[string]float64{"f": 2e6, "vdd": 1.5}) {
+		t.Error("key should be order-independent")
 	}
-	if got := Key(map[string]float64{"vdd": 1.5, "f": 2e6}); got != "f=2e+06;vdd=1.5" {
-		t.Errorf("Key = %q", got)
+	if got := key(map[string]float64{"vdd": 1.5, "f": 2e6}); got != "f=2e+06;vdd=1.5" {
+		t.Errorf("key = %q", got)
 	}
 	// LRU eviction keeps the cache bounded.
 	small := NewCache(4)
@@ -218,18 +245,18 @@ func TestCache(t *testing.T) {
 // re-uses the bisection probes.
 func TestRunnerMinSupplyUsesCache(t *testing.T) {
 	d := testDesign(t)
-	cache := NewCache(0)
-	r := &Runner{Cache: cache}
+	stats := cacheCounts()
+	r := &Runner{Cache: NewCache(0)}
 	v1, err := r.MinSupply(context.Background(), d, 20e6, 0.9, 3.3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, missesCold := cache.Stats()
+	_, missesCold := stats()
 	v2, err := r.MinSupply(context.Background(), d, 20e6, 0.9, 3.3)
 	if err != nil || v1 != v2 {
 		t.Fatalf("repeat search: %v vs %v (%v)", v1, v2, err)
 	}
-	hits, misses := cache.Stats()
+	hits, misses := stats()
 	if misses != missesCold {
 		t.Errorf("repeat search evaluated new points: %d -> %d misses", missesCold, misses)
 	}

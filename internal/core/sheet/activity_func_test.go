@@ -14,9 +14,9 @@ func TestDbtactInSheet(t *testing.T) {
 	// Two identical cells: one with random data, one carrying a
 	// narrow, strongly correlated signal.
 	white := d.Root.MustAddChild("white", "cell")
-	white.SetParamValue("bits", 16, "16")
+	setParamValue(white, "bits", 16, "16")
 	corr := d.Root.MustAddChild("corr", "cell")
-	corr.SetParamValue("bits", 16, "16")
+	setParamValue(corr, "bits", 16, "16")
 	if err := corr.SetParam("act", "dbtact(512, 0.97, 16)"); err != nil {
 		t.Fatal(err)
 	}

@@ -10,10 +10,10 @@ func adviceDesign(t *testing.T) (*Design, *Result) {
 	d := NewDesign("demo", testRegistry())
 	d.Root.SetGlobalValue("vdd", 1.5, "1.5")
 	d.Root.SetGlobalValue("f", 1e6, "1e6")
-	d.Root.MustAddChild("hog", "cell").SetParamValue("bits", 900, "900")
+	setParamValue(d.Root.MustAddChild("hog", "cell"), "bits", 900, "900")
 	sub := d.Root.MustAddChild("sub", "")
-	sub.MustAddChild("mid", "cell").SetParamValue("bits", 90, "90")
-	sub.MustAddChild("tiny", "cell").SetParamValue("bits", 10, "10")
+	setParamValue(sub.MustAddChild("mid", "cell"), "bits", 90, "90")
+	setParamValue(sub.MustAddChild("tiny", "cell"), "bits", 10, "10")
 	r, err := d.Evaluate()
 	if err != nil {
 		t.Fatal(err)

@@ -14,7 +14,7 @@ func TestCompare(t *testing.T) {
 		// Deterministic construction order.
 		for _, n := range []string{"lut", "mem", "mux", "reg"} {
 			if bits, ok := rows[n]; ok {
-				d.Root.MustAddChild(n, "cell").SetParamValue("bits", bits, "")
+				setParamValue(d.Root.MustAddChild(n, "cell"), "bits", bits, "")
 			}
 		}
 		r, err := d.Evaluate()

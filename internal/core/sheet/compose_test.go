@@ -13,11 +13,11 @@ func TestComposeChainDelays(t *testing.T) {
 	d.Root.SetGlobalValue("f", 1e6, "1e6")
 	chain := d.Root.MustAddChild("stage", "")
 	chain.Delay = ComposeChain
-	chain.MustAddChild("mult", "cell").SetParamValue("bits", 30, "30") // 30 ns
-	chain.MustAddChild("add", "cell").SetParamValue("bits", 20, "20")  // 20 ns
+	setParamValue(chain.MustAddChild("mult", "cell"), "bits", 30, "30") // 30 ns
+	setParamValue(chain.MustAddChild("add", "cell"), "bits", 20, "20")  // 20 ns
 	par := d.Root.MustAddChild("regs", "")
-	par.MustAddChild("a", "cell").SetParamValue("bits", 8, "8")
-	par.MustAddChild("b", "cell").SetParamValue("bits", 9, "9")
+	setParamValue(par.MustAddChild("a", "cell"), "bits", 8, "8")
+	setParamValue(par.MustAddChild("b", "cell"), "bits", 9, "9")
 	r, err := d.Evaluate()
 	if err != nil {
 		t.Fatal(err)
@@ -46,8 +46,8 @@ func TestComposeChainWithOwnModel(t *testing.T) {
 	d.Root.SetGlobalValue("f", 1e6, "1e6")
 	head := d.Root.MustAddChild("head", "cell")
 	head.Delay = ComposeChain
-	head.SetParamValue("bits", 10, "10")
-	head.MustAddChild("tail", "cell").SetParamValue("bits", 5, "5")
+	setParamValue(head, "bits", 10, "10")
+	setParamValue(head.MustAddChild("tail", "cell"), "bits", 5, "5")
 	r, err := d.Evaluate()
 	if err != nil {
 		t.Fatal(err)
@@ -63,8 +63,8 @@ func TestComposeJSONRoundTrip(t *testing.T) {
 	d.Root.SetGlobalValue("f", 1e6, "1e6")
 	chain := d.Root.MustAddChild("stage", "")
 	chain.Delay = ComposeChain
-	chain.MustAddChild("a", "cell").SetParamValue("bits", 3, "3")
-	chain.MustAddChild("b", "cell").SetParamValue("bits", 4, "4")
+	setParamValue(chain.MustAddChild("a", "cell"), "bits", 3, "3")
+	setParamValue(chain.MustAddChild("b", "cell"), "bits", 4, "4")
 	blob, err := d.MarshalJSON()
 	if err != nil {
 		t.Fatal(err)

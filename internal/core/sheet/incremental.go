@@ -61,9 +61,8 @@ var dirtySlotBuckets = []float64{0, 1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024}
 var dirtySlots = obs.NewHistogram("powerplay_sheet_dirty_slots",
 	"Slots recomputed per incremental Play.", dirtySlotBuckets)
 
-// PlayDelta describes what one incremental Play actually did — the
-// changed-cell delta set a live-collaboration channel (SSE) will push
-// to other viewers of the same sheet.
+// PlayDelta describes how much work one incremental Play did: whether
+// it ran from scratch, and how many steps and slots it re-executed.
 type PlayDelta struct {
 	// Full reports a from-scratch evaluation (first Play, structural
 	// change, registry move, failed Play, or a plan that does not
@@ -73,11 +72,6 @@ type PlayDelta struct {
 	// plan's total; DirtySlots/TotalSlots the same for value slots.
 	DirtySteps, TotalSteps int
 	DirtySlots, TotalSlots int
-	// ChangedRows lists the paths of rows whose displayed results were
-	// recomputed this Play — model rows re-priced and hierarchy rows
-	// whose aggregates moved — in schedule order ("" is the root).  Nil
-	// when Full (everything changed) or when no row was touched.
-	ChangedRows []string
 }
 
 // Incremental is a Design's incremental Play engine: it retains the
@@ -215,7 +209,6 @@ func (e *Incremental) playIncremental(plan *Plan) (*Result, PlayDelta, error) {
 	// Propagate: a step reading a dirty slot is dirty; a dirty step's
 	// written slots are dirty.  Schedule order makes one pass complete.
 	dirtySteps, dirtySlotCount := 0, 0
-	var changedRows []string
 	var dirtyNodes []int
 	for i, st := range plan.steps {
 		if !dirty[i] {
@@ -236,7 +229,6 @@ func (e *Incremental) playIncremental(plan *Plan) (*Result, PlayDelta, error) {
 			}
 		})
 		if st.kind == stepNode {
-			changedRows = append(changedRows, plan.nodePaths[st.nodeIdx])
 			dirtyNodes = append(dirtyNodes, st.nodeIdx)
 			// Force a fresh parameter-map fill: a populated map skips
 			// its invariant entries, but under the adopted plan those
@@ -246,11 +238,10 @@ func (e *Incremental) playIncremental(plan *Plan) (*Result, PlayDelta, error) {
 	}
 
 	delta := PlayDelta{
-		DirtySteps:  dirtySteps,
-		TotalSteps:  len(plan.steps),
-		DirtySlots:  dirtySlotCount,
-		TotalSlots:  plan.slotCount,
-		ChangedRows: changedRows,
+		DirtySteps: dirtySteps,
+		TotalSteps: len(plan.steps),
+		DirtySlots: dirtySlotCount,
+		TotalSlots: plan.slotCount,
 	}
 	incrementalPlays.With("incremental").Inc()
 	dirtySlots.Observe(float64(dirtySlotCount))

@@ -42,10 +42,6 @@ func NewMacro(name, title, doc string, d *Design) (*Macro, error) {
 	}, nil
 }
 
-// Design exposes the wrapped design (for hyperlinking from the macro's
-// documentation page to the underlying sheet).
-func (m *Macro) Design() *Design { return m.design }
-
 // Info implements model.Model.
 func (m *Macro) Info() model.Info {
 	info := model.Info{

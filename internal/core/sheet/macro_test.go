@@ -12,8 +12,8 @@ func buildSubDesign(t *testing.T) *Design {
 	d := NewDesign("videochip", testRegistry())
 	d.Root.SetGlobalValue("vdd", 1.5, "1.5")
 	d.Root.SetGlobalValue("f", 2e6, "2MHz")
-	d.Root.MustAddChild("lut", "cell").SetParamValue("bits", 64, "64")
-	d.Root.MustAddChild("reg", "cell").SetParamValue("bits", 6, "6")
+	setParamValue(d.Root.MustAddChild("lut", "cell"), "bits", 64, "64")
+	setParamValue(d.Root.MustAddChild("reg", "cell"), "bits", 6, "6")
 	return d
 }
 

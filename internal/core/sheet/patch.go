@@ -152,7 +152,6 @@ func (p *Plan) patch() (*Plan, bool) {
 		globalSlot:    p.globalSlot,
 		nodeStep:      p.nodeStep,
 		globalNames:   p.globalNames,
-		nodePaths:     p.nodePaths,
 		writers:       p.writers,
 		volSteps:      p.volSteps,
 	}, true

@@ -150,7 +150,6 @@ type Plan struct {
 	globalSlot  map[globalKey]int // slot of every reachable global
 	nodeStep    []int             // per node index: index of its stepNode
 	globalNames [][]string        // per node index: global names at compile
-	nodePaths   []string          // per node index: path at compile (stable under patching)
 	writers     []int             // per slot: writing step index; lazy, engine-mu guarded
 
 	// volSteps lists the steps whose row resolved to a volatile model
@@ -321,17 +320,6 @@ func (run *planRun) err(slot int) error {
 	}
 	return nil
 }
-
-// Steps returns the number of scheduled steps (for tests and
-// diagnostics).
-func (p *Plan) Steps() int { return len(p.steps) }
-
-// VariantSteps returns how many steps depend on the override set: the
-// per-point work a sweep actually pays after invariant hoisting.
-func (p *Plan) VariantSteps() int { return len(p.variantSteps) }
-
-// Slots returns the size of the plan's slot vector.
-func (p *Plan) Slots() int { return p.slotCount }
 
 // execStep runs one step.  A failure is stored, not returned: the
 // step's slots become expr.Failed and carry the error the interpreter
@@ -744,12 +732,10 @@ func compilePlan(d *Design, names []string, regGen uint64) (*Plan, error) {
 		}
 	}
 	p.globalNames = make([][]string, len(p.nodes))
-	p.nodePaths = make([]string, len(p.nodes))
 	for i, n := range p.nodes {
 		for _, g := range n.Globals {
 			p.globalNames[i] = append(p.globalNames[i], g.Name)
 		}
-		p.nodePaths[i] = n.Path()
 	}
 	p.globalSlot = make(map[globalKey]int, len(pc.globals))
 	for k, gi := range pc.globals {

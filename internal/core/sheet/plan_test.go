@@ -475,9 +475,9 @@ func TestSweeperMatchesEvaluateAt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if plan.VariantSteps() >= plan.Steps() {
+	if len(plan.variantSteps) >= len(plan.steps) {
 		t.Fatalf("hoisting found no invariant work: %d of %d steps variant",
-			plan.VariantSteps(), plan.Steps())
+			len(plan.variantSteps), len(plan.steps))
 	}
 	var pts []map[string]float64
 	for _, vdd := range []float64{0.8, 1.0, 1.5, 2.0, 3.3} {

@@ -29,7 +29,7 @@ func buildRandomTree(seed int64) (*Design, int) {
 				continue
 			}
 			leaf := n.MustAddChild(fmt.Sprintf("c%d_%d", depth, i), "cell")
-			leaf.SetParamValue("bits", float64(1+rng.Intn(64)), "")
+			setParamValue(leaf, "bits", float64(1+rng.Intn(64)), "")
 			leaves++
 		}
 	}

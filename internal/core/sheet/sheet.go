@@ -17,7 +17,6 @@ package sheet
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -121,13 +120,13 @@ type Design struct {
 
 // Generation returns the design's mutation generation: a cheap
 // monotonic counter bumped by every tree mutation (AddChild,
-// RemoveChild, SetParam, SetGlobal, their Delete twins, SortChildren
-// and Touch).  Two reads returning the same value bracket a span in
-// which the tree did not change, which makes the counter the
-// invalidation key for anything derived from an evaluation — the web
-// layer's memoized results, rendered pages and sweep point caches all
-// key on it, as does the compiled-plan cache.  It costs one atomic
-// load, unlike a serialization hash.
+// RemoveChild, SetParam, SetGlobal, their Delete twins and Touch).
+// Two reads returning the same value bracket a span in which the tree
+// did not change, which makes the counter the invalidation key for
+// anything derived from an evaluation — the web layer's memoized
+// results, rendered pages and sweep point caches all key on it, as
+// does the compiled-plan cache.  It costs one atomic load, unlike a
+// serialization hash.
 func (d *Design) Generation() uint64 { return d.Root.epoch.Load() }
 
 // Touch advances the generation without changing the tree: callers
@@ -247,13 +246,6 @@ func (n *Node) SetParam(name, src string) error {
 	return nil
 }
 
-// SetParamValue binds a parameter to a literal, keeping its
-// engineering-notation spelling.
-func (n *Node) SetParamValue(name string, v float64, text string) {
-	set(&n.Params, name, expr.Literal(v, text))
-	n.bump()
-}
-
 // Param returns the binding for name, or nil.
 func (n *Node) Param(name string) *expr.Expr { return get(n.Params, name) }
 
@@ -370,13 +362,4 @@ func (d *Design) Resolve(from *Node, ref string) *Node {
 		}
 	}
 	return d.Root.Find(ref)
-}
-
-// SortChildren orders a node's children by name (stable display for
-// generated designs); construction order is kept by default.
-func (n *Node) SortChildren() {
-	sort.Slice(n.Children, func(i, j int) bool {
-		return n.Children[i].Name < n.Children[j].Name
-	})
-	n.bump()
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"powerplay/internal/core/model"
+	"powerplay/internal/expr"
 	"powerplay/internal/units"
 )
 
@@ -134,8 +135,8 @@ func TestInterModelPower(t *testing.T) {
 	d := NewDesign("system", testRegistry())
 	d.Root.SetGlobalValue("vdd", 5, "5")
 	d.Root.SetGlobalValue("f", 1e6, "1e6")
-	d.Root.MustAddChild("radio", "cell").SetParamValue("bits", 100, "100")
-	d.Root.MustAddChild("cpu", "cell").SetParamValue("bits", 50, "50")
+	setParamValue(d.Root.MustAddChild("radio", "cell"), "bits", 100, "100")
+	setParamValue(d.Root.MustAddChild("cpu", "cell"), "bits", 50, "50")
 	conv := d.Root.MustAddChild("conv", "loss")
 	if err := conv.SetParam("pload", `power("radio") + power("cpu")`); err != nil {
 		t.Fatal(err)
@@ -159,7 +160,7 @@ func TestInterModelAreaAndDelay(t *testing.T) {
 	d := NewDesign("demo", testRegistry())
 	d.Root.SetGlobalValue("vdd", 1.5, "1.5")
 	d.Root.SetGlobalValue("f", 1e6, "1e6")
-	d.Root.MustAddChild("datapath", "cell").SetParamValue("bits", 64, "64")
+	setParamValue(d.Root.MustAddChild("datapath", "cell"), "bits", 64, "64")
 	probe := d.Root.MustAddChild("probe", "cell")
 	// Contrived but exercises area()/delay(): bits from sibling area.
 	if err := probe.SetParam("bits", `area("datapath") * 1e9 / 8`); err != nil {
@@ -283,7 +284,7 @@ func TestNodeTreeOps(t *testing.T) {
 		t.Error("RemoveChild")
 	}
 	// Param/global CRUD.
-	a.SetParamValue("bits", 4, "4")
+	setParamValue(a, "bits", 4, "4")
 	if a.Param("bits") == nil {
 		t.Error("Param")
 	}
@@ -314,9 +315,9 @@ func TestResolveSiblingFirst(t *testing.T) {
 	d := NewDesign("demo", testRegistry())
 	d.Root.SetGlobalValue("vdd", 5, "5")
 	d.Root.SetGlobalValue("f", 1e6, "1e6")
-	d.Root.MustAddChild("mem", "cell").SetParamValue("bits", 1000, "1000")
+	setParamValue(d.Root.MustAddChild("mem", "cell"), "bits", 1000, "1000")
 	sub := d.Root.MustAddChild("sub", "")
-	sub.MustAddChild("mem", "cell").SetParamValue("bits", 1, "1")
+	setParamValue(sub.MustAddChild("mem", "cell"), "bits", 1, "1")
 	conv := sub.MustAddChild("conv", "loss")
 	conv.SetParam("pload", `power("mem")`)
 	r, err := d.Evaluate()
@@ -329,12 +330,8 @@ func TestResolveSiblingFirst(t *testing.T) {
 	}
 }
 
-func TestSortChildren(t *testing.T) {
-	d := NewDesign("demo", testRegistry())
-	d.Root.MustAddChild("zeta", "")
-	d.Root.MustAddChild("alpha", "")
-	d.Root.SortChildren()
-	if d.Root.Children[0].Name != "alpha" {
-		t.Error("SortChildren")
-	}
+// setParamValue binds a parameter to a literal, keeping its spelling.
+func setParamValue(n *Node, name string, v float64, text string) {
+	set(&n.Params, name, expr.Literal(v, text))
+	n.bump()
 }

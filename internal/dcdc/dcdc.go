@@ -34,16 +34,6 @@ func Dissipation(pload units.Watts, eta float64) (units.Watts, error) {
 	return units.Watts(float64(pload) * (1 - eta) / eta), nil
 }
 
-// InputPower returns the total power drawn from the converter's source:
-// load plus dissipation.
-func InputPower(pload units.Watts, eta float64) (units.Watts, error) {
-	d, err := Dissipation(pload, eta)
-	if err != nil {
-		return 0, err
-	}
-	return pload + d, nil
-}
-
 // Converter is the library model.  In a sheet, "pload" is bound to an
 // expression summing the powers of the modules the converter feeds.
 type Converter struct {

@@ -44,13 +44,13 @@ func TestDissipationEQ19(t *testing.T) {
 }
 
 func TestInputPowerEQ18(t *testing.T) {
-	// EQ 18 identity: η = Pload / Pin.
-	pin, err := InputPower(2, 0.8)
+	// EQ 18 identity: η = Pload / Pin, where Pin = Pload + Pdiss.
+	diss, err := Dissipation(2, 0.8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !almost(2/float64(pin), 0.8) {
-		t.Errorf("η recovered = %v, want 0.8", 2/float64(pin))
+	if pin := 2 + float64(diss); !almost(2/pin, 0.8) {
+		t.Errorf("η recovered = %v, want 0.8", 2/pin)
 	}
 }
 

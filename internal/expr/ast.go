@@ -146,57 +146,11 @@ func (e *Expr) Source() string { return e.src }
 // to find the dirty cells.
 func (e *Expr) ID() uint64 { return e.id }
 
-// Root returns the root of the parse tree.
-func (e *Expr) Root() Node { return e.root }
-
 // String re-serializes the expression in canonical form.
 func (e *Expr) String() string {
 	var b strings.Builder
 	e.root.writeTo(&b)
 	return b.String()
-}
-
-// Vars returns the set of free variable names referenced by the
-// expression, in first-appearance order.  Function names are not
-// included; use Calls for those.
-func (e *Expr) Vars() []string {
-	var out []string
-	seen := map[string]bool{}
-	walk(e.root, func(n Node) {
-		if v, ok := n.(*Var); ok && !seen[v.Name] {
-			seen[v.Name] = true
-			out = append(out, v.Name)
-		}
-	})
-	return out
-}
-
-// CallRef identifies one function application site, with any leading
-// string-literal argument resolved (CallRef{"power", "radio"} for
-// power("radio")).  Arg is empty when the first argument is not a string
-// literal.
-type CallRef struct {
-	Name string
-	Arg  string
-}
-
-// Calls returns every function application in the expression.
-func (e *Expr) Calls() []CallRef {
-	var out []CallRef
-	walk(e.root, func(n Node) {
-		c, ok := n.(*Call)
-		if !ok {
-			return
-		}
-		ref := CallRef{Name: c.Name}
-		if len(c.Args) > 0 {
-			if s, ok := c.Args[0].(*Str); ok {
-				ref.Arg = s.Value
-			}
-		}
-		out = append(out, ref)
-	})
-	return out
 }
 
 func walk(n Node, f func(Node)) {

@@ -220,34 +220,6 @@ func TestEvalErrors(t *testing.T) {
 	}
 }
 
-func TestVars(t *testing.T) {
-	e := MustCompile("words*bits*c0 + words + lut.words*f")
-	got := e.Vars()
-	want := []string{"words", "bits", "c0", "lut.words", "f"}
-	if len(got) != len(want) {
-		t.Fatalf("Vars = %v, want %v", got, want)
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Errorf("Vars[%d] = %q, want %q", i, got[i], want[i])
-		}
-	}
-}
-
-func TestCalls(t *testing.T) {
-	e := MustCompile(`power("radio") + power("cpu") + max(1, area("x"))`)
-	got := e.Calls()
-	want := []CallRef{{"power", "radio"}, {"power", "cpu"}, {"max", ""}, {"area", "x"}}
-	if len(got) != len(want) {
-		t.Fatalf("Calls = %v, want %v", got, want)
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Errorf("Calls[%d] = %v, want %v", i, got[i], want[i])
-		}
-	}
-}
-
 func TestConst(t *testing.T) {
 	if v, ok := MustCompile("2*3 + 4").Const(); !ok || v != 10 {
 		t.Errorf("Const = %v, %v", v, ok)

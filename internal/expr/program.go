@@ -170,9 +170,6 @@ type Scratch struct {
 // Slots behind untaken branches are included (the set is conservative).
 func (p *Program) Slots() []int { return p.slots }
 
-// Source returns the source text of the compiled expression.
-func (p *Program) Source() string { return p.src }
-
 // CompileProgram lowers a parsed expression to a slot-resolved program.
 // Compilation never fails: names the scope cannot resolve compile to
 // instructions that raise the interpreter's corresponding error if the

@@ -18,10 +18,9 @@
 //   - garbage JSON (a captive portal, a proxy error page);
 //   - slow-drip bodies (a byte at a time, the classic stalled peer).
 //
-// Schedules are plain slices, so tests read as tables; Seeded builds a
-// reproducible pseudo-random schedule from a seed for soak-style runs.
-// Once the schedule is exhausted the proxy applies its default fault
-// (Pass unless changed with SetDefault), so "remote dies after N good
+// Schedules are plain slices, so tests read as tables.  Once the
+// schedule is exhausted the proxy applies its default fault (Pass
+// unless changed with SetDefault), so "remote dies after N good
 // requests" is SetDefault(Fault{Mode: Reset}) with an N-Pass schedule.
 //
 // The proxy never sleeps past a canceled request context and counts
@@ -32,7 +31,6 @@ package faultnet
 
 import (
 	"fmt"
-	"math/rand"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -138,13 +136,6 @@ func (p *Proxy) Requests() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.requests
-}
-
-// Remaining returns how many scripted faults have not yet fired.
-func (p *Proxy) Remaining() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.schedule) - p.pos
 }
 
 // next pops the request's fault and counts the request.
@@ -286,61 +277,4 @@ func copyHeader(w http.ResponseWriter, rec *httptest.ResponseRecorder) {
 			w.Header().Add(k, v)
 		}
 	}
-}
-
-// Burst returns n copies of f: Burst(3, Fault{Mode: Status}) is a
-// three-request 5xx burst.
-func Burst(n int, f Fault) []Fault {
-	out := make([]Fault, n)
-	for i := range out {
-		out[i] = f
-	}
-	return out
-}
-
-// Script concatenates fault groups into one schedule, so tests compose
-// bursts and single faults declaratively.
-func Script(groups ...[]Fault) []Fault {
-	var out []Fault
-	for _, g := range groups {
-		out = append(out, g...)
-	}
-	return out
-}
-
-// Weighted is one choice of a Seeded schedule.
-type Weighted struct {
-	// Fault is the scripted behavior.
-	Fault Fault
-	// Weight is its relative draw probability (non-positive = 1).
-	Weight int
-}
-
-// Seeded returns a deterministic n-fault schedule drawn from the
-// weighted choices with a fixed math/rand seed: the same seed always
-// yields the same schedule, so soak tests are reproducible.
-func Seeded(seed int64, n int, choices ...Weighted) []Fault {
-	if len(choices) == 0 {
-		return make([]Fault, n) // all Pass
-	}
-	total := 0
-	for i := range choices {
-		if choices[i].Weight <= 0 {
-			choices[i].Weight = 1
-		}
-		total += choices[i].Weight
-	}
-	rnd := rand.New(rand.NewSource(seed))
-	out := make([]Fault, n)
-	for i := range out {
-		k := rnd.Intn(total)
-		for _, c := range choices {
-			if k < c.Weight {
-				out[i] = c.Fault
-				break
-			}
-			k -= c.Weight
-		}
-	}
-	return out
 }

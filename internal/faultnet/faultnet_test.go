@@ -6,7 +6,6 @@ import (
 	"errors"
 	"io"
 	"net/http"
-	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -50,13 +49,14 @@ func TestPassAndExhaustedScheduleDefaultsToPass(t *testing.T) {
 	if p.Requests() != 3 {
 		t.Errorf("requests = %d, want 3", p.Requests())
 	}
-	if p.Remaining() != 0 {
-		t.Errorf("remaining = %d, want 0", p.Remaining())
+	if rem := len(p.schedule) - p.pos; rem != 0 {
+		t.Errorf("remaining = %d, want 0", rem)
 	}
 }
 
 func TestStatusBurst(t *testing.T) {
-	p := New(upstream(), Script(Burst(2, Fault{Mode: Status, Code: 500}), []Fault{{Mode: Pass}})...)
+	burst := Fault{Mode: Status, Code: 500}
+	p := New(upstream(), burst, burst, Fault{Mode: Pass})
 	defer p.Close()
 	for i, want := range []int{500, 500, 200} {
 		resp, err := get(t, p.URL())
@@ -176,29 +176,5 @@ func TestSetDefaultKillsRemote(t *testing.T) {
 		if _, err := get(t, p.URL()); err == nil {
 			t.Fatalf("request %d after death should fail", i)
 		}
-	}
-}
-
-func TestSeededIsDeterministic(t *testing.T) {
-	choices := []Weighted{
-		{Fault: Fault{Mode: Pass}, Weight: 3},
-		{Fault: Fault{Mode: Status, Code: 503}, Weight: 1},
-		{Fault: Fault{Mode: Reset}, Weight: 1},
-	}
-	a := Seeded(7, 50, choices...)
-	b := Seeded(7, 50, choices...)
-	if !reflect.DeepEqual(a, b) {
-		t.Fatal("same seed must yield the same schedule")
-	}
-	c := Seeded(8, 50, choices...)
-	if reflect.DeepEqual(a, c) {
-		t.Fatal("different seeds should (overwhelmingly) differ")
-	}
-	modes := map[Mode]int{}
-	for _, f := range a {
-		modes[f.Mode]++
-	}
-	if modes[Pass] == 0 || modes[Pass] == 50 {
-		t.Errorf("weighted draw looks degenerate: %v", modes)
 	}
 }

@@ -3,7 +3,6 @@ package library
 import (
 	"encoding/json"
 	"fmt"
-	"io"
 
 	"powerplay/internal/core/model"
 	"powerplay/internal/expr"
@@ -191,13 +190,6 @@ func ParseEquation(data []byte) (*Equation, error) {
 		return nil, err
 	}
 	return &q, nil
-}
-
-// MarshalTo writes the JSON form of the model definition.
-func (q *Equation) MarshalTo(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(q)
 }
 
 // LoadEquations reads a JSON array of model definitions, compiling and

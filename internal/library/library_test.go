@@ -1,7 +1,7 @@
 package library
 
 import (
-	"bytes"
+	"encoding/json"
 	"math"
 	"strings"
 	"testing"
@@ -229,13 +229,13 @@ func TestEquationJSONRoundTrip(t *testing.T) {
 	if got := float64(est.SwitchedCap()); !almost(got, 144*253e-15) {
 		t.Errorf("C_T = %v", got)
 	}
-	var buf bytes.Buffer
-	if err := q.MarshalTo(&buf); err != nil {
+	buf, err := json.Marshal(q)
+	if err != nil {
 		t.Fatal(err)
 	}
-	q2, err := ParseEquation(buf.Bytes())
+	q2, err := ParseEquation(buf)
 	if err != nil {
-		t.Fatalf("re-parse: %v (json: %s)", err, buf.String())
+		t.Fatalf("re-parse: %v (json: %s)", err, buf)
 	}
 	if q2.Csw != q.Csw || len(q2.Params) != 1 {
 		t.Errorf("round trip lost data: %+v", q2)

@@ -23,10 +23,7 @@ import (
 
 type ctxKey int
 
-const (
-	requestIDKey ctxKey = iota
-	loggerKey
-)
+const requestIDKey ctxKey = 0
 
 // NewRequestID mints a fresh request ID: 8 random bytes, hex-encoded.
 // Collisions across a log-retention window are about as likely as a
@@ -73,21 +70,12 @@ func RequestID(ctx context.Context) string {
 	return id
 }
 
-// WithLogger returns ctx carrying a logger for Log to hand back.
-func WithLogger(ctx context.Context, l *slog.Logger) context.Context {
-	return context.WithValue(ctx, loggerKey, l)
-}
-
-// Log returns the context's logger — in a request, tagged with its
-// request_id — or slog.Default() when the context carries none.  A nil
-// context is tolerated so helpers without one still log.  The tagged
-// logger is built here, at the (rare) log site, so carrying an ID
-// through the (hot) non-logging path costs nothing.
+// Log returns slog.Default(), tagged with the context's request_id in
+// a request.  A nil context is tolerated so helpers without one still
+// log.  The tagged logger is built here, at the (rare) log site, so
+// carrying an ID through the (hot) non-logging path costs nothing.
 func Log(ctx context.Context) *slog.Logger {
 	if ctx != nil {
-		if l, ok := ctx.Value(loggerKey).(*slog.Logger); ok {
-			return l
-		}
 		if id, ok := ctx.Value(requestIDKey).(string); ok {
 			return slog.Default().With("request_id", id)
 		}

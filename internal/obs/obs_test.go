@@ -184,11 +184,6 @@ func TestLogFallsBackToDefault(t *testing.T) {
 	if Log(nil) != slog.Default() {
 		t.Error("nil context should log to slog.Default")
 	}
-	l := slog.Default().With("request_id", "abc")
-	ctx := WithLogger(context.Background(), l)
-	if Log(ctx) != l {
-		t.Error("context logger not returned")
-	}
 }
 
 // TestExpositionMatchesFrozenWriter: the strconv-based writer renders

@@ -92,16 +92,6 @@ func Assemble(src string) (*Program, error) {
 	return p, nil
 }
 
-// MustAssemble is Assemble that panics on error, for the built-in
-// programs.
-func MustAssemble(src string) *Program {
-	p, err := Assemble(src)
-	if err != nil {
-		panic(err)
-	}
-	return p
-}
-
 func validLabel(s string) bool {
 	if s == "" {
 		return false

@@ -95,7 +95,7 @@ func TestAsmErrorLineNumbers(t *testing.T) {
 }
 
 func TestInstrString(t *testing.T) {
-	p := MustAssemble(`
+	p := mustAssemble(`
  li r1, 5
  mov r2, r1
  add r3, r1, r2
@@ -123,13 +123,14 @@ zero: jmp zero
 	}
 }
 
-func TestMustAssemblePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("MustAssemble should panic")
-		}
-	}()
-	MustAssemble("bogus")
+// mustAssemble is Assemble that fails loudly, for programs the tests
+// write out in full.
+func mustAssemble(src string) *Program {
+	p, err := Assemble(src)
+	if err != nil {
+		panic(err)
+	}
+	return p
 }
 
 func TestOpNameRoundTrip(t *testing.T) {

@@ -142,35 +142,6 @@ inext:  shri r2, r2, 1
 done:   halt
 `
 
-// FIRSrc is a direct-form FIR filter: the multiply-heavy DSP inner
-// loop whose energy is dominated by ClassMul — the workload the
-// paper's multiplier model (EQ 20) exists for.
-//
-// Calling convention: r0 = x base, r1 = x length, r2 = h base,
-// r3 = tap count, r4 = y base; y[n] = Σ h[k]·x[n−k] for n ≥ taps−1.
-const FIRSrc = `
-; FIR: r0 = x, r1 = nx, r2 = h, r3 = taps, r4 = y
-        addi r5, r3, -1     ; n = taps-1
-nloop:  bge  r5, r1, done
-        li   r6, 0          ; acc
-        li   r7, 0          ; k
-kloop:  bge  r7, r3, kdone
-        add  r8, r2, r7
-        ld   r9, 0(r8)      ; h[k]
-        sub  r10, r5, r7
-        add  r11, r0, r10
-        ld   r12, 0(r11)    ; x[n-k]
-        mul  r13, r9, r12
-        add  r6, r6, r13
-        addi r7, r7, 1
-        jmp  kloop
-kdone:  add  r8, r4, r5
-        st   r6, 0(r8)
-        addi r5, r5, 1
-        jmp  nloop
-done:   halt
-`
-
 // SortPrograms maps algorithm name → source, in descending asymptotic
 // cost — the order the Ong/Yan reproduction reports them.
 func SortPrograms() []struct{ Name, Src string } {
@@ -180,32 +151,6 @@ func SortPrograms() []struct{ Name, Src string } {
 		{"shellsort", ShellSortSrc},
 		{"quicksort", QuickSortSrc},
 	}
-}
-
-// RunFIR assembles and executes the FIR program over input x and taps
-// h, returning the filtered output (aligned with x; the first
-// len(h)-1 entries are untouched zeros) and the profile.
-func RunFIR(x, h []int64) ([]int64, *Profile, error) {
-	prog, err := Assemble(FIRSrc)
-	if err != nil {
-		return nil, nil, err
-	}
-	nx, taps := len(x), len(h)
-	memWords := 2*nx + taps + 256
-	vm := NewVM(prog, memWords)
-	copy(vm.Mem, x)
-	copy(vm.Mem[nx:], h)
-	vm.Regs[0] = 0
-	vm.Regs[1] = int64(nx)
-	vm.Regs[2] = int64(nx)
-	vm.Regs[3] = int64(taps)
-	vm.Regs[4] = int64(nx + taps)
-	if err := vm.Run(); err != nil {
-		return nil, nil, err
-	}
-	out := make([]int64, nx)
-	copy(out, vm.Mem[nx+taps:nx+taps+nx])
-	return out, vm.Profile(), nil
 }
 
 // RunSort assembles and executes one of the sorting programs on the

@@ -30,7 +30,7 @@ func TestProfileReport(t *testing.T) {
 }
 
 func TestDisassemble(t *testing.T) {
-	prog := MustAssemble(`
+	prog := mustAssemble(`
 start:  li   r1, 3
 loop:   addi r1, r1, -1
         bne  r1, r0, loop
@@ -87,7 +87,7 @@ func stripIndices(listing string) string {
 }
 
 func TestDisassembleTrailingLabel(t *testing.T) {
-	prog := MustAssemble("jmp end\nend:")
+	prog := mustAssemble("jmp end\nend:")
 	var b strings.Builder
 	prog.Disassemble(&b)
 	if !strings.HasSuffix(strings.TrimSpace(b.String()), "end:") {

@@ -19,23 +19,6 @@ type Profile struct {
 	MemReads, MemWrites uint64
 }
 
-// Add accumulates another profile into p.
-func (p *Profile) Add(q *Profile) {
-	for i := range p.ByClass {
-		p.ByClass[i] += q.ByClass[i]
-	}
-	if p.ByOp == nil {
-		p.ByOp = make(map[Op]uint64)
-	}
-	for op, n := range q.ByOp {
-		p.ByOp[op] += n
-	}
-	p.Total += q.Total
-	p.TakenBranches += q.TakenBranches
-	p.MemReads += q.MemReads
-	p.MemWrites += q.MemWrites
-}
-
 // TrapError reports a runtime fault in the simulated program.
 type TrapError struct {
 	PC  int
@@ -88,9 +71,6 @@ func NewVM(prog *Program, memWords int) *VM {
 
 // Profile returns the run's instruction histogram.
 func (vm *VM) Profile() *Profile { return &vm.profile }
-
-// Halted reports whether the program executed halt.
-func (vm *VM) Halted() bool { return vm.halted }
 
 // Run executes until halt, a trap, or the step bound.
 func (vm *VM) Run() error {

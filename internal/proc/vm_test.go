@@ -10,7 +10,7 @@ import (
 
 func run(t *testing.T, src string, mem int, setup func(*VM)) *VM {
 	t.Helper()
-	vm := NewVM(MustAssemble(src), mem)
+	vm := NewVM(mustAssemble(src), mem)
 	if setup != nil {
 		setup(vm)
 	}
@@ -43,7 +43,7 @@ func TestALUOps(t *testing.T) {
 			t.Errorf("r%d = %d, want %d", r, vm.Regs[r], v)
 		}
 	}
-	if !vm.Halted() {
+	if !vm.halted {
 		t.Error("should have halted")
 	}
 }
@@ -136,7 +136,7 @@ func TestTraps(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			vm := NewVM(MustAssemble(c.src), c.mem)
+			vm := NewVM(mustAssemble(c.src), c.mem)
 			err := vm.Run()
 			if err == nil {
 				t.Fatal("expected trap")
@@ -149,7 +149,7 @@ func TestTraps(t *testing.T) {
 }
 
 func TestStackOverflow(t *testing.T) {
-	vm := NewVM(MustAssemble("loop: push r0\njmp loop"), 8)
+	vm := NewVM(mustAssemble("loop: push r0\njmp loop"), 8)
 	err := vm.Run()
 	if err == nil || !strings.Contains(err.Error(), "stack overflow") {
 		t.Errorf("err = %v", err)
@@ -157,7 +157,7 @@ func TestStackOverflow(t *testing.T) {
 }
 
 func TestStepLimit(t *testing.T) {
-	vm := NewVM(MustAssemble("loop: jmp loop"), 4)
+	vm := NewVM(mustAssemble("loop: jmp loop"), 4)
 	vm.MaxSteps = 1000
 	err := vm.Run()
 	if err == nil || !strings.Contains(err.Error(), "step limit") {
@@ -166,7 +166,7 @@ func TestStepLimit(t *testing.T) {
 }
 
 func TestStepAfterHalt(t *testing.T) {
-	vm := NewVM(MustAssemble("halt"), 4)
+	vm := NewVM(mustAssemble("halt"), 4)
 	if err := vm.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +181,7 @@ func TestTracerSeesAccesses(t *testing.T) {
 		addr  uint64
 		write bool
 	}
-	vm := NewVM(MustAssemble("li r1, 9\nst r1, 3(r0)\nld r2, 3(r0)\nhalt"), 16)
+	vm := NewVM(mustAssemble("li r1, 9\nst r1, 3(r0)\nld r2, 3(r0)\nhalt"), 16)
 	vm.Tracer = func(addr uint64, write bool) {
 		trace = append(trace, struct {
 			addr  uint64
@@ -207,25 +207,6 @@ func TestProfileCounts(t *testing.T) {
 	}
 	if p.ByOp[OpLi] != 1 || p.ByOp[OpAdd] != 1 {
 		t.Errorf("by op = %v", p.ByOp)
-	}
-}
-
-func TestProfileAdd(t *testing.T) {
-	var a, b Profile
-	a.ByOp = map[Op]uint64{OpAdd: 1}
-	a.Total, a.MemReads = 3, 1
-	a.ByClass[ClassALU] = 3
-	b.ByOp = map[Op]uint64{OpAdd: 2, OpLd: 1}
-	b.Total, b.MemReads, b.TakenBranches = 4, 2, 1
-	b.ByClass[ClassALU] = 3
-	a.Add(&b)
-	if a.Total != 7 || a.MemReads != 3 || a.TakenBranches != 1 || a.ByOp[OpAdd] != 3 || a.ByClass[ClassALU] != 6 {
-		t.Errorf("Add result = %+v", a)
-	}
-	var zero Profile
-	zero.Add(&b) // nil ByOp path
-	if zero.ByOp[OpLd] != 1 {
-		t.Error("Add should lazily allocate ByOp")
 	}
 }
 

@@ -34,7 +34,7 @@ func TestRemovalRemap(t *testing.T) {
 		small := NewRing(survivors)
 		remapped, ownedByRemoved := 0, 0
 		for _, u := range users {
-			before := full.Members()[full.Pick(u)]
+			before := full.members[full.Pick(u)]
 			after := survivors[small.Pick(u)]
 			if before == Members(n)[removed] {
 				ownedByRemoved++
@@ -82,22 +82,20 @@ func TestDeterminism(t *testing.T) {
 	fwd := NewRing([]string{"shard-0", "shard-1", "shard-2"})
 	rev := NewRing([]string{"shard-2", "shard-1", "shard-0"})
 	for _, u := range users {
-		a := fwd.Members()[fwd.Pick(u)]
-		b := rev.Members()[rev.Pick(u)]
+		a := fwd.members[fwd.Pick(u)]
+		b := rev.members[rev.Pick(u)]
 		if a != b {
 			t.Fatalf("user %s: owner %s with one order, %s with the other", u, a, b)
-		}
-		if own := Owner(u, 3); fwd.Members()[fwd.Pick(u)] != fmt.Sprintf("shard-%d", own) {
-			t.Fatalf("user %s: Owner disagrees with Ring.Pick", u)
 		}
 	}
 }
 
-// TestOwnerUnsharded: fleets of zero or one shard own everything at 0.
+// TestOwnerUnsharded: a fleet of one shard owns everything at 0.
 func TestOwnerUnsharded(t *testing.T) {
-	for _, n := range []int{0, 1} {
-		if got := Owner("anyone", n); got != 0 {
-			t.Errorf("Owner(n=%d) = %d, want 0", n, got)
+	r := NewRing(Members(1))
+	for _, u := range corpus(100) {
+		if got := r.Pick(u); got != 0 {
+			t.Errorf("Pick(%s) = %d on a one-shard ring, want 0", u, got)
 		}
 	}
 }

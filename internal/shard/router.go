@@ -152,10 +152,6 @@ func NewRouter(cfg Config) (*Router, error) {
 // ShardCount returns the hash width in force.
 func (rt *Router) ShardCount() int { return rt.ring.Len() }
 
-// BreakerState reports one backend's breaker state (for healthz and
-// tests).
-func (rt *Router) BreakerState(i int) circuit.State { return rt.breakers[i].State() }
-
 // Handler returns the router's HTTP handler.
 func (rt *Router) Handler() http.Handler {
 	mux := http.NewServeMux()

@@ -22,7 +22,6 @@ import (
 	"testing"
 	"time"
 
-	"powerplay/internal/circuit"
 	"powerplay/internal/library"
 	"powerplay/internal/shard"
 	"powerplay/internal/web"
@@ -34,12 +33,32 @@ func userFor(t *testing.T, want, n int) string {
 	t.Helper()
 	for i := 0; i < 10000; i++ {
 		name := fmt.Sprintf("user%d", i)
-		if shard.Owner(name, n) == want {
+		if shard.NewRing(shard.Members(n)).Pick(name) == want {
 			return name
 		}
 	}
 	t.Fatalf("no user maps to shard %d of %d in 10000 tries", want, n)
 	return ""
+}
+
+// breakerState reads backend i's breaker state from the router's
+// healthz, which answers locally and so moves no breaker.
+func breakerState(t *testing.T, front string, i int) string {
+	t.Helper()
+	resp, err := http.Get(front + "/api/v1/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var h struct {
+		Backends []struct {
+			Breaker string `json:"breaker"`
+		} `json:"backends"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&h); err != nil {
+		t.Fatal(err)
+	}
+	return h.Backends[i].Breaker
 }
 
 // fleet is one router over n in-process backends.
@@ -479,14 +498,14 @@ func TestKillBackendMidTraffic(t *testing.T) {
 		if strings.Contains(string(body), shard.CodeUnavailable) {
 			saw503 = true
 		}
-		if rt.BreakerState(1).String() == "open" {
+		if breakerState(t, front.URL, 1) == "open" {
 			break
 		}
 	}
 	if !saw503 {
 		t.Fatal("dead shard never answered the unavailable envelope")
 	}
-	if got := rt.BreakerState(1).String(); got != "open" {
+	if got := breakerState(t, front.URL, 1); got != "open" {
 		t.Fatalf("backend 1 breaker %q after kill, want open", got)
 	}
 
@@ -527,7 +546,7 @@ func TestKillBackendMidTraffic(t *testing.T) {
 	if gotBody != wantBody {
 		t.Fatalf("rejoined shard page differs: %d vs %d bytes", len(gotBody), len(wantBody))
 	}
-	if got := rt.BreakerState(1).String(); got != "closed" {
+	if got := breakerState(t, front.URL, 1); got != "closed" {
 		t.Errorf("backend 1 breaker %q after rejoin, want closed", got)
 	}
 }
@@ -887,7 +906,7 @@ func TestClientHangupKeepsBreakerClosed(t *testing.T) {
 			t.Fatalf("the router never finished GET %d after the client hung up", i)
 		}
 	}
-	if got := rt.BreakerState(0); got != circuit.Closed {
+	if got := breakerState(t, front.URL, 0); got != "closed" {
 		t.Fatalf("after five client hang-ups the backend's breaker is %v, want closed", got)
 	}
 	code, body, _ := get(t, http.DefaultClient, front.URL+"/api/v1/models")

@@ -80,9 +80,6 @@ func NewRing(members []string) *Ring {
 // Len returns the member count.
 func (r *Ring) Len() int { return len(r.members) }
 
-// Members returns the member names (a copy).
-func (r *Ring) Members() []string { return append([]string(nil), r.members...) }
-
 // Pick returns the index of the member owning user, or -1 on an empty
 // ring.  Ties (astronomically unlikely under mix64) break toward the
 // lexically smallest member name, so ownership never depends on list
@@ -113,14 +110,4 @@ func Members(n int) []string {
 		out[i] = fmt.Sprintf("shard-%d", i)
 	}
 	return out
-}
-
-// Owner maps a user to its shard index in an n-shard fleet.  A fleet
-// of one (or none) owns everything at index 0 — the unsharded case.
-// Convenience for one-off calls; hot paths hold a Ring.
-func Owner(user string, n int) int {
-	if n <= 1 {
-		return 0
-	}
-	return NewRing(Members(n)).Pick(user)
 }

@@ -15,8 +15,9 @@
 //	P = α { Cfullswing·VDD² + Cpartialswing·Vswing·VDD } f
 //
 // which fits the EQ 1 template directly.  Non-negligible short-circuit
-// currents are handled the same way: Veendrick's direct-path charge is
-// folded in as an effective capacitance.
+// currents can be handled the same way: Veendrick's direct-path charge
+// (DirectPathCharge) folds in as an effective capacitance Q / VDD,
+// though no library model folds it in yet.
 package storage
 
 import (

@@ -167,9 +167,10 @@ func TestVeendrickDirectPath(t *testing.T) {
 	if q := DirectPathCharge(beta, tau, 1.3, 0.7); q != 0 {
 		t.Errorf("VDD < 2VT should have zero short-circuit charge, got %v", q)
 	}
-	// The effective capacitance reproduces P_sc in the EQ 1 template.
+	// The effective capacitance C_eff = Q / VDD reproduces P_sc in the
+	// EQ 1 template.
 	vdd := units.Volts(3.3)
-	ceff := DirectPathCap(beta, tau, vdd, 0.7)
+	ceff := units.Farads(DirectPathCharge(beta, tau, vdd, 0.7) / float64(vdd))
 	f := 1e6
 	psc := beta / 12 * math.Pow(3.3-1.4, 3) * 2e-9 * f
 	e := &model.Estimate{VDD: vdd}
@@ -182,8 +183,8 @@ func TestVeendrickDirectPath(t *testing.T) {
 		t.Error("slower edges should increase short-circuit charge")
 	}
 	// Degenerate supplies are safe.
-	if DirectPathCap(beta, tau, 0, 0.7) != 0 {
-		t.Error("zero supply should yield zero capacitance")
+	if DirectPathCharge(beta, tau, 0, 0.7) != 0 {
+		t.Error("zero supply should yield zero charge")
 	}
 }
 

@@ -31,13 +31,3 @@ func DirectPathCharge(beta float64, tau units.Seconds, vdd, vt units.Volts) floa
 	energy := beta / 12 * headroom * headroom * headroom * float64(tau)
 	return energy / float64(vdd)
 }
-
-// DirectPathCap converts the direct-path charge into the effective
-// EQ 1 capacitance: C_eff = Q / VDD, so that C_eff·VDD²·f reproduces
-// Veendrick's P_sc at switching frequency f.
-func DirectPathCap(beta float64, tau units.Seconds, vdd, vt units.Volts) units.Farads {
-	if vdd <= 0 {
-		return 0
-	}
-	return units.Farads(DirectPathCharge(beta, tau, vdd, vt) / float64(vdd))
-}

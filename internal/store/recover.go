@@ -66,22 +66,19 @@ type RecoveryStats struct {
 // that can be reconstructed, not that it refuses service over what
 // cannot.
 //
-// Call once, after Open and before serving traffic.  Site-scope
-// replay registers user-defined equation models into reg.
-func (st *Store) Recover(reg *model.Registry) (*RecoveredState, error) {
-	return st.RecoverOwned(reg, nil)
-}
-
-// RecoverOwned is Recover restricted to a partition of the user
-// corpus: accounts for which owns returns false are skipped without
-// even opening their journals — their files stay byte-untouched (no
-// tail truncation, no snapshot rewrite), so a misconfigured shard
-// cannot damage another shard's data and a later boot with the right
+// A non-nil owns restricts recovery to a partition of the user corpus:
+// accounts for which it returns false are skipped without even opening
+// their journals — their files stay byte-untouched (no tail
+// truncation, no snapshot rewrite), so a misconfigured shard cannot
+// damage another shard's data and a later boot with the right
 // ownership finds everything exactly as the last rightful owner left
 // it.  Skipped accounts are counted in Stats.AccountsSkipped.  The
 // site scope is always recovered (it is replicated to every shard).
-// A nil owns recovers everything.
-func (st *Store) RecoverOwned(reg *model.Registry, owns func(user string) bool) (*RecoveredState, error) {
+// A nil owns recovers every user.
+//
+// Call once, after Open and before serving traffic.  Site-scope
+// replay registers user-defined equation models into reg.
+func (st *Store) Recover(reg *model.Registry, owns func(user string) bool) (*RecoveredState, error) {
 	start := time.Now()
 	out := &RecoveredState{Accounts: make(map[string]*Account)}
 

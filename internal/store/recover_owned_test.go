@@ -32,7 +32,7 @@ func TestRecoverOwned(t *testing.T) {
 
 	st2 := openStore(t, dir)
 	owns := func(user string) bool { return user != "bob" }
-	got, err := st2.RecoverOwned(library.Standard(), owns)
+	got, err := st2.Recover(library.Standard(), owns)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func TestRecoverOwned(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st3.Close()
-	full, err := st3.Recover(library.Standard())
+	full, err := st3.Recover(library.Standard(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

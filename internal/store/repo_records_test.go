@@ -36,7 +36,7 @@ func TestRepoRecordReplay(t *testing.T) {
 
 	st2 := openStore(t, dir)
 	reg := library.Standard()
-	rec, err := st2.Recover(reg)
+	rec, err := st2.Recover(reg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestRepoSnapshotRoundTrip(t *testing.T) {
 
 	st2 := openStore(t, dir)
 	reg2 := library.Standard()
-	rec, err := st2.Recover(reg2)
+	rec, err := st2.Recover(reg2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -76,9 +76,6 @@ func Open(dir string, opt Options) (*Store, error) {
 	}, nil
 }
 
-// Dir returns the store's root directory.
-func (st *Store) Dir() string { return st.dir }
-
 // Policy returns the configured fsync policy.
 func (st *Store) Policy() SyncPolicy { return st.opt.Policy }
 

@@ -75,7 +75,7 @@ func sameDesign(t *testing.T, got, want *sheet.Design) {
 // nothing, quietly.
 func TestRecoverEmptyStore(t *testing.T) {
 	st := openStore(t, t.TempDir())
-	rec, err := st.Recover(library.Standard())
+	rec, err := st.Recover(library.Standard(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 	st.Close()
 
 	st2 := openStore(t, dir)
-	rec, err := st2.Recover(library.Standard())
+	rec, err := st2.Recover(library.Standard(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +158,7 @@ func TestSnapshotOnlyBoot(t *testing.T) {
 	st.Close()
 
 	st2 := openStore(t, dir)
-	rec, err := st2.Recover(library.Standard())
+	rec, err := st2.Recover(library.Standard(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +205,7 @@ func TestDuplicateGenerationReplayIdempotence(t *testing.T) {
 	st.Close()
 
 	st2 := openStore(t, dir)
-	rec, err := st2.Recover(library.Standard())
+	rec, err := st2.Recover(library.Standard(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +244,7 @@ func TestTornTailStoreRecovery(t *testing.T) {
 	}
 
 	st2 := openStore(t, dir)
-	rec, err := st2.Recover(library.Standard())
+	rec, err := st2.Recover(library.Standard(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,7 +288,7 @@ func TestSiteScopeRecovery(t *testing.T) {
 
 	st2 := openStore(t, dir)
 	reg := library.Standard()
-	rec, err := st2.Recover(reg)
+	rec, err := st2.Recover(reg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -327,7 +327,7 @@ func TestReplayBudget10k(t *testing.T) {
 
 	st2 := openStore(t, dir)
 	start := time.Now()
-	rec, err := st2.Recover(library.Standard())
+	rec, err := st2.Recover(library.Standard(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -364,7 +364,7 @@ func TestStoreFaultInjectedAppend(t *testing.T) {
 	}
 
 	st2 := openStore(t, dir)
-	rec, err := st2.Recover(library.Standard())
+	rec, err := st2.Recover(library.Standard(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

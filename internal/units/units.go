@@ -71,24 +71,6 @@ func (w Watts) String() string        { return Format(float64(w), "W") }
 func (s Seconds) String() string      { return Format(float64(s), "s") }
 func (a SquareMeters) String() string { return FormatArea(float64(a)) }
 
-// Energy returns the switching energy C·V² of a capacitance charged and
-// discharged through a full swing V.
-func Energy(c Farads, v Volts) Joules {
-	return Joules(float64(c) * float64(v) * float64(v))
-}
-
-// SwingEnergy returns the energy C·Vswing·Vdd drawn from the supply when
-// a capacitance switches over a partial swing (EQ 1 of the paper).
-func SwingEnergy(c Farads, swing, vdd Volts) Joules {
-	return Joules(float64(c) * float64(swing) * float64(vdd))
-}
-
-// Power converts an energy-per-operation into average power at an
-// operation frequency.
-func Power(e Joules, f Hertz) Watts {
-	return Watts(float64(e) * float64(f))
-}
-
 // engPrefixes and engScales hold, at index eng/3+6, the SI prefix and
 // 10^eng of each engineering exponent eng from -18 to 12.
 var (

@@ -167,48 +167,6 @@ func TestFormatParseRoundTrip(t *testing.T) {
 }
 
 // Property: Energy is symmetric in scaling — doubling V quadruples energy.
-func TestEnergyQuadratic(t *testing.T) {
-	f := func(c, v float64) bool {
-		c = math.Abs(c)
-		v = math.Abs(v)
-		if math.IsInf(c, 0) || math.IsNaN(c) || math.IsInf(v, 0) || math.IsNaN(v) || c > 1e30 || v > 1e30 {
-			return true
-		}
-		e1 := Energy(Farads(c), Volts(v))
-		e2 := Energy(Farads(c), Volts(2*v))
-		if e1 == 0 {
-			return e2 == 0
-		}
-		if math.IsInf(float64(e2), 0) {
-			return true
-		}
-		return math.Abs(float64(e2)/float64(e1)-4) < 1e-9
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestSwingEnergy(t *testing.T) {
-	// EQ 1: partial-swing energy is C·Vswing·VDD, linear in both.
-	e := SwingEnergy(100*PicoFarad, 0.5, 1.5)
-	want := 100e-12 * 0.5 * 1.5
-	if math.Abs(float64(e)-want) > 1e-20 {
-		t.Errorf("SwingEnergy = %v, want %v", e, want)
-	}
-	// Full swing degenerates to C·V².
-	if SwingEnergy(10*PicoFarad, 2, 2) != Energy(10*PicoFarad, 2) {
-		t.Error("full swing should equal C·V²")
-	}
-}
-
-func TestPower(t *testing.T) {
-	p := Power(300*PicoJoule, 2*MegaHertz)
-	if math.Abs(float64(p)-600e-6) > 1e-12 {
-		t.Errorf("Power = %v, want 600uW", p)
-	}
-}
-
 func TestStringers(t *testing.T) {
 	cases := []struct {
 		got, want string

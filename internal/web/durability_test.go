@@ -78,7 +78,7 @@ func TestCrashRecoveryExactState(t *testing.T) {
 	// Crash: the httptest listener dies, the Server is abandoned with
 	// its journals un-snapshotted and never Closed.
 	ts1.Close()
-	if lag := s1.JournalLag(); lag == 0 {
+	if lag := s1.store.Lag(); lag == 0 {
 		t.Fatal("test expects un-snapshotted journal records at crash time")
 	}
 
@@ -91,7 +91,7 @@ func TestCrashRecoveryExactState(t *testing.T) {
 	if postBody != preBody {
 		t.Error("sheet page bytes diverged across crash")
 	}
-	stats := s2.LastRecovery()
+	stats := s2.lastRecovery
 	if stats == nil || stats.RecordsReplayed == 0 {
 		t.Fatalf("recovery stats = %+v", stats)
 	}
@@ -114,18 +114,18 @@ func TestSnapshotFoldingAndCleanShutdown(t *testing.T) {
 	// until the Play that crosses the threshold folds it.
 	folded := false
 	for i := 0; i < 600 && !folded; i++ {
-		before := s1.JournalLag()
+		before := s1.store.Lag()
 		post(t, c, ts1.URL+"/design/d/play", url.Values{"glob_vdd": {"2.5"}})
-		folded = s1.JournalLag() < before
+		folded = s1.store.Lag() < before
 	}
 	if !folded {
-		t.Errorf("journal never folded: lag %d", s1.JournalLag())
+		t.Errorf("journal never folded: lag %d", s1.store.Lag())
 	}
 	// Records written after the fold are what Close must snapshot.
 	for _, v := range []string{"1.5", "3.3", "1.8"} {
 		post(t, c, ts1.URL+"/design/d/play", url.Values{"glob_vdd": {v}})
 	}
-	if lag := s1.JournalLag(); lag == 0 {
+	if lag := s1.store.Lag(); lag == 0 {
 		t.Fatal("test expects un-snapshotted journal records before Close")
 	}
 	preBody, preTag := fetchWithETag(t, c, ts1.URL+"/design/d")
@@ -136,7 +136,7 @@ func TestSnapshotFoldingAndCleanShutdown(t *testing.T) {
 
 	s2, ts2, c2 := durableSite(t, dir, Config{})
 	loginAs(t, ts2, c2, "u", "")
-	stats := s2.LastRecovery()
+	stats := s2.lastRecovery
 	if stats == nil {
 		t.Fatal("no recovery stats on a durable site")
 	}
@@ -273,7 +273,7 @@ func TestMountsFoldSiteJournal(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if lag := s1.JournalLag(); lag >= 512 {
+	if lag := s1.store.Lag(); lag >= 512 {
 		t.Errorf("site journal never folded: lag %d after %d mounts", lag, mounts)
 	}
 	// Crash without Close: the snapshot plus the journal suffix must
@@ -286,7 +286,7 @@ func TestMountsFoldSiteJournal(t *testing.T) {
 	if got := len(s2.RecoveredMounts()); got != mounts {
 		t.Errorf("recovered %d mounts, want %d", got, mounts)
 	}
-	if st := s2.LastRecovery(); st == nil || st.SnapshotsLoaded == 0 {
+	if st := s2.lastRecovery; st == nil || st.SnapshotsLoaded == 0 {
 		t.Errorf("recovery did not start from the folded snapshot: %+v", st)
 	}
 }

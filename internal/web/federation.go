@@ -350,19 +350,6 @@ func (s *Server) ResumeSubscriptions() []string {
 	return resumed
 }
 
-// SyncNow forces one synchronous sync pass on a subscription:
-// deterministic convergence for tests and the load generator.
-func (s *Server) SyncNow(ctx context.Context, prefix string) (repo.Stats, error) {
-	idx := s.pubs
-	idx.mu.Lock()
-	sub, ok := idx.subs[prefix]
-	idx.mu.Unlock()
-	if !ok {
-		return repo.Stats{}, fmt.Errorf("web: no subscription on prefix %q", prefix)
-	}
-	return sub.syncer.SyncOnce(ctx)
-}
-
 // Subscriptions lists the live subscriptions, sorted by prefix, for
 // healthz and the mounts listing.
 func (s *Server) subscriptions() []*subscription {

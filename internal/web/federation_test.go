@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -35,7 +36,7 @@ func publisherSite(t *testing.T, n int, namePrefix string) (*Server, *httptest.S
 }
 
 // consumerSite builds a mirror-capable site whose background sync loop
-// is effectively parked (tests drive convergence with SyncNow).
+// is effectively parked (tests drive convergence with syncNow).
 func consumerSite(t *testing.T, cfg Config) *Server {
 	t.Helper()
 	cfg.SyncInterval = time.Hour
@@ -51,6 +52,18 @@ func consumerSite(t *testing.T, cfg Config) *Server {
 // consumer subscribes, the publisher's models register locally as
 // plain equation models, and killing the publisher changes nothing
 // about evaluation — local latency, no stale notes, no remote calls.
+// syncNow forces one synchronous sync pass on the subscription at
+// prefix, for deterministic convergence.
+func syncNow(s *Server, prefix string) (repo.Stats, error) {
+	s.pubs.mu.Lock()
+	sub, ok := s.pubs.subs[prefix]
+	s.pubs.mu.Unlock()
+	if !ok {
+		return repo.Stats{}, fmt.Errorf("web: no subscription on prefix %q", prefix)
+	}
+	return sub.syncer.SyncOnce(context.Background())
+}
+
 func TestSubscribeMirrorsLocally(t *testing.T) {
 	pub, pubTS := publisherSite(t, 2, "cells.")
 	west := consumerSite(t, Config{SiteName: "west"})
@@ -103,8 +116,8 @@ func TestSubscribeMirrorsLocally(t *testing.T) {
 
 	// A sync pass against the dead publisher fails loudly but drops
 	// nothing.
-	if _, err := west.SyncNow(context.Background(), "east."); err == nil {
-		t.Error("SyncNow against a dead publisher should error")
+	if _, err := syncNow(west, "east."); err == nil {
+		t.Error("syncNow against a dead publisher should error")
 	}
 	if _, ok := west.Registry().Lookup("east.cells.a"); !ok {
 		t.Error("failed sync dropped a mirrored model")
@@ -196,7 +209,7 @@ func TestSyncSurvivesPublisherFlap(t *testing.T) {
 	west.pubs.mu.Unlock()
 	// Park the background poll loop first: its immediate first pass
 	// would race the field swap below.  The test drives every further
-	// pass deterministically through SyncNow.
+	// pass deterministically through syncNow.
 	stopSubscription(sub)
 	rc := sub.rc
 	rc.retry = fastRetry()
@@ -208,12 +221,12 @@ func TestSyncSurvivesPublisherFlap(t *testing.T) {
 	// The publisher starts flapping: alternating 5xx and RST.
 	proxy.SetDefault(faultnet.Fault{Mode: faultnet.Status, Code: 503})
 	for i := 0; i < 2; i++ {
-		if _, err := west.SyncNow(context.Background(), "east."); err == nil {
+		if _, err := syncNow(west, "east."); err == nil {
 			t.Fatal("sync through a 503 wall should fail")
 		}
 	}
 	proxy.SetDefault(faultnet.Fault{Mode: faultnet.Reset})
-	if _, err := west.SyncNow(context.Background(), "east."); err == nil {
+	if _, err := syncNow(west, "east."); err == nil {
 		t.Fatal("sync through RSTs should fail")
 	}
 	// Throughout the outage the mirror serves.
@@ -228,7 +241,7 @@ func TestSyncSurvivesPublisherFlap(t *testing.T) {
 	// recovery window.
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		st, err = west.SyncNow(context.Background(), "east.")
+		st, err = syncNow(west, "east.")
 		if err == nil && st.Applied+st.Unchanged == 2 {
 			break
 		}

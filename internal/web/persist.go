@@ -51,7 +51,7 @@ func (s *Server) openStore() error {
 	if s.ring != nil {
 		owns = s.Owns
 	}
-	recovered, err := st.RecoverOwned(s.registry, owns)
+	recovered, err := st.Recover(s.registry, owns)
 	if err != nil {
 		st.Close()
 		return fmt.Errorf("web: recovering %s: %w", s.cfg.DataDir, err)
@@ -274,18 +274,6 @@ func (s *Server) Close() error {
 		firstErr = fmt.Errorf("closing journals: %w", err)
 	}
 	return firstErr
-}
-
-// LastRecovery returns the boot recovery's statistics (nil when the
-// server runs without a data directory).
-func (s *Server) LastRecovery() *store.RecoveryStats { return s.lastRecovery }
-
-// JournalLag returns the records a crash right now would replay.
-func (s *Server) JournalLag() int {
-	if s.store == nil {
-		return 0
-	}
-	return s.store.Lag()
 }
 
 // RecoveredMounts lists the remote-library mounts the pre-crash site

@@ -25,7 +25,7 @@ func shardUser(t *testing.T, want, n int) string {
 	t.Helper()
 	for i := 0; i < 10000; i++ {
 		name := fmt.Sprintf("user%d", i)
-		if shard.Owner(name, n) == want {
+		if shard.NewRing(shard.Members(n)).Pick(name) == want {
 			return name
 		}
 	}
@@ -182,7 +182,7 @@ func TestShardPartitionRecovery(t *testing.T) {
 	if !has0 || has1 {
 		t.Fatalf("shard 0 recovered owned=%v foreign=%v, want true/false", has0, has1)
 	}
-	lr := s0.LastRecovery()
+	lr := s0.lastRecovery
 	if lr == nil || lr.Accounts != 1 || lr.AccountsSkipped != 1 {
 		t.Fatalf("shard 0 recovery stats: %+v", lr)
 	}

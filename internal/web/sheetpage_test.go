@@ -16,6 +16,7 @@ import (
 	"powerplay/internal/circuit"
 	"powerplay/internal/core/model"
 	"powerplay/internal/core/sheet"
+	"powerplay/internal/expr"
 	"powerplay/internal/faultnet"
 	"powerplay/internal/library"
 	"powerplay/internal/units"
@@ -89,6 +90,20 @@ th { background: #ddd; }
 <h1>{{.Title}}</h1>{{end}}
 
 {{define "foot"}}</body></html>{{end}}`
+
+// setParamValue binds a row parameter to a literal with any spelling,
+// odd text included: SetParam binds and bumps the generation once, as
+// a typed edit does, and the literal then replaces its expression.
+func setParamValue(n *sheet.Node, name string, v float64, text string) {
+	if err := n.SetParam(name, "0"); err != nil {
+		panic(err)
+	}
+	for i := range n.Params {
+		if n.Params[i].Name == name {
+			n.Params[i].Expr = expr.Literal(v, text)
+		}
+	}
+}
 
 // oracleTmpl parses one page's oracle template over the frozen frame.
 func oracleTmpl(src string) *template.Template {
@@ -307,8 +322,8 @@ func TestSheetPageMatchesOracle(t *testing.T) {
 	grp.Name = oddText
 	reg := grp.MustAddChild("reg", library.Register)
 	reg.Name = oddText + "2"
-	reg.SetParamValue("words", 1, oddText)
-	reg.SetParamValue("bits", 6, "6")
+	setParamValue(reg, "words", 1, oddText)
+	setParamValue(reg, "bits", 6, "6")
 	if err := s.InstallDesign("u", odd); err != nil {
 		t.Fatal(err)
 	}
@@ -335,8 +350,8 @@ func TestSheetPageMatchesOracle(t *testing.T) {
 	remote.Root.SetGlobalValue("vdd", 1.5, "1.5")
 	remote.Root.SetGlobalValue("f", 1e6, "1MHz")
 	mem := remote.Root.MustAddChild("mem", "east."+library.SRAM)
-	mem.SetParamValue("words", 1024, "1024")
-	mem.SetParamValue("bits", 8, "8")
+	setParamValue(mem, "words", 1024, "1024")
+	setParamValue(mem, "bits", 8, "8")
 	if err := s.InstallDesign("u", remote); err != nil {
 		t.Fatal(err)
 	}
@@ -455,8 +470,8 @@ func FuzzSheetPageMatchesOracle(f *testing.F) {
 		grp.Name = name
 		leaf := grp.MustAddChild("leaf", library.Register)
 		leaf.Name, leaf.Model = name, modelName
-		leaf.SetParamValue(global, v, src)
-		leaf.SetParamValue("bits", 6, "6")
+		setParamValue(leaf, global, v, src)
+		setParamValue(leaf, "bits", 6, "6")
 		bare := d.Root.MustAddChild("bare", library.Register)
 		bare.Model = modelName
 		est := &model.Estimate{Notes: []string{src, staleNotePrefix + ": " + name}}

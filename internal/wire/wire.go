@@ -20,16 +20,6 @@ import (
 	"powerplay/internal/units"
 )
 
-// RentTerminals evaluates Rent's rule T = t·B^p: the expected number of
-// external terminals of a region containing blocks blocks, with
-// per-block pin count t and Rent exponent p.
-func RentTerminals(t float64, blocks float64, p float64) float64 {
-	if blocks <= 0 {
-		return 0
-	}
-	return t * math.Pow(blocks, p)
-}
-
 // DonathAvgLength returns Donath's estimate of the average interconnect
 // length, in gate pitches, of a hierarchically placed design of n gates
 // with Rent exponent p (0 < p < 1).

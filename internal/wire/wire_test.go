@@ -8,23 +8,6 @@ import (
 	"powerplay/internal/core/model"
 )
 
-func TestRentTerminals(t *testing.T) {
-	// Landman & Russo's canonical relationship: T = t·B^p.
-	if got := RentTerminals(4, 1, 0.6); got != 4 {
-		t.Errorf("one block should expose its own pins, got %v", got)
-	}
-	if got := RentTerminals(4, 1024, 0.5); math.Abs(got-128) > 1e-9 {
-		t.Errorf("T(1024, p=0.5) = %v, want 128", got)
-	}
-	if RentTerminals(4, 0, 0.5) != 0 {
-		t.Error("zero blocks should have zero terminals")
-	}
-	// Higher Rent exponent means more external wiring.
-	if RentTerminals(4, 4096, 0.7) <= RentTerminals(4, 4096, 0.5) {
-		t.Error("terminals should grow with p")
-	}
-}
-
 func TestDonathKnownBehaviour(t *testing.T) {
 	// Single gate: no wires.
 	if got := DonathAvgLength(1, 0.6); got != 0 {

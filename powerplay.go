@@ -83,8 +83,8 @@ type (
 	// only the dirty cone an edit reaches, bit-identically to a full
 	// evaluation.
 	Incremental = sheet.Incremental
-	// PlayDelta reports what one incremental Play recomputed — the
-	// changed-cell delta set.
+	// PlayDelta reports how much one incremental Play recomputed:
+	// whether it ran from scratch, and the steps and slots it re-ran.
 	PlayDelta = sheet.PlayDelta
 )
 
