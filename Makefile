@@ -24,6 +24,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzRunBatch$$' -fuzztime 10s ./internal/expr/
 	$(GO) test -run '^$$' -fuzz '^FuzzCanonicalMapOrder$$' -fuzztime 10s ./internal/repo/
 	$(GO) test -run '^$$' -fuzz '^FuzzPlanMatchesInterpreter$$' -fuzztime 10s ./internal/core/sheet/
+	$(GO) test -run '^$$' -fuzz '^FuzzEvalColsMatchesEstimate$$' -fuzztime 10s ./internal/core/model/
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s ./internal/units/
 	$(GO) test -run '^$$' -fuzz '^FuzzAppendFormat$$' -fuzztime 10s ./internal/units/
 	$(GO) test -run '^$$' -fuzz '^FuzzSheetPageMatchesOracle$$' -fuzztime 10s ./internal/web/

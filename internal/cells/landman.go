@@ -9,6 +9,11 @@
 // block derives the same quantity analytically from the input/output
 // capacitance and transition probabilities of each PMOS pull-up /
 // NMOS pull-down stage in a bit slice.
+//
+// Each Landman cell writes its EQ 1 terms once, in its SweepForm (see
+// model.SweepFormer): Evaluate builds the form at the point and turns
+// it into an Estimate, and the sheet's batch executor runs the same
+// form over whole columns of operating points.
 package cells
 
 import (
@@ -54,14 +59,20 @@ func (l *Linear) Info() model.Info {
 	}
 }
 
-// Evaluate implements model.Model.
-func (l *Linear) Evaluate(p model.Params) (*model.Estimate, error) {
+// SweepForm implements model.SweepFormer.
+func (l *Linear) SweepForm(p model.Params) (sf model.SweepForm, ok bool) {
 	bits := p["bits"]
 	scale := model.CapScale(p[model.ParamTech])
-	e := &model.Estimate{VDD: p.VDD()}
-	e.AddCap("cell", units.Farads(p["act"]*bits*float64(l.CapPerBit)*scale), p.Freq())
-	e.Area = units.SquareMeters(bits * float64(l.AreaPerBit) * scale * scale)
-	e.Delay = units.Seconds((float64(l.Delay0) + bits*float64(l.DelayPerBit)) * model.DelayScale(float64(p.VDD())))
+	sf.AddTerm(model.SweepTerm{Label: "cell", Csw: p["act"] * bits * float64(l.CapPerBit) * scale, FMul: 1})
+	sf.Area = bits * float64(l.AreaPerBit) * scale * scale
+	sf.Delay0 = float64(l.Delay0) + bits*float64(l.DelayPerBit)
+	return sf, true
+}
+
+// Evaluate implements model.Model.
+func (l *Linear) Evaluate(p model.Params) (*model.Estimate, error) {
+	sf, _ := l.SweepForm(p)
+	e := sf.Estimate(p)
 	e.Note("Landman black-box model: glitching included in coefficient, clock capacitance included")
 	return e, nil
 }
@@ -111,20 +122,31 @@ func (m *Multiplier) Info() model.Info {
 	}
 }
 
-// Evaluate implements model.Model.
-func (m *Multiplier) Evaluate(p model.Params) (*model.Estimate, error) {
-	coeff := m.CoeffUncorr
-	note := "uncorrelated-input coefficient (conservatively high for correlated data)"
+// coeff returns the EQ 20 coefficient the corr parameter selects and
+// the note that names it.
+func (m *Multiplier) coeff(p model.Params) (units.Farads, string) {
 	if p["corr"] == Correlated {
-		coeff = m.CoeffCorr
-		note = "correlated-input coefficient"
+		return m.CoeffCorr, "correlated-input coefficient"
 	}
+	return m.CoeffUncorr, "uncorrelated-input coefficient (conservatively high for correlated data)"
+}
+
+// SweepForm implements model.SweepFormer.
+func (m *Multiplier) SweepForm(p model.Params) (sf model.SweepForm, ok bool) {
+	coeff, _ := m.coeff(p)
 	bwA, bwB := p["bwA"], p["bwB"]
 	scale := model.CapScale(p[model.ParamTech])
-	e := &model.Estimate{VDD: p.VDD()}
-	e.AddCap("array", units.Farads(bwA*bwB*float64(coeff)*scale), p.Freq())
-	e.Area = units.SquareMeters(bwA * bwB * float64(m.AreaPerBit2) * scale * scale)
-	e.Delay = units.Seconds((bwA + bwB) * float64(m.DelayPerBit) * model.DelayScale(float64(p.VDD())))
+	sf.AddTerm(model.SweepTerm{Label: "array", Csw: bwA * bwB * float64(coeff) * scale, FMul: 1})
+	sf.Area = bwA * bwB * float64(m.AreaPerBit2) * scale * scale
+	sf.Delay0 = (bwA + bwB) * float64(m.DelayPerBit)
+	return sf, true
+}
+
+// Evaluate implements model.Model.
+func (m *Multiplier) Evaluate(p model.Params) (*model.Estimate, error) {
+	sf, _ := m.SweepForm(p)
+	e := sf.Estimate(p)
+	coeff, note := m.coeff(p)
 	e.Note("EQ 20: C_T = bwA × bwB × %s, %s", coeff, note)
 	return e, nil
 }
@@ -157,15 +179,20 @@ func (s *Shifter) Info() model.Info {
 	}
 }
 
-// Evaluate implements model.Model.
-func (s *Shifter) Evaluate(p model.Params) (*model.Estimate, error) {
+// SweepForm implements model.SweepFormer.
+func (s *Shifter) SweepForm(p model.Params) (sf model.SweepForm, ok bool) {
 	stages := math.Ceil(math.Log2(p["maxshift"] + 1))
 	scale := model.CapScale(p[model.ParamTech])
-	e := &model.Estimate{VDD: p.VDD()}
-	e.AddCap("mux tree", units.Farads(p["bits"]*stages*float64(s.CapPerBitStage)*scale), p.Freq())
-	e.Area = units.SquareMeters(p["bits"] * stages * float64(s.AreaPerBitStage) * scale * scale)
-	e.Delay = units.Seconds(stages * float64(s.DelayPerStage) * model.DelayScale(float64(p.VDD())))
-	return e, nil
+	sf.AddTerm(model.SweepTerm{Label: "mux tree", Csw: p["bits"] * stages * float64(s.CapPerBitStage) * scale, FMul: 1})
+	sf.Area = p["bits"] * stages * float64(s.AreaPerBitStage) * scale * scale
+	sf.Delay0 = stages * float64(s.DelayPerStage)
+	return sf, true
+}
+
+// Evaluate implements model.Model.
+func (s *Shifter) Evaluate(p model.Params) (*model.Estimate, error) {
+	sf, _ := s.SweepForm(p)
+	return sf.Estimate(p), nil
 }
 
 // Mux is an n-way multiplexor: C_T = bits · (inputs−1) · CapPerLeg,
@@ -195,16 +222,21 @@ func (m *Mux) Info() model.Info {
 	}
 }
 
-// Evaluate implements model.Model.
-func (m *Mux) Evaluate(p model.Params) (*model.Estimate, error) {
+// SweepForm implements model.SweepFormer.
+func (m *Mux) SweepForm(p model.Params) (sf model.SweepForm, ok bool) {
 	legs := p["inputs"] - 1
 	scale := model.CapScale(p[model.ParamTech])
-	e := &model.Estimate{VDD: p.VDD()}
-	e.AddCap("select tree", units.Farads(p["bits"]*legs*float64(m.CapPerLeg)*scale), p.Freq())
-	e.Area = units.SquareMeters(p["bits"] * legs * float64(m.AreaPerLeg) * scale * scale)
 	levels := math.Ceil(math.Log2(p["inputs"]))
-	e.Delay = units.Seconds(levels * float64(m.DelayPerLevel) * model.DelayScale(float64(p.VDD())))
-	return e, nil
+	sf.AddTerm(model.SweepTerm{Label: "select tree", Csw: p["bits"] * legs * float64(m.CapPerLeg) * scale, FMul: 1})
+	sf.Area = p["bits"] * legs * float64(m.AreaPerLeg) * scale * scale
+	sf.Delay0 = levels * float64(m.DelayPerLevel)
+	return sf, true
+}
+
+// Evaluate implements model.Model.
+func (m *Mux) Evaluate(p model.Params) (*model.Estimate, error) {
+	sf, _ := m.SweepForm(p)
+	return sf.Estimate(p), nil
 }
 
 // Buffer drives an off-module load (output pads, long wires): the
@@ -238,22 +270,27 @@ func (b *Buffer) Info() model.Info {
 	}
 }
 
-// Evaluate implements model.Model.
-func (b *Buffer) Evaluate(p model.Params) (*model.Estimate, error) {
+// SweepForm implements model.SweepFormer.
+func (b *Buffer) SweepForm(p model.Params) (sf model.SweepForm, ok bool) {
 	scale := model.CapScale(p[model.ParamTech])
 	perBit := float64(b.CapInternal)*scale + p["cload"]
-	e := &model.Estimate{VDD: p.VDD()}
-	e.AddCap("driver+load", units.Farads(p["bits"]*p["act"]*perBit), p.Freq())
-	e.Area = units.SquareMeters(p["bits"] * float64(b.AreaPerBit) * scale * scale)
-	e.Delay = units.Seconds(float64(b.Delay) * model.DelayScale(float64(p.VDD())))
-	return e, nil
+	sf.AddTerm(model.SweepTerm{Label: "driver+load", Csw: p["bits"] * p["act"] * perBit, FMul: 1})
+	sf.Area = p["bits"] * float64(b.AreaPerBit) * scale * scale
+	sf.Delay0 = float64(b.Delay)
+	return sf, true
+}
+
+// Evaluate implements model.Model.
+func (b *Buffer) Evaluate(p model.Params) (*model.Estimate, error) {
+	sf, _ := b.SweepForm(p)
+	return sf.Estimate(p), nil
 }
 
 // check interface satisfaction at compile time.
 var (
-	_ model.Model = (*Linear)(nil)
-	_ model.Model = (*Multiplier)(nil)
-	_ model.Model = (*Shifter)(nil)
-	_ model.Model = (*Mux)(nil)
-	_ model.Model = (*Buffer)(nil)
+	_ model.SweepFormer = (*Linear)(nil)
+	_ model.SweepFormer = (*Multiplier)(nil)
+	_ model.SweepFormer = (*Shifter)(nil)
+	_ model.SweepFormer = (*Mux)(nil)
+	_ model.SweepFormer = (*Buffer)(nil)
 )

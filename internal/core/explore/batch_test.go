@@ -254,8 +254,9 @@ type kernelCell struct {
 	capPerBit float64
 }
 
-func (c *kernelCell) SweepForm(p model.Params) (*model.SweepForm, bool) {
-	return &model.SweepForm{Dyn: []model.SweepTerm{{Csw: p["bits"] * c.capPerBit, FMul: 1}}}, true
+func (c *kernelCell) SweepForm(p model.Params) (sf model.SweepForm, ok bool) {
+	sf.AddTerm(model.SweepTerm{Label: "c", Csw: p["bits"] * c.capPerBit, FMul: 1})
+	return sf, true
 }
 
 func newKernelCell(capPerBit float64) *kernelCell {

@@ -1,6 +1,8 @@
 package model
 
-// Columnar model evaluation.
+import "powerplay/internal/units"
+
+// Sweep forms: a model's EQ 1 terms, written once.
 //
 // A sweep holds every structural parameter of a row fixed — bit widths,
 // memory organization, activity, technology — and varies only the
@@ -12,47 +14,67 @@ package model
 //	delay(vdd) = Delay0 · DelayScale(vdd)
 //	area       = const
 //
-// SweepForm captures exactly that closed form, and EvalCols evaluates
-// it over whole columns of operating points at once — no Estimate
-// allocation, no parameter map, no per-point model dispatch.  The
-// arithmetic in EvalCols replicates, operation for operation, what
-// Model.Evaluate followed by Estimate.Power/DynamicPower/StaticPower
-// computes per point, so columnar results are bit-identical to the
-// scalar path — the property the sheet layer's equivalence oracle
-// depends on.
+// SweepForm captures exactly that closed form.  A model that publishes
+// one computes its terms, area and Delay0 there and nowhere else: its
+// Evaluate builds the form at the point and returns the form's
+// Estimate.  The sheet's batch executor runs the same form over whole
+// columns of operating points through EvalCols — no Estimate, no
+// parameter map, no per-point model dispatch.  The scalar and columnar
+// paths therefore share every model expression; the one pair still
+// matched by hand is EvalCols against Estimate.Totals, which
+// FuzzEvalColsMatchesEstimate checks bit for bit.
+
+// A form holds at most two dynamic terms and one static current, the
+// most any library model emits; the fixed arrays let Evaluate build a
+// form on its stack.
+const (
+	maxSweepTerms    = 2
+	maxSweepCurrents = 1
+)
 
 // SweepTerm is one dynamic EQ 1 term of a sweep form: a capacitance
 // lump whose per-point power is ((Csw·swing)·vdd)·freq, with swing and
 // freq resolved per the field rules below.
 type SweepTerm struct {
+	// Label names the node group, as Contribution.Label.
+	Label string
 	// Csw is the switched capacitance in farads, with every structural
 	// factor (activity folded into capacitance, technology scale)
-	// already applied — computed by the model exactly as its Evaluate
-	// would compute the Contribution's Csw.
+	// already applied.
 	Csw float64
 	// Swing is the voltage swing; zero means full rail (the point's
 	// vdd), mirroring Contribution.Vswing.
 	Swing float64
-	// FMul scales the point's f column to this term's switching
-	// frequency (an activity or clock-divider factor the model's
-	// Evaluate folds into the Contribution's Freq).  Ignored when
-	// FConst is set.
+	// FMul scales the point's f to this term's switching frequency (an
+	// activity or clock-divider factor).  Ignored when FConst is set.
 	FMul float64
 	// FConst, when nonzero, is an absolute switching frequency
 	// independent of the swept f (a DRAM refresh clock).
 	FConst float64
 }
 
+// freq is the term's switching frequency at operating frequency f.
+func (t *SweepTerm) freq(f float64) float64 {
+	switch {
+	case t.FConst != 0:
+		return t.FConst
+	case t.FMul == 1:
+		return f
+	}
+	return f * t.FMul
+}
+
 // SweepForm is a model's estimate at fixed structural parameters,
-// closed over the operating point.  It is immutable once built and safe
-// to share across chunks and goroutines.
+// closed over the operating point.  It is a plain value: immutable once
+// built and safe to share across chunks and goroutines.
 type SweepForm struct {
-	// Dyn holds the dynamic terms in the same order the model's
-	// Evaluate emits its Contributions (power sums are order-sensitive
-	// in floating point).
-	Dyn []SweepTerm
-	// Static holds the static currents in amps, in StaticTerm order.
-	Static []float64
+	// dyn[:nDyn] holds the dynamic terms in the order the Estimate
+	// lists its Contributions (power sums are order-sensitive in
+	// floating point); static[:nStatic] the static currents.
+	dyn     [maxSweepTerms]SweepTerm
+	nDyn    int
+	static  [maxSweepCurrents]StaticTerm
+	nStatic int
 	// Area is the (operating-point-independent) area in square meters.
 	Area float64
 	// Delay0 is the delay at the reference supply with every structural
@@ -60,19 +82,55 @@ type SweepForm struct {
 	Delay0 float64
 }
 
-// SweepFormer is the optional Model extension the columnar sheet
-// executor uses.  SweepForm returns the model's closed form at the
-// given (fully validated and defaulted) parameter point, reading only
-// structural parameters — vdd and f in p are placeholders and must not
-// influence the form.  Returning ok == false means "no closed form at
-// these parameters" (or for this model at all); the caller falls back
-// to per-point Evaluate calls, which is always correct.
+// AddTerm appends a dynamic term.
+func (sf *SweepForm) AddTerm(t SweepTerm) {
+	sf.dyn[sf.nDyn] = t
+	sf.nDyn++
+}
+
+// AddCurrent appends a static current of i amps.
+func (sf *SweepForm) AddCurrent(label string, i float64) {
+	sf.static[sf.nStatic] = StaticTerm{Label: label, I: units.Amps(i)}
+	sf.nStatic++
+}
+
+// SweepFormer is the Model extension that publishes a closed form.
+// SweepForm returns the model's form at the given (validated and
+// defaulted) parameter point, reading only structural parameters —
+// vdd and f in p are placeholders and must not influence the form.
+// Returning ok == false means "no closed form at these parameters"; the
+// batch executor then prices the row per point through Evaluate.
 //
-// Implementations must compute each field with the same floating-point
-// expressions (same operations, same order) their Evaluate uses, so
-// that EvalCols reproduces the scalar results bit for bit.
+// The contract runs the other way from a hand-kept copy: Evaluate is
+// derived from the form (SweepForm then Estimate), so the kernel and
+// scalar paths cannot drift apart.
 type SweepFormer interface {
-	SweepForm(p Params) (sf *SweepForm, ok bool)
+	SweepForm(p Params) (sf SweepForm, ok bool)
+}
+
+// Estimate evaluates the form at p's operating point: one Contribution
+// per dynamic term and one StaticTerm per current, in form order, with
+// the form's area and Delay0 scaled to p's supply.  Notes are left to
+// the model.
+func (sf *SweepForm) Estimate(p Params) *Estimate {
+	vdd, f := p.VDD(), float64(p.Freq())
+	e := &Estimate{
+		VDD:   vdd,
+		Area:  units.SquareMeters(sf.Area),
+		Delay: units.Seconds(sf.Delay0 * DelayScale(float64(vdd))),
+	}
+	if sf.nDyn > 0 {
+		e.Dynamic = make([]Contribution, sf.nDyn)
+		for i := range e.Dynamic {
+			t := &sf.dyn[i]
+			e.Dynamic[i] = Contribution{Label: t.Label, Csw: units.Farads(t.Csw),
+				Vswing: units.Volts(t.Swing), Freq: units.Hertz(t.freq(f))}
+		}
+	}
+	if sf.nStatic > 0 {
+		e.Static = append([]StaticTerm(nil), sf.static[:sf.nStatic]...)
+	}
+	return e
 }
 
 // DelayScaleCols fills ds[i] = DelayScale(vdd[i]) for points 0..n-1.
@@ -87,19 +145,19 @@ func DelayScaleCols(ds, vdd []float64, n int) {
 
 // EvalCols evaluates the form for points 0..n-1: vdd and f are the
 // operating-point columns, ds is the matching DelayScale column (see
-// DelayScaleCols), and the five result columns receive exactly what the
-// scalar path's Power/DynamicPower/StaticPower/Area/Delay reductions
-// produce per point.
+// DelayScaleCols), and the five result columns receive exactly what
+// Estimate.Totals, Area and Delay give for the form's Estimate at each
+// point.
 func (sf *SweepForm) EvalCols(vdd, f, ds, pw, dyn, stat, area, delay []float64, n int) {
 	for i := 0; i < n; i++ {
 		dyn[i] = 0
 	}
-	for _, t := range sf.Dyn {
-		// Each loop mirrors Estimate.Power's per-term expression
-		// ((Csw·swing)·VDD)·Freq.  Csw·Swing is hoisted when the swing
-		// is fixed (both factors constant, so the product is the same
-		// bits every iteration); the FMul == 1 case uses f[i] directly,
-		// which matches the models that pass p.Freq() through unscaled.
+	for _, t := range sf.dyn[:sf.nDyn] {
+		// Each loop is Totals' per-term expression
+		// ((Csw·swing)·VDD)·Freq with freq resolved as SweepTerm.freq
+		// does.  Csw·Swing is hoisted when the swing is fixed (both
+		// factors constant, so the product is the same bits every
+		// iteration).
 		switch {
 		case t.FConst != 0 && t.Swing == 0:
 			for i := 0; i < n; i++ {
@@ -130,15 +188,15 @@ func (sf *SweepForm) EvalCols(vdd, f, ds, pw, dyn, stat, area, delay []float64, 
 			}
 		}
 	}
-	// Power() accumulates the dynamic terms first — the partial sum at
-	// that point is bit-identical to DynamicPower()'s total — then adds
-	// the static terms; StaticPower() accumulates the same I·vdd
-	// products from zero.
+	// Totals continues the power sum from the dynamic total with the
+	// static terms and accumulates the same I·vdd products from zero
+	// for the static part.
 	copy(pw[:n], dyn[:n])
 	for i := 0; i < n; i++ {
 		stat[i] = 0
 	}
-	for _, cur := range sf.Static {
+	for _, s := range sf.static[:sf.nStatic] {
+		cur := float64(s.I)
 		for i := 0; i < n; i++ {
 			v := cur * vdd[i]
 			pw[i] += v

@@ -89,42 +89,51 @@ type Estimate struct {
 	Notes []string
 }
 
-// Power evaluates EQ 1: total average power of the estimate.
-func (e *Estimate) Power() units.Watts {
-	var p float64
+// Totals reduces the estimate's EQ 1 terms in one pass: the total
+// power, its dynamic (capacitive-switching) and static (I·VDD) parts,
+// and the supply energy drawn per operation assuming every dynamic term
+// fires once per operation, Σ C·Vswing·VDD — the "energy/access" column
+// of the paper's spreadsheets.  Each sum runs in term order, and the
+// total continues from the dynamic sum with the static terms, so
+// power, dynamic and static are the bits model.SweepForm.EvalCols
+// produces for a form's Estimate.
+func (e *Estimate) Totals() (power, dynamic, static units.Watts, energy units.Joules) {
+	vdd := float64(e.VDD)
+	var p, s, j float64
 	for _, c := range e.Dynamic {
 		swing := float64(c.Vswing)
 		if swing == 0 {
-			swing = float64(e.VDD)
+			swing = vdd
 		}
-		p += float64(c.Csw) * swing * float64(e.VDD) * float64(c.Freq)
+		cv := float64(c.Csw) * swing * vdd
+		j += cv
+		p += cv * float64(c.Freq)
 	}
-	for _, s := range e.Static {
-		p += float64(s.I) * float64(e.VDD)
+	dyn := p
+	for _, t := range e.Static {
+		v := float64(t.I) * vdd
+		p += v
+		s += v
 	}
-	return units.Watts(p)
+	return units.Watts(p), units.Watts(dyn), units.Watts(s), units.Joules(j)
+}
+
+// Power evaluates EQ 1: total average power of the estimate.
+func (e *Estimate) Power() units.Watts {
+	p, _, _, _ := e.Totals()
+	return p
 }
 
 // DynamicPower returns only the capacitive-switching portion of EQ 1.
 func (e *Estimate) DynamicPower() units.Watts {
-	var p float64
-	for _, c := range e.Dynamic {
-		swing := float64(c.Vswing)
-		if swing == 0 {
-			swing = float64(e.VDD)
-		}
-		p += float64(c.Csw) * swing * float64(e.VDD) * float64(c.Freq)
-	}
-	return units.Watts(p)
+	_, d, _, _ := e.Totals()
+	return d
 }
 
 // StaticPower returns only the I·VDD portion of EQ 1.
 func (e *Estimate) StaticPower() units.Watts {
-	var p float64
-	for _, s := range e.Static {
-		p += float64(s.I) * float64(e.VDD)
-	}
-	return units.Watts(p)
+	_, _, s, _ := e.Totals()
+	return s
 }
 
 // SwitchedCap returns the total effective switched capacitance,
@@ -138,19 +147,11 @@ func (e *Estimate) SwitchedCap() units.Farads {
 	return c
 }
 
-// EnergyPerOp returns the supply energy drawn per operation assuming all
-// dynamic terms fire once per operation: Σ C·Vswing·VDD.  It is the
-// "energy/access" column of the paper's spreadsheets.
+// EnergyPerOp returns the supply energy drawn per operation (see
+// Totals).
 func (e *Estimate) EnergyPerOp() units.Joules {
-	var j float64
-	for _, c := range e.Dynamic {
-		swing := float64(c.Vswing)
-		if swing == 0 {
-			swing = float64(e.VDD)
-		}
-		j += float64(c.Csw) * swing * float64(e.VDD)
-	}
-	return units.Joules(j)
+	_, _, _, j := e.Totals()
+	return j
 }
 
 // AddCap appends a full-swing dynamic contribution.

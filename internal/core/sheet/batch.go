@@ -64,7 +64,7 @@ type batchStep struct {
 	kind uint8
 
 	// bKernel state.
-	form *model.SweepForm
+	form model.SweepForm
 	// vddCol and fCol supply the operating point to the kernel: plan
 	// columns when the parameter is slot-bound, private constant
 	// columns when defaulted.
@@ -490,11 +490,10 @@ func (b *BatchEval) Run(ctx context.Context, values [][]float64, pw, area, delay
 				if err != nil {
 					return err
 				}
-				b.cols[st.base+slotPower][j] = float64(est.Power())
-				b.cols[st.base+slotDynamic][j] = float64(est.DynamicPower())
-				b.cols[st.base+slotStatic][j] = float64(est.StaticPower())
-				b.cols[st.base+slotArea][j] = float64(est.Area)
-				b.cols[st.base+slotDelay][j] = float64(est.Delay)
+				v, _ := modelValues(est)
+				for o, x := range v {
+					b.cols[st.base+o][j] = x
+				}
 			}
 			b.aggregate(st, n)
 			sheetBatchSteps.With("model_scalar").Inc()

@@ -10,21 +10,20 @@ import (
 	"powerplay/internal/units"
 )
 
-// sweepableCell is a test model with a closed sweep form, mirroring how
-// the library models implement model.SweepFormer: Evaluate and
-// SweepForm compute the same expressions, so the kernel path must be
-// bit-identical to the scalar one.
+// sweepableCell is a test model with a closed sweep form whose
+// Evaluate is written out by hand beside it, computing the same
+// expressions, so the kernel path must be bit-identical to the scalar
+// one.
 type sweepableCell struct {
 	model.Func
 	capPerBit float64
 }
 
-func (c *sweepableCell) SweepForm(p model.Params) (*model.SweepForm, bool) {
-	return &model.SweepForm{
-		Dyn:    []model.SweepTerm{{Csw: p["act"] * p["bits"] * c.capPerBit, FMul: 1}},
-		Area:   p["bits"] * 1e-9,
-		Delay0: p["bits"] * 1e-9,
-	}, true
+func (c *sweepableCell) SweepForm(p model.Params) (sf model.SweepForm, ok bool) {
+	sf.AddTerm(model.SweepTerm{Label: "c", Csw: p["act"] * p["bits"] * c.capPerBit, FMul: 1})
+	sf.Area = p["bits"] * 1e-9
+	sf.Delay0 = p["bits"] * 1e-9
+	return sf, true
 }
 
 // newSweepableCell builds a "kcell" instance whose Evaluate and

@@ -410,11 +410,12 @@ func (ev *evaluator) evalModelRow(n *Node, r *Result) error {
 	}
 	r.Estimate = est
 	r.Params = params
-	r.Power = est.Power()
-	r.DynamicPower = est.DynamicPower()
-	r.StaticPower = est.StaticPower()
-	r.Area = est.Area
-	r.Delay = est.Delay
-	r.EnergyPerOp = est.EnergyPerOp()
+	v, energy := modelValues(est)
+	r.Power = units.Watts(v[slotPower])
+	r.DynamicPower = units.Watts(v[slotDynamic])
+	r.StaticPower = units.Watts(v[slotStatic])
+	r.Area = units.SquareMeters(v[slotArea])
+	r.Delay = units.Seconds(v[slotDelay])
+	r.EnergyPerOp = energy
 	return nil
 }

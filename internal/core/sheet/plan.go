@@ -285,6 +285,16 @@ const (
 	nodeSlots
 )
 
+// modelValues returns a model row's five result values, indexed
+// slotPower..slotDelay, and its energy per operation, from one
+// reduction pass over its estimate (model.Estimate.Totals).  The plan,
+// the batch executor's per-point rows and the interpreter all price a
+// model row through it.
+func modelValues(est *model.Estimate) (v [nodeSlots]float64, energy units.Joules) {
+	pw, dyn, static, energy := est.Totals()
+	return [nodeSlots]float64{float64(pw), float64(dyn), float64(static), float64(est.Area), float64(est.Delay)}, energy
+}
+
 // planRun is pooled (or per-evaluator) mutable execution state.  A step
 // that fails writes expr.Failed into its slots and its error into errs
 // at the same indices; readers raise it (see planRun.err).  ests and
@@ -361,7 +371,7 @@ func (st *planStep) cellErr(err error) error {
 // order, the inherited vdd/f/tech, the model itself, then the children.
 func (p *Plan) execNode(st *planStep, run *planRun, keep bool) error {
 	slots := run.slots
-	var pw, dyn, static, area, delay float64
+	var v [nodeSlots]float64
 	if st.modelName != "" {
 		if st.mc == nil {
 			return &EvalError{Path: st.node.Path(), Msg: fmt.Sprintf("no model named %q in library", st.modelName)}
@@ -393,31 +403,22 @@ func (p *Plan) execNode(st *planStep, run *planRun, keep bool) error {
 			run.ests[st.nodeIdx] = est
 			run.params[st.nodeIdx] = st.boundParams(slots)
 		}
-		pw = float64(est.Power())
-		dyn = float64(est.DynamicPower())
-		static = float64(est.StaticPower())
-		area = float64(est.Area)
-		delay = float64(est.Delay)
+		v, _ = modelValues(est)
 	}
 	for _, cb := range st.childBases {
 		if err := run.err(cb); err != nil {
 			return err
 		}
-		pw += slots[cb+slotPower]
-		dyn += slots[cb+slotDynamic]
-		static += slots[cb+slotStatic]
-		area += slots[cb+slotArea]
+		for o := slotPower; o <= slotArea; o++ {
+			v[o] += slots[cb+o]
+		}
 		if st.compose == ComposeChain {
-			delay += slots[cb+slotDelay]
-		} else if slots[cb+slotDelay] > delay {
-			delay = slots[cb+slotDelay]
+			v[slotDelay] += slots[cb+slotDelay]
+		} else if slots[cb+slotDelay] > v[slotDelay] {
+			v[slotDelay] = slots[cb+slotDelay]
 		}
 	}
-	slots[st.base+slotPower] = pw
-	slots[st.base+slotDynamic] = dyn
-	slots[st.base+slotStatic] = static
-	slots[st.base+slotArea] = area
-	slots[st.base+slotDelay] = delay
+	copy(slots[st.base:st.base+nodeSlots], v[:])
 	return nil
 }
 

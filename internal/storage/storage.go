@@ -18,6 +18,11 @@
 // currents can be handled the same way: Veendrick's direct-path charge
 // (DirectPathCharge) folds in as an effective capacitance Q / VDD,
 // though no library model folds it in yet.
+//
+// SRAM, RegisterFile and DRAM write their EQ 1 terms once, in their
+// SweepForm (see model.SweepFormer): Evaluate builds the form at the
+// point and turns it into an Estimate, and the sheet's batch executor
+// runs the same form over whole columns of operating points.
 package storage
 
 import (
@@ -105,31 +110,40 @@ func (s *SRAM) split(words, bits float64) (full, bitline units.Farads) {
 	return full, bitline
 }
 
-// Evaluate implements model.Model.
-func (s *SRAM) Evaluate(p model.Params) (*model.Estimate, error) {
+// SweepForm implements model.SweepFormer.  The access activity rides
+// on the frequency, the organization-dependent capacitances and the
+// leakage current are fixed by words×bits, and the swing mode picks
+// between the EQ 7 rail-to-rail split and the EQ 8 partial-swing term.
+func (s *SRAM) SweepForm(p model.Params) (sf model.SweepForm, ok bool) {
 	words, bits := p["words"], p["bits"]
 	scale := model.CapScale(p[model.ParamTech])
 	act := p["act"]
-	f := units.Hertz(float64(p.Freq()) * act)
 	full, bitline := s.split(words, bits)
-	full = units.Farads(float64(full) * scale)
-	bitline = units.Farads(float64(bitline) * scale)
-
-	e := &model.Estimate{VDD: p.VDD()}
+	fullC := float64(full) * scale
+	bitC := float64(bitline) * scale
 	switch p["swing"] {
 	case RailToRail:
-		e.AddCap("periphery+decode", full, f)
-		e.AddCap("bit-line array", bitline, f)
+		sf.AddTerm(model.SweepTerm{Label: "periphery+decode", Csw: fullC, FMul: act})
+		sf.AddTerm(model.SweepTerm{Label: "bit-line array", Csw: bitC, FMul: act})
 	case ReducedSwing:
-		e.AddCap("periphery+decode", full, f)
-		e.AddSwing("bit-line array", bitline, units.Volts(p["vswing"]), f)
-		e.Note("reduced-swing bit lines: characterized at more than one voltage level (EQ 8)")
+		sf.AddTerm(model.SweepTerm{Label: "periphery+decode", Csw: fullC, FMul: act})
+		sf.AddTerm(model.SweepTerm{Label: "bit-line array", Csw: bitC, Swing: p["vswing"], FMul: act})
 	}
 	if s.LeakPerCell > 0 {
-		e.AddStatic("cell leakage", units.Amps(words*bits*float64(s.LeakPerCell)))
+		sf.AddCurrent("cell leakage", words*bits*float64(s.LeakPerCell))
 	}
-	e.Area = units.SquareMeters((words*bits*float64(s.CellArea) + float64(s.PeripheryArea)) * scale * scale)
-	e.Delay = units.Seconds(float64(s.Delay0) * (1 + 0.1*math.Log2(math.Max(words, 2))) * model.DelayScale(float64(p.VDD())))
+	sf.Area = (words*bits*float64(s.CellArea) + float64(s.PeripheryArea)) * scale * scale
+	sf.Delay0 = float64(s.Delay0) * (1 + 0.1*math.Log2(math.Max(words, 2)))
+	return sf, true
+}
+
+// Evaluate implements model.Model.
+func (s *SRAM) Evaluate(p model.Params) (*model.Estimate, error) {
+	sf, _ := s.SweepForm(p)
+	e := sf.Estimate(p)
+	if p["swing"] == ReducedSwing {
+		e.Note("reduced-swing bit lines: characterized at more than one voltage level (EQ 8)")
+	}
 	return e, nil
 }
 
@@ -171,18 +185,23 @@ func (r *RegisterFile) Info() model.Info {
 	}
 }
 
-// Evaluate implements model.Model.
-func (r *RegisterFile) Evaluate(p model.Params) (*model.Estimate, error) {
+// SweepForm implements model.SweepFormer.
+func (r *RegisterFile) SweepForm(p model.Params) (sf model.SweepForm, ok bool) {
 	words, bits, act := p["words"], p["bits"], p["act"]
 	scale := model.CapScale(p[model.ParamTech])
-	e := &model.Estimate{VDD: p.VDD()}
 	// Data path switches with activity; clock load switches every cycle
 	// (the paper notes clock capacitance is included in each block).
-	e.AddCap("data path", units.Farads(act*bits*float64(r.CapPerBit)*scale), p.Freq())
-	e.AddCap("clock+select", units.Farads(words*bits*float64(r.CapPerCell)*scale), p.Freq())
-	e.Area = units.SquareMeters(words * bits * float64(r.CellArea) * scale * scale)
-	e.Delay = units.Seconds(float64(r.Delay) * model.DelayScale(float64(p.VDD())))
-	return e, nil
+	sf.AddTerm(model.SweepTerm{Label: "data path", Csw: act * bits * float64(r.CapPerBit) * scale, FMul: 1})
+	sf.AddTerm(model.SweepTerm{Label: "clock+select", Csw: words * bits * float64(r.CapPerCell) * scale, FMul: 1})
+	sf.Area = words * bits * float64(r.CellArea) * scale * scale
+	sf.Delay0 = float64(r.Delay)
+	return sf, true
+}
+
+// Evaluate implements model.Model.
+func (r *RegisterFile) Evaluate(p model.Params) (*model.Estimate, error) {
+	sf, _ := r.SweepForm(p)
+	return sf.Estimate(p), nil
 }
 
 // DRAM is a first-order dynamic memory model: EQ 7 access capacitance
@@ -215,28 +234,40 @@ func (d *DRAM) Info() model.Info {
 	}
 }
 
-// Evaluate implements model.Model.
-func (d *DRAM) Evaluate(p model.Params) (*model.Estimate, error) {
+// SweepForm implements model.SweepFormer.  The refresh term switches at
+// an absolute frequency set by the organization and the refresh period,
+// not by the swept clock, so it rides in FConst.  A non-positive
+// refresh period has no form, and Evaluate reports it as an error.
+func (d *DRAM) SweepForm(p model.Params) (sf model.SweepForm, ok bool) {
 	if d.RefreshPeriod <= 0 {
-		return nil, fmt.Errorf("dram %q: refresh period must be positive", d.Name)
+		return sf, false
 	}
 	words, bits := p["words"], p["bits"]
 	scale := model.CapScale(p[model.ParamTech])
 	ct := float64(d.C0) + words*float64(d.CWord) + bits*float64(d.CBit) + words*bits*float64(d.CWordBit)
-	e := &model.Estimate{VDD: p.VDD()}
-	e.AddCap("access", units.Farads(ct*scale*p["act"]), p.Freq())
+	sf.AddTerm(model.SweepTerm{Label: "access", Csw: ct * scale * p["act"], FMul: 1})
 	// Refresh: every word rewritten once per period; each refresh costs
 	// roughly a row access of the cross-term capacitance.
 	rowCap := bits * float64(d.CWordBit) * scale
 	refreshFreq := words / float64(d.RefreshPeriod)
-	e.AddCap("refresh", units.Farads(rowCap), units.Hertz(refreshFreq))
-	e.Area = units.SquareMeters(words * bits * float64(d.CellArea) * scale * scale)
-	e.Delay = units.Seconds(float64(d.Delay0) * (1 + 0.1*math.Log2(math.Max(words, 2))) * model.DelayScale(float64(p.VDD())))
-	return e, nil
+	sf.AddTerm(model.SweepTerm{Label: "refresh", Csw: rowCap, FConst: refreshFreq})
+	sf.Area = words * bits * float64(d.CellArea) * scale * scale
+	sf.Delay0 = float64(d.Delay0) * (1 + 0.1*math.Log2(math.Max(words, 2)))
+	return sf, true
 }
 
+// Evaluate implements model.Model.
+func (d *DRAM) Evaluate(p model.Params) (*model.Estimate, error) {
+	sf, ok := d.SweepForm(p)
+	if !ok {
+		return nil, fmt.Errorf("dram %q: refresh period must be positive", d.Name)
+	}
+	return sf.Estimate(p), nil
+}
+
+// check interface satisfaction at compile time.
 var (
-	_ model.Model = (*SRAM)(nil)
-	_ model.Model = (*RegisterFile)(nil)
-	_ model.Model = (*DRAM)(nil)
+	_ model.SweepFormer = (*SRAM)(nil)
+	_ model.SweepFormer = (*RegisterFile)(nil)
+	_ model.SweepFormer = (*DRAM)(nil)
 )

@@ -1,6 +1,7 @@
 package web
 
 import (
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/cookiejar"
@@ -10,6 +11,8 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"powerplay/internal/core/model"
+	"powerplay/internal/core/sheet"
 	"powerplay/internal/infopad"
 	"powerplay/internal/library"
 	"powerplay/internal/vqsim"
@@ -223,31 +226,50 @@ func BenchmarkServeMixed16(b *testing.B) {
 	})
 }
 
-// BenchmarkServeSweep: a logged-in 200-step supply sweep of the InfoPad
-// sheet per op through Server.Handler() — the variable check, the
-// sweep, the Pareto mask and the table render; the in-process view of
-// perfbench's sweep workload.
+// BenchmarkServeSweep: a logged-in 200-step sweep per op through
+// Server.Handler() — the variable check, the sweep, the Pareto mask and
+// the table render — with one sub-benchmark per row of perfbench's
+// sweep range table (sweepRanges in perfbench/workload.go): the
+// in-process view of its sweep workload.
 func BenchmarkServeSweep(b *testing.B) {
 	s, err := NewServer(Config{}, library.Standard())
 	if err != nil {
 		b.Fatal(err)
 	}
-	d, err := infopad.Build(s.Registry())
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := s.InstallDesign("bench", d); err != nil {
-		b.Fatal(err)
+	for _, build := range []func(*model.Registry) (*sheet.Design, error){vqsim.Luminance1, vqsim.Luminance2, infopad.Build} {
+		d, err := build(s.Registry())
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := s.InstallDesign("bench", d); err != nil {
+			b.Fatal(err)
+		}
 	}
 	ts := httptest.NewServer(s.Handler())
 	b.Cleanup(ts.Close)
 	c := benchLogin(b, ts.URL)
-	sweepURL := ts.URL + "/design/" + url.PathEscape(d.Name) + "/sweep?var=vdd1&from=1&to=3.3&steps=200"
-	benchGet(b, c, sweepURL) // compile the plan outside the timing loop
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		benchGet(b, c, sweepURL)
+	for _, r := range []struct {
+		design, variable string
+		lo, hi           float64
+	}{
+		{"Luminance_1", "vdd", 1.0, 3.3},
+		{"Luminance_1", "f", 0.5e6, 8e6},
+		{"Luminance_2", "vdd", 1.0, 3.3},
+		{"Luminance_2", "f", 0.5e6, 8e6},
+		{"InfoPad", "vdd1", 1.0, 3.3},
+		{"InfoPad", "vdd3", 3.3, 6},
+		{"InfoPad", "fclk", 5e6, 40e6},
+	} {
+		b.Run(r.design+"/"+r.variable, func(b *testing.B) {
+			q := url.Values{"var": {r.variable}, "from": {fmt.Sprint(r.lo)}, "to": {fmt.Sprint(r.hi)}, "steps": {"200"}}
+			sweepURL := ts.URL + "/design/" + url.PathEscape(r.design) + "/sweep?" + q.Encode()
+			benchGet(b, c, sweepURL) // compile the plan outside the timing loop
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				benchGet(b, c, sweepURL)
+			}
+		})
 	}
 }
 
