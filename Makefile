@@ -31,14 +31,15 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzSweepPageMatchesOracle$$' -fuzztime 10s ./internal/web/
 
 # Non-test Go lines per package, largest first, then the total.
-# internal/faultnet is imported only by tests: it is printed after the
-# total as test infrastructure and not counted in it.
+# internal/faultnet and internal/core/model/formtest are imported only
+# by tests: they are printed after the total as test infrastructure and
+# not counted in it.
 loc:
 	@$(GO) list -f '{{.ImportPath}}{{range .GoFiles}} {{$$.Dir}}/{{.}}{{end}}' ./... | \
 	while read -r pkg files; do \
 		[ -z "$$files" ] || printf '%7d %s\n' "$$(cat $$files | wc -l)" "$$pkg"; \
-	done | sort -k1,1nr | awk '$$2 ~ /\/internal\/faultnet$$/ { infra = $$0; next } { print; n += $$1 } \
-		END { printf "%7d total\n", n; if (infra != "") print infra " (test infrastructure, not in the total)" }'
+	done | sort -k1,1nr | awk '$$2 ~ /\/internal\/(faultnet|core\/model\/formtest)$$/ { infra = infra $$0 " (test infrastructure, not in the total)\n"; next } \
+		{ print; n += $$1 } END { printf "%7d total\n%s", n, infra }'
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

@@ -67,7 +67,7 @@ func TestEngineAllocBudgets(t *testing.T) {
 			_, err := powerplay.Sweep(ctx, lum, "vdd", vdds)
 			return err
 		}},
-		{"InfoPad 200-point vdd Sweep", 12650, func() error {
+		{"InfoPad 200-point vdd Sweep", 7150, func() error {
 			_, err := powerplay.Sweep(ctx, pad, "vdd", vdds)
 			return err
 		}},

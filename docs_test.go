@@ -349,6 +349,7 @@ func unsetSettings(files map[string]*ast.File) []string {
 // dir, relative to the module root.
 var exportAllowlist = map[string]string{
 	"internal/faultnet":                 "test infrastructure: the fault-injecting proxy the internal/web resilience and federation tests drive",
+	"internal/core/model/formtest":      "test infrastructure: the sweep-form-against-Evaluate oracle the model packages' tests share",
 	"internal/store.Store.SetSink":      "fault-injection hook the store and internal/web durability tests use to tear journal writes",
 	"internal/expr.MustCompile":         "expression constants in the expr tests and the root package's benchmarks",
 	"internal/storage.DirectPathCharge": "Veendrick's direct-path equation (DESIGN.md system 5), which no library model folds into EQ 1 yet",

@@ -62,11 +62,19 @@ func (b *Bias) Info() model.Info {
 	}
 }
 
+// SweepForm implements model.SweepFormer: the branches' summed bias
+// current, with no timing model.
+func (b *Bias) SweepForm(p model.Params) (sf model.SweepForm, ok bool) {
+	sf.AddCurrent("bias branches", p["ibias"]*p["branches"])
+	sf.Area = float64(b.Area)
+	sf.Untimed = true
+	return sf, true
+}
+
 // Evaluate implements model.Model.
 func (b *Bias) Evaluate(p model.Params) (*model.Estimate, error) {
-	e := &model.Estimate{VDD: p.VDD()}
-	e.AddStatic("bias branches", units.Amps(p["ibias"]*p["branches"]))
-	e.Area = b.Area
+	sf, _ := b.SweepForm(p)
+	e := sf.Estimate(p)
 	e.Note("EQ 13: analog power linear in supply (no V² term)")
 	return e, nil
 }
@@ -216,7 +224,7 @@ func (a *CMOSOTA) Evaluate(p model.Params) (*model.Estimate, error) {
 }
 
 var (
-	_ model.Model = (*Bias)(nil)
-	_ model.Model = (*TransconductanceAmp)(nil)
-	_ model.Model = (*CMOSOTA)(nil)
+	_ model.SweepFormer = (*Bias)(nil)
+	_ model.Model       = (*TransconductanceAmp)(nil)
+	_ model.Model       = (*CMOSOTA)(nil)
 )

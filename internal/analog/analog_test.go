@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"powerplay/internal/core/model"
+	"powerplay/internal/core/model/formtest"
 )
 
 func almost(a, b float64) bool {
@@ -193,5 +194,14 @@ func TestAmpDefaults(t *testing.T) {
 	}
 	if len(e.Notes) == 0 {
 		t.Error("amplifier should document its bias point")
+	}
+}
+
+// TestSweepFormBias holds the EQ 13 block's kernel to its Evaluate
+// over the formtest grid.
+func TestSweepFormBias(t *testing.T) {
+	b := &Bias{Name: "t.bias", Branches: 3, Area: 1e-8}
+	for _, base := range []model.Params{{}, {"ibias": 12e-3, "branches": 4}, {"ibias": 0}} {
+		formtest.Check(t, b, base)
 	}
 }

@@ -14,6 +14,12 @@ import "powerplay/internal/units"
 //	delay(vdd) = Delay0 · DelayScale(vdd)
 //	area       = const
 //
+// A static term is either a constant current Iⱼ or a *draw*: a fixed
+// power Pⱼ taken from the supply (a data-sheet part, a converter's
+// loss), whose current Pⱼ/vdd is absent at vdd ≤ 0.  A form may also be
+// *untimed* — no timing model — with delay 0 at every supply, where
+// Delay0 · DelayScale would give 0 · Inf = NaN at or below threshold.
+//
 // SweepForm captures exactly that closed form.  A model that publishes
 // one computes its terms, area and Delay0 there and nowhere else: its
 // Evaluate builds the form at the point and returns the form's
@@ -24,12 +30,12 @@ import "powerplay/internal/units"
 // matched by hand is EvalCols against Estimate.Totals, which
 // FuzzEvalColsMatchesEstimate checks bit for bit.
 
-// A form holds at most two dynamic terms and one static current, the
-// most any library model emits; the fixed arrays let Evaluate build a
-// form on its stack.
+// A form holds at most two dynamic terms and one static term, the most
+// any library model emits; the fixed arrays let Evaluate build a form
+// on its stack.
 const (
-	maxSweepTerms    = 2
-	maxSweepCurrents = 1
+	maxSweepTerms   = 2
+	maxSweepStatics = 1
 )
 
 // SweepTerm is one dynamic EQ 1 term of a sweep form: a capacitance
@@ -64,22 +70,33 @@ func (t *SweepTerm) freq(f float64) float64 {
 	return f * t.FMul
 }
 
+// sweepStatic is one static term of a form: a constant current of v
+// amps, or, when draw is set, a draw of v watts.
+type sweepStatic struct {
+	label string
+	v     float64
+	draw  bool
+}
+
 // SweepForm is a model's estimate at fixed structural parameters,
 // closed over the operating point.  It is a plain value: immutable once
 // built and safe to share across chunks and goroutines.
 type SweepForm struct {
 	// dyn[:nDyn] holds the dynamic terms in the order the Estimate
 	// lists its Contributions (power sums are order-sensitive in
-	// floating point); static[:nStatic] the static currents.
+	// floating point); static[:nStatic] the static terms, likewise.
 	dyn     [maxSweepTerms]SweepTerm
 	nDyn    int
-	static  [maxSweepCurrents]StaticTerm
+	static  [maxSweepStatics]sweepStatic
 	nStatic int
 	// Area is the (operating-point-independent) area in square meters.
 	Area float64
 	// Delay0 is the delay at the reference supply with every structural
 	// factor applied; per-point delay is Delay0 · DelayScale(vdd).
 	Delay0 float64
+	// Untimed marks a form with no timing model: its delay is 0 at
+	// every supply, and Delay0 is ignored.
+	Untimed bool
 }
 
 // AddTerm appends a dynamic term.
@@ -90,7 +107,14 @@ func (sf *SweepForm) AddTerm(t SweepTerm) {
 
 // AddCurrent appends a static current of i amps.
 func (sf *SweepForm) AddCurrent(label string, i float64) {
-	sf.static[sf.nStatic] = StaticTerm{Label: label, I: units.Amps(i)}
+	sf.static[sf.nStatic] = sweepStatic{label: label, v: i}
+	sf.nStatic++
+}
+
+// AddDraw appends a static draw of p watts: at a point its current is
+// p/vdd, and the term is absent when vdd ≤ 0.
+func (sf *SweepForm) AddDraw(label string, p float64) {
+	sf.static[sf.nStatic] = sweepStatic{label: label, v: p, draw: true}
 	sf.nStatic++
 }
 
@@ -109,15 +133,14 @@ type SweepFormer interface {
 }
 
 // Estimate evaluates the form at p's operating point: one Contribution
-// per dynamic term and one StaticTerm per current, in form order, with
-// the form's area and Delay0 scaled to p's supply.  Notes are left to
-// the model.
+// per dynamic term and one StaticTerm per current and per draw present
+// at p's supply, in form order, with the form's area and Delay0 scaled
+// to p's supply.  Notes are left to the model.
 func (sf *SweepForm) Estimate(p Params) *Estimate {
 	vdd, f := p.VDD(), float64(p.Freq())
-	e := &Estimate{
-		VDD:   vdd,
-		Area:  units.SquareMeters(sf.Area),
-		Delay: units.Seconds(sf.Delay0 * DelayScale(float64(vdd))),
+	e := &Estimate{VDD: vdd, Area: units.SquareMeters(sf.Area)}
+	if !sf.Untimed {
+		e.Delay = units.Seconds(sf.Delay0 * DelayScale(float64(vdd)))
 	}
 	if sf.nDyn > 0 {
 		e.Dynamic = make([]Contribution, sf.nDyn)
@@ -127,8 +150,13 @@ func (sf *SweepForm) Estimate(p Params) *Estimate {
 				Vswing: units.Volts(t.Swing), Freq: units.Hertz(t.freq(f))}
 		}
 	}
-	if sf.nStatic > 0 {
-		e.Static = append([]StaticTerm(nil), sf.static[:sf.nStatic]...)
+	for _, s := range sf.static[:sf.nStatic] {
+		switch {
+		case !s.draw:
+			e.Static = append(e.Static, StaticTerm{Label: s.label, I: units.Amps(s.v)})
+		case vdd > 0:
+			e.Static = append(e.Static, StaticTerm{Label: s.label, I: units.Amps(s.v / float64(vdd))})
+		}
 	}
 	return e
 }
@@ -145,9 +173,9 @@ func DelayScaleCols(ds, vdd []float64, n int) {
 
 // EvalCols evaluates the form for points 0..n-1: vdd and f are the
 // operating-point columns, ds is the matching DelayScale column (see
-// DelayScaleCols), and the five result columns receive exactly what
-// Estimate.Totals, Area and Delay give for the form's Estimate at each
-// point.
+// DelayScaleCols; unread, and may be nil, for an untimed form), and the
+// five result columns receive exactly what Estimate.Totals, Area and
+// Delay give for the form's Estimate at each point.
 func (sf *SweepForm) EvalCols(vdd, f, ds, pw, dyn, stat, area, delay []float64, n int) {
 	for i := 0; i < n; i++ {
 		dyn[i] = 0
@@ -190,21 +218,37 @@ func (sf *SweepForm) EvalCols(vdd, f, ds, pw, dyn, stat, area, delay []float64, 
 	}
 	// Totals continues the power sum from the dynamic total with the
 	// static terms and accumulates the same I·vdd products from zero
-	// for the static part.
+	// for the static part.  A draw's I is Estimate's p/vdd, and the
+	// term is missing where Estimate leaves it out.
 	copy(pw[:n], dyn[:n])
 	for i := 0; i < n; i++ {
 		stat[i] = 0
 	}
 	for _, s := range sf.static[:sf.nStatic] {
-		cur := float64(s.I)
+		if s.draw {
+			for i := 0; i < n; i++ {
+				if vdd[i] > 0 {
+					v := (s.v / vdd[i]) * vdd[i]
+					pw[i] += v
+					stat[i] += v
+				}
+			}
+			continue
+		}
 		for i := 0; i < n; i++ {
-			v := cur * vdd[i]
+			v := s.v * vdd[i]
 			pw[i] += v
 			stat[i] += v
 		}
 	}
 	for i := 0; i < n; i++ {
 		area[i] = sf.Area
+	}
+	if sf.Untimed {
+		for i := 0; i < n; i++ {
+			delay[i] = 0
+		}
+		return
 	}
 	for i := 0; i < n; i++ {
 		delay[i] = sf.Delay0 * ds[i]

@@ -30,9 +30,12 @@ func DelayScale(vdd float64) float64 {
 	if vdd <= Vt {
 		return math.Inf(1)
 	}
-	ref := RefVDD / math.Pow(RefVDD-Vt, AlphaSat)
-	return (vdd / math.Pow(vdd-Vt, AlphaSat)) / ref
+	return (vdd / math.Pow(vdd-Vt, AlphaSat)) / delayRef
 }
+
+// delayRef is the alpha-power delay factor at the reference supply,
+// the divisor that makes DelayScale(RefVDD) == 1.
+var delayRef = RefVDD / math.Pow(RefVDD-Vt, AlphaSat)
 
 // MaxFreq converts a critical-path delay into the highest clock the
 // component supports.  A zero delay means "no timing model" and returns

@@ -71,7 +71,8 @@ type batchStep struct {
 	vddCol, fCol []float64
 	// vddSlot >= 0 marks a sweep-variant vdd column whose DelayScale
 	// column comes from the per-chunk memo; otherwise dsConst holds the
-	// precomputed constant DelayScale column.
+	// precomputed constant DelayScale column.  An untimed form reads
+	// neither.
 	vddSlot int
 	dsConst []float64
 }
@@ -304,12 +305,9 @@ func (b *BatchEval) build() {
 				if form, ok := sf.SweepForm(full); ok {
 					bs.kind = bKernel
 					bs.form = form
-					var vddSlot int
-					bs.vddCol, vddSlot = b.opCol(mc, model.ParamVDD)
+					bs.vddCol, bs.vddSlot = b.opCol(mc, model.ParamVDD)
 					bs.fCol, _ = b.opCol(mc, model.ParamFreq)
-					if vddSlot >= 0 {
-						bs.vddSlot = vddSlot
-					} else {
+					if bs.vddSlot < 0 && !form.Untimed {
 						// Constant vdd (an f sweep): one DelayScale
 						// evaluation serves the whole column for the
 						// life of the eval.
@@ -460,7 +458,7 @@ func (b *BatchEval) Run(ctx context.Context, values [][]float64, pw, area, delay
 				}
 			}
 			ds := bs.dsConst
-			if ds == nil {
+			if ds == nil && !bs.form.Untimed {
 				ds = b.dsCol(bs.vddSlot, n)
 			}
 			bs.form.EvalCols(bs.vddCol, bs.fCol, ds,

@@ -110,24 +110,37 @@ func (c *Curve) Info() model.Info {
 	}
 }
 
+// loss is the efficiency at p's load and the dissipation it implies.
+func (c *Curve) loss(p model.Params) (eta float64, diss units.Watts, err error) {
+	eta, err = c.efficiencyAt(p["pload"], p["rated"])
+	if err != nil {
+		return 0, 0, err
+	}
+	diss, err = Dissipation(units.Watts(p["pload"]), eta)
+	return eta, diss, err
+}
+
+// SweepForm implements model.SweepFormer.  A point the characteristic
+// or Dissipation refuses has no form, and Evaluate reports the error.
+func (c *Curve) SweepForm(p model.Params) (sf model.SweepForm, ok bool) {
+	_, diss, err := c.loss(p)
+	if err != nil {
+		return sf, false
+	}
+	return lossForm(diss), true
+}
+
 // Evaluate implements model.Model.
 func (c *Curve) Evaluate(p model.Params) (*model.Estimate, error) {
-	eta, err := c.efficiencyAt(p["pload"], p["rated"])
+	eta, diss, err := c.loss(p)
 	if err != nil {
 		return nil, err
 	}
-	diss, err := Dissipation(units.Watts(p["pload"]), eta)
-	if err != nil {
-		return nil, err
-	}
-	vdd := p.VDD()
-	e := &model.Estimate{VDD: vdd}
-	if vdd > 0 {
-		e.AddStatic("conversion loss", units.Amps(float64(diss)/float64(vdd)))
-	}
+	sf := lossForm(diss)
+	e := sf.Estimate(p)
 	e.Note("η(load) characteristic: %.1f%% at %.0f%% of rated load",
 		eta*100, 100*p["pload"]/p["rated"])
 	return e, nil
 }
 
-var _ model.Model = (*Curve)(nil)
+var _ model.SweepFormer = (*Curve)(nil)

@@ -62,22 +62,37 @@ func (c *Converter) Info() model.Info {
 	}
 }
 
-// Evaluate implements model.Model.  Only the converter's own dissipation
-// is reported — the load's power is accounted for by the load's row —
-// expressed as a static draw from the input supply so it fits EQ 1.
+// lossForm is a converter's sweep form: only its own dissipation is
+// reported — the load's power is accounted for by the load's row — as
+// a static draw from the input supply so it fits EQ 1, with no timing
+// model.
+func lossForm(diss units.Watts) (sf model.SweepForm) {
+	sf.AddDraw("conversion loss", float64(diss))
+	sf.Untimed = true
+	return sf
+}
+
+// SweepForm implements model.SweepFormer.  A point Dissipation refuses
+// has no form, and Evaluate reports Dissipation's error.
+func (c *Converter) SweepForm(p model.Params) (sf model.SweepForm, ok bool) {
+	diss, err := Dissipation(units.Watts(p["pload"]), p["eta"])
+	if err != nil {
+		return sf, false
+	}
+	return lossForm(diss), true
+}
+
+// Evaluate implements model.Model.
 func (c *Converter) Evaluate(p model.Params) (*model.Estimate, error) {
 	diss, err := Dissipation(units.Watts(p["pload"]), p["eta"])
 	if err != nil {
 		return nil, err
 	}
-	vdd := p.VDD()
-	e := &model.Estimate{VDD: vdd}
-	if vdd > 0 {
-		e.AddStatic("conversion loss", units.Amps(float64(diss)/float64(vdd)))
-	}
+	sf := lossForm(diss)
+	e := sf.Estimate(p)
 	e.Note("EQ 19: η=%.0f%%, load %s, input %s", p["eta"]*100,
 		units.Watts(p["pload"]), units.Watts(p["pload"]+float64(diss)))
 	return e, nil
 }
 
-var _ model.Model = (*Converter)(nil)
+var _ model.SweepFormer = (*Converter)(nil)

@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"powerplay/internal/core/model"
+	"powerplay/internal/core/model/formtest"
 	"powerplay/internal/units"
 )
 
@@ -113,5 +114,63 @@ func TestConverterIntermodelShape(t *testing.T) {
 	e2, _ := model.Evaluate(c, model.Params{"pload": 2, "vdd": 6})
 	if !almost(2*float64(e1.Power()), float64(e2.Power())) {
 		t.Error("loss should be linear in load")
+	}
+}
+
+// TestSweepFormConverter holds the EQ 19 converter's kernel to its
+// Evaluate over the formtest grid.  A point Dissipation refuses — η
+// outside (0, 1], a negative load — has no form, and Evaluate still
+// returns Dissipation's error.
+func TestSweepFormConverter(t *testing.T) {
+	c := &Converter{Name: "t.dcdc", DefaultEta: 0.8}
+	for _, base := range []model.Params{{"pload": 0.5}, {"pload": 0}, {"pload": 2, "eta": 1}, {"pload": 1e6, "eta": 0.01}} {
+		formtest.Check(t, c, base)
+	}
+	for _, p := range []model.Params{
+		{"pload": 1, "eta": 0},
+		{"pload": 1, "eta": -0.5},
+		{"pload": 1, "eta": 1.5},
+		{"pload": -1, "eta": 0.8},
+	} {
+		_, want := Dissipation(units.Watts(p["pload"]), p["eta"])
+		if _, ok := c.SweepForm(p); ok {
+			t.Errorf("%v: offered a sweep form", p)
+		}
+		if _, err := c.Evaluate(p); err == nil || err.Error() != want.Error() {
+			t.Errorf("%v: Evaluate error %v, want %v", p, err, want)
+		}
+	}
+}
+
+// TestSweepFormCurve holds the measured-efficiency converter's kernel
+// to its Evaluate over the formtest grid, on the characteristic, below
+// and above it.  A point the characteristic refuses (no points, no
+// rated load, an invalid point) or Dissipation refuses (a negative
+// load) has no form, and Evaluate still returns that error.
+func TestSweepFormCurve(t *testing.T) {
+	c := NewTypicalBuck("t.buck", "Buck", 1)
+	for _, base := range []model.Params{{"pload": 0.3}, {"pload": 0.005}, {"pload": 2}, {"pload": 0}} {
+		formtest.Check(t, c, base)
+	}
+	for _, tc := range []struct {
+		c    *Curve
+		p    model.Params
+		want string
+	}{
+		{&Curve{Name: "t.empty", Rated: 1}, model.Params{"pload": 1, "rated": 1},
+			`dcdc: converter "t.empty" has no efficiency points`},
+		{c, model.Params{"pload": 1, "rated": 0},
+			`dcdc: converter "t.buck" has no rated load`},
+		{&Curve{Name: "t.bad", Rated: 1, Points: []EffPoint{{0.5, 1.2}}}, model.Params{"pload": 1, "rated": 1},
+			`dcdc: converter "t.bad" has invalid point {LoadFrac:0.5 Eta:1.2}`},
+		{c, model.Params{"pload": -1, "rated": 1},
+			"dcdc: negative load power " + units.Watts(-1).String()},
+	} {
+		if _, ok := tc.c.SweepForm(tc.p); ok {
+			t.Errorf("%s %v: offered a sweep form", tc.c.Name, tc.p)
+		}
+		if _, err := tc.c.Evaluate(tc.p); err == nil || err.Error() != tc.want {
+			t.Errorf("%s %v: Evaluate error %v, want %s", tc.c.Name, tc.p, err, tc.want)
+		}
 	}
 }

@@ -43,17 +43,22 @@ func (f *Fixed) Info() model.Info {
 	}
 }
 
+// SweepForm implements model.SweepFormer: the part draws its duty-cycled
+// data-sheet power from whatever supply it sits on, with no timing
+// model.
+func (f *Fixed) SweepForm(p model.Params) (sf model.SweepForm, ok bool) {
+	sf.AddDraw("data-sheet draw", p["pnom"]*p["act"])
+	sf.Area = float64(f.Area)
+	sf.Untimed = true
+	return sf, true
+}
+
 // Evaluate implements model.Model.
 func (f *Fixed) Evaluate(p model.Params) (*model.Estimate, error) {
-	vdd := p.VDD()
-	e := &model.Estimate{VDD: vdd}
-	power := p["pnom"] * p["act"]
-	if vdd > 0 {
-		e.AddStatic("data-sheet draw", units.Amps(power/float64(vdd)))
-	}
-	e.Area = f.Area
+	sf, _ := f.SweepForm(p)
+	e := sf.Estimate(p)
 	e.Note("power taken from data sheet / measurement; not voltage-scaled")
 	return e, nil
 }
 
-var _ model.Model = (*Fixed)(nil)
+var _ model.SweepFormer = (*Fixed)(nil)

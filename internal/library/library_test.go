@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"powerplay/internal/core/model"
+	"powerplay/internal/core/model/formtest"
 	"powerplay/internal/units"
 )
 
@@ -293,5 +294,29 @@ func TestLoadDumpEquations(t *testing.T) {
 	// Bad entry position reported.
 	if n, err := LoadEquations(r, []byte(`[{"name":"ok","csw":"1p"},{"bad":true}]`)); err == nil || n != 1 {
 		t.Errorf("partial load = %d, %v", n, err)
+	}
+}
+
+// TestSweepFormFixed holds the data-sheet part's kernel to its
+// Evaluate over the formtest grid, and pins that its draw is absent at
+// a zero supply, where Evaluate lists no static term.
+func TestSweepFormFixed(t *testing.T) {
+	f := &Fixed{Name: "t.lcd", DefaultPower: 0.445, DefaultVDD: 5, Area: 4e6 * units.SquareMicron}
+	for _, base := range []model.Params{{}, {"act": 0.25}, {"pnom": 0}, {"pnom": 1e6, "act": 1}} {
+		formtest.Check(t, f, base)
+	}
+	est, err := model.Evaluate(f, model.Params{"vdd": 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if est.Static != nil || est.Power() != 0 || est.Delay != 0 || len(est.Notes) != 1 {
+		t.Errorf("zero supply: %+v", est)
+	}
+	est, err = model.Evaluate(f, model.Params{"vdd": 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(est.Static) != 1 || est.Static[0].Label != "data-sheet draw" || est.Area != f.Area {
+		t.Errorf("5 V: %+v", est)
 	}
 }

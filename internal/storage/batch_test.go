@@ -1,61 +1,15 @@
 package storage
 
 import (
-	"math"
 	"testing"
 
 	"powerplay/internal/core/model"
+	"powerplay/internal/core/model/formtest"
 	"powerplay/internal/units"
 )
 
-// checkSweepFormMatchesEvaluate is the kernel oracle: the closed form
-// evaluated columnar must reproduce Evaluate bit for bit across a grid
-// of operating points.
-func checkSweepFormMatchesEvaluate(t *testing.T, m model.Model, base model.Params) {
-	t.Helper()
-	full, err := model.Validate(m.Info().Params, base)
-	if err != nil {
-		t.Fatalf("%s: validate: %v", m.Info().Name, err)
-	}
-	sf, ok := m.(model.SweepFormer).SweepForm(full)
-	if !ok {
-		t.Fatalf("%s: no sweep form at %v", m.Info().Name, base)
-	}
-	var vdd, f []float64
-	for _, v := range []float64{0.6, 0.8, 1.5, 2.5, 3.3, 5} {
-		for _, fr := range []float64{0, 1e6, 2e6, 66e6, 1e9} {
-			vdd = append(vdd, v)
-			f = append(f, fr)
-		}
-	}
-	n := len(vdd)
-	ds := make([]float64, n)
-	model.DelayScaleCols(ds, vdd, n)
-	pw, dyn, stat := make([]float64, n), make([]float64, n), make([]float64, n)
-	area, delay := make([]float64, n), make([]float64, n)
-	sf.EvalCols(vdd, f, ds, pw, dyn, stat, area, delay, n)
-	for i := 0; i < n; i++ {
-		full[model.ParamVDD] = vdd[i]
-		full[model.ParamFreq] = f[i]
-		est, err := m.Evaluate(full)
-		if err != nil {
-			t.Fatalf("%s @ vdd=%g f=%g: %v", m.Info().Name, vdd[i], f[i], err)
-		}
-		check := func(what string, got, want float64) {
-			if math.Float64bits(got) != math.Float64bits(want) {
-				t.Errorf("%s @ vdd=%g f=%g: %s = %v (%#x), Evaluate says %v (%#x)",
-					m.Info().Name, vdd[i], f[i], what,
-					got, math.Float64bits(got), want, math.Float64bits(want))
-			}
-		}
-		check("power", pw[i], float64(est.Power()))
-		check("dynamic", dyn[i], float64(est.DynamicPower()))
-		check("static", stat[i], float64(est.StaticPower()))
-		check("area", area[i], float64(est.Area))
-		check("delay", delay[i], float64(est.Delay))
-	}
-}
-
+// TestStorageSweepFormsMatchEvaluate holds each storage kernel to its
+// Evaluate over the formtest grid.
 func TestStorageSweepFormsMatchEvaluate(t *testing.T) {
 	sram := &SRAM{
 		Name: "t.sram", C0: 1.2 * units.PicoFarad,
@@ -93,7 +47,7 @@ func TestStorageSweepFormsMatchEvaluate(t *testing.T) {
 		{dram, model.Params{"words": 1 << 16, "bits": 16, "act": 0.8}},
 	}
 	for _, c := range cases {
-		checkSweepFormMatchesEvaluate(t, c.m, c.base)
+		formtest.Check(t, c.m, c.base)
 	}
 }
 

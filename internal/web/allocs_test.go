@@ -115,13 +115,14 @@ func TestServedAllocBudgets(t *testing.T) {
 			return err
 		}},
 		// vdd1 reaches no row (see ROADMAP), so the two sweeps below
-		// price rows: Luminance_2's supply runs the sweep-form kernels,
-		// InfoPad's vdd3 the per-point converter and fixed rows.
+		// price rows: Luminance_2's supply runs the cell and storage
+		// sweep-form kernels, InfoPad's vdd3 the converter and
+		// data-sheet ones.
 		{"200-step Luminance_2 vdd sweep", 80, func() error {
 			_, err := serve(cookie, http.MethodGet, "/design/Luminance_2/sweep?var=vdd&from=1&to=3.3&steps=200", "")
 			return err
 		}},
-		{"200-step InfoPad vdd3 sweep", 2700, func() error {
+		{"200-step InfoPad vdd3 sweep", 80, func() error {
 			_, err := serve(cookie, http.MethodGet, "/design/InfoPad/sweep?var=vdd3&from=3.3&to=6&steps=200", "")
 			return err
 		}},

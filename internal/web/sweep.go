@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"strconv"
 	"strings"
@@ -165,25 +166,56 @@ func appendSweepPage(dst []byte, page *sweepPage, values []float64, cols explore
 
 // appendSweepRows appends one table row per swept value — the value,
 // its power, area and delay from the result columns, and a * on the
-// power/delay front — and returns the extended buffer.  The bytes are exactly what a {{range}} block
-// over the cells writes through html/template (sweep_test.go keeps that
-// block as the oracle), without reflecting over 200 × 5 cells.
+// power/delay front — and returns the extended buffer.  The bytes are
+// exactly what a {{range}} block over the cells writes through
+// html/template (sweep_test.go keeps that block as the oracle), without
+// reflecting over 200 × 5 cells.
 func appendSweepRows(dst []byte, values []float64, cols explore.Columns, front []bool) []byte {
 	var cell [32]byte
+	power, area, delay := resultCell{unit: "W"}, resultCell{}, resultCell{unit: "s"}
 	for i, v := range values {
 		dst = append(dst, "\n<tr><td class=\"num\">"...)
 		dst = appendHTMLText(dst, strconv.AppendFloat(cell[:0], v, 'g', 4, 64))
 		dst = append(dst, "</td><td class=\"num\">"...)
-		dst = appendHTMLText(dst, units.AppendFormat(cell[:0], cols.Power[i], "W"))
+		dst = power.append(dst, cols.Power[i])
 		dst = append(dst, "</td>\n<td class=\"num\">"...)
-		dst = appendHTMLText(dst, units.AppendArea(cell[:0], cols.Area[i]))
+		dst = area.append(dst, cols.Area[i])
 		dst = append(dst, "</td><td class=\"num\">"...)
-		dst = appendHTMLText(dst, units.AppendFormat(cell[:0], cols.Delay[i], "s"))
+		dst = delay.append(dst, cols.Delay[i])
 		dst = append(dst, "</td>\n<td>"...)
 		if front[i] {
 			dst = append(dst, '*')
 		}
 		dst = append(dst, "</td></tr>\n"...)
 	}
+	return dst
+}
+
+// resultCell writes one result column's cells.  A value with the same
+// bits as the cell above it formats to the same bytes, so it copies the
+// escaped bytes already written instead of formatting again: area never
+// depends on the swept operating point, and delay not on f.
+type resultCell struct {
+	unit string // "W" or "s"; "" formats an area
+	bits uint64
+	// dst[start:end] holds the cell above; end is 0 before the first
+	// row (every cell follows its row's opening tags).
+	start, end int
+}
+
+// append appends x's escaped cell to dst.
+func (c *resultCell) append(dst []byte, x float64) []byte {
+	bits := math.Float64bits(x)
+	if c.end != 0 && bits == c.bits {
+		return append(dst, dst[c.start:c.end]...)
+	}
+	var buf [32]byte
+	start := len(dst)
+	if c.unit == "" {
+		dst = appendHTMLText(dst, units.AppendArea(buf[:0], x))
+	} else {
+		dst = appendHTMLText(dst, units.AppendFormat(buf[:0], x, c.unit))
+	}
+	c.bits, c.start, c.end = bits, start, len(dst)
 	return dst
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"html"
 	"html/template"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -461,14 +462,22 @@ func TestSweepPageMatchesOracle(t *testing.T) {
 
 // FuzzSweepPageMatchesOracle: for any design name, site name, error
 // and echoed var, from, to and steps fields, the appended sweep page
-// renders what the oracle does — as an error page and with a table.
+// renders what the oracle does — as an error page, with a table of
+// three fixed rows, and with a table of fuzzed result columns.  Each
+// byte of cells picks one result cell, row-major: bit 3 repeats the
+// cell above, and otherwise bits 0–2 pick a, b, 0, −0, NaN, +Inf, −Inf
+// or −a, so the columns hold runs of equal cells (the rows that copy
+// the cell above), adjacent 0 and −0 (equal, with different bits) and
+// the NaN and infinite values.
 func FuzzSweepPageMatchesOracle(f *testing.F) {
-	f.Add("Luminance_2", "PowerPlay", "vdd", "1.0", "3.3", "8", "")
-	f.Add(oddText, oddText, oddText, oddText, oddText, oddText, oddText)
-	f.Add("", "", "", "", "", "", "steps must be an integer in [2, 200]")
-	f.Add("a/b", "é", "x?y#z", "1e+06", "%41", "<script>", `no variable "no<such>" in this design`)
-	f.Add("%4%41%zz", "\xff\x00", "'\"", "500k", "8MHz", "200", "explore: vdd=0.1: outside")
-	f.Fuzz(func(t *testing.T, name, site, variable, from, to, steps, errMsg string) {
+	const repeat = 1 << 3
+	runs := []byte{0, 2, 1, repeat, repeat, repeat, repeat, repeat, 5, 3, repeat, 2, 2, 3, 4, 4, 4, 4, repeat, 6, 6, 7, 5, 1}
+	f.Add("Luminance_2", "PowerPlay", "vdd", "1.0", "3.3", "8", "", runs, 1e-3, 2.5e-9)
+	f.Add(oddText, oddText, oddText, oddText, oddText, oddText, oddText, []byte{4, 4, 4, repeat, repeat, repeat, 5, 6, 5}, 0.0, -1e300)
+	f.Add("", "", "", "", "", "", "steps must be an integer in [2, 200]", []byte{2, 3, 2, 3, 2, 3, 3, 2, 3, repeat, repeat, repeat}, 7.0, 7.0)
+	f.Add("a/b", "é", "x?y#z", "1e+06", "%41", "<script>", `no variable "no<such>" in this design`, []byte{}, 1.0, 2.0)
+	f.Add("%4%41%zz", "\xff\x00", "'\"", "500k", "8MHz", "200", "explore: vdd=0.1: outside", []byte{0, 0, 0, 1, 1, 1, 0, 1, 0}, math.SmallestNonzeroFloat64, math.MaxFloat64)
+	f.Fuzz(func(t *testing.T, name, site, variable, from, to, steps, errMsg string, cells []byte, a, b float64) {
 		q := url.Values{"var": {variable}, "from": {from}, "to": {to}, "steps": {steps}}
 		page := sweepPage{base: base{Site: site, Title: name + " exploration"},
 			Name: name, Var: variable, From: from, To: to, Steps: steps}
@@ -480,20 +489,39 @@ func FuzzSweepPageMatchesOracle(f *testing.F) {
 					diffAt(string(got), want), around(string(got), diffAt(string(got), want)), around(want, diffAt(string(got), want)))
 			}
 		}
+		table := func(pts []explore.Point) {
+			t.Helper()
+			values := make([]float64, len(pts))
+			var cols explore.Columns
+			for i, p := range pts {
+				values[i] = p.Vars[variable]
+				cols.Power = append(cols.Power, p.Power)
+				cols.Area = append(cols.Area, p.Area)
+				cols.Delay = append(cols.Delay, p.Delay)
+			}
+			match(appendSweepPage(nil, &page, values, cols, explore.Front(cols.Power, cols.Delay)), oracleSweep(t, site, name, q, pts, ""))
+		}
 		match(appendSweepPage(nil, &page, nil, explore.Columns{}, nil), oracleSweep(t, site, name, q, nil, errMsg))
-		pts := []explore.Point{
+		page.Error = ""
+		table([]explore.Point{
 			{Vars: map[string]float64{variable: 1.5}, Power: 1e-3, Area: 2e-6, Delay: 3e-9},
 			{Vars: map[string]float64{variable: 2.5e6}, Power: 5e-4, Area: 1e-9, Delay: 4e-9},
 			{Vars: map[string]float64{variable: -1e-7}, Power: 2e-3, Area: 0, Delay: 5e-9},
+		})
+
+		palette := [8]float64{a, b, 0, math.Copysign(0, -1), math.NaN(), math.Inf(1), math.Inf(-1), -a}
+		pts := make([]explore.Point, min(len(cells)/3, 200))
+		var row [3]float64 // a repeating cell keeps the value above
+		for i := range pts {
+			for k, c := range cells[3*i : 3*i+3] {
+				if c&repeat == 0 {
+					row[k] = palette[c&7]
+				}
+			}
+			pts[i] = explore.Point{Vars: map[string]float64{variable: float64(i) / 4},
+				Power: row[0], Area: row[1], Delay: row[2]}
 		}
-		page.Error = ""
-		values := []float64{pts[0].Vars[variable], pts[1].Vars[variable], pts[2].Vars[variable]}
-		cols := explore.Columns{
-			Power: []float64{pts[0].Power, pts[1].Power, pts[2].Power},
-			Area:  []float64{pts[0].Area, pts[1].Area, pts[2].Area},
-			Delay: []float64{pts[0].Delay, pts[1].Delay, pts[2].Delay},
-		}
-		match(appendSweepPage(nil, &page, values, cols, explore.Front(cols.Power, cols.Delay)), oracleSweep(t, site, name, q, pts, ""))
+		table(pts)
 	})
 }
 
