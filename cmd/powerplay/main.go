@@ -196,7 +196,6 @@ func main() {
 	handler := srv.Handler()
 	if *profiling {
 		handler = withPprof(handler)
-		slog.Info("profiling enabled", "url", fmt.Sprintf("http://%s/debug/pprof/", *addr))
 	}
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
@@ -205,7 +204,11 @@ func main() {
 	// Log the *bound* address: with ":0" the chosen port is otherwise
 	// unknowable, and logging before Serve means "no line in the log"
 	// reliably reads as "never came up".
-	slog.Info("listening", "site", *siteName, "url", "http://"+ln.Addr().String())
+	base := "http://" + ln.Addr().String()
+	slog.Info("listening", "site", *siteName, "url", base)
+	if *profiling {
+		slog.Info("profiling enabled", "url", base+"/debug/pprof/")
+	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	if err := serve(ctx, ln, handler); err != nil {

@@ -9,6 +9,9 @@ import (
 	"net/http/cookiejar"
 	"net/http/httptest"
 	"net/url"
+	"os/exec"
+	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -149,5 +152,30 @@ func TestMultiFlag(t *testing.T) {
 	}
 	if len(m) != 2 {
 		t.Errorf("len = %d", len(m))
+	}
+}
+
+// TestPprofServerAnswersAtLoggedURL starts the binary with -pprof on
+// an ephemeral port and takes the first url= line of its log, as the
+// process-level simulators and perfbench do: that URL must be the bound
+// address, answering both the health probe and the profiling index.
+func TestPprofServerAnswersAtLoggedURL(t *testing.T) {
+	bin := filepath.Join(t.TempDir(), "powerplay")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("building powerplay: %v\n%s", err, out)
+	}
+	cmd, base := startFed(t, bin, "-pprof", "-addr", "127.0.0.1:0")
+	defer func() { cmd.Process.Kill(); cmd.Wait() }()
+	base = strings.TrimSuffix(base, "/debug/pprof/")
+	for _, path := range []string{"/api/v1/healthz", "/debug/pprof/"} {
+		resp, err := http.Get(base + path)
+		if err != nil {
+			t.Fatalf("GET %s: %v", path, err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Errorf("GET %s: status %d, want 200", path, resp.StatusCode)
+		}
 	}
 }

@@ -38,10 +38,12 @@ type Option struct {
 }
 
 // Bounded reports whether the parameter carries a range constraint.
-func (p Param) Bounded() bool { return p.Min < p.Max }
+func (p *Param) Bounded() bool { return p.Min < p.Max }
 
 // Check validates a single value against the parameter's constraints.
-func (p Param) Check(v float64) error {
+// Hot paths check through a pointer into a shared schema, so a call
+// copies no Param.
+func (p *Param) Check(v float64) error {
 	if math.IsNaN(v) || math.IsInf(v, 0) {
 		return fmt.Errorf("parameter %q: value must be finite, got %v", p.Name, v)
 	}
@@ -68,26 +70,29 @@ func (p Param) Check(v float64) error {
 // which are always allowed through so that enclosing-sheet globals can
 // be handed to any model.
 //
-// Callers validating against one schema repeatedly (the compiled sheet
-// plan, the web form) should build a Schema once and use its Validate,
-// which skips the per-call index construction this function pays.
+// A registered model's schema is built once, by Register; callers
+// validating against one repeatedly (the compiled sheet plan, the
+// interpreter) take it from Registry.Resolve instead of paying the
+// per-call index construction this function does.
 func Validate(schema []Param, in Params) (Params, error) {
-	return NewSchema(schema).Validate(in)
+	return newSchema("", schema).Validate(in)
 }
 
-// Schema is a prebuilt parameter-schema index: the reusable form of
-// Validate for hot paths that evaluate the same model many times.  A
-// Schema is immutable after NewSchema and safe for concurrent use.
+// Schema is a model's indexed parameter schema: the reusable form of
+// Validate, and the prefix Evaluate puts on the model's errors.  The
+// registry builds one per registered model; a Schema is immutable and
+// safe for concurrent use.
 type Schema struct {
+	name   string
 	params []Param
-	known  map[string]Param
+	known  map[string]int // name → index in params
 }
 
-// NewSchema indexes a parameter schema for repeated validation.
-func NewSchema(params []Param) *Schema {
-	s := &Schema{params: params, known: make(map[string]Param, len(params))}
-	for _, p := range params {
-		s.known[p.Name] = p
+// newSchema indexes a model's parameter schema for repeated validation.
+func newSchema(name string, params []Param) *Schema {
+	s := &Schema{name: name, params: params, known: make(map[string]int, len(params))}
+	for i := range params {
+		s.known[params[i].Name] = i
 	}
 	return s
 }
@@ -95,10 +100,14 @@ func NewSchema(params []Param) *Schema {
 // Params returns the schema's parameter list, in declaration order.
 func (s *Schema) Params() []Param { return s.params }
 
-// Lookup returns the schema parameter with the given name.
-func (s *Schema) Lookup(name string) (Param, bool) {
-	p, ok := s.known[name]
-	return p, ok
+// Lookup returns the schema parameter with the given name: a pointer
+// into Params, shared by every caller and not to be modified.
+func (s *Schema) Lookup(name string) (*Param, bool) {
+	i, ok := s.known[name]
+	if !ok {
+		return nil, false
+	}
+	return &s.params[i], true
 }
 
 // Validate checks a valuation against the schema and returns a complete
@@ -108,14 +117,15 @@ func (s *Schema) Lookup(name string) (Param, bool) {
 // schema parameters are checked in declaration order, so when several
 // bound values are invalid at once, the error is always the first
 // offender by schema position.  Unknown names are reported in sorted
-// order.  model.Evaluate validates through here.  The compiled plan
-// checks each row against its own precomputed schedule instead and,
-// when that check fails, re-runs the row through model.Evaluate, so
-// this ordering words every validation error the engines report.
+// order.  Evaluate validates through here.  The compiled plan checks
+// each row against its own precomputed schedule instead and, when that
+// check fails, re-runs the row through its schema's Evaluate, so this
+// ordering words every validation error the engines report.
 func (s *Schema) Validate(in Params) (Params, error) {
 	out := make(Params, len(s.params)+3)
 	known := 0
-	for _, p := range s.params {
+	for i := range s.params {
+		p := &s.params[i]
 		v, ok := in[p.Name]
 		if !ok {
 			out[p.Name] = p.Default
@@ -175,13 +185,21 @@ func WithStd(params ...Param) []Param {
 // Evaluate validates p against m's schema and evaluates the model: the
 // single entry point callers outside a model implementation should use.
 func Evaluate(m Model, p Params) (*Estimate, error) {
-	full, err := Validate(m.Info().Params, p)
+	info := m.Info()
+	return newSchema(info.Name, info.Params).Evaluate(m, p)
+}
+
+// Evaluate validates p against the schema and evaluates m, whose
+// schema it is, prefixing any error with the model's name: Evaluate
+// without rebuilding the schema.
+func (s *Schema) Evaluate(m Model, p Params) (*Estimate, error) {
+	full, err := s.Validate(p)
 	if err != nil {
-		return nil, fmt.Errorf("%s: %w", m.Info().Name, err)
+		return nil, fmt.Errorf("%s: %w", s.name, err)
 	}
 	est, err := m.Evaluate(full)
 	if err != nil {
-		return nil, fmt.Errorf("%s: %w", m.Info().Name, err)
+		return nil, fmt.Errorf("%s: %w", s.name, err)
 	}
 	return est, nil
 }

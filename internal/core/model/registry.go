@@ -10,27 +10,43 @@ import (
 // Registry is a thread-safe name → Model table: one PowerPlay library
 // namespace.  The web server holds one registry per site; remote
 // libraries are mounted into it under a prefix.
+//
+// The registry owns each model's descriptor: Register reads Info once
+// and builds the model's Schema from it, and every compiled plan and
+// interpreter call that resolves the name shares that one copy.  A
+// model's Info must therefore not change while it is registered; a
+// model whose description changes (an edited equation, a refreshed
+// remote proxy) is registered again as a new value.
 type Registry struct {
 	mu     sync.RWMutex
-	models map[string]Model
+	models map[string]*registered
 	gen    atomic.Uint64
+}
+
+// registered is one registry entry: the model with the descriptor and
+// schema computed when it was registered.
+type registered struct {
+	m      Model
+	info   Info
+	schema *Schema
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{models: make(map[string]Model)}
+	return &Registry{models: make(map[string]*registered)}
 }
 
 // Register adds a model under its Info().Name.  Re-registering a name
 // replaces the previous model (user-defined models may be edited).
 func (r *Registry) Register(m Model) error {
-	name := m.Info().Name
-	if name == "" {
+	info := m.Info()
+	if info.Name == "" {
 		return fmt.Errorf("model has empty name")
 	}
+	e := &registered{m: m, info: info, schema: newSchema(info.Name, info.Params)}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.models[name] = m
+	r.models[info.Name] = e
 	r.gen.Add(1)
 	return nil
 }
@@ -61,10 +77,20 @@ func (r *Registry) Generation() uint64 { return r.gen.Load() }
 
 // Lookup finds a model by name.
 func (r *Registry) Lookup(name string) (Model, bool) {
+	m, _, ok := r.Resolve(name)
+	return m, ok
+}
+
+// Resolve finds a model by name together with the schema Register
+// built for it, both read under one lock.
+func (r *Registry) Resolve(name string) (Model, *Schema, bool) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	m, ok := r.models[name]
-	return m, ok
+	e, ok := r.models[name]
+	if !ok {
+		return nil, nil, false
+	}
+	return e.m, e.schema, true
 }
 
 // Names returns all registered names, sorted.
@@ -84,8 +110,8 @@ func (r *Registry) ByClass(c Class) []string {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	var names []string
-	for n, m := range r.models {
-		if m.Info().Class == c {
+	for n, e := range r.models {
+		if e.info.Class == c {
 			names = append(names, n)
 		}
 	}
@@ -102,11 +128,11 @@ func (r *Registry) Len() int {
 
 // Evaluate looks up a model and evaluates it with validation.
 func (r *Registry) Evaluate(name string, p Params) (*Estimate, error) {
-	m, ok := r.Lookup(name)
+	m, schema, ok := r.Resolve(name)
 	if !ok {
 		return nil, fmt.Errorf("no model named %q in library", name)
 	}
-	return Evaluate(m, p)
+	return schema.Evaluate(m, p)
 }
 
 // Func adapts an evaluation function plus an Info into a Model: the

@@ -202,7 +202,7 @@ func (b *BatchEval) buildParams(mc *rowModelCache) (model.Params, error) {
 	for i := range mc.invEntries {
 		en := &mc.invEntries[i]
 		v := b.invValue(en)
-		if en.check {
+		if en.param != nil {
 			if err := en.param.Check(v); err != nil {
 				return nil, err
 			}
@@ -211,7 +211,7 @@ func (b *BatchEval) buildParams(mc *rowModelCache) (model.Params, error) {
 	}
 	for i := range mc.varEntries {
 		en := &mc.varEntries[i]
-		full[en.name] = en.param.Default
+		full[en.name] = en.def
 	}
 	return full, nil
 }
@@ -447,7 +447,7 @@ func (b *BatchEval) Run(ctx context.Context, values [][]float64, pw, area, delay
 			// column before any arithmetic runs.
 			for i := range st.mc.varEntries {
 				en := &st.mc.varEntries[i]
-				if !en.check {
+				if en.param == nil {
 					continue
 				}
 				col := b.cols[en.slot][:n]

@@ -373,7 +373,7 @@ func (ev *evaluator) node(n *Node) (*Result, error) {
 }
 
 func (ev *evaluator) evalModelRow(n *Node, r *Result) error {
-	m, ok := ev.design.Registry.Lookup(n.Model)
+	m, schema, ok := ev.design.Registry.Resolve(n.Model)
 	if !ok {
 		return ev.errf(n, "no model named %q in library", n.Model)
 	}
@@ -401,7 +401,7 @@ func (ev *evaluator) evalModelRow(n *Node, r *Result) error {
 			params[std] = v
 		}
 	}
-	est, err := model.Evaluate(m, params)
+	est, err := schema.Evaluate(m, params)
 	if err != nil {
 		// Keep the cause: the message is identical to errf's "%v", but
 		// errors.Is still sees through to typed model errors (e.g. a

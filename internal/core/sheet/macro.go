@@ -13,18 +13,22 @@ import (
 // terminal's sheet.
 //
 // The macro's parameters are the design's root globals; its defaults
-// are their current values.  Evaluation re-plays the inner sheet at the
-// caller's parameter point, so supply-voltage and frequency scaling
-// flow through the hierarchy exactly as if the sub-design were inlined.
+// are their values when the macro was made.  Evaluation re-plays the
+// inner sheet at the caller's parameter point, so supply-voltage and
+// frequency scaling flow through the hierarchy exactly as if the
+// sub-design were inlined.
 type Macro struct {
-	name, title, doc string
-	design           *Design
-	note             string // precomputed lump note
+	info   model.Info // fixed by NewMacro
+	design *Design
+	note   string // precomputed lump note
 }
 
-// NewMacro wraps a design as a model.  Every root global whose current
-// binding is a constant becomes a macro parameter with that default;
-// expression-valued globals stay internal.
+// NewMacro wraps a design as a model.  Every root global whose binding
+// is a constant when NewMacro is called becomes a macro parameter with
+// that default; expression-valued globals stay internal.  The parameter
+// list is fixed here, as a registered model's Info must be: editing the
+// inner design's globals afterwards changes neither the macro's
+// parameters nor their defaults.
 func NewMacro(name, title, doc string, d *Design) (*Macro, error) {
 	if name == "" {
 		return nil, fmt.Errorf("sheet: macro needs a name")
@@ -36,28 +40,20 @@ func NewMacro(name, title, doc string, d *Design) (*Macro, error) {
 	if _, err := d.Evaluate(); err != nil {
 		return nil, fmt.Errorf("sheet: macro %q: design does not evaluate: %w", name, err)
 	}
+	info := model.Info{Name: name, Title: title, Class: model.Macro, Doc: doc}
+	for _, g := range d.Root.Globals {
+		if v, ok := g.Expr.Const(); ok {
+			info.Params = append(info.Params, model.Param{Name: g.Name, Doc: "macro parameter (root variable)", Default: v})
+		}
+	}
 	return &Macro{
-		name: name, title: title, doc: doc, design: d,
+		info: info, design: d,
 		note: fmt.Sprintf("macro of design %q: %d rows lumped", d.Name, countRows(d.Root)),
 	}, nil
 }
 
 // Info implements model.Model.
-func (m *Macro) Info() model.Info {
-	info := model.Info{
-		Name:  m.name,
-		Title: m.title,
-		Class: model.Macro,
-		Doc:   m.doc,
-	}
-	for _, g := range m.design.Root.Globals {
-		if v, ok := g.Expr.Const(); ok {
-			p := model.Param{Name: g.Name, Doc: "macro parameter (root variable)", Default: v}
-			info.Params = append(info.Params, p)
-		}
-	}
-	return info
-}
+func (m *Macro) Info() model.Info { return m.info }
 
 // Evaluate implements model.Model: re-play the inner design with the
 // caller's bindings overriding the root globals.
@@ -68,7 +64,7 @@ func (m *Macro) Evaluate(p model.Params) (*model.Estimate, error) {
 	}
 	power, area, delay, err := m.design.EvaluateTotals(overrides)
 	if err != nil {
-		return nil, fmt.Errorf("macro %q: %w", m.name, err)
+		return nil, fmt.Errorf("macro %q: %w", m.info.Name, err)
 	}
 	vdd := units.Volts(p.Get(model.ParamVDD, 0))
 	if vdd == 0 {

@@ -1,6 +1,7 @@
 package sheet
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -193,5 +194,29 @@ func TestBreakdownSorted(t *testing.T) {
 	}
 	if !strings.Contains(rows[0], "%") {
 		t.Error("percent column missing")
+	}
+}
+
+// TestMacroParamsFixedAtNewMacro: a macro's parameter list is fixed
+// when it is made, so editing the inner design's globals after Register
+// changes neither the registered schema nor the model's Info.
+func TestMacroParamsFixedAtNewMacro(t *testing.T) {
+	sub := buildSubDesign(t)
+	mac, err := NewMacro("macro.video", "Video chip", "", sub)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := testRegistry()
+	reg.MustRegister(mac)
+	_, before, _ := reg.Resolve("macro.video")
+	want := append([]model.Param(nil), before.Params()...)
+
+	sub.Root.SetGlobalValue("vdd", 3.3, "3.3")
+	sub.Root.SetGlobalValue("extra", 7, "7")
+	_, after, _ := reg.Resolve("macro.video")
+	for name, got := range map[string][]model.Param{"registered schema": after.Params(), "Info": mac.Info().Params} {
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s after editing the inner design: %v, want %v", name, got, want)
+		}
 	}
 }

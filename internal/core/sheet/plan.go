@@ -204,13 +204,14 @@ const (
 	stepNode
 )
 
-// rowModelCache pins the resolved model, its prebuilt validation
-// schema, and the row's precomputed validation schedule; it is built
-// at compile and lives exactly as long as the plan.  The schedule is
-// split by slot variance: between evaluations of one plan, invariant
-// entries always reproduce the same value (their slots are written by
-// deterministic invariant steps, or are constants), so a re-fill of an
-// already-populated map only rewrites varEntries.
+// rowModelCache pins the resolved model, the registry's schema for it
+// (shared, never copied), and the row's precomputed validation
+// schedule; it is built at compile and lives exactly as long as the
+// plan.  The schedule is split by slot variance: between evaluations
+// of one plan, invariant entries always reproduce the same value (their
+// slots are written by deterministic invariant steps, or are
+// constants), so a re-fill of an already-populated map only rewrites
+// varEntries.
 type rowModelCache struct {
 	m          model.Model
 	schema     *model.Schema
@@ -226,17 +227,16 @@ type rowModelCache struct {
 // Schema.Validate builds, without the intermediate map.
 type paramEntry struct {
 	name  string
-	slot  int // -1: use def
-	def   float64
-	check bool
-	param model.Param
+	slot  int          // -1: use def
+	def   float64      // the schema default (0 when not in the schema)
+	param *model.Param // the bound schema parameter to check; nil: unchecked
 }
 
-// buildRowModelCache resolves a row's model and precomputes its
-// validation schedule from the step's bound/inherited slots, split by
+// buildRowModelCache precomputes a row's validation schedule against
+// its model's schema from the step's bound/inherited slots, split by
 // the plan's slot-variance map.
-func buildRowModelCache(st *planStep, m model.Model, variantSlot []bool) *rowModelCache {
-	mc := &rowModelCache{m: m, schema: model.NewSchema(m.Info().Params)}
+func buildRowModelCache(st *planStep, m model.Model, schema *model.Schema, variantSlot []bool) *rowModelCache {
+	mc := &rowModelCache{m: m, schema: schema}
 	put := func(en paramEntry) {
 		mc.size++
 		if en.slot >= 0 && variantSlot[en.slot] {
@@ -248,8 +248,8 @@ func buildRowModelCache(st *planStep, m model.Model, variantSlot []bool) *rowMod
 	bound := make(map[string]bool, len(st.paramNames)+len(st.stdNames))
 	add := func(name string, slot int) {
 		bound[name] = true
-		if p, ok := mc.schema.Lookup(name); ok {
-			put(paramEntry{name: name, slot: slot, check: true, param: p})
+		if p, ok := schema.Lookup(name); ok {
+			put(paramEntry{name: name, slot: slot, def: p.Default, param: p})
 			return
 		}
 		switch name {
@@ -267,7 +267,7 @@ func buildRowModelCache(st *planStep, m model.Model, variantSlot []bool) *rowMod
 	for i, name := range st.stdNames {
 		add(name, st.stdSlots[i])
 	}
-	for _, p := range mc.schema.Params() {
+	for _, p := range schema.Params() {
 		if !bound[p.Name] {
 			put(paramEntry{name: p.Name, slot: -1, def: p.Default})
 		}
@@ -392,9 +392,9 @@ func (p *Plan) execNode(st *planStep, run *planRun, keep bool) error {
 		if err != nil {
 			// Let the interpreter's own call word the failure (schema
 			// order, unknown names last, the model-name prefix).
-			est, err = model.Evaluate(m, st.boundParams(slots))
+			est, err = st.mc.schema.Evaluate(m, st.boundParams(slots))
 		} else if est, err = m.Evaluate(full); err != nil {
-			err = fmt.Errorf("%s: %w", m.Info().Name, err)
+			err = fmt.Errorf("%s: %w", st.modelName, err) // the registered Info().Name
 		}
 		if err != nil {
 			return &EvalError{Path: st.node.Path(), Msg: err.Error(), Err: err}
@@ -443,7 +443,7 @@ func (p *Plan) validate(st *planStep, run *planRun) (model.Params, error) {
 			if en.slot >= 0 {
 				v = slots[en.slot]
 			}
-			if en.check {
+			if en.param != nil {
 				if err := en.param.Check(v); err != nil {
 					return nil, err
 				}
@@ -455,7 +455,7 @@ func (p *Plan) validate(st *planStep, run *planRun) (model.Params, error) {
 	for i := range mc.varEntries {
 		en := &mc.varEntries[i]
 		v := slots[en.slot]
-		if en.check {
+		if en.param != nil {
 			if err := en.param.Check(v); err != nil {
 				return nil, err
 			}
@@ -725,8 +725,8 @@ func compilePlan(d *Design, names []string, regGen uint64) (*Plan, error) {
 		if st.modelName == "" {
 			continue
 		}
-		if m, ok := d.Registry.Lookup(st.modelName); ok {
-			st.mc = buildRowModelCache(st, m, p.variantSlot)
+		if m, schema, ok := d.Registry.Resolve(st.modelName); ok {
+			st.mc = buildRowModelCache(st, m, schema, p.variantSlot)
 			if model.IsVolatile(m) {
 				p.volSteps = append(p.volSteps, i)
 			}

@@ -580,3 +580,63 @@ func TestEvaluateTotalsMatchesEvaluate(t *testing.T) {
 		}
 	}
 }
+
+// schemaCell is an equation-like model named name whose power is the
+// sum of its extra parameters' values, each bounded to [0, 10].
+func schemaCell(name string, extra ...string) *model.Func {
+	params := make([]model.Param, 0, len(extra))
+	for _, p := range extra {
+		params = append(params, model.Param{Name: p, Default: 1, Min: 0, Max: 10})
+	}
+	return &model.Func{
+		Meta: model.Info{Name: name, Class: model.Computation, Params: model.WithStd(params...)},
+		Fn: func(p model.Params) (*model.Estimate, error) {
+			e := &model.Estimate{VDD: p.VDD()}
+			for _, name := range extra {
+				e.AddStatic(name, units.Amps(p[name]))
+			}
+			return e, nil
+		},
+	}
+}
+
+// TestRegistryOwnsSchemaPlanRedefine: a plan validates a row against
+// the schema the registry built when the model was last registered.
+// Redefining the model with an added parameter lets the next plan
+// accept a binding of it; dropping the parameter again makes the plan
+// and the interpreter reject that binding in model.Evaluate's words.
+func TestRegistryOwnsSchemaPlanRedefine(t *testing.T) {
+	reg := testRegistry()
+	reg.MustRegister(schemaCell("eq", "a"))
+	d := NewDesign("redefine", reg)
+	d.Root.SetGlobalValue("vdd", 1.5, "1.5")
+	d.Root.SetGlobalValue("f", 2e6, "2MHz")
+	setParamValue(d.Root.MustAddChild("row", "eq"), "b", 3, "3")
+	if _, err := d.Evaluate(); err == nil {
+		t.Fatal("binding b before the model declares it should fail")
+	}
+
+	reg.MustRegister(schemaCell("eq", "a", "b"))
+	r, err := d.Evaluate()
+	if err != nil {
+		t.Fatalf("binding the added parameter: %v", err)
+	}
+	if want := units.Watts((1 + 3) * 1.5); r.Power != want {
+		t.Errorf("power %v after the redefinition, want %v", r.Power, want)
+	}
+
+	dropped := schemaCell("eq", "a")
+	reg.MustRegister(dropped)
+	_, want := model.Evaluate(dropped, model.Params{"b": 3, "vdd": 1.5, "f": 2e6})
+	if want == nil {
+		t.Fatal("model.Evaluate accepted the dropped parameter")
+	}
+	_, planErr := d.Evaluate()
+	_, interpErr := d.EvaluateInterpreted(nil)
+	for engine, err := range map[string]error{"plan": planErr, "interpreter": interpErr} {
+		var ee *EvalError
+		if !errors.As(err, &ee) || ee.Msg != want.Error() {
+			t.Errorf("%s after dropping b: %v, want message %q", engine, err, want)
+		}
+	}
+}

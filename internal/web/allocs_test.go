@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -99,13 +100,13 @@ func TestServedAllocBudgets(t *testing.T) {
 			_, err := serve(cookie, http.MethodGet, "/design/Luminance_1", "")
 			return err
 		}},
-		{"Play POST, two edits, InfoPad and Luminance_2 alternating", 180, func() error {
+		{"Play POST, two edits, InfoPad and Luminance_2 alternating", 170, func() error {
 			nPlay++
 			design, form := editPlay(nPlay)
 			_, err := serve(cookie, http.MethodPost, "/design/"+design+"/play", form)
 			return err
 		}},
-		{"rows POST, add and remove alternating", 475, func() error {
+		{"rows POST, add and remove alternating", 440, func() error {
 			_, err := serve(cookie, http.MethodPost, "/design/Luminance_2/rows", rows[nRows%2])
 			nRows++
 			return err
@@ -126,7 +127,7 @@ func TestServedAllocBudgets(t *testing.T) {
 			_, err := serve(cookie, http.MethodGet, "/design/InfoPad/sweep?var=vdd3&from=3.3&to=6&steps=200", "")
 			return err
 		}},
-		{"POST /api/v1/eval", 75, func() error {
+		{"POST /api/v1/eval", 70, func() error {
 			_, err := serve(nil, http.MethodPost, "/api/v1/eval", eval)
 			return err
 		}},
@@ -172,6 +173,11 @@ func TestServedAllocBudgets(t *testing.T) {
 // children's label strings are most of them.
 const metricsAllocsPerLine = 0.4
 
+// viewedSheetHeapKiB budgets the live heap one viewed sheet adds:
+// measured at 37.4 KiB (60.9 KiB while every plan row built its own
+// copy of its model's schema).
+const viewedSheetHeapKiB = 42.0
+
 // editPlay is the i'th Play of the edit-play loop: two cells set to the
 // other of two values, alternating between the InfoPad and Luminance_2
 // sheets, so every Play has a dirty cone.  It returns the design and
@@ -193,26 +199,88 @@ func allocSite(t testing.TB) (*Server, http.Handler, *http.Cookie) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	h := s.Handler()
+	return s, h, seedUser(t, s, h, "demo")
+}
+
+// seededSheets are the names of the designs seedUser installs.
+var seededSheets = [...]string{"Luminance_1", "Luminance_2", "InfoPad"}
+
+// seedUser installs the three seeded sheets for user and logs them in,
+// returning the session cookie.
+func seedUser(t testing.TB, s *Server, h http.Handler, user string) *http.Cookie {
+	t.Helper()
 	reg := s.Registry()
 	for _, build := range []func(*model.Registry) (*sheet.Design, error){vqsim.Luminance1, vqsim.Luminance2, infopad.Build} {
 		d, err := build(reg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := s.InstallDesign("demo", d); err != nil {
+		if err := s.InstallDesign(user, d); err != nil {
 			t.Fatal(err)
 		}
 	}
-	h := s.Handler()
-	r := httptest.NewRequest(http.MethodPost, "/login", strings.NewReader("user=demo"))
+	r := httptest.NewRequest(http.MethodPost, "/login", strings.NewReader("user="+user))
 	r.Header.Set("Content-Type", "application/x-www-form-urlencoded")
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, r)
 	for _, c := range rec.Result().Cookies() {
 		if c.Name == sessionCookie {
-			return s, h, c
+			return c
 		}
 	}
-	t.Fatalf("login set no session cookie: %d", rec.Code)
-	return nil, nil, nil
+	t.Fatalf("login as %s set no session cookie: %d", user, rec.Code)
+	return nil
+}
+
+// TestViewedSheetHeapBudget pins the heap a viewed sheet keeps live —
+// its retained plan and its cached page — as browse does across many
+// users' sheets.  It views the three seeded sheets of 32 users once
+// each, gzip accepted, and measures HeapAlloc after a collection before
+// and after the views.  The budget is the measured value plus a little
+// headroom; lower it when a change brings the heap down.
+func TestViewedSheetHeapBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes heap sizes")
+	}
+	s, err := NewServer(Config{}, library.Standard())
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := s.Handler()
+	cookies := make([]*http.Cookie, 32)
+	for i := range cookies {
+		cookies[i] = seedUser(t, s, h, fmt.Sprintf("viewer%02d", i))
+	}
+	// Two collections: the first moves sync.Pool contents (gzip
+	// writers, render buffers) to the victim cache, the second frees
+	// them, so pooled scratch does not count as a sheet's heap.
+	liveHeap := func() uint64 {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	before := liveHeap()
+	for _, c := range cookies {
+		for _, name := range seededSheets {
+			r := httptest.NewRequest(http.MethodGet, "/design/"+name, nil)
+			r.Header.Set("Accept-Encoding", "gzip")
+			r.AddCookie(c)
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, r)
+			if rec.Code != http.StatusOK {
+				t.Fatalf("GET /design/%s: status %d", name, rec.Code)
+			}
+		}
+	}
+	after := liveHeap()
+	runtime.KeepAlive(s)
+	views := len(cookies) * len(seededSheets)
+	perSheet := (float64(after) - float64(before)) / float64(views) / 1024
+	t.Logf("%.1f KiB live heap per viewed sheet over %d sheets", perSheet, views)
+	if perSheet > viewedSheetHeapKiB {
+		t.Errorf("%.1f KiB live heap per viewed sheet, budget %.0f KiB", perSheet, viewedSheetHeapKiB)
+	}
 }

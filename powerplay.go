@@ -153,7 +153,10 @@ func ParseDeck(src string, reg *Registry) (*Design, error) {
 // FormatDeck serializes a design in deck form.
 func FormatDeck(d *Design) string { return sheet.FormatDeck(d) }
 
-// NewMacro lumps a design into a reusable library model.
+// NewMacro lumps a design into a reusable library model.  Its
+// parameters are the design's constant root globals, with the values
+// they hold when NewMacro is called; the list is fixed then, so later
+// edits to the design's globals do not change it.
 func NewMacro(name, title, doc string, d *Design) (*Macro, error) {
 	return sheet.NewMacro(name, title, doc, d)
 }
